@@ -10,16 +10,14 @@ are deterministic.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from . import degree as deg_mod
 from . import flows, gridfn, operators
-from .degree import DegreeResult, DomainSpec, box_domain, brouwer_1d, \
+from .degree import STACK_BLOCK, DegreeResult, DomainSpec, box_domain, brouwer_1d, \
     brouwer_nd_regular, fd_jacobian, finite_rank_reduce
 from .gridfn import Grid, GridFunction, constant
 from .operators import C1Function, OperatorHandle
@@ -27,18 +25,6 @@ from .operators import C1Function, OperatorHandle
 DEFAULT_SEED = 0x4B52
 FINITE_FP_TOL = 1e-8
 GRID_FP_TOL = 5e-5
-
-
-def parallel_map(fn: Callable, items: Sequence) -> list:
-    """Order-preserving map; RD_THREADS > 1 enables a thread pool."""
-    try:
-        workers = int(os.environ.get("RD_THREADS", "1"))
-    except ValueError:
-        workers = 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(it) for it in items]
 
 
 # ---------------------------------------------------------------------------
@@ -64,11 +50,16 @@ class FunctionBall:
 # Flatten / unflatten between handle spaces and vectors
 # ---------------------------------------------------------------------------
 
+def _flat(v: np.ndarray) -> np.ndarray:
+    return v.reshape(v.shape[:-2] + (-1,)).copy()
+
+
 def _flatten(x) -> np.ndarray:
+    """Vector (..., N) of a handle-space element or stack of elements."""
     if isinstance(x, GridFunction):
-        return x.values.ravel().copy()
+        return _flat(x.values)
     if isinstance(x, C1Function):
-        return np.concatenate([x.values.values.ravel(), x.deriv0])
+        return np.concatenate([_flat(x.values.values), x.deriv0], axis=-1)
     return np.atleast_1d(np.asarray(x, dtype=float))
 
 
@@ -77,12 +68,13 @@ def _unflattener(h: OperatorHandle):
     if h.space == operators.GRID_SPACE:
         grid = problem.grid()
         n = problem.field().dim
-        return lambda v: GridFunction(grid, v.reshape(grid.m + 1, n))
+        return lambda v: GridFunction(grid, v.reshape(v.shape[:-1] + (grid.m + 1, n)))
     if h.space == operators.C1_SPACE:
         grid = problem.grid()
         n = problem.field().dim
         return lambda v: C1Function(
-            GridFunction(grid, v[:-n].reshape(grid.m + 1, n)), v[-n:])
+            GridFunction(grid, v[..., :-n].reshape(v.shape[:-1] + (grid.m + 1, n))),
+            v[..., -n:])
     return lambda v: v
 
 
@@ -126,6 +118,8 @@ def find_fixed_points(h: OperatorHandle, domain, seeds=None,
         try:
             return v - _flatten(h.apply_fn(unflat(v)))
         except (flows.IntegrationError, ValueError):
+            if v.ndim > 1:  # a failed stack: only its failing rows read inf
+                return np.stack([res(row) for row in v])
             return np.full_like(v, np.inf)
     if seeds is None:
         n = h.problem.field().dim
@@ -166,15 +160,8 @@ def _newton_flat(res: Callable, v0: np.ndarray, tol: float,
         nrm = np.max(np.abs(r))
         if nrm <= tol:
             return v, True
-        N = v.size
-        jac = np.empty((N, N))
-        for i in range(N):
-            hstep = 1e-6 * (1.0 + abs(v[i]))
-            e = np.zeros(N)
-            e[i] = hstep
-            jac[:, i] = (res(v + e) - res(v - e)) / (2 * hstep)
         try:
-            step = np.linalg.solve(jac, r)
+            step = np.linalg.solve(fd_jacobian(res, v, scale=1e-6), r)
         except np.linalg.LinAlgError:
             return v, False
         s = 1.0
@@ -304,7 +291,8 @@ def admissibility_eps(problem, factor: float = 10.0) -> float:
 
 
 def _random_directions(problem, count: int, seed: int, vanish_at_end: bool):
-    """Smooth random unit-sup-norm grid functions, optionally zero at t=T."""
+    """Values (count, m+1, n) of smooth random unit-sup-norm grid functions,
+    optionally zero at t=T."""
     grid = problem.grid()
     n = problem.field().dim
     T = grid.length
@@ -324,74 +312,73 @@ def _random_directions(problem, count: int, seed: int, vanish_at_end: bool):
         nrm = np.max(np.abs(vals))
         if nrm == 0:
             continue
-        out.append(GridFunction(grid, vals / nrm))
-    return out
+        out.append(vals / nrm)
+    return np.reshape(out, (-1, grid.m + 1, n))
 
 
 def _pullback_boundary_samples(problem, dom: DomainSpec, count: int, seed: int):
-    """Boundary of pi^{-1}(U) cap B(0, r): lifted finite-boundary points with
-    tangential bumps, plus norm-r shell points."""
-    inverse_kind = dom.projector
+    """Boundary of pi^{-1}(U) cap B(0, r), as grid-function values (S, m+1, n):
+    lifted finite-boundary points with tangential bumps, plus norm-r shell
+    points."""
     U = dom.finite
     r = dom.r
     b = U.as_box()
     k = b.shape[0]
     per = max(2, min(int(round(count ** (1.0 / max(k - 1, 1)))), 24))
-    finite_bdry = deg_mod._boundary_lattice(b, per)
-    interior = deg_mod._lattice_seeds(b, 2)
+    lift = lambda u: operators.i_map(dom.projector, u, problem).values
+    sup = lambda v: np.max(np.abs(v), axis=(-2, -1))
     # fixed bump pool across refinement levels: refining only refines the
     # finite-boundary lattice, so the boundary minimum is stable
     bumps = _random_directions(problem, 8, seed, vanish_at_end=True)
 
     samples = []
-    for u in finite_bdry:
-        base = operators.i_map(inverse_kind, u, problem)
+    lifted = lift(deg_mod._boundary_lattice(b, per))
+    for base, norm in zip(lifted, sup(lifted)):
         samples.append(base)
-        room = r - base.sup_norm()
+        room = r - norm
         if room > 0:
-            for w in bumps[:4]:
-                samples.append(base + 0.5 * room * w)
-    # shell part: scale a bump until the sup norm hits r
-    for u in interior:
-        base = operators.i_map(inverse_kind, u, problem)
-        if base.sup_norm() >= r:
-            continue
-        for w in bumps[4:6]:
-            lo, hi = 0.0, r + base.sup_norm() + 1.0
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if (base + mid * w).sup_norm() < r:
-                    lo = mid
-                else:
-                    hi = mid
-            samples.append(base + hi * w)
-    return samples
+            samples += [base + 0.5 * room * w for w in bumps[:4]]
+    # shell part: scale a bump until the sup norm hits r, every pair at once
+    bases = lift(deg_mod._lattice_seeds(b, 2))
+    bases = bases[sup(bases) < r]
+    shell = bumps[4:6]
+    base = np.repeat(bases, len(shell), axis=0)
+    w = np.tile(shell, (len(bases), 1, 1))
+    lo = np.zeros(len(base))
+    hi = r + sup(base) + 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        inside = sup(base + mid[:, None, None] * w) < r
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    samples += list(base + hi[:, None, None] * w)
+    return np.stack(samples)
 
 
 def _domain_boundary_samples(hA: OperatorHandle, dom, count: int, seed: int):
+    """Boundary samples of the domain, flattened (S, N) in the space of ``hA``."""
     problem = hA.problem
     if isinstance(dom, FunctionBall):
-        dirs = _random_directions(problem, count, seed, vanish_at_end=False)
         n = problem.field().dim
-        grid = problem.grid()
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = 1.0
-            dirs += [constant(grid, e), constant(grid, -e)]
-        center = dom.center
-        out = []
-        for d in dirs:
-            x = dom.radius * d if center is None else center + dom.radius * d
-            if hA.space == operators.C1_SPACE:
-                x = C1Function(x, np.zeros(n))
-            out.append(x)
-        return out
+        # random directions, then the constants e_0, -e_0, e_1, -e_1, ...
+        signed = np.stack([np.eye(n), -np.eye(n)], axis=1).reshape(2 * n, n)
+        dirs = np.concatenate([
+            _random_directions(problem, count, seed, vanish_at_end=False),
+            constant(problem.grid(), signed).values])
+        x = dom.radius * dirs
+        if dom.center is not None:
+            x = dom.center.values + x
+        x = x.reshape(len(x), -1)
+        if hA.space == operators.C1_SPACE:
+            x = np.concatenate([x, np.zeros((len(x), n))], axis=1)  # x'(0) = 0
+        return x
     if isinstance(dom, DomainSpec) and dom.kind == "pullback":
-        return _pullback_boundary_samples(problem, dom, count, seed)
+        x = _pullback_boundary_samples(problem, dom, count, seed)
+        return x.reshape(len(x), -1)
     if isinstance(dom, DomainSpec):
         b = dom.as_box()
         per = max(2, int(round(count ** (1.0 / max(b.shape[0] - 1, 1)))))
-        return list(deg_mod._boundary_lattice(b, per))
+        return deg_mod._boundary_lattice(b, per)
     raise ValueError(f"unsupported homotopy domain {dom!r}")
 
 
@@ -403,54 +390,38 @@ def certify_homotopy(hA: OperatorHandle, hB: OperatorHandle, domain,
 
     Doubles the lambda grid and the boundary sampling until the minimum
     boundary residual stabilizes (< 20% change) after at least two
-    doublings; admissible iff the stable minimum clears eps.
+    doublings; admissible iff the stable minimum clears eps.  Each level's
+    samples go through each endpoint in stacked blocks of STACK_BLOCK.
     """
     if hA.space != hB.space:
         raise ValueError("homotopy endpoints live in different spaces")
     if eps is None:
         eps = admissibility_eps(hA.problem) if hA.problem is not None else 1e-4
+    unflat = _unflattener(hA)
 
-    def level_eval(n_lam: int, n_samp: int, level: int):
+    def level_eval(n_lam: int, n_samp: int):
         lams = np.linspace(0.0, 1.0, n_lam)
         samples = _domain_boundary_samples(hA, domain, n_samp, seed)
-
-        def eval_point(x):
-            a = hA.apply_fn(x)
-            b = hB.apply_fn(x)
+        curve = np.full(n_lam, np.inf)
+        for lo in range(0, len(samples), STACK_BLOCK):
+            xs = samples[lo:lo + STACK_BLOCK]
+            x = unflat(xs)
+            a = _flatten(hA.apply_fn(x))
+            b = _flatten(hB.apply_fn(x))
             # x - H_lam(x) = (x - b) + lam (b - a), componentwise
-            if isinstance(a, GridFunction):
-                pieces = [(x.values - b.values, b.values - a.values)]
-            elif isinstance(a, C1Function):
-                pieces = [(x.values.values - b.values.values,
-                           b.values.values - a.values.values),
-                          (x.deriv0 - b.deriv0, b.deriv0 - a.deriv0)]
-            else:
-                xa = np.atleast_1d(np.asarray(x, dtype=float))
-                av = np.atleast_1d(np.asarray(a, dtype=float))
-                bv = np.atleast_1d(np.asarray(b, dtype=float))
-                pieces = [(xa - bv, bv - av)]
-            out = np.zeros(n_lam)
-            for base, delta in pieces:
-                flat_b = base.ravel()
-                flat_d = delta.ravel()
-                res = np.abs(flat_b[None, :] + lams[:, None] * flat_d[None, :])
-                out = np.maximum(out, res.max(axis=1))
-            return out
-
-        vals = parallel_map(eval_point, samples)
-        if not vals:
-            return np.inf, lams, np.full(n_lam, np.inf)
-        curve = np.min(np.asarray(vals), axis=0)
+            base, delta = xs - b, b - a
+            curve = np.minimum(curve, [np.max(np.abs(base + lam * delta), axis=-1).min()
+                                       for lam in lams])
         return float(np.min(curve)), lams, curve
 
     n_lam, n_samp = lambda_steps, boundary_samples
-    best, lams, curve = level_eval(n_lam, n_samp, 0)
+    best, lams, curve = level_eval(n_lam, n_samp)
     history = [best]
     stable = False
     for level in range(1, max_doublings + 1):
         n_lam = 2 * n_lam - 1
         n_samp *= 2
-        new, lams, curve = level_eval(n_lam, n_samp, level)
+        new, lams, curve = level_eval(n_lam, n_samp)
         history.append(min(history[-1], new))
         if level >= 2 and history[-2] > 0 and \
                 abs(history[-1] - history[-2]) < 0.2 * history[-2]:
@@ -610,8 +581,7 @@ def _verify_inverse_poincare(problem, U2) -> DualityReport:
     right = _right_degree(problem, U2, fin)
     # image domain P(U2): bounding box of the mapped boundary samples
     b = U2.as_box()
-    bdry = deg_mod._boundary_lattice(b, 17)
-    mapped = np.asarray([fin.apply_fn(p) for p in bdry])
+    mapped = deg_mod._map_rows(fin.apply_fn, deg_mod._boundary_lattice(b, 17))
     img = box_domain(np.stack([mapped.min(axis=0), mapped.max(axis=0)], axis=1))
     left = _right_degree(problem, img, hatp)
     sign = (-1) ** n

@@ -23,7 +23,7 @@ def _resolve_problem(name: str) -> problems.ProblemSpec:
             f"unknown problem {name!r}: not a builtin id and not a file")
 
 
-@click.group(epilog="Set RD_THREADS to cap worker threads (default 1).")
+@click.group()
 def main():
     """Fixed-point operator duality verifier.
 

@@ -8,7 +8,8 @@ block-sign analysis for eta-shifted solution operators of linear
 second-order periodic problems.
 
 Certification is empirical (sampled boundaries, refinement doublings),
-never rigorous.
+never rigorous.  Maps g take a stack of points (..., k) to the stack of
+values, and sample sets go through g in blocks of STACK_BLOCK points.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ CLUSTER_RADIUS = 10 * NEWTON_TOL
 JACOBIAN_DET_FLOOR = 1e-8
 WINDING_ROUND_GUARD = 0.01
 MAX_WINDING_DOUBLINGS = 20
+STACK_BLOCK = 64  # points per stacked call of g: bounds the memory one call holds
 
 
 class CollisionError(ValueError):
@@ -176,7 +178,7 @@ def brouwer_2d_winding(g: Callable, boundary, eps: float = DEFAULT_EPS) -> Degre
     for level in range(MAX_WINDING_DOUBLINGS + 1):
         s = np.arange(n) / n
         pts = param(s)
-        vals = np.asarray([np.asarray(g(p), dtype=float) for p in pts])
+        vals = _map_rows(g, pts)
         margin = float(np.min(np.max(np.abs(vals), axis=1)))
         z = vals[:, 0] + 1j * vals[:, 1]
         ratios = np.roll(z, -1) / z
@@ -199,18 +201,20 @@ def brouwer_2d_winding(g: Callable, boundary, eps: float = DEFAULT_EPS) -> Degre
 # n-d: regular-value Jacobian-sign sum
 # ---------------------------------------------------------------------------
 
+def _map_rows(g: Callable, X: np.ndarray) -> np.ndarray:
+    """g over the rows of X, STACK_BLOCK rows per call."""
+    return np.concatenate([np.asarray(g(X[i:i + STACK_BLOCK]), dtype=float)
+                           for i in range(0, len(X), STACK_BLOCK)])
+
+
 def fd_jacobian(g: Callable, x: np.ndarray, scale: float = 1e-5) -> np.ndarray:
-    """Central finite-difference Jacobian with step 1e-5 * (1 + |x_i|)."""
+    """Central finite-difference Jacobian with step scale * (1 + |x_i|)."""
     x = np.asarray(x, dtype=float)
     k = x.size
-    jac = np.empty((k, k))
-    for i in range(k):
-        h = scale * (1.0 + abs(x[i]))
-        e = np.zeros(k)
-        e[i] = h
-        jac[:, i] = (np.asarray(g(x + e), dtype=float)
-                     - np.asarray(g(x - e), dtype=float)) / (2 * h)
-    return jac
+    h = scale * (1.0 + np.abs(x))
+    e = np.diag(h)
+    gx = _map_rows(g, np.concatenate([x + e, x - e]))
+    return (gx[:k] - gx[k:]).T / (2 * h)
 
 
 def _safe_eval(g: Callable, x: np.ndarray) -> np.ndarray:
@@ -304,8 +308,7 @@ def brouwer_nd_regular(g: Callable, box, seeds: Sequence | None = None,
     levels = 0
     for level in (0, 1):
         samples = _boundary_samples(b, boundary_per_axis, level)
-        vals = np.asarray([np.max(np.abs(np.asarray(g(p), dtype=float)))
-                           for p in samples])
+        vals = np.max(np.abs(_map_rows(g, samples)), axis=-1)
         margin = min(margin, float(np.min(vals)))
         levels += 1
 

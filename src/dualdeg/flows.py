@@ -3,6 +3,7 @@
 All integrators are fixed-step classical RK4.  Determinism (bitwise
 reproducibility for identical inputs) matters more than adaptivity here:
 the degree computations downstream must see the same map on every call.
+Each integrator advances a whole stack of states or histories in one loop.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .gridfn import Grid, GridFunction
+from .gridfn import Grid, GridFunction, _rhs_call
 
 NONDELAY = "nondelay"
 DELAY = "delay"
@@ -30,7 +31,8 @@ class VectorFieldSpec:
     """Right-hand side with its period, kind and declared Lipschitz bound.
 
     kind "nondelay": rhs(t, x); "delay": rhs(t, x, x_delayed);
-    "second_order": rhs(t, x) interpreted as x'' = rhs.
+    "second_order": rhs(t, x) interpreted as x'' = rhs.  x is a stack (..., n),
+    t a scalar or broadcasting against x[..., 0]; the result has x's shape.
     """
 
     dim: int
@@ -63,35 +65,36 @@ def _check_finite(v: np.ndarray, step: int, t: float):
         raise IntegrationError(f"non-finite state at step {step} (t={t})")
 
 
-def _rk4_step(rhs, t, x, h):
-    k1 = np.asarray(rhs(t, x), dtype=float)
-    k2 = np.asarray(rhs(t + 0.5 * h, x + 0.5 * h * k1), dtype=float)
-    k3 = np.asarray(rhs(t + 0.5 * h, x + 0.5 * h * k2), dtype=float)
-    k4 = np.asarray(rhs(t + h, x + h * k3), dtype=float)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4(rhs, y0: np.ndarray, a: float, h: float, m: int) -> np.ndarray:
+    """Track (..., m+1, n) of m RK4 steps of y' = rhs(t, y) from the stack
+    y0 (..., n) at t = a; the caller rejects non-finite states."""
+    track = np.empty(y0.shape[:-1] + (m + 1, y0.shape[-1]))
+    track[..., 0, :] = y = y0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(m):
+            t = a + j * h
+            k1 = _rhs_call(rhs, t, y)
+            k2 = _rhs_call(rhs, t + 0.5 * h, y + 0.5 * h * k1)
+            k3 = _rhs_call(rhs, t + 0.5 * h, y + 0.5 * h * k2)
+            k4 = _rhs_call(rhs, t + h, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            track[..., j + 1, :] = y
+    return track
 
 
 def flow(f: VectorFieldSpec, x0, grid: Grid) -> FlowResult:
-    """Integrate x' = f(t, x) over the grid with classical RK4."""
+    """Integrate x' = f(t, x) over the grid with classical RK4, x0 (..., n)."""
     if f.kind != NONDELAY:
         raise ValueError(f"flow needs a nondelay field, got kind {f.kind!r}")
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    if x.shape != (f.dim,):
-        raise ValueError(f"x0 must have shape ({f.dim},), got {x.shape}")
-    h = grid.h
-    vals = np.empty((grid.m + 1, f.dim))
-    vals[0] = x
-    t = grid.a
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(grid.m):
-            x = _rk4_step(f.rhs, t, x, h)
-            t = grid.a + (j + 1) * h
-            vals[j + 1] = x
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x.shape[-1:] != (f.dim,):
+        raise ValueError(f"x0 must have shape (..., {f.dim}), got {x.shape}")
+    vals = _rk4(f.rhs, x, grid.a, grid.h, grid.m)
     if not np.all(np.isfinite(vals)):
         raise IntegrationError(f"non-finite state while integrating over "
                                f"[{grid.a}, {grid.b}]")
     traj = GridFunction(grid, vals)
-    return FlowResult(trajectory=traj, endpoint=vals[-1].copy(), steps=grid.m)
+    return FlowResult(trajectory=traj, endpoint=vals[..., -1, :].copy(), steps=grid.m)
 
 
 def poincare(f: VectorFieldSpec, x0, m: int = 256) -> np.ndarray:
@@ -113,59 +116,53 @@ class SecondOrderSolution:
 
     @property
     def deriv0(self) -> np.ndarray:
-        return self.dx.values[0].copy()
+        return self.dx.values[..., 0, :].copy()
 
 
 def _second_order_system(f: VectorFieldSpec):
     n = f.dim
 
     def rhs(t, y):
-        return np.concatenate([y[n:], np.asarray(f.rhs(t, y[:n]), dtype=float)])
+        return np.concatenate([y[..., n:], _rhs_call(f.rhs, t, y[..., :n])], axis=-1)
 
     return rhs
 
 
 def mu_dirichlet(f: VectorFieldSpec, a, b, m: int = 256) -> SecondOrderSolution:
-    """Solve x'' = f(t, x) on [0, 1] with x(0) = b, x'(0) = a."""
+    """Solve x'' = f(t, x) on [0, 1] with x(0) = b, x'(0) = a, both (..., n)."""
     if f.kind != SECOND_ORDER:
         raise ValueError(f"mu_dirichlet needs a second_order field, got {f.kind!r}")
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
+    a, b = np.broadcast_arrays(np.atleast_1d(np.asarray(a, dtype=float)),
+                               np.atleast_1d(np.asarray(b, dtype=float)))
     n = f.dim
     grid = Grid(0.0, 1.0, m)
-    y = np.concatenate([b, a])
-    rhs = _second_order_system(f)
-    h = grid.h
-    vals = np.empty((m + 1, 2 * n))
-    vals[0] = y
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(m):
-            y = _rk4_step(rhs, grid.a + j * h, y, h)
-            vals[j + 1] = y
+    vals = _rk4(_second_order_system(f), np.concatenate([b, a], axis=-1),
+                grid.a, grid.h, m)
     if not np.all(np.isfinite(vals)):
         raise IntegrationError("non-finite state in the Dirichlet solve")
-    return SecondOrderSolution(x=GridFunction(grid, vals[:, :n]),
-                               dx=GridFunction(grid, vals[:, n:]))
+    return SecondOrderSolution(x=GridFunction(grid, vals[..., :n]),
+                               dx=GridFunction(grid, vals[..., n:]))
 
 
 def shooting(f: VectorFieldSpec, a, m: int = 256) -> np.ndarray:
     """S(a) = x(1) for the solution with x(0) = 0, x'(0) = a."""
     sol = mu_dirichlet(f, a, np.zeros(f.dim), m=m)
-    return sol.x.values[-1].copy()
+    return sol.x.values[..., -1, :].copy()
 
 
 def _hermite_eval(track: np.ndarray, pos: float) -> np.ndarray:
     """Cubic Hermite (Catmull-Rom slopes) on equally spaced samples.
 
-    ``pos`` is a fractional index into ``track``.
+    ``pos`` is a fractional index into axis -2 of the (..., L, n) ``track``.
     """
-    n = track.shape[0]
+    n = track.shape[-2]
     j = int(np.floor(pos))
     j = min(max(j, 0), n - 2)
     s = pos - j
-    y0, y1 = track[j], track[j + 1]
-    d0 = (track[j + 1] - track[j - 1]) / 2.0 if j >= 1 else track[1] - track[0]
-    d1 = (track[j + 2] - track[j]) / 2.0 if j + 2 < n else track[-1] - track[-2]
+    y = lambda i: track[..., i, :]
+    y0, y1 = y(j), y(j + 1)
+    d0 = (y(j + 1) - y(j - 1)) / 2.0 if j >= 1 else y(1) - y(0)
+    d1 = (y(j + 2) - y(j)) / 2.0 if j + 2 < n else y(-1) - y(-2)
     h00 = (1 + 2 * s) * (1 - s) ** 2
     h10 = s * (1 - s) ** 2
     h01 = s * s * (3 - 2 * s)
@@ -176,8 +173,8 @@ def _hermite_eval(track: np.ndarray, pos: float) -> np.ndarray:
 def dde_flow(f: VectorFieldSpec, history: GridFunction, horizon: float) -> GridFunction:
     """Method of steps for x'(t) = f(t, x(t), x(t - tau)) with given history.
 
-    ``history`` lives on [-tau, 0]; the returned track lives on
-    [-tau, horizon] with the same step.  Delayed values at whole steps are
+    ``history`` (maybe stacked) lives on [-tau, 0]; the returned track lives
+    on [-tau, horizon] with the same step.  Delayed values at whole steps are
     exact node lookups; at RK4 half-steps they are cubic Hermite reads of
     the already-computed track.
     """
@@ -193,27 +190,26 @@ def dde_flow(f: VectorFieldSpec, history: GridFunction, horizon: float) -> GridF
     if abs(n_steps * h - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError(f"horizon {horizon} is not a multiple of the history step {h}")
 
-    n = f.dim
-    track = np.empty((k + n_steps + 1, n))
-    track[: k + 1] = history.values
+    track = np.empty(history.values.shape[:-2] + (k + n_steps + 1, f.dim))
+    track[..., : k + 1, :] = history.values
 
     for j in range(n_steps):
         t = j * h
-        x = track[k + j]
+        x = track[..., k + j, :]
         base = j  # index of t - tau in track space
-        k1 = np.asarray(f.rhs(t, x, track[base]), dtype=float)
+        k1 = _rhs_call(f.rhs, t, x, track[..., base, :])
         # The track has a derivative kink at t = 0 (index k): the stencil
         # must not straddle it, and only the computed prefix may feed it.
         if base + 0.5 < k:
-            xd_half = _hermite_eval(track[: k + 1], base + 0.5)
+            xd_half = _hermite_eval(track[..., : k + 1, :], base + 0.5)
         else:
-            xd_half = _hermite_eval(track[k: k + j + 1], base + 0.5 - k)
-        k2 = np.asarray(f.rhs(t + 0.5 * h, x + 0.5 * h * k1, xd_half), dtype=float)
-        k3 = np.asarray(f.rhs(t + 0.5 * h, x + 0.5 * h * k2, xd_half), dtype=float)
-        k4 = np.asarray(f.rhs(t + h, x + h * k3, track[base + 1]), dtype=float)
+            xd_half = _hermite_eval(track[..., k: k + j + 1, :], base + 0.5 - k)
+        k2 = _rhs_call(f.rhs, t + 0.5 * h, x + 0.5 * h * k1, xd_half)
+        k3 = _rhs_call(f.rhs, t + 0.5 * h, x + 0.5 * h * k2, xd_half)
+        k4 = _rhs_call(f.rhs, t + h, x + h * k3, track[..., base + 1, :])
         xn = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         _check_finite(xn, j + 1, t + h)
-        track[k + j + 1] = xn
+        track[..., k + j + 1, :] = xn
 
     out_grid = Grid(-tau, horizon, k + n_steps)
     return GridFunction(out_grid, track)
@@ -241,7 +237,7 @@ def eta_periodic_solve(f: VectorFieldSpec, eta: float, x: GridFunction) -> GridF
     t = grid.nodes[:, None]
     weighted = GridFunction(grid, np.exp(eta * t) * g)
     cum = cumulative_integral(weighted).values
-    y0 = cum[-1] / np.expm1(eta * T)
+    y0 = cum[..., -1:, :] / np.expm1(eta * T)
     y = np.exp(-eta * t) * (y0 + cum)
-    y[-1] = y[0]  # periodic closure; equality holds to quadrature error
+    y[..., -1, :] = y[..., 0, :]  # periodic closure; equality holds to quadrature error
     return GridFunction(grid, y, periodic=True)

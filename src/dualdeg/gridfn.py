@@ -3,7 +3,8 @@
 Everything downstream (operator catalog, degree engines) works on functions
 sampled at the nodes of a uniform grid.  Quadrature is composite trapezoid
 throughout so that cumulative integrals, plain integrals and averages are
-mutually consistent at the discrete level.
+mutually consistent at the discrete level.  A grid function may stack
+functions: values (..., m+1, n), quadrature along axis -2.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ def _as_values(values, m: int) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.ndim == 1:
         v = v[:, None]
-    if v.ndim != 2 or v.shape[0] != m + 1:
-        raise ValueError(f"values must have shape (m+1, n) = ({m + 1}, n), got {v.shape}")
+    if v.ndim < 2 or v.shape[-2] != m + 1:
+        raise ValueError(f"values must have shape (..., {m + 1}, n), got {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("grid function values must be finite (no NaN/Inf)")
     return v
@@ -61,9 +62,9 @@ def _as_values(values, m: int) -> np.ndarray:
 class GridFunction:
     """Vector-valued function sampled at the nodes of a uniform grid.
 
-    ``values`` has shape (m+1, n).  With ``periodic=True`` the first and
-    last node values are asserted to agree and index arithmetic downstream
-    may wrap modulo m.
+    ``values`` has shape (m+1, n), or (..., m+1, n) for a stack of
+    functions.  With ``periodic=True`` the first and last node values are
+    asserted to agree and index arithmetic downstream may wrap modulo m.
     """
 
     grid: Grid
@@ -73,7 +74,7 @@ class GridFunction:
     def __post_init__(self):
         v = _as_values(self.values, self.grid.m)
         if self.periodic:
-            gap = np.max(np.abs(v[0] - v[-1]))
+            gap = np.max(np.abs(v[..., 0, :] - v[..., -1, :]))
             if gap > PERIODIC_CLOSURE_TOL:
                 raise ValueError(
                     f"periodic grid function must close up: |x(a)-x(b)| = {gap:.3e}"
@@ -83,7 +84,7 @@ class GridFunction:
 
     @property
     def dim(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -121,8 +122,9 @@ def from_callable(grid: Grid, fn: Callable[[float], np.ndarray], dim: int,
 
 
 def constant(grid: Grid, c, periodic: bool = False) -> GridFunction:
+    """Constant function(s) c of shape (..., n) on every node."""
     c = np.atleast_1d(np.asarray(c, dtype=float))
-    return GridFunction(grid, np.tile(c, (grid.m + 1, 1)), periodic)
+    return GridFunction(grid, np.repeat(c[..., None, :], grid.m + 1, axis=-2), periodic)
 
 
 @dataclass(frozen=True)
@@ -155,8 +157,8 @@ def cumulative_integral(x: GridFunction) -> GridFunction:
     """V(x)(t) = integral of x from the grid start to t, cumulative trapezoid."""
     h = x.grid.h
     v = np.zeros_like(x.values)
-    increments = 0.5 * h * (x.values[:-1] + x.values[1:])
-    v[1:] = np.cumsum(increments, axis=0)
+    increments = 0.5 * h * (x.values[..., :-1, :] + x.values[..., 1:, :])
+    v[..., 1:, :] = np.cumsum(increments, axis=-2)
     return GridFunction(x.grid, v)
 
 
@@ -168,24 +170,39 @@ def double_cumulative_integral(x: GridFunction) -> GridFunction:
 def integral(x: GridFunction) -> np.ndarray:
     """Plain trapezoid integral over the whole grid interval."""
     h = x.grid.h
-    return h * (np.sum(x.values, axis=0) - 0.5 * (x.values[0] + x.values[-1]))
+    v = x.values
+    return h * (np.sum(v, axis=-2) - 0.5 * (v[..., 0, :] + v[..., -1, :]))
 
 
 def average(x: GridFunction) -> np.ndarray:
     return integral(x) / x.grid.length
 
 
-def nemytskii(f: "VectorFieldSpec", x: GridFunction) -> GridFunction:
-    """Superposition t -> f(t, x(t)) at the grid nodes."""
+def _rhs_call(rhs, t, x: np.ndarray, *delayed) -> np.ndarray:
+    """rhs(t, X, ...) as a float array; anything but X's shape is an error."""
+    val = np.asarray(rhs(t, x, *delayed), dtype=float)
+    if val.shape != x.shape:
+        raise ValueError(f"rhs returned shape {val.shape}, expected {x.shape}")
+    return val
+
+
+def _superpose(f: "VectorFieldSpec", x: GridFunction, *delayed) -> GridFunction:
+    """One rhs call over every node of every stacked function, one finiteness
+    check; a non-finite value is reported at the first node that has one."""
     if f.dim != x.dim:
         raise ValueError(f"field dim {f.dim} != grid function dim {x.dim}")
-    out = np.empty_like(x.values)
-    for j, t in enumerate(x.grid.nodes):
-        val = np.asarray(f.rhs(t, x.values[j]), dtype=float)
-        if not np.all(np.isfinite(val)):
-            raise ValueError(f"rhs returned non-finite value at t={t}")
-        out[j] = val
+    nodes = x.grid.nodes
+    out = _rhs_call(f.rhs, nodes, x.values, *delayed)
+    bad = ~np.isfinite(out)
+    if bad.any():
+        j = np.argwhere(bad)[0][-2]
+        raise ValueError(f"rhs returned non-finite value at t={nodes[j]}")
     return GridFunction(x.grid, out)
+
+
+def nemytskii(f: "VectorFieldSpec", x: GridFunction) -> GridFunction:
+    """Superposition t -> f(t, x(t)) at the grid nodes."""
+    return _superpose(f, x)
 
 
 def nemytskii_delay(f: "VectorFieldSpec", x: GridFunction, k: DelayKernel) -> GridFunction:
@@ -194,16 +211,8 @@ def nemytskii_delay(f: "VectorFieldSpec", x: GridFunction, k: DelayKernel) -> Gr
     r(t) = t - tau + T for t < tau and t - tau otherwise; since tau is
     grid-aligned this is an exact index shift.
     """
-    if f.dim != x.dim:
-        raise ValueError(f"field dim {f.dim} != grid function dim {x.dim}")
     shift = k.shift_steps(x.grid)
     m = x.grid.m
     idx = np.arange(m + 1) - shift
     idx[idx < 0] += m  # r(t) = t - tau + T lands on node j - shift + m
-    out = np.empty_like(x.values)
-    for j, t in enumerate(x.grid.nodes):
-        val = np.asarray(f.rhs(t, x.values[j], x.values[idx[j]]), dtype=float)
-        if not np.all(np.isfinite(val)):
-            raise ValueError(f"rhs returned non-finite value at t={t}")
-        out[j] = val
-    return GridFunction(x.grid, out)
+    return _superpose(f, x, x.values[..., idx, :])

@@ -3,7 +3,8 @@
 Operators act either on discretized function space (grid functions over
 [0, T], or grid functions plus a derivative-at-0 track for the Dirichlet
 problem) or on finite vectors (phase space, kernel coordinates, history
-space).  Handles are immutable after build and apply() is pure.
+space).  Handles are immutable after build and apply() is pure.  Every
+handle also maps a stack of inputs (leading axes) to the stack of outputs.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ class C1Function:
 
     def __post_init__(self):
         d = np.atleast_1d(np.asarray(self.deriv0, dtype=float))
-        if d.shape != (self.values.dim,):
-            raise ValueError(f"deriv0 must have shape ({self.values.dim},)")
+        if d.shape != self.values.values.shape[:-2] + (self.values.dim,):
+            raise ValueError(f"deriv0 must have shape (..., {self.values.dim})")
         d.setflags(write=False)
         object.__setattr__(self, "deriv0", d)
 
@@ -164,10 +165,10 @@ def make_projector(kind: str, problem) -> ProjectorSpec:
     n = problem.field().dim
 
     if kind in ("eval_at_0", "ker_L_periodic"):
-        return ProjectorSpec(kind, lambda x: x.values[0].copy(),
+        return ProjectorSpec(kind, lambda x: x.values[..., 0, :].copy(),
                              lambda c: constant(grid, c), n)
     if kind == "eval_at_T":
-        return ProjectorSpec(kind, lambda x: x.values[-1].copy(),
+        return ProjectorSpec(kind, lambda x: x.values[..., -1, :].copy(),
                              lambda c: constant(grid, c), n)
     if kind == "mean":
         return ProjectorSpec(kind, lambda x: gridfn.average(x),
@@ -175,12 +176,12 @@ def make_projector(kind: str, problem) -> ProjectorSpec:
     if kind == "delta_periodic":
         # delta(x) = x(T) - x(0); image in constants but not idempotent --
         # exposed for pi = pi_ker + delta assembly.
-        return ProjectorSpec(kind, lambda x: x.values[-1] - x.values[0],
+        return ProjectorSpec(kind, lambda x: x.values[..., -1, :] - x.values[..., 0, :],
                              lambda c: constant(grid, c), n, checked=False)
     if kind == "pi_sum":
         if problem.kind in PERIODIC_KINDS:
             # pi(x) = x(0) + (x(T) - x(0)) = x(T)
-            return ProjectorSpec(kind, lambda x: x.values[-1].copy(),
+            return ProjectorSpec(kind, lambda x: x.values[..., -1, :].copy(),
                                  lambda c: constant(grid, c), n)
         if problem.kind == "dirichlet_bvp":
             return _dirichlet_pi(grid, n)
@@ -249,10 +250,11 @@ def i_map(kind: str, v, problem):
         return _dirichlet_pi(grid, n).embed(np.asarray(v, dtype=float))
     if kind == "delay":
         k = problem.kernel().shift_steps(grid)
-        y = np.asarray(v, dtype=float).reshape(k + 1, n)
-        vals = np.empty((grid.m + 1, n))
-        vals[: grid.m - k] = y[0]
-        vals[grid.m - k:] = y
+        v = np.asarray(v, dtype=float)
+        y = v.reshape(v.shape[:-1] + (k + 1, n))
+        vals = np.empty(v.shape[:-1] + (grid.m + 1, n))
+        vals[..., : grid.m - k, :] = y[..., :1, :]
+        vals[..., grid.m - k:, :] = y
         return GridFunction(grid, vals)
     raise ValueError(f"unknown right-inverse kind {kind!r}")
 
@@ -277,27 +279,28 @@ def _build_periodic(name: str, problem, params: dict) -> OperatorHandle:
 
     if name == "K0":
         def apply_fn(x):
-            return constant(grid, x.values[0]) + _vn(problem, x)
+            return GridFunction(grid, x.values[..., :1, :] + _vn(problem, x).values)
     elif name == "K":
         def apply_fn(x):
-            return constant(grid, x.values[-1]) + _vn(problem, x)
+            return GridFunction(grid, x.values[..., -1:, :] + _vn(problem, x).values)
     elif name == "K1":
         def apply_fn(x):
-            return flows.mu_periodic(f, x.values[-1], m=grid.m)
+            return flows.mu_periodic(f, x.values[..., -1, :], m=grid.m)
     elif name in ("K3", "Khat3", "K5", "Khat5"):
         sign = -1.0 if "hat" in name else 1.0
         periodic_out = name in ("K5", "Khat5")
 
         def apply_fn(x):
             nx = gridfn.nemytskii(f, x)
-            nbar = gridfn.average(nx)
+            nbar = gridfn.average(nx)[..., None, :]
             centered = GridFunction(grid, nx.values - nbar)
             vc = gridfn.cumulative_integral(centered)
-            head = gridfn.average(x) + sign * T * nbar - gridfn.average(vc)
+            head = (gridfn.average(x)[..., None, :] + sign * T * nbar
+                    - gridfn.average(vc)[..., None, :])
             vals = head + vc.values
             if periodic_out:
-                vals = vals.copy()
-                vals[-1] = vals[0]  # exact by the discrete V(N - mean N)(T) = 0
+                # exact by the discrete V(N - mean N)(T) = 0
+                vals[..., -1, :] = vals[..., 0, :]
             return GridFunction(grid, vals, periodic=periodic_out)
     elif name in ("K4", "Kgamma"):
         gamma = params.get("gamma")
@@ -306,8 +309,8 @@ def _build_periodic(name: str, problem, params: dict) -> OperatorHandle:
 
         def apply_fn(x):
             vn = _vn(problem, x)
-            head = pi_map(gamma, x) + vn.values[-1] - pi_map(gamma, vn)
-            return GridFunction(grid, head + vn.values)
+            head = pi_map(gamma, x) + vn.values[..., -1, :] - pi_map(gamma, vn)
+            return GridFunction(grid, head[..., None, :] + vn.values)
     elif name == "Keta":
         if "eta" not in params:
             raise ValueError("Keta requires an 'eta' parameter")
@@ -321,7 +324,7 @@ def _build_periodic(name: str, problem, params: dict) -> OperatorHandle:
             return flows.poincare(f, x0, m=grid.m)
 
         def pi(x):
-            return x.values[-1].copy()
+            return x.values[..., -1, :].copy()
 
         def i(c):
             return constant(grid, c)
@@ -349,15 +352,16 @@ def _build_dirichlet(name: str, problem, params: dict) -> OperatorHandle:
 
     if name == "Kdir":
         def apply_fn(x: C1Function):
-            a = x.values.values[-1] + x.deriv0
-            b = 2.0 * x.values.values[0]
+            a = x.values.values[..., -1, :] + x.deriv0
+            b = 2.0 * x.values.values[..., 0, :]
             vvn = gridfn.double_cumulative_integral(
                 gridfn.nemytskii(f, x.values))
-            return C1Function(GridFunction(grid, t * a + b + vvn.values), a)
+            vals = t * a[..., None, :] + b[..., None, :] + vvn.values
+            return C1Function(GridFunction(grid, vals), a)
     elif name == "Kdir1":
         def apply_fn(x: C1Function):
-            a = x.values.values[-1] + x.deriv0
-            b = 2.0 * x.values.values[0]
+            a = x.values.values[..., -1, :] + x.deriv0
+            b = 2.0 * x.values.values[..., 0, :]
             sol = flows.mu_dirichlet(f, a, b, m=grid.m)
             return C1Function(sol.x, a)
     elif name == "Ktilde":
@@ -391,7 +395,7 @@ def _history_of(x: GridFunction, kernel: DelayKernel) -> GridFunction:
     """Last delay-length segment of x, relocated to [-tau, 0]."""
     k = kernel.shift_steps(x.grid)
     hg = Grid(-kernel.tau, 0.0, k)
-    return GridFunction(hg, x.values[x.grid.m - k:])
+    return GridFunction(hg, x.values[..., x.grid.m - k:, :])
 
 
 def _build_delay(name: str, problem, params: dict) -> OperatorHandle:
@@ -404,31 +408,33 @@ def _build_delay(name: str, problem, params: dict) -> OperatorHandle:
     if name == "Kdelay":
         def apply_fn(x):
             nr = gridfn.nemytskii_delay(f, x, kernel)
-            return constant(grid, x.values[-1]) + gridfn.cumulative_integral(nr)
+            return GridFunction(grid, x.values[..., -1:, :]
+                                + gridfn.cumulative_integral(nr).values)
     elif name == "Kdelay1":
         def apply_fn(x):
             track = flows.dde_flow(f, _history_of(x, kernel), T)
-            return GridFunction(grid, track.values[k:])
+            return GridFunction(grid, track.values[..., k:, :])
     elif name in ("K6", "K7", "K8"):
         centered = name in ("K7", "K8")
         periodic_out = name == "K8"
 
         def apply_fn(x):
             nr = gridfn.nemytskii_delay(f, x, kernel)
-            nbar = gridfn.average(nr)
+            nbar = gridfn.average(nr)[..., None, :]
             integrand = GridFunction(grid, nr.values - nbar) if centered else nr
             v = gridfn.cumulative_integral(integrand)
-            head = gridfn.average(x) + T * nbar - gridfn.average(v)
+            head = (gridfn.average(x)[..., None, :] + T * nbar
+                    - gridfn.average(v)[..., None, :])
             vals = head + v.values
             if periodic_out:
-                vals = vals.copy()
-                vals[-1] = vals[0]
+                vals[..., -1, :] = vals[..., 0, :]
             return GridFunction(grid, vals, periodic=periodic_out)
     elif name == "Ktilde":
         fin, dim = _delay_poincare(problem, grid)
 
         def pi(x):
-            return x.values[grid.m - k:].ravel().copy()
+            v = x.values[..., grid.m - k:, :]
+            return v.reshape(v.shape[:-2] + (-1,)).copy()
 
         def i(v):
             return i_map("delay", v, problem)
@@ -454,9 +460,10 @@ def _delay_poincare(problem, grid: Grid):
     steps = grid.m
 
     def fin(v):
-        hist = GridFunction(hg, np.asarray(v, dtype=float).reshape(k + 1, n))
-        track = flows.dde_flow(f, hist, f.period)
-        return track.values[steps:].ravel().copy()
+        v = np.asarray(v, dtype=float)
+        hist = GridFunction(hg, v.reshape(v.shape[:-1] + (k + 1, n)))
+        track = flows.dde_flow(f, hist, f.period).values[..., steps:, :]
+        return track.reshape(v.shape).copy()
 
     return fin, (k + 1) * n
 
@@ -507,16 +514,16 @@ def build_finite(name: str, problem, params: dict | None = None) -> OperatorHand
         _require_kind(problem, ("dirichlet_bvp",), name)
 
         def apply_fn(v):
-            a, b = v[:n], v[n:]
+            a, b = v[..., :n], v[..., n:]
             sol = flows.mu_dirichlet(f, a, b, m=grid.m)
-            return np.concatenate([sol.x.values[-1] + a, 2.0 * b])
+            return np.concatenate([sol.x.values[..., -1, :] + a, 2.0 * b], axis=-1)
     elif name == "Kg":
         _require_kind(problem, ("dirichlet_bvp",), name)
 
         def apply_fn(v):
-            a, b = v[:n], v[n:]
+            a, b = v[..., :n], v[..., n:]
             return np.concatenate([a - flows.shooting(f, a, m=grid.m),
-                                   np.zeros_like(b)])
+                                   np.zeros_like(b)], axis=-1)
     elif name == "Kdelay2":
         _require_kind(problem, ("periodic_dde",), name)
         nodes = params.get("history_nodes")

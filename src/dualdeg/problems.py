@@ -33,19 +33,28 @@ class ProblemValidationError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Builtin right-hand sides
+# Builtin right-hand sides, rhs(t, X) on stacks X (..., n).  np.float_power
+# is libm pow, as a scalar x ** k is; the SIMD x ** k loop can differ in ulps.
 # ---------------------------------------------------------------------------
 
+def _vec(*components):
+    """(..., n) array of n equally shaped components: np.stack(axis=-1), cheaper."""
+    out = np.empty(np.shape(components[0]) + (len(components),))
+    for i, c in enumerate(components):
+        out[..., i] = c
+    return out
+
+
 def _p1_rhs(t, x):
-    return np.array([-x[0] + np.cos(_TWO_PI * t)])
+    return -x + np.expand_dims(np.cos(_TWO_PI * t), -1)
 
 
 def _p2_rhs(t, x):
-    return np.array([x[0] - x[0] ** 3])
+    return x - np.float_power(x, 3)
 
 
 def _p3_rhs(t, x):
-    return np.array([x[1] + np.cos(_TWO_PI * t), -x[0]])
+    return _vec(x[..., 1] + np.cos(_TWO_PI * t), -x[..., 0])
 
 
 def _p4_rhs(t, x):
@@ -57,12 +66,12 @@ def _p5_rhs(t, x):
 
 
 def _p6_rhs(t, x, xd):
-    return np.array([-x[0] + 0.5 * xd[0] + np.sin(_TWO_PI * t)])
+    return -x + 0.5 * xd + np.expand_dims(np.sin(_TWO_PI * t), -1)
 
 
 def _p7_rhs(t, x):
     # u'' = u + cos(t) on (0, 2pi), as a first-order system (u, u')
-    return np.array([x[1], x[0] + np.cos(t)])
+    return _vec(x[..., 1], x[..., 0] + np.cos(t))
 
 
 _BUILTINS: dict[str, dict] = {
@@ -91,10 +100,11 @@ def _table_rhs(rhs: dict) -> Callable:
     sin_terms = [(float(a), float(w)) for a, w in rhs.get("sin", [])]
 
     def f(t, x):
-        v = sum(c * x[0] ** k for k, c in enumerate(poly))
+        u = x[..., 0]
+        v = sum(c * np.float_power(u, k) for k, c in enumerate(poly))
         v += sum(a * np.cos(w * t) for a, w in cos_terms)
         v += sum(a * np.sin(w * t) for a, w in sin_terms)
-        return np.array([v])
+        return np.broadcast_to(v, u.shape).astype(float)[..., None]
 
     return f
 
@@ -416,9 +426,8 @@ def run(problem: ProblemSpec, suite: str = "all", grid_m: int | None = None,
         return pair, report_mod.duality_dict(problem.pid, rep), \
             time.perf_counter() - t0
 
-    results = certify.parallel_map(run_instance, instances)
     duality = []
-    for pair, d, dt in results:
+    for pair, d, dt in map(run_instance, instances):
         duality.append(d)
         timings[f"{pair}[{d.get('eta', '')}]" if "eta" in d else pair] = dt
 

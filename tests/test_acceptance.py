@@ -30,7 +30,8 @@ def test_criterion_1_engine_laws():
         ok &= engine(lambda x: -x).degree == (-1) ** k
     loop = lambda s: np.array([np.cos(2 * np.pi * s), np.sin(2 * np.pi * s)])
     ok &= brouwer_2d_winding(
-        lambda p: np.array([p[0] ** 2 - p[1] ** 2, 2 * p[0] * p[1]]),
+        lambda p: np.stack([p[..., 0] ** 2 - p[..., 1] ** 2,
+                            2 * p[..., 0] * p[..., 1]], axis=-1),
         loop).degree == 2
     cubic = lambda x: x ** 3 - x
     whole = brouwer_nd_regular(lambda x: cubic(x), [(-2.0, 2.0)]).degree

@@ -3,8 +3,7 @@ import pytest
 
 from dualdeg import certify, operators, problems
 from dualdeg.certify import (FunctionBall, admissibility_eps, certify_homotopy,
-                             check_common_core, find_fixed_points, parallel_map,
-                             verify_duality)
+                             check_common_core, find_fixed_points, verify_duality)
 from dualdeg.degree import box_domain
 from dualdeg.gridfn import constant
 from dualdeg.problems import ProblemSpec
@@ -23,17 +22,6 @@ def p1_solution():
     fps = find_fixed_points(operators.build("K", P1), P1.default_U1())
     assert len(fps) == 1
     return fps[0]
-
-
-class TestParallelMap:
-    def test_order_preserved(self, monkeypatch):
-        monkeypatch.setenv("RD_THREADS", "4")
-        assert parallel_map(lambda x: x * x, list(range(20))) == \
-            [x * x for x in range(20)]
-
-    def test_serial_fallback(self, monkeypatch):
-        monkeypatch.setenv("RD_THREADS", "not-a-number")
-        assert parallel_map(lambda x: x + 1, [1, 2]) == [2, 3]
 
 
 class TestFunctionBall:

@@ -66,7 +66,8 @@ class TestBrouwer2dWinding:
         assert res.degree == 1 and res.certified
 
     def test_z_squared(self):
-        g = lambda p: np.array([p[0] ** 2 - p[1] ** 2, 2 * p[0] * p[1]])
+        g = lambda p: np.stack([p[..., 0] ** 2 - p[..., 1] ** 2,
+                                2 * p[..., 0] * p[..., 1]], axis=-1)
         loop = lambda s: np.array([np.cos(2 * np.pi * s), np.sin(2 * np.pi * s)])
         res = brouwer_2d_winding(g, loop)
         assert res.degree == 2 and res.certified
@@ -81,7 +82,8 @@ class TestBrouwer2dWinding:
         assert res.degree == 1 and res.certified
 
     def test_stability_under_refinement(self):
-        g = lambda p: np.array([p[0] ** 2 - p[1] ** 2, 2 * p[0] * p[1]])
+        g = lambda p: np.stack([p[..., 0] ** 2 - p[..., 1] ** 2,
+                                2 * p[..., 0] * p[..., 1]], axis=-1)
         loop = lambda s: np.array([np.cos(2 * np.pi * s), np.sin(2 * np.pi * s)])
         a = brouwer_2d_winding(g, loop)
         b = brouwer_2d_winding(g, lambda s: loop(s))  # fresh run, same loop
@@ -105,7 +107,7 @@ class TestBrouwerNd:
         assert res.degree == expected and res.certified
 
     def test_cross_engine_agreement(self):
-        g = lambda p: np.array([cubic(p[0]), -p[1]])
+        g = lambda p: np.stack([cubic(p[..., 0]), -p[..., 1]], axis=-1)
         box = box_domain([(-2.0, 2.0), (-2.0, 2.0)])
         nd = brouwer_nd_regular(g, box)
         wind = brouwer_2d_winding(g, box)
@@ -134,7 +136,7 @@ class TestBrouwerNd:
 class TestFdJacobian:
     def test_linear_map(self):
         A = np.array([[2.0, -1.0], [0.5, 3.0]])
-        jac = fd_jacobian(lambda x: A @ x, np.array([0.3, -0.7]))
+        jac = fd_jacobian(lambda x: x @ A.T, np.array([0.3, -0.7]))
         np.testing.assert_allclose(jac, A, atol=1e-8)
 
 

@@ -12,8 +12,9 @@ def _field(rhs, dim=1, period=1.0, kind=flows.NONDELAY, lip=1.0, tau=None):
 
 
 DECAY = _field(lambda t, x: -x)
-ROTATION = _field(lambda t, x: np.array([x[1], -x[0]]), dim=2, period=2 * np.pi)
-FORCED = _field(lambda t, x: -x + np.cos(2 * np.pi * t))
+ROTATION = _field(lambda t, x: np.stack([x[..., 1], -x[..., 0]], axis=-1), dim=2,
+                  period=2 * np.pi)
+FORCED = _field(lambda t, x: -x + np.expand_dims(np.cos(2 * np.pi * t), -1))
 
 
 class TestFlow:
@@ -144,11 +145,11 @@ class TestDdeFlow:
         np.testing.assert_allclose(out.values[32:, 0], 1.0 - t, atol=1e-12)
 
     def test_unused_delay_matches_flow(self):
-        f = _field(lambda t, x, y: -x + np.sin(2 * np.pi * t),
+        f = _field(lambda t, x, y: -x + np.expand_dims(np.sin(2 * np.pi * t), -1),
                    kind=flows.DELAY, tau=0.5)
         hist = constant(Grid(-0.5, 0.0, 32), 0.3)
         out = flows.dde_flow(f, hist, 1.0)
-        g = _field(lambda t, x: -x + np.sin(2 * np.pi * t))
+        g = _field(lambda t, x: -x + np.expand_dims(np.sin(2 * np.pi * t), -1))
         ref = flows.flow(g, [0.3], Grid(0.0, 1.0, 64)).endpoint
         assert abs(out.values[-1, 0] - ref[0]) < 1e-8
 

@@ -1,0 +1,33 @@
+"""Golden reports: byte identity of the canonical report of every builtin.
+
+Each digest is the SHA-256 of ``report.canonical_json`` of
+``problems.run(p, "all", grid_m=m)`` with ``timings`` removed, recorded with
+the scalar vector-field layer (one rhs call per grid node and per RK4 state).
+A change that moves any byte of a report fails here, so performance work can
+keep reports identical without running the benchmark.  The grids keep each
+run at about a second.
+"""
+
+import hashlib
+
+import pytest
+
+from dualdeg import problems, report
+
+GOLDEN = {
+    ("p1", 64): "7f2be88c42649204e433f5346c90599433af5ca05950e0cdee1922c478bf71ab",
+    ("p2", 64): "4ffaf668d180717cbe3349195b6cf1fac8d0645deb720bc72f0ab0a91bf0b5ae",
+    ("p3", 32): "a94f9aa8ace89a17c70e022f2d28ae9833a6198f0a0ac886af2014624bf9e6c6",
+    ("p4", 64): "e1a4247ec6277da4c94a165915ac70fa4e47213d3b6c6c1009544430a9f45e78",
+    ("p5", 64): "3c1169de9ae05d9919494e09c839d8a637ba9663f4ead9cfaf91eac7a736f55a",
+    ("p6", 64): "c3f541101924a23635b04d96780a228da216297e932ae0fcfc3b123122ddb298",
+    ("p7", 32): "1fd7ee62ae30b337955fe1cd5d66238f20c71060dcfe69bb36fb8bd07860bea0",
+}
+
+
+@pytest.mark.parametrize("pid,m", sorted(GOLDEN))
+def test_report_digest(pid, m):
+    doc = problems.run(problems.get_problem(pid), "all", grid_m=m).to_dict()
+    del doc["timings"]
+    text = report.canonical_json(doc)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[(pid, m)]

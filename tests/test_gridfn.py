@@ -111,7 +111,7 @@ class TestNemytskii:
 
     def test_forced_linear_at_zero(self):
         g = Grid(0.0, 1.0, 8)
-        f = _field(lambda t, x: -x + np.cos(2 * np.pi * t))
+        f = _field(lambda t, x: -x + np.expand_dims(np.cos(2 * np.pi * t), -1))
         out = gridfn.nemytskii(f, constant(g, 0.0))
         np.testing.assert_allclose(out.values[:, 0], np.cos(2 * np.pi * g.nodes),
                                    atol=1e-15)
@@ -123,7 +123,7 @@ class TestNemytskii:
 
     def test_nonfinite_rhs_rejected(self):
         g = Grid(0.0, 1.0, 8)
-        f = _field(lambda t, x: x / 0.0 if t > 0.5 else x)
+        f = _field(lambda t, x: np.where(np.expand_dims(t > 0.5, -1), x / 0.0, x))
         with pytest.raises(ValueError, match="non-finite"):
             with np.errstate(divide="ignore", invalid="ignore"):
                 gridfn.nemytskii(f, constant(g, 1.0))
