@@ -12,7 +12,8 @@ from .certify import (CommonCoreReport, DualityReport, FunctionBall,
                       check_common_core, find_fixed_points, verify_duality)
 from .degree import (DegreeResult, DomainSpec, ball_domain, box_domain,
                      brouwer_1d, brouwer_2d_winding, brouwer_nd_regular,
-                     finite_rank_reduce, fourier_block_signs, pullback_domain)
+                     finite_rank_reduce, fixed_point_degree, fourier_block_signs,
+                     pullback_domain)
 from .flows import VectorFieldSpec, dde_flow, flow, mu_dirichlet, mu_periodic, \
     poincare, shooting
 from .gridfn import DelayKernel, Grid, GridFunction

@@ -11,20 +11,21 @@ are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable
 
 import numpy as np
 
 from . import degree as deg_mod
-from . import flows, gridfn, operators
+from . import flows, operators
 from .degree import STACK_BLOCK, DegreeResult, DomainSpec, box_domain, brouwer_1d, \
-    brouwer_nd_regular, fd_jacobian, finite_rank_reduce
+    defect, fd_jacobian, finite_rank_reduce, fixed_point_degree
+# unused here: kept as the certify.brouwer_nd_regular binding that perfbench's
+# tracer patches and restores
+from .degree import brouwer_nd_regular  # noqa: F401
 from .gridfn import Grid, GridFunction, constant
 from .operators import C1Function, OperatorHandle
 
 DEFAULT_SEED = 0x4B52
 FINITE_FP_TOL = 1e-8
-GRID_FP_TOL = 5e-5
 
 
 # ---------------------------------------------------------------------------
@@ -82,36 +83,24 @@ def _unflattener(h: OperatorHandle):
 # Fixed points
 # ---------------------------------------------------------------------------
 
-def find_fixed_points(h: OperatorHandle, domain, seeds=None,
-                      tol: float | None = None) -> list:
+def find_fixed_points(h: OperatorHandle, domain) -> list:
     """Fixed points of the operator inside the domain.
 
     Finite handles: multistart Newton on x - h(x).  Grid-space handles:
-    damped Picard then Newton on the flattened discrete residual.  Returns
-    clustered points; an empty list when nothing converges.
+    damped Picard from 0, then Newton on the flattened discrete residual.
+    Returns clustered points; an empty list when nothing converges.
     """
     if h.space == operators.FINITE_SPACE:
-        tol = FINITE_FP_TOL if tol is None else tol
-        g = lambda v: np.atleast_1d(v) - np.atleast_1d(
-            np.asarray(h.apply_fn(np.atleast_1d(v)), dtype=float))
+        g = defect(h.apply_fn)
         dom = domain if isinstance(domain, DomainSpec) else box_domain(domain)
-        b = dom.as_box()
-        if seeds is None:
-            k = b.shape[0]
-            if k <= 4:
-                seeds = np.vstack([deg_mod._lattice_seeds(b, 3),
-                                   np.mean(b, axis=1)[None, :]])
-            else:
-                seeds = np.mean(b, axis=1)[None, :]
         found = []
-        for s in seeds:
-            z, ok = deg_mod._newton(g, np.asarray(s, dtype=float), tol)
+        for s in deg_mod._multistart_seeds(dom.as_box()):
+            z, ok = deg_mod._newton(g, s, FINITE_FP_TOL)
             if ok and dom.contains(z) and all(
-                    np.max(np.abs(z - z0)) > 10 * tol for z0 in found):
+                    np.max(np.abs(z - z0)) > 10 * FINITE_FP_TOL for z0 in found):
                 found.append(z)
         return found
 
-    tol = GRID_FP_TOL if tol is None else tol
     unflat = _unflattener(h)
 
     def res(v):
@@ -121,60 +110,25 @@ def find_fixed_points(h: OperatorHandle, domain, seeds=None,
             if v.ndim > 1:  # a failed stack: only its failing rows read inf
                 return np.stack([res(row) for row in v])
             return np.full_like(v, np.inf)
-    if seeds is None:
-        n = h.problem.field().dim
-        grid = h.problem.grid()
-        base = constant(grid, np.zeros(n))
-        seeds = [base if h.space == operators.GRID_SPACE
-                 else C1Function(base, np.zeros(n))]
-    found = []
-    for seed in seeds:
-        v = _flatten(seed)
-        # damped Picard to get into the Newton basin
-        for _ in range(200):
-            r = res(v)
-            if np.max(np.abs(r)) < 1e-3:
-                break
-            v = v - 0.5 * r
-            if not np.all(np.isfinite(v)):
-                break
+
+    n = h.problem.field().dim
+    v = np.zeros((h.problem.grid().m + 1) * n
+                 + (n if h.space == operators.C1_SPACE else 0))
+    # damped Picard to get into the Newton basin
+    for _ in range(200):
+        r = res(v)
+        if np.max(np.abs(r)) < 1e-3:
+            break
+        v = v - 0.5 * r
         if not np.all(np.isfinite(v)):
-            continue
-        v, ok = _newton_flat(res, v, 1e-10)
-        if not ok or np.max(np.abs(res(v))) > tol:
-            continue
-        x = unflat(v)
-        if isinstance(domain, FunctionBall) and domain.clearance(x) <= 0:
-            continue
-        if all(operators.sup_distance(x, x0) > 100 * tol for x0 in found):
-            found.append(x)
-    return found
-
-
-def _newton_flat(res: Callable, v0: np.ndarray, tol: float,
-                 max_iter: int = 30) -> tuple[np.ndarray, bool]:
-    """Dense finite-difference Newton on a flattened residual."""
-    v = v0.copy()
-    r = res(v)
-    for _ in range(max_iter):
-        nrm = np.max(np.abs(r))
-        if nrm <= tol:
-            return v, True
-        try:
-            step = np.linalg.solve(fd_jacobian(res, v, scale=1e-6), r)
-        except np.linalg.LinAlgError:
-            return v, False
-        s = 1.0
-        for _ in range(8):
-            vn = v - s * step
-            rn = res(vn)
-            if np.all(np.isfinite(rn)) and np.max(np.abs(rn)) < nrm:
-                v, r = vn, rn
-                break
-            s *= 0.5
-        else:
-            return v, False
-    return v, bool(np.max(np.abs(r)) <= tol)
+            return []
+    v, ok = deg_mod._newton(res, v, 1e-10, max_iter=30, scale=1e-6)
+    if not ok:
+        return []
+    x = unflat(v)
+    if isinstance(domain, FunctionBall) and domain.clearance(x) <= 0:
+        return []
+    return [x]
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +196,7 @@ def check_common_core(problem, U1: FunctionBall, U2: DomainSpec,
         return CommonCoreReport((0.0, 0.0), (), False,
                                 ("no fixed points found in U2",))
 
-    g = lambda v: v - np.asarray(fin.apply_fn(v), dtype=float)
+    g = defect(fin.apply_fn)
     pairs = []
     clear1 = np.inf
     clear2 = np.inf
@@ -373,6 +327,9 @@ def _domain_boundary_samples(hA: OperatorHandle, dom, count: int, seed: int):
             x = np.concatenate([x, np.zeros((len(x), n))], axis=1)  # x'(0) = 0
         return x
     if isinstance(dom, DomainSpec) and dom.kind == "pullback":
+        if hA.space != operators.GRID_SPACE:
+            raise ValueError(f"pullback boundary samples need grid-space operators, "
+                             f"not {hA.space!r} ({hA.name})")
         x = _pullback_boundary_samples(problem, dom, count, seed)
         return x.reshape(len(x), -1)
     if isinstance(dom, DomainSpec):
@@ -467,18 +424,8 @@ def default_pullback(problem, U2: DomainSpec, r: float | None = None) -> DomainS
     return deg_mod.pullback_domain(kind, U2, r)
 
 
-def _right_degree(problem, U2: DomainSpec, finite: OperatorHandle,
-                  seeds=None) -> DegreeResult:
-    g = lambda v: np.atleast_1d(v) - np.atleast_1d(
-        np.asarray(finite.apply_fn(np.atleast_1d(v)), dtype=float))
-    if U2.dim == 1:
-        return brouwer_1d(lambda t: g(np.array([t]))[0], U2.as_box()[0])
-    return brouwer_nd_regular(g, U2, seeds=seeds)
-
-
 def verify_duality(problem, pair: str, U1: FunctionBall | None = None,
                    U2: DomainSpec | None = None, eta: float | None = None,
-                   skip_common_core: bool = False,
                    seed: int = DEFAULT_SEED) -> DualityReport:
     """Run one named duality instance and compare both degrees.
 
@@ -491,8 +438,7 @@ def verify_duality(problem, pair: str, U1: FunctionBall | None = None,
         U1 = problem.default_U1()
 
     core = None
-    if not skip_common_core and pair in ("krasnoselskii", "eta_sign", "delay",
-                                         "dirichlet_shooting"):
+    if pair in ("krasnoselskii", "eta_sign", "delay", "dirichlet_shooting"):
         core = check_common_core(problem, U1, U2)
 
     if pair == "krasnoselskii":
@@ -522,7 +468,7 @@ def _verify_krasnoselskii(problem, U1, U2, core, seed=DEFAULT_SEED) -> DualityRe
     certs = (certify_homotopy(k_op, k1_op, vr, seed=seed),
              certify_homotopy(k1_op, ktilde, vr, seed=seed))
     left = finite_rank_reduce(ktilde, U2, r=vr.r)
-    right = _right_degree(problem, U2, operators.build_finite("K2", problem))
+    right = fixed_point_degree(operators.build_finite("K2", problem).apply_fn, U2)
     equal = (left.degree == right.degree and left.certified and right.certified
              and all(c.admissible for c in certs)
              and (core is None or core.verdict))
@@ -556,13 +502,9 @@ def _verify_eta_sign(problem, U1, U2, eta: float, core,
         khat3 = operators.build("Khat3", problem)
         chain.insert(0, certify_homotopy(keta, khat3, vr, seed=seed))
         # hat chain bottoms out at K2hat(x0) = 2 x0 - P(x0)
-        fin = operators.build_finite("K2", problem)
-        k2hat = OperatorHandle(
-            "K2hat", operators.FINITE_SPACE,
-            lambda v: 2.0 * np.atleast_1d(v) - np.asarray(
-                fin.apply_fn(np.atleast_1d(v)), dtype=float),
-            problem)
-        left = _right_degree(problem, U2, k2hat)
+        P = operators.build_finite("K2", problem).apply_fn
+        left = fixed_point_degree(
+            lambda v: 2.0 * v - np.asarray(P(v), dtype=float), U2)
     sign = 1 if eta > 0 else (-1) ** n
     equal = (left.degree == sign * right.degree
              and left.certified and right.certified
@@ -578,12 +520,12 @@ def _verify_inverse_poincare(problem, U2) -> DualityReport:
     n = problem.field().dim
     fin = operators.build_finite("K2", problem)
     hatp = operators.build_finite("KhatP", problem)
-    right = _right_degree(problem, U2, fin)
+    right = fixed_point_degree(fin.apply_fn, U2)
     # image domain P(U2): bounding box of the mapped boundary samples
     b = U2.as_box()
     mapped = deg_mod._map_rows(fin.apply_fn, deg_mod._boundary_lattice(b, 17))
     img = box_domain(np.stack([mapped.min(axis=0), mapped.max(axis=0)], axis=1))
-    left = _right_degree(problem, img, hatp)
+    left = fixed_point_degree(hatp.apply_fn, img)
     sign = (-1) ** n
     equal = (left.degree == sign * right.degree
              and left.certified and right.certified)
@@ -598,12 +540,11 @@ def _verify_dirichlet(problem, U2, core) -> DualityReport:
     # phi(U2) is the slope block of the kernel-coordinate box
     phi_U2 = box_domain(U2.as_box()[:n])
     left = finite_rank_reduce(ktilde, phi_U2)
-    right = _right_degree(problem, U2, operators.build_finite("Kdir2", problem))
+    kdir2 = operators.build_finite("Kdir2", problem)
+    right = fixed_point_degree(kdir2.apply_fn, U2)
     # block-Jacobian sign identity at each finite fixed point
     block_ok = True
-    kdir2 = operators.build_finite("Kdir2", problem)
-    gfull = lambda v: np.atleast_1d(v) - np.asarray(
-        kdir2.apply_fn(np.atleast_1d(v)), dtype=float)
+    gfull = defect(kdir2.apply_fn)
     shoot = lambda a: np.asarray(
         flows.shooting(problem.field(), np.atleast_1d(a), m=problem.grid().m))
     for z in right.zeros:
@@ -629,29 +570,21 @@ def _verify_delay(problem, U1, U2, core, seed=DEFAULT_SEED) -> DualityReport:
         raise ValueError("delay pair needs a sup-norm ball U1")
     certs = (certify_homotopy(k_op, k1_op, U1, seed=seed),)
     left = finite_rank_reduce(ktilde, U2)
-    right = _right_degree(problem, U2,
-                          operators.build_finite(
-                              "Kdelay2", problem,
-                              {"history_nodes": problem.history_nodes()}))
-    # independent sign oracle: discrete monodromy of the linearization
-    mono = _delay_monodromy_sign(coarse, U2)
+    fin = operators.build_finite("Kdelay2", problem,
+                                 {"history_nodes": problem.history_nodes()})
+    right = fixed_point_degree(fin.apply_fn, U2)
+    # independent sign oracle: sgn det(I - DP) of the discrete monodromy at
+    # the first history-space fixed point, by finite differences
+    mono = 0
+    if right.zeros:
+        jac = fd_jacobian(defect(fin.apply_fn), np.asarray(right.zeros[0]))
+        mono = int(np.sign(np.linalg.det(jac)))
     equal = (left.degree == right.degree and left.certified and right.certified
              and all(c.admissible for c in certs)
              and (core is None or core.verdict))
     return DualityReport("delay", left, right, equal, route="homotopy_chain",
                          certificates=certs, common_core=core,
                          params={"monodromy_det_sign": mono})
-
-
-def _delay_monodromy_sign(problem, U2) -> int:
-    """sgn det(I - DP) at the history-space fixed point, finite differences."""
-    fin = operators.build_finite(
-        "Kdelay2", problem, {"history_nodes": problem.history_nodes()})
-    fps = find_fixed_points(fin, U2)
-    if not fps:
-        return 0
-    g = lambda v: v - np.asarray(fin.apply_fn(v), dtype=float)
-    return int(np.sign(np.linalg.det(fd_jacobian(g, fps[0]))))
 
 
 def _verify_nonlocal_signs(problem, eta: float) -> DualityReport:

@@ -58,8 +58,11 @@ def list_catalog():
 def run(problem, suite, grid_m, etas, seed, outdir):
     """Run a verification suite on PROBLEM (builtin id or config file)."""
     spec = _resolve_problem(problem)
-    rep = problems.run(spec, suite=suite, grid_m=grid_m,
-                       etas=tuple(etas) or None, seed=seed)
+    try:
+        rep = problems.run(spec, suite=suite, grid_m=grid_m,
+                           etas=tuple(etas) or None, seed=seed)
+    except problems.ProblemValidationError as exc:
+        raise click.ClickException(str(exc))
     doc = rep.to_dict()
     path = report_mod.emit(doc, "json", outdir)
     for inst in doc["duality"]:
@@ -93,7 +96,14 @@ def degree(problem, operator, domain_spec, eta):
         box = json.loads(domain_spec)
     except json.JSONDecodeError as exc:
         raise click.ClickException(f"--domain is not valid JSON: {exc}")
-    dom = deg_mod.box_domain(box)
+    if not (isinstance(box, list) and box
+            and all(isinstance(row, list) and len(row) == 2 for row in box)):
+        raise click.ClickException(
+            f"--domain must be a list of [lo, hi] pairs, got {domain_spec}")
+    try:
+        dom = deg_mod.box_domain(box)
+    except ValueError as exc:
+        raise click.ClickException(f"--domain: {exc}")
     params = {}
     if operator == "Keta":
         if eta is None:
@@ -101,15 +111,25 @@ def degree(problem, operator, domain_spec, eta):
         params["eta"] = eta
     if operator == "Kdelay2":
         params["history_nodes"] = spec.history_nodes()
-    handle = operators.build(operator, spec, params)
+    try:
+        handle = operators.build(operator, spec, params)
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
     if handle.space == operators.FINITE_SPACE:
-        res = certify._right_degree(spec, dom, handle)
+        dim = handle.params["dim"]
     elif handle.reduction is not None:
-        res = deg_mod.finite_rank_reduce(handle, dom)
+        dim = handle.reduction.k
     else:
         raise click.ClickException(
             f"operator {operator!r} acts on function space without a "
             "finite-rank reduction; compute its degree through `run` instead")
+    if dom.dim != dim:
+        raise click.ClickException(
+            f"--domain has dimension {dom.dim}, {operator} needs {dim}")
+    if handle.reduction is None:
+        res = deg_mod.fixed_point_degree(handle.apply_fn, dom)
+    else:
+        res = deg_mod.finite_rank_reduce(handle, dom)
     click.echo(f"degree={res.degree:+d} method={res.method} "
                f"certified={res.certified} "
                f"min_boundary_norm={res.min_boundary_norm:.3e}")

@@ -17,9 +17,11 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
+
+from .flows import IntegrationError
 
 DEFAULT_EPS = 1e-6
 NEWTON_TOL = 1e-9
@@ -54,6 +56,8 @@ class DomainSpec:
     def __post_init__(self):
         if self.kind == "box":
             b = np.asarray(self.box, dtype=float).reshape(-1, 2)
+            if not np.all(np.isfinite(b)):
+                raise ValueError("box bounds must be finite")
             if np.any(b[:, 1] <= b[:, 0]):
                 raise ValueError("box must have nonempty interior")
             b.setflags(write=False)
@@ -219,15 +223,15 @@ def fd_jacobian(g: Callable, x: np.ndarray, scale: float = 1e-5) -> np.ndarray:
 
 def _safe_eval(g: Callable, x: np.ndarray) -> np.ndarray:
     """g(x), with integration blow-ups mapped to non-finite residuals."""
-    from .flows import IntegrationError
-
     try:
         return np.atleast_1d(np.asarray(g(x), dtype=float))
     except IntegrationError:
         return np.full(np.atleast_1d(x).shape, np.inf)
 
 
-def _newton(g: Callable, x0: np.ndarray, tol: float, max_iter: int = 60):
+def _newton(g: Callable, x0: np.ndarray, tol: float, max_iter: int = 60,
+            scale: float = 1e-5):
+    """Damped Newton on g with a central-difference Jacobian of step ``scale``."""
     x = np.asarray(x0, dtype=float).copy()
     gx = _safe_eval(g, x)
     if not np.all(np.isfinite(gx)):
@@ -236,9 +240,8 @@ def _newton(g: Callable, x0: np.ndarray, tol: float, max_iter: int = 60):
         nrm = np.max(np.abs(gx))
         if nrm <= tol:
             return x, True
-        from .flows import IntegrationError
         try:
-            step = np.linalg.solve(fd_jacobian(g, x), gx)
+            step = np.linalg.solve(fd_jacobian(g, x, scale=scale), gx)
         except (np.linalg.LinAlgError, IntegrationError):
             return x, False
         s = 1.0
@@ -295,13 +298,25 @@ def _lattice_seeds(box: np.ndarray, per_axis: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def brouwer_nd_regular(g: Callable, box, seeds: Sequence | None = None,
-                       eps: float = DEFAULT_EPS, newton_tol: float = NEWTON_TOL,
+def _multistart_seeds(box: np.ndarray) -> np.ndarray:
+    """Newton starts in a box: a 3-per-axis interior lattice plus the centre
+    for k <= 4; beyond that, the centre and the 2k points half-way from it
+    to each face, which keeps the multistart affordable."""
+    k = box.shape[0]
+    center = np.mean(box, axis=1)
+    if k <= 4:
+        return np.vstack([_lattice_seeds(box, 3), center[None, :]])
+    half = 0.5 * (box[:, 1] - box[:, 0])
+    offs = [center + 0.5 * half * e for e in np.eye(k)]
+    offs += [center - 0.5 * half * e for e in np.eye(k)]
+    return np.vstack([center[None, :], np.asarray(offs)])
+
+
+def brouwer_nd_regular(g: Callable, box, eps: float = DEFAULT_EPS,
                        boundary_per_axis: int = 9) -> DegreeResult:
     """Degree via multistart Newton zeros and Jacobian determinant signs."""
     dom = box if isinstance(box, DomainSpec) else box_domain(box)
     b = dom.as_box()
-    k = b.shape[0]
 
     # empirical boundary margin, one refinement doubling for stability
     margin = np.inf
@@ -312,22 +327,11 @@ def brouwer_nd_regular(g: Callable, box, seeds: Sequence | None = None,
         margin = min(margin, float(np.min(vals)))
         levels += 1
 
-    if seeds is None:
-        center = np.mean(b, axis=1)
-        if k <= 4:
-            seeds = np.vstack([_lattice_seeds(b, 3), center[None, :]])
-        else:
-            # high dimension: center plus axis offsets keeps the multistart
-            # affordable; callers with multiple zeros pass explicit seeds
-            half = 0.5 * (b[:, 1] - b[:, 0])
-            offs = [center + 0.5 * half * e for e in np.eye(k)]
-            offs += [center - 0.5 * half * e for e in np.eye(k)]
-            seeds = np.vstack([center[None, :], np.asarray(offs)])
-
+    seeds = _multistart_seeds(b)
     zeros: list[np.ndarray] = []
     fails = 0
     for s in seeds:
-        z, ok = _newton(g, np.asarray(s, dtype=float), newton_tol)
+        z, ok = _newton(g, s, NEWTON_TOL)
         if not ok:
             fails += 1
             continue
@@ -335,7 +339,7 @@ def brouwer_nd_regular(g: Callable, box, seeds: Sequence | None = None,
             continue
         if all(np.max(np.abs(z - z0)) > CLUSTER_RADIUS for z0 in zeros):
             zeros.append(z)
-    if len(seeds) and fails > 0.5 * len(seeds):
+    if fails > 0.5 * len(seeds):
         warnings.warn(f"Newton failed from {fails}/{len(seeds)} seeds",
                       RuntimeWarning)
 
@@ -353,13 +357,28 @@ def brouwer_nd_regular(g: Callable, box, seeds: Sequence | None = None,
                         zeros=tuple(tuple(z) for z in zeros))
 
 
+def defect(F: Callable) -> Callable:
+    """The map v -> v - F(v), whose zeros are the fixed points of F."""
+    return lambda v: np.atleast_1d(v) - np.atleast_1d(
+        np.asarray(F(np.atleast_1d(v)), dtype=float))
+
+
+def fixed_point_degree(F: Callable, box, eps: float = DEFAULT_EPS) -> DegreeResult:
+    """Brouwer degree of I - F over a box in R^k: endpoint signs for k = 1,
+    multistart Jacobian-sign sums otherwise."""
+    dom = box if isinstance(box, DomainSpec) else box_domain(box)
+    g = defect(F)
+    if dom.dim == 1:
+        return brouwer_1d(lambda t: g(np.array([t]))[0], dom.as_box()[0], eps=eps)
+    return brouwer_nd_regular(g, dom, eps=eps)
+
+
 # ---------------------------------------------------------------------------
 # Finite-rank reduction
 # ---------------------------------------------------------------------------
 
 def finite_rank_reduce(h, U_finite: DomainSpec, r: float | None = None,
-                       eps: float = DEFAULT_EPS,
-                       seeds: Sequence | None = None) -> DegreeResult:
+                       eps: float = DEFAULT_EPS) -> DegreeResult:
     """Degree of I - h over the pullback of U_finite, via the reduced map.
 
     ``h`` must carry a Reduction witness h = i o F o pi with pi o i = id;
@@ -376,14 +395,7 @@ def finite_rank_reduce(h, U_finite: DomainSpec, r: float | None = None,
         if np.max(np.abs(back - p)) > 1e-10:
             raise ValueError("reduction witness fails pi o i = id on probes")
 
-    F = red.finite_map
-    gmap = lambda v: np.atleast_1d(v) - np.atleast_1d(np.asarray(F(np.atleast_1d(v)),
-                                                                 dtype=float))
-    if red.k == 1:
-        iv = U_finite.as_box()[0]
-        inner = brouwer_1d(lambda t: gmap(np.array([t]))[0], iv, eps=eps)
-    else:
-        inner = brouwer_nd_regular(gmap, U_finite, eps=eps, seeds=seeds)
+    inner = fixed_point_degree(red.finite_map, U_finite, eps=eps)
     params = dict(inner.params)
     params.update({"r": r, "inner_method": inner.method})
     return DegreeResult(degree=inner.degree, method="finite_rank_reduction",

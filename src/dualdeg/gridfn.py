@@ -89,10 +89,6 @@ class GridFunction:
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def with_values(self, values, periodic: bool | None = None) -> "GridFunction":
-        return GridFunction(self.grid, values,
-                            self.periodic if periodic is None else periodic)
-
     def __add__(self, other: "GridFunction") -> "GridFunction":
         _check_same_grid(self, other)
         return GridFunction(self.grid, self.values + other.values)

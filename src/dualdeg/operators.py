@@ -1,4 +1,4 @@
-"""Fixed-point operator catalog: projectors, the named operators, homotopies.
+"""Fixed-point operator catalog: the named operators and the right inverses i.
 
 Operators act either on discretized function space (grid functions over
 [0, T], or grid functions plus a derivative-at-0 track for the Dirichlet
@@ -23,11 +23,11 @@ C1_SPACE = "c1_function"
 
 PERIODIC_KINDS = ("periodic_ode", "nonlocal_1d")
 
-GRID_OPERATORS = ("K0", "K", "K1", "K3", "K4", "K5", "Kgamma", "Keta",
+GRID_OPERATORS = ("K", "K1", "K3", "K4", "K5", "Kgamma", "Keta",
                   "Khat3", "Khat5", "Ktilde",
                   "Kdir", "Kdir1",
                   "Kdelay", "Kdelay1", "K6", "K7", "K8")
-FINITE_OPERATORS = ("K2", "Kdir2", "Kg", "KhatP", "Kdelay2")
+FINITE_OPERATORS = ("K2", "Kdir2", "KhatP", "Kdelay2")
 
 
 @dataclass(frozen=True)
@@ -100,154 +100,29 @@ def residual(h: OperatorHandle, x) -> float:
     return sup_distance(x, apply(h, x))
 
 
-def linear_homotopy(hA: OperatorHandle, hB: OperatorHandle, lam: float) -> OperatorHandle:
-    """Pointwise convex combination lam*A + (1-lam)*B."""
-    if hA.space != hB.space:
-        raise ValueError(f"space mismatch: {hA.space} vs {hB.space}")
-    lam = float(lam)
-
-    def apply_fn(x):
-        a = hA.apply_fn(x)
-        b = hB.apply_fn(x)
-        if isinstance(a, GridFunction):
-            return GridFunction(a.grid, lam * a.values + (1.0 - lam) * b.values)
-        if isinstance(a, C1Function):
-            return C1Function(
-                GridFunction(a.values.grid,
-                             lam * a.values.values + (1.0 - lam) * b.values.values),
-                lam * a.deriv0 + (1.0 - lam) * b.deriv0)
-        return lam * np.asarray(a) + (1.0 - lam) * np.asarray(b)
-
-    return OperatorHandle(name=f"H[{lam:g}]({hA.name},{hB.name})", space=hA.space,
-                          apply_fn=apply_fn, problem=hA.problem,
-                          params={"lambda": lam, "a": hA.name, "b": hB.name})
-
-
 # ---------------------------------------------------------------------------
-# Projectors and right inverses
+# Right inverses of the boundary projections
 # ---------------------------------------------------------------------------
-
-PROJECTOR_KINDS = ("eval_at_0", "eval_at_T", "mean", "ker_L_periodic",
-                   "ker_L_dirichlet", "delta_periodic", "delta_dirichlet",
-                   "pi_sum", "custom_linear")
-
-
-@dataclass(frozen=True)
-class ProjectorSpec:
-    """Named linear map onto kernel coordinates, with an embedding back.
-
-    ``coords`` extracts the finite coordinates, ``embed`` realizes them in
-    the discretized function space.  Idempotence (coords o embed = id) is
-    checked on a probe basis at construction for genuine projectors; the
-    delta maps are boundary defects, not projectors, and skip the check.
-    """
-
-    kind: str
-    coords: Callable
-    embed: Callable
-    k: int
-    checked: bool = True
-
-    def __post_init__(self):
-        if not self.checked:
-            return
-        probes = np.eye(self.k)
-        for p in probes:
-            back = np.atleast_1d(np.asarray(self.coords(self.embed(p)), dtype=float))
-            if np.max(np.abs(back - p)) > 1e-12:
-                raise ValueError(f"projector {self.kind!r} fails idempotence on probes")
-
-
-def make_projector(kind: str, problem) -> ProjectorSpec:
-    if kind not in PROJECTOR_KINDS:
-        raise ValueError(f"unknown projector kind {kind!r}")
-    grid = problem.grid()
-    n = problem.field().dim
-
-    if kind in ("eval_at_0", "ker_L_periodic"):
-        return ProjectorSpec(kind, lambda x: x.values[..., 0, :].copy(),
-                             lambda c: constant(grid, c), n)
-    if kind == "eval_at_T":
-        return ProjectorSpec(kind, lambda x: x.values[..., -1, :].copy(),
-                             lambda c: constant(grid, c), n)
-    if kind == "mean":
-        return ProjectorSpec(kind, lambda x: gridfn.average(x),
-                             lambda c: constant(grid, c), n)
-    if kind == "delta_periodic":
-        # delta(x) = x(T) - x(0); image in constants but not idempotent --
-        # exposed for pi = pi_ker + delta assembly.
-        return ProjectorSpec(kind, lambda x: x.values[..., -1, :] - x.values[..., 0, :],
-                             lambda c: constant(grid, c), n, checked=False)
-    if kind == "pi_sum":
-        if problem.kind in PERIODIC_KINDS:
-            # pi(x) = x(0) + (x(T) - x(0)) = x(T)
-            return ProjectorSpec(kind, lambda x: x.values[..., -1, :].copy(),
-                                 lambda c: constant(grid, c), n)
-        if problem.kind == "dirichlet_bvp":
-            return _dirichlet_pi(grid, n)
-        raise ValueError(f"pi_sum not defined for problem kind {problem.kind!r}")
-    if kind == "ker_L_dirichlet":
-        # pi_ker(x) = t x'(0) + x(0), coordinates (a, b)
-        def coords(x: C1Function):
-            return np.concatenate([x.deriv0, x.values.values[0]])
-
-        def embed(v):
-            a, b = v[:n], v[n:]
-            t = grid.nodes[:, None]
-            return C1Function(GridFunction(grid, t * a + b), np.asarray(a, dtype=float))
-
-        return ProjectorSpec(kind, coords, embed, 2 * n)
-    if kind == "delta_dirichlet":
-        # delta(x) = t x(1) + x(0), coordinates (x(1), x(0))
-        def coords(x: C1Function):
-            return np.concatenate([x.values.values[-1], x.values.values[0]])
-
-        def embed(v):
-            a, b = v[:n], v[n:]
-            t = grid.nodes[:, None]
-            return C1Function(GridFunction(grid, t * a + b), np.asarray(a, dtype=float))
-
-        return ProjectorSpec(kind, coords, embed, 2 * n, checked=False)
-    raise ValueError(f"projector kind {kind!r} requires a custom_linear build")
-
-
-def _dirichlet_pi(grid, n):
-    # pi(x) = t[x(1) + x'(0)] + 2 x(0), coordinates (a, b) of t a + b
-    def coords(x: C1Function):
-        return np.concatenate([x.values.values[-1] + x.deriv0,
-                               2.0 * x.values.values[0]])
-
-    def embed(v):
-        # right inverse from the kernel-representation x = t^2 (a - b/2) + b/2
-        a, b = v[:n], v[n:]
-        t = grid.nodes[:, None]
-        vals = t * t * (a - 0.5 * b) + 0.5 * b
-        return C1Function(GridFunction(grid, vals), np.zeros(n))
-
-    return ProjectorSpec("pi_sum", coords, embed, 2 * n)
-
-
-def make_custom_projector(coords: Callable, embed: Callable, k: int) -> ProjectorSpec:
-    return ProjectorSpec("custom_linear", coords, embed, k)
-
-
-def pi_map(p: ProjectorSpec, x) -> np.ndarray:
-    return np.atleast_1d(np.asarray(p.coords(x), dtype=float))
-
 
 def i_map(kind: str, v, problem):
     """Right inverses of the boundary projector pi, per problem kind.
 
-    periodic: constant embedding of x(T).  dirichlet: the quadratic
-    representative of t a + b.  delay: the piecewise embedding that copies
-    the history segment onto [T - tau, T] and freezes y(-tau) before it.
+    periodic: constant embedding of x(T).  dirichlet: for
+    pi(x) = t[x(1) + x'(0)] + 2 x(0) with coordinates (a, b) of t a + b, the
+    representative x = t^2 (a - b/2) + b/2 with x'(0) = 0.  delay: the
+    piecewise embedding that copies the history segment onto [T - tau, T]
+    and freezes y(-tau) before it.  v may be a stack (..., k).
     """
     grid = problem.grid()
     n = problem.field().dim
     if kind == "periodic":
         return constant(grid, v)
     if kind == "dirichlet":
-        return _dirichlet_pi(grid, n).embed(np.asarray(v, dtype=float))
+        v = np.asarray(v, dtype=float)
+        a, b = v[..., None, :n], v[..., None, n:]
+        t = grid.nodes[:, None]
+        return C1Function(GridFunction(grid, t * t * (a - 0.5 * b) + 0.5 * b),
+                          np.zeros(v.shape[:-1] + (n,)))
     if kind == "delay":
         k = problem.kernel().shift_steps(grid)
         v = np.asarray(v, dtype=float)
@@ -272,44 +147,44 @@ def _vn(problem, x: GridFunction) -> GridFunction:
     return gridfn.cumulative_integral(gridfn.nemytskii(problem.field(), x))
 
 
+def _mean_centred(grid: Grid, T: float, superpose: Callable, sign: float,
+                  centred: bool, periodic_out: bool) -> Callable:
+    """x -> mean(x) + sign T mean(N x) + V(I) - mean(V(I)), N = superpose and
+    I = N x - mean(N x) if centred, else N x.  With periodic_out the last node
+    copies the first, exact for a centred I since then V(I)(T) = 0."""
+    def apply_fn(x):
+        nx = superpose(x)
+        nbar = gridfn.average(nx)[..., None, :]
+        v = gridfn.cumulative_integral(
+            GridFunction(grid, nx.values - nbar) if centred else nx)
+        vals = (gridfn.average(x)[..., None, :] + sign * T * nbar
+                - gridfn.average(v)[..., None, :]) + v.values
+        if periodic_out:
+            vals[..., -1, :] = vals[..., 0, :]
+        return GridFunction(grid, vals, periodic=periodic_out)
+
+    return apply_fn
+
+
 def _build_periodic(name: str, problem, params: dict) -> OperatorHandle:
     f = problem.field()
     grid = problem.grid()
     T = f.period
 
-    if name == "K0":
-        def apply_fn(x):
-            return GridFunction(grid, x.values[..., :1, :] + _vn(problem, x).values)
-    elif name == "K":
+    if name == "K":
         def apply_fn(x):
             return GridFunction(grid, x.values[..., -1:, :] + _vn(problem, x).values)
     elif name == "K1":
         def apply_fn(x):
             return flows.mu_periodic(f, x.values[..., -1, :], m=grid.m)
     elif name in ("K3", "Khat3", "K5", "Khat5"):
-        sign = -1.0 if "hat" in name else 1.0
-        periodic_out = name in ("K5", "Khat5")
-
-        def apply_fn(x):
-            nx = gridfn.nemytskii(f, x)
-            nbar = gridfn.average(nx)[..., None, :]
-            centered = GridFunction(grid, nx.values - nbar)
-            vc = gridfn.cumulative_integral(centered)
-            head = (gridfn.average(x)[..., None, :] + sign * T * nbar
-                    - gridfn.average(vc)[..., None, :])
-            vals = head + vc.values
-            if periodic_out:
-                # exact by the discrete V(N - mean N)(T) = 0
-                vals[..., -1, :] = vals[..., 0, :]
-            return GridFunction(grid, vals, periodic=periodic_out)
+        apply_fn = _mean_centred(grid, T, lambda x: gridfn.nemytskii(f, x),
+                                 sign=-1.0 if "hat" in name else 1.0, centred=True,
+                                 periodic_out=name in ("K5", "Khat5"))
     elif name in ("K4", "Kgamma"):
-        gamma = params.get("gamma")
-        if gamma is None:
-            gamma = make_projector("mean", problem)
-
         def apply_fn(x):
             vn = _vn(problem, x)
-            head = pi_map(gamma, x) + vn.values[..., -1, :] - pi_map(gamma, vn)
+            head = gridfn.average(x) + vn.values[..., -1, :] - gridfn.average(vn)
             return GridFunction(grid, head[..., None, :] + vn.values)
     elif name == "Keta":
         if "eta" not in params:
@@ -415,20 +290,9 @@ def _build_delay(name: str, problem, params: dict) -> OperatorHandle:
             track = flows.dde_flow(f, _history_of(x, kernel), T)
             return GridFunction(grid, track.values[..., k:, :])
     elif name in ("K6", "K7", "K8"):
-        centered = name in ("K7", "K8")
-        periodic_out = name == "K8"
-
-        def apply_fn(x):
-            nr = gridfn.nemytskii_delay(f, x, kernel)
-            nbar = gridfn.average(nr)[..., None, :]
-            integrand = GridFunction(grid, nr.values - nbar) if centered else nr
-            v = gridfn.cumulative_integral(integrand)
-            head = (gridfn.average(x)[..., None, :] + T * nbar
-                    - gridfn.average(v)[..., None, :])
-            vals = head + v.values
-            if periodic_out:
-                vals[..., -1, :] = vals[..., 0, :]
-            return GridFunction(grid, vals, periodic=periodic_out)
+        apply_fn = _mean_centred(grid, T, lambda x: gridfn.nemytskii_delay(f, x, kernel),
+                                 sign=1.0, centred=name in ("K7", "K8"),
+                                 periodic_out=name == "K8")
     elif name == "Ktilde":
         fin, dim = _delay_poincare(problem, grid)
 
@@ -489,11 +353,14 @@ def build(name: str, problem, params: dict | None = None) -> OperatorHandle:
 
 
 def build_finite(name: str, problem, params: dict | None = None) -> OperatorHandle:
-    """Finite-vector operators: Poincare maps and kernel-coordinate maps."""
+    """Finite-vector operators: Poincare maps and kernel-coordinate maps.
+
+    ``params["dim"]`` of the handle is the dimension of the vectors it maps.
+    """
     params = dict(params or {})
     f = problem.field()
     grid = problem.grid()
-    n = f.dim
+    n = dim = f.dim
 
     if name == "K2":
         _require_kind(problem, PERIODIC_KINDS, name)
@@ -517,13 +384,8 @@ def build_finite(name: str, problem, params: dict | None = None) -> OperatorHand
             a, b = v[..., :n], v[..., n:]
             sol = flows.mu_dirichlet(f, a, b, m=grid.m)
             return np.concatenate([sol.x.values[..., -1, :] + a, 2.0 * b], axis=-1)
-    elif name == "Kg":
-        _require_kind(problem, ("dirichlet_bvp",), name)
 
-        def apply_fn(v):
-            a, b = v[..., :n], v[..., n:]
-            return np.concatenate([a - flows.shooting(f, a, m=grid.m),
-                                   np.zeros_like(b)], axis=-1)
+        dim = 2 * n
     elif name == "Kdelay2":
         _require_kind(problem, ("periodic_dde",), name)
         nodes = params.get("history_nodes")
@@ -538,8 +400,8 @@ def build_finite(name: str, problem, params: dict | None = None) -> OperatorHand
                     f"history_nodes={nodes} does not tile the period {f.period}")
             g = Grid(0.0, f.period, m)
         apply_fn, dim = _delay_poincare(problem, g)
-        params["dim"] = dim
     else:
         raise ValueError(f"unknown finite operator {name!r}")
 
+    params["dim"] = dim
     return OperatorHandle(name, FINITE_SPACE, apply_fn, problem, params)

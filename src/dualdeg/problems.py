@@ -163,6 +163,8 @@ class ProblemSpec:
                 f"tau is only meaningful for periodic_dde, not {self.kind!r}")
         if self.kind == "dirichlet_bvp" and abs(self.period - 1.0) > 1e-12:
             raise ProblemValidationError("dirichlet_bvp is posed on [0, 1]")
+        if self.m < 2:
+            raise ProblemValidationError(f"grid needs m >= 2, got m={self.m}")
         box = tuple(tuple(float(v) for v in row) for row in self.u2_box)
         object.__setattr__(self, "u2_box", box)
         object.__setattr__(self, "rhs", dict(self.rhs))
@@ -418,18 +420,14 @@ def run(problem: ProblemSpec, suite: str = "all", grid_m: int | None = None,
         instances += _sign_instances(problem, etas)
 
     timings: dict[str, float] = {}
-
-    def run_instance(item):
-        pair, kw = item
-        t0 = time.perf_counter()
-        rep = certify.verify_duality(problem, pair, seed=seed, **kw)
-        return pair, report_mod.duality_dict(problem.pid, rep), \
-            time.perf_counter() - t0
-
     duality = []
-    for pair, d, dt in map(run_instance, instances):
+    for pair, kw in instances:
+        t0 = time.perf_counter()
+        d = report_mod.duality_dict(
+            problem.pid, certify.verify_duality(problem, pair, seed=seed, **kw))
         duality.append(d)
-        timings[f"{pair}[{d.get('eta', '')}]" if "eta" in d else pair] = dt
+        timings[f"{pair}[{d.get('eta', '')}]" if "eta" in d else pair] = \
+            time.perf_counter() - t0
 
     certs: list = []
     residuals: list = []

@@ -10,8 +10,8 @@ import pytest
 
 from dualdeg import certify, degree, flows, operators, problems, report
 from dualdeg.degree import (box_domain, brouwer_1d, brouwer_2d_winding,
-                            brouwer_nd_regular, fd_jacobian,
-                            finite_rank_reduce, fourier_block_signs)
+                            brouwer_nd_regular, fd_jacobian, finite_rank_reduce,
+                            fixed_point_degree, fourier_block_signs)
 
 
 def _verdict(num: int, desc: str, ok: bool):
@@ -79,8 +79,8 @@ def test_criterion_4_operator_chain_homotopies():
         ok &= cert.admissible and cert.min_residual >= 1e-4
     chain_deg = finite_rank_reduce(operators.build("Ktilde", p1),
                                    p1.default_U2(), r=vr.r)
-    right = certify._right_degree(p1, p1.default_U2(),
-                                  operators.build_finite("K2", p1))
+    right = fixed_point_degree(operators.build_finite("K2", p1).apply_fn,
+                               p1.default_U2())
     ok &= chain_deg.degree == right.degree == 1
     _verdict(4, "operator-chain homotopies admissible, min_residual >= 1e-4", ok)
 

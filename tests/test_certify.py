@@ -10,6 +10,7 @@ from dualdeg.problems import ProblemSpec
 
 P1 = problems.get_problem("p1")
 P2 = problems.get_problem("p2")
+P4 = problems.get_problem("p4")
 
 ZERO_F = ProblemSpec("zf", "periodic_ode", 1, 1.0, {"poly": [0.0]}, 0.0, 32,
                      1.0, ((-1.0, 1.0),))
@@ -59,6 +60,19 @@ class TestFindFixedPoints:
         fps = find_fixed_points(h, FunctionBall(1.0))
         assert len(fps) == 1
         assert operators.residual(h, fps[0]) == 0.0
+
+    def test_finite_5d_off_centre_pair(self):
+        # defect (v0^2 - 1/4, v1, ..., v4): the Jacobian is singular at the
+        # box centre, so the fixed points v0 = +-1/2 need the off-centre starts
+        def apply_fn(v):
+            out = np.zeros_like(v)
+            out[..., 0] = v[..., 0] - v[..., 0] ** 2 + 0.25
+            return out
+
+        h = operators.OperatorHandle("F", operators.FINITE_SPACE, apply_fn)
+        fps = find_fixed_points(h, box_domain([(-1.0, 1.0)] * 5))
+        np.testing.assert_allclose(sorted(fp[0] for fp in fps), [-0.5, 0.5])
+        np.testing.assert_allclose([fp[1:] for fp in fps], 0.0, atol=1e-12)
 
     def test_no_convergence_empty(self):
         # no fixed point inside this off-center finite box
@@ -123,6 +137,13 @@ class TestCertifyHomotopy:
             certify_homotopy(operators.build("K", P1),
                              operators.build_finite("K2", P1),
                              P1.default_U1())
+
+    def test_pullback_needs_grid_space(self):
+        U = certify.default_pullback(P4, P4.default_U2())
+        with pytest.raises(ValueError, match="pullback boundary samples need "
+                                             "grid-space operators"):
+            certify_homotopy(operators.build("Kdir", P4),
+                             operators.build("Kdir1", P4), U)
 
 
 class TestVerifyDuality:

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from dualdeg import certify, flows, gridfn, operators, problems
+from dualdeg import certify, flows, gridfn, problems
 from dualdeg.gridfn import Grid, GridFunction, constant, from_callable
-from dualdeg.operators import (C1Function, apply, build, build_finite, i_map,
-                               linear_homotopy, make_projector, pi_map, residual)
+from dualdeg.operators import apply, build, build_finite, i_map, residual
 from dualdeg.problems import ProblemSpec
 
 P1 = problems.get_problem("p1")
@@ -80,7 +79,7 @@ class TestSharedFixedPoints:
         fps = certify.find_fixed_points(hk, P1.default_U1())
         assert len(fps) == 1
         x = fps[0]
-        for name, params in (("K", {}), ("K0", {}), ("K1", {}), ("K3", {}),
+        for name, params in (("K", {}), ("K1", {}), ("K3", {}),
                              ("K4", {}), ("Kgamma", {}), ("K5", {}),
                              ("Keta", {"eta": 1.0})):
             assert residual(build(name, P1, params), x) <= 5e-5, name
@@ -96,52 +95,6 @@ class TestSharedFixedPoints:
             assert residual(build(name, P6), fps[0]) <= 5e-5, name
 
 
-class TestLinearHomotopy:
-    def test_endpoints(self):
-        hA, hB = build("K", P1), build("Kgamma", P1)
-        x = _p1_solution()
-        np.testing.assert_array_equal(apply(linear_homotopy(hA, hB, 1.0), x).values,
-                                      apply(hA, x).values)
-        np.testing.assert_array_equal(apply(linear_homotopy(hA, hB, 0.0), x).values,
-                                      apply(hB, x).values)
-
-    def test_midpoint_fixes_solution(self):
-        h = linear_homotopy(build("K", P1), build("Kgamma", P1), 0.5)
-        assert residual(h, _p1_solution()) <= 5e-5
-
-    def test_space_mismatch(self):
-        with pytest.raises(ValueError, match="space mismatch"):
-            linear_homotopy(build("K", P1), build_finite("K2", P1), 0.5)
-
-
-class TestProjectors:
-    @pytest.mark.parametrize("kind,problem", [
-        ("eval_at_0", P1), ("eval_at_T", P1), ("mean", P1),
-        ("ker_L_periodic", P1), ("pi_sum", P1),
-        ("ker_L_dirichlet", P4), ("pi_sum", P4),
-    ])
-    def test_idempotence(self, kind, problem):
-        p = make_projector(kind, problem)  # construction already probes a basis
-        if problem.kind == "dirichlet_bvp":
-            g = problem.grid()
-            x = C1Function(from_callable(g, lambda t: t * t + 0.2, 1),
-                           np.array([0.7]))
-        else:
-            x = from_callable(problem.grid(), lambda t: np.sin(2 * np.pi * t), 1)
-        once = p.embed(pi_map(p, x))
-        twice = p.embed(pi_map(p, once))
-        assert operators.sup_distance(once, twice) <= 1e-12
-
-    def test_delta_periodic(self):
-        p = make_projector("delta_periodic", P1)
-        x = from_callable(P1.grid(), lambda t: t, 1)
-        assert pi_map(p, x)[0] == pytest.approx(1.0)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown projector"):
-            make_projector("bogus", P1)
-
-
 class TestRightInverses:
     def test_periodic(self):
         x = i_map("periodic", np.array([0.8]), P1)
@@ -149,11 +102,20 @@ class TestRightInverses:
         np.testing.assert_allclose(x.values, 0.8)
 
     def test_dirichlet(self):
-        # pi(i(ta + b)) = (a, b) on a basis of kernel coordinates
-        p = operators._dirichlet_pi(P4.grid(), 1)
+        # pi(x) = t[x(1) + x'(0)] + 2 x(0) recovers (a, b) from i(ta + b)
         for v in np.eye(2):
-            back = pi_map(p, p.embed(v))
+            x = i_map("dirichlet", v, P4)
+            back = np.concatenate([x.values.values[-1] + x.deriv0,
+                                   2.0 * x.values.values[0]])
             np.testing.assert_allclose(back, v, atol=1e-12)
+
+    def test_dirichlet_stack_matches_rows(self):
+        v = np.random.default_rng(1).uniform(-1.0, 1.0, (3, 2))
+        stacked = i_map("dirichlet", v, P4)
+        rows = [i_map("dirichlet", row, P4) for row in v]
+        assert np.array_equal(stacked.values.values,
+                              np.stack([r.values.values for r in rows]))
+        assert np.array_equal(stacked.deriv0, np.stack([r.deriv0 for r in rows]))
 
     def test_delay(self):
         grid = P6.grid()
@@ -207,8 +169,3 @@ class TestFiniteOperators:
         h = build_finite("KhatP", DECAY_F)
         out = apply(h, np.array([0.5]))
         assert out[0] == pytest.approx(0.5 * np.e, abs=1e-6)
-
-    def test_kg_shooting_defect(self):
-        h = build_finite("Kg", P4)
-        out = apply(h, np.array([1.0, 0.3]))
-        np.testing.assert_allclose(out, [1.0 - np.sinh(1.0), 0.0], atol=1e-6)

@@ -233,6 +233,29 @@ class TestCli:
         assert res.exit_code != 0
         assert "not valid JSON" in res.output
 
+    @pytest.mark.parametrize("args,message", [
+        (["degree", "p1", "--operator", "K2", "--domain", "[1,2,3]"],
+         "--domain must be a list of [lo, hi] pairs"),
+        (["degree", "p1", "--operator", "K2", "--domain", "[[1,-1]]"],
+         "box must have nonempty interior"),
+        (["degree", "p1", "--operator", "K2", "--domain", "[[null,1]]"],
+         "box bounds must be finite"),
+        (["degree", "p1", "--operator", "K2", "--domain", "[[-1,1],[-1,1]]"],
+         "--domain has dimension 2, K2 needs 1"),
+        (["degree", "p1", "--operator", "K0", "--domain", "[[-1,1]]"],
+         "unknown operator name 'K0'"),
+        (["degree", "p1", "--operator", "Kbogus", "--domain", "[[-1,1]]"],
+         "unknown operator name 'Kbogus'"),
+        (["run", "p1", "--grid", "1"], "grid needs m >= 2, got m=1"),
+    ], ids=["not-pairs", "empty-box", "nonfinite-box", "dimension", "K0",
+            "unknown-operator", "grid-1"])
+    def test_bad_input_one_line_error(self, args, message):
+        res = CliRunner().invoke(cli_main, args)
+        assert res.exit_code == 1
+        lines = res.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error: "), res.output
+        assert message in lines[0]
+
     def test_report_reemit(self, tmp_path, p1_report):
         report_mod.emit(p1_report, "json", str(tmp_path))
         for fmt, suffix in (("csv", ".csv"), ("svg", ".svg")):

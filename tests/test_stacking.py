@@ -102,9 +102,10 @@ class TestStackMatchesLoop:
     @pytest.mark.parametrize("name,params", [
         ("K", {}), ("K1", {}), ("K3", {}), ("K4", {}), ("K5", {}), ("Kgamma", {}),
         ("Keta", {"eta": 1.0}), ("Keta", {"eta": -1.0}), ("Khat3", {}),
-        ("Ktilde", {}), ("Kdelay", {}), ("Kdelay1", {})])
+        ("Ktilde", {}), ("Kdelay", {}), ("Kdelay1", {}),
+        ("K6", {}), ("K7", {}), ("K8", {}), ("Khat5", {})])
     def test_handles(self, name, params):
-        problem = P6 if name.startswith("Kdelay") else P3
+        problem = P6 if name.startswith("Kdelay") or name in ("K6", "K7", "K8") else P3
         h = operators.build(name, problem, params)
         grid = problem.grid()
         vals = _smooth_stack(grid, 5, problem.dim)
