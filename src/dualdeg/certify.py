@@ -93,13 +93,7 @@ def find_fixed_points(h: OperatorHandle, domain) -> list:
     if h.space == operators.FINITE_SPACE:
         g = defect(h.apply_fn)
         dom = domain if isinstance(domain, DomainSpec) else box_domain(domain)
-        found = []
-        for s in deg_mod._multistart_seeds(dom.as_box()):
-            z, ok = deg_mod._newton(g, s, FINITE_FP_TOL)
-            if ok and dom.contains(z) and all(
-                    np.max(np.abs(z - z0)) > 10 * FINITE_FP_TOL for z0 in found):
-                found.append(z)
-        return found
+        return deg_mod._multistart_zeros(g, dom, FINITE_FP_TOL)[0]
 
     unflat = _unflattener(h)
 
@@ -122,10 +116,10 @@ def find_fixed_points(h: OperatorHandle, domain) -> list:
         v = v - 0.5 * r
         if not np.all(np.isfinite(v)):
             return []
-    v, ok = deg_mod._newton(res, v, 1e-10, max_iter=30, scale=1e-6)
-    if not ok:
+    v, ok = deg_mod._newton(res, v[None], 1e-10, max_iter=30, scale=1e-6)
+    if not ok[0]:
         return []
-    x = unflat(v)
+    x = unflat(v[0])
     if isinstance(domain, FunctionBall) and domain.clearance(x) <= 0:
         return []
     return [x]
@@ -201,8 +195,8 @@ def check_common_core(problem, U1: FunctionBall, U2: DomainSpec,
     clear1 = np.inf
     clear2 = np.inf
     verdict = True
-    for v in fps:
-        det = float(np.linalg.det(fd_jacobian(g, v)))
+    dets = np.linalg.det(fd_jacobian(g, np.asarray(fps)))
+    for v, det in zip(fps, dets):
         if abs(det) < 1e-8:
             diagnostics.append("degenerate: non-isolated fixed points")
             verdict = False
@@ -547,13 +541,12 @@ def _verify_dirichlet(problem, U2, core) -> DualityReport:
     gfull = defect(kdir2.apply_fn)
     shoot = lambda a: np.asarray(
         flows.shooting(problem.field(), np.atleast_1d(a), m=problem.grid().m))
-    for z in right.zeros:
-        z = np.asarray(z)
-        for scale in (1e-5, 5e-6):
-            d_full = np.sign(np.linalg.det(fd_jacobian(gfull, z, scale=scale)))
-            d_shoot = np.sign(np.linalg.det(fd_jacobian(shoot, z[:n], scale=scale)))
-            if d_full != d_shoot:
-                block_ok = False
+    if right.zeros:
+        Z = np.repeat(np.asarray(right.zeros), 2, axis=0)
+        scale = np.tile([[1e-5], [5e-6]], (len(right.zeros), 1))
+        d_full = np.sign(np.linalg.det(fd_jacobian(gfull, Z, scale=scale)))
+        d_shoot = np.sign(np.linalg.det(fd_jacobian(shoot, Z[:, :n], scale=scale)))
+        block_ok = bool(np.all(d_full == d_shoot))
     equal = (left.degree == right.degree and left.certified and right.certified
              and block_ok and (core is None or core.verdict))
     return DualityReport("dirichlet_shooting", left, right, equal,

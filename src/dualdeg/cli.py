@@ -15,7 +15,10 @@ from . import certify, degree as deg_mod, operators, problems, report as report_
 
 def _resolve_problem(name: str) -> problems.ProblemSpec:
     if os.path.exists(name):
-        return problems.load_problem(name)
+        try:
+            return problems.load_problem(name)
+        except problems.ProblemValidationError as exc:
+            raise click.ClickException(f"{name}: {exc}")
     try:
         return problems.get_problem(name)
     except KeyError:

@@ -14,7 +14,6 @@ values, and sample sets go through g in blocks of STACK_BLOCK points.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
@@ -25,7 +24,6 @@ from .flows import IntegrationError
 
 DEFAULT_EPS = 1e-6
 NEWTON_TOL = 1e-9
-CLUSTER_RADIUS = 10 * NEWTON_TOL
 JACOBIAN_DET_FLOOR = 1e-8
 WINDING_ROUND_GUARD = 0.01
 MAX_WINDING_DOUBLINGS = 20
@@ -211,50 +209,85 @@ def _map_rows(g: Callable, X: np.ndarray) -> np.ndarray:
                            for i in range(0, len(X), STACK_BLOCK)])
 
 
-def fd_jacobian(g: Callable, x: np.ndarray, scale: float = 1e-5) -> np.ndarray:
-    """Central finite-difference Jacobian with step scale * (1 + |x_i|)."""
+def fd_jacobian(g: Callable, x: np.ndarray, scale=1e-5) -> np.ndarray:
+    """Central finite-difference Jacobian with step scale * (1 + |x_i|).
+
+    A stack of points (S, k) gives the stack of Jacobians (S, out, k), all
+    2kS points in stacked calls of g; ``scale`` may then be an (S, 1) array.
+    """
     x = np.asarray(x, dtype=float)
-    k = x.size
-    h = scale * (1.0 + np.abs(x))
-    e = np.diag(h)
-    gx = _map_rows(g, np.concatenate([x + e, x - e]))
-    return (gx[:k] - gx[k:]).T / (2 * h)
+    X = np.atleast_2d(x)
+    S, k = X.shape
+    h = scale * (1.0 + np.abs(X))
+    E = h[:, :, None] * np.eye(k)
+    gx = _map_rows(g, np.concatenate([X[:, None] + E, X[:, None] - E], axis=1)
+                   .reshape(-1, k)).reshape(S, 2 * k, -1)
+    J = np.swapaxes(gx[:, :k] - gx[:, k:], 1, 2) / (2 * h[:, None, :])
+    return J if x.ndim > 1 else J[0]
 
 
-def _safe_eval(g: Callable, x: np.ndarray) -> np.ndarray:
-    """g(x), with integration blow-ups mapped to non-finite residuals."""
+def _safe_rows(g: Callable, X: np.ndarray) -> np.ndarray:
+    """g over the rows of X; a stack whose integration blows up is redone one
+    row at a time, and only the rows that blow up read inf."""
     try:
-        return np.atleast_1d(np.asarray(g(x), dtype=float))
+        return _map_rows(g, X)
     except IntegrationError:
-        return np.full(np.atleast_1d(x).shape, np.inf)
+        if len(X) == 1:
+            return np.full(X.shape, np.inf)
+        return np.concatenate([_safe_rows(g, X[i:i + 1]) for i in range(len(X))])
 
 
-def _newton(g: Callable, x0: np.ndarray, tol: float, max_iter: int = 60,
+def _newton_steps(g: Callable, X: np.ndarray, G: np.ndarray, scale: float):
+    """Newton steps J(x)^-1 g(x) at the rows of X, and which rows have one: a
+    row whose FD Jacobian blows up or is singular has none.  A stacked
+    Jacobian or solve that fails is redone one row at a time."""
+    J = None
+    try:
+        J = fd_jacobian(g, X, scale=scale)
+        return np.linalg.solve(J, G[..., None])[..., 0], np.ones(len(X), dtype=bool)
+    except (np.linalg.LinAlgError, IntegrationError):
+        step, has = np.zeros_like(X), np.ones(len(X), dtype=bool)
+        for i, x in enumerate(X):
+            try:
+                Ji = fd_jacobian(g, x, scale=scale) if J is None else J[i]
+                step[i] = np.linalg.solve(Ji, G[i])
+            except (np.linalg.LinAlgError, IntegrationError):
+                has[i] = False
+        return step, has
+
+
+def _newton(g: Callable, X0: np.ndarray, tol: float, max_iter: int = 60,
             scale: float = 1e-5):
-    """Damped Newton on g with a central-difference Jacobian of step ``scale``."""
-    x = np.asarray(x0, dtype=float).copy()
-    gx = _safe_eval(g, x)
-    if not np.all(np.isfinite(gx)):
-        return x, False
+    """Damped Newton on g with a central-difference Jacobian of step ``scale``
+    from each row of X0, all live starts in lock step (stacked g, Jacobian and
+    solve).  Returns the iterates and which converged, each row as a Newton
+    run from that start alone would end."""
+    X = np.array(X0, dtype=float)
+    G = _safe_rows(g, X)
+    live = np.all(np.isfinite(G), axis=1)
+    ok = np.zeros(len(X), dtype=bool)
     for _ in range(max_iter):
-        nrm = np.max(np.abs(gx))
-        if nrm <= tol:
-            return x, True
-        try:
-            step = np.linalg.solve(fd_jacobian(g, x, scale=scale), gx)
-        except (np.linalg.LinAlgError, IntegrationError):
-            return x, False
+        nrm = np.max(np.abs(G), axis=1)
+        ok |= live & (nrm <= tol)
+        live &= nrm > tol
+        idx = np.flatnonzero(live)
+        if not idx.size:
+            break
+        step, has = _newton_steps(g, X[idx], G[idx], scale)
+        live[idx[~has]] = False
+        idx, step = idx[has], step[has]
         s = 1.0
         for _ in range(8):
-            xn = x - s * step
-            gn = _safe_eval(g, xn)
-            if np.all(np.isfinite(gn)) and np.max(np.abs(gn)) < nrm:
-                x, gx = xn, gn
+            if not idx.size:
                 break
+            Xn = X[idx] - s * step
+            Gn = _safe_rows(g, Xn)
+            better = np.all(np.isfinite(Gn), axis=1) & (np.max(np.abs(Gn), axis=1) < nrm[idx])
+            X[idx[better]], G[idx[better]] = Xn[better], Gn[better]
+            idx, step = idx[~better], step[~better]
             s *= 0.5
-        else:
-            return x, False
-    return x, bool(np.max(np.abs(gx)) <= tol)
+        live[idx] = False
+    return X, ok | (live & (np.max(np.abs(G), axis=1) <= tol))
 
 
 def _boundary_lattice(box: np.ndarray, per_axis: int) -> np.ndarray:
@@ -312,6 +345,18 @@ def _multistart_seeds(box: np.ndarray) -> np.ndarray:
     return np.vstack([center[None, :], np.asarray(offs)])
 
 
+def _multistart_zeros(g: Callable, dom: DomainSpec, tol: float):
+    """Zeros of g by Newton from the multistart seeds of the domain's box: the
+    converged starts inside the domain, clustered at radius 10 tol, and the
+    number of starts that failed."""
+    X, ok = _newton(g, _multistart_seeds(dom.as_box()), tol)
+    zeros: list[np.ndarray] = []
+    for z in X[ok]:
+        if dom.contains(z) and all(np.max(np.abs(z - z0)) > 10 * tol for z0 in zeros):
+            zeros.append(z)
+    return zeros, int(np.sum(~ok))
+
+
 def brouwer_nd_regular(g: Callable, box, eps: float = DEFAULT_EPS,
                        boundary_per_axis: int = 9) -> DegreeResult:
     """Degree via multistart Newton zeros and Jacobian determinant signs."""
@@ -327,30 +372,17 @@ def brouwer_nd_regular(g: Callable, box, eps: float = DEFAULT_EPS,
         margin = min(margin, float(np.min(vals)))
         levels += 1
 
-    seeds = _multistart_seeds(b)
-    zeros: list[np.ndarray] = []
-    fails = 0
-    for s in seeds:
-        z, ok = _newton(g, s, NEWTON_TOL)
-        if not ok:
-            fails += 1
-            continue
-        if not dom.contains(z):
-            continue
-        if all(np.max(np.abs(z - z0)) > CLUSTER_RADIUS for z0 in zeros):
-            zeros.append(z)
-    if fails > 0.5 * len(seeds):
-        warnings.warn(f"Newton failed from {fails}/{len(seeds)} seeds",
-                      RuntimeWarning)
+    zeros, fails = _multistart_zeros(g, dom, NEWTON_TOL)
+    starts = len(_multistart_seeds(b))
+    if fails > 0.5 * starts:
+        warnings.warn(f"Newton failed from {fails}/{starts} seeds", RuntimeWarning)
 
-    deg = 0
-    certified = margin >= eps
-    for z in zeros:
-        det = float(np.linalg.det(fd_jacobian(g, z)))
-        if abs(det) < JACOBIAN_DET_FLOOR:
-            certified = False
-            continue
-        deg += 1 if det > 0 else -1
+    deg, certified = 0, margin >= eps
+    if zeros:
+        dets = np.linalg.det(fd_jacobian(g, np.asarray(zeros)))
+        small = np.abs(dets) < JACOBIAN_DET_FLOOR
+        deg = int(np.sum(np.where(dets[~small] > 0, 1, -1)))
+        certified = certified and not small.any()
     return DegreeResult(degree=deg, method="jacobian_sum",
                         min_boundary_norm=margin, refinement_levels=levels,
                         certified=certified,

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import certify, degree as deg_mod, flows, gridfn, operators, report as report_mod
+from . import certify, degree as deg_mod, flows, operators, report as report_mod
 from .certify import FunctionBall
 from .degree import DomainSpec, box_domain
 from .gridfn import DelayKernel, Grid

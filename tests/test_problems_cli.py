@@ -247,9 +247,17 @@ class TestCli:
         (["degree", "p1", "--operator", "Kbogus", "--domain", "[[-1,1]]"],
          "unknown operator name 'Kbogus'"),
         (["run", "p1", "--grid", "1"], "grid needs m >= 2, got m=1"),
+        (["run", "{schema_invalid}"], "'kind' is a required property"),
+        (["degree", "{unparsable}", "--operator", "K2", "--domain", "[[-1,1]]"],
+         "parse error"),
     ], ids=["not-pairs", "empty-box", "nonfinite-box", "dimension", "K0",
-            "unknown-operator", "grid-1"])
-    def test_bad_input_one_line_error(self, args, message):
+            "unknown-operator", "grid-1", "schema-invalid-file", "unparsable-file"])
+    def test_bad_input_one_line_error(self, args, message, tmp_path):
+        files = {"schema_invalid": '{"id": "x"}', "unparsable": '{"id": '}
+        for name, text in files.items():
+            (tmp_path / f"{name}.json").write_text(text)
+        args = [a.format(**{name: tmp_path / f"{name}.json" for name in files})
+                for a in args]
         res = CliRunner().invoke(cli_main, args)
         assert res.exit_code == 1
         lines = res.output.splitlines()

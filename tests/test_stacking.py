@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 from dualdeg import flows, gridfn, operators, problems
-from dualdeg.degree import fd_jacobian
-from dualdeg.flows import VectorFieldSpec
+from dualdeg.degree import _multistart_seeds, _newton, defect, fd_jacobian
+from dualdeg.flows import IntegrationError, VectorFieldSpec
 from dualdeg.gridfn import DelayKernel, Grid, GridFunction, constant
 
 P3 = replace(problems.get_problem("p3"), m=32)
+P4 = replace(problems.get_problem("p4"), m=16)
 P6 = replace(problems.get_problem("p6"), m=16)
 
 # right for one state (n,); on a stack it indexes states, not components
@@ -124,3 +125,94 @@ class TestStackMatchesLoop:
             e[i] = h
             ref[:, i] = (g(x + e) - g(x - e)) / (2 * h)
         assert np.array_equal(fd_jacobian(g, x), ref)
+        X = np.random.default_rng(1).uniform(-1.0, 1.0, (5, 2))
+        assert np.array_equal(fd_jacobian(g, X), np.stack([fd_jacobian(g, x) for x in X]))
+        scale = np.array([[1e-5], [5e-6], [1e-5], [5e-6], [1e-6]])
+        assert np.array_equal(fd_jacobian(g, X, scale=scale),
+                              np.stack([fd_jacobian(g, x, scale=float(c))
+                                        for x, c in zip(X, scale[:, 0])]))
+
+
+def _newton_one(g, x0, tol, max_iter=60, scale=1e-5):
+    """Damped Newton from a single start, one g call per evaluation."""
+    def safe(x):
+        try:
+            return np.atleast_1d(np.asarray(g(x), dtype=float))
+        except IntegrationError:
+            return np.full(x.shape, np.inf)
+
+    x = np.asarray(x0, dtype=float).copy()
+    gx = safe(x)
+    if not np.all(np.isfinite(gx)):
+        return x, False
+    for _ in range(max_iter):
+        nrm = np.max(np.abs(gx))
+        if nrm <= tol:
+            return x, True
+        try:
+            step = np.linalg.solve(fd_jacobian(g, x, scale=scale), gx)
+        except (np.linalg.LinAlgError, IntegrationError):
+            return x, False
+        s = 1.0
+        for _ in range(8):
+            xn = x - s * step
+            gn = safe(xn)
+            if np.all(np.isfinite(gn)) and np.max(np.abs(gn)) < nrm:
+                x, gx = xn, gn
+                break
+            s *= 0.5
+        else:
+            return x, False
+    return x, bool(np.max(np.abs(gx)) <= tol)
+
+
+# x0' = x0^2 - 1 blows up within the period from x0 > coth(1)
+RICCATI = _field(lambda t, x: np.stack([x[..., 0] * x[..., 0] - 1.0, -x[..., 1]], axis=-1),
+                 dim=2)
+
+
+class TestLockStepNewton:
+    def _check(self, g, X0, tol=1e-9):
+        X, ok = _newton(g, X0, tol)
+        ref = [_newton_one(g, x, tol) for x in X0]
+        assert np.array_equal(X, np.stack([x for x, _ in ref]))
+        assert np.array_equal(ok, np.array([o for _, o in ref]))
+        return ok
+
+    @pytest.mark.parametrize("name,problem", [("K2", P3), ("Kdir2", P4), ("Kdelay2", P6)])
+    def test_multistart_seeds(self, name, problem):
+        params = {"history_nodes": problem.history_nodes()} if name == "Kdelay2" else {}
+        fin = operators.build_finite(name, problem, params)
+        ok = self._check(defect(fin.apply_fn),
+                         _multistart_seeds(problem.default_U2().as_box()))
+        assert ok.any()
+
+    def test_blow_up_in_part_of_a_stack(self):
+        failed_stacks = []
+
+        def g(X):
+            try:
+                return X - flows.poincare(RICCATI, X, m=32)
+            except IntegrationError:
+                failed_stacks.append(np.ndim(X) > 1 and len(X) > 1)
+                raise
+
+        seeds = np.array([[a, b] for a in (-1.5, 0.0, 0.6, 0.9, 1.2, 1.5, 3.0)
+                          for b in (-0.5, 0.5)])
+        ok = self._check(g, seeds)
+        assert ok.any() and not ok.all()
+        assert any(failed_stacks)
+
+    def test_singular_jacobian_start(self):
+        # central differences of x0^2 vanish at x0 = 0: a singular Jacobian
+        g = lambda X: np.stack([X[..., 0] * X[..., 0] - 0.25, X[..., 1]], axis=-1)
+        ok = self._check(g, np.array([[0.4, 0.1], [0.0, 0.3], [-1.0, 2.0]]))
+        assert ok.tolist() == [True, False, True]
+
+    def test_line_search_uses_all_eight_halvings(self):
+        # x0 / sqrt(1 + x0^2): from 13 only the step scaled by 1/128 lowers |g|,
+        # from 100 no scaled step does
+        g = lambda X: np.stack([X[..., 0] / np.sqrt(1.0 + X[..., 0] * X[..., 0]),
+                                X[..., 1]], axis=-1)
+        ok = self._check(g, np.array([[13.0, 0.5], [100.0, 0.5], [0.5, 0.5]]))
+        assert ok.tolist() == [True, False, True]
