@@ -8,8 +8,8 @@ carry the same degree.
 """
 
 from .certify import (CommonCoreReport, DualityReport, FunctionBall,
-                      HomotopyCertificate, certify_homotopy,
-                      check_common_core, find_fixed_points, verify_duality)
+                      HomotopyCertificate, certify_homotopies,
+                      certify_homotopy, check_common_core, find_fixed_points, verify_duality)
 from .degree import (DegreeResult, DomainSpec, ball_domain, box_domain,
                      brouwer_1d, brouwer_2d_winding, brouwer_nd_regular,
                      finite_rank_reduce, fixed_point_degree, fourier_block_signs,

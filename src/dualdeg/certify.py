@@ -10,7 +10,9 @@ are deterministic.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field as dc_field
+from typing import Callable
 
 import numpy as np
 
@@ -264,15 +266,29 @@ def _random_directions(problem, count: int, seed: int, vanish_at_end: bool):
     return np.reshape(out, (-1, grid.m + 1, n))
 
 
+def _face_lattice(dom: DomainSpec, count: int):
+    """The finite box of ``dom`` and the lattice points per axis on its faces
+    for a sample count."""
+    b = (dom.finite if dom.kind == "pullback" else dom).as_box()
+    per = max(2, int(round(count ** (1.0 / max(b.shape[0] - 1, 1)))))
+    return b, (min(per, 24) if dom.kind == "pullback" else per)
+
+
+def _sample_resolution(dom, count: int) -> int:
+    """What the boundary samples for a count depend on besides the problem,
+    the space and the seed: equal resolutions give equal sample arrays."""
+    if isinstance(dom, FunctionBall):
+        return count
+    b, per = _face_lattice(dom, count)
+    return per ** (b.shape[0] - 1)  # lattice points per face; 1 on an interval
+
+
 def _pullback_boundary_samples(problem, dom: DomainSpec, count: int, seed: int):
     """Boundary of pi^{-1}(U) cap B(0, r), as grid-function values (S, m+1, n):
     lifted finite-boundary points with tangential bumps, plus norm-r shell
     points."""
-    U = dom.finite
     r = dom.r
-    b = U.as_box()
-    k = b.shape[0]
-    per = max(2, min(int(round(count ** (1.0 / max(k - 1, 1)))), 24))
+    b, per = _face_lattice(dom, count)
     lift = lambda u: operators.i_map(dom.projector, u, problem).values
     sup = lambda v: np.max(np.abs(v), axis=(-2, -1))
     # fixed bump pool across refinement levels: refining only refines the
@@ -327,65 +343,118 @@ def _domain_boundary_samples(hA: OperatorHandle, dom, count: int, seed: int):
         x = _pullback_boundary_samples(problem, dom, count, seed)
         return x.reshape(len(x), -1)
     if isinstance(dom, DomainSpec):
-        b = dom.as_box()
-        per = max(2, int(round(count ** (1.0 / max(b.shape[0] - 1, 1)))))
-        return deg_mod._boundary_lattice(b, per)
+        return deg_mod._boundary_lattice(*_face_lattice(dom, count))
     raise ValueError(f"unsupported homotopy domain {dom!r}")
+
+
+def _handle_key(h: OperatorHandle) -> tuple:
+    """Handles with equal keys apply the same map."""
+    return h.name, repr(sorted(h.params.items()))
+
+
+def _boundary_curves(pairs, samples: np.ndarray, unflat, lam_grids) -> list:
+    """Per pair, per lambda grid: the boundary minimum over the samples of
+    |x - H_lam(x)| at each lambda.  Each block of STACK_BLOCK samples goes
+    once through each distinct handle of the pairs."""
+    handles = {_handle_key(h): h for pair in pairs for h in pair}
+    curves = [[np.full(len(lams), np.inf) for lams in lam_grids] for _ in pairs]
+    for lo in range(0, len(samples), STACK_BLOCK):
+        xs = samples[lo:lo + STACK_BLOCK]
+        x = unflat(xs)
+        images = {key: _flatten(h.apply_fn(x)) for key, h in handles.items()}
+        for (hA, hB), pair_curves in zip(pairs, curves):
+            a, b = images[_handle_key(hA)], images[_handle_key(hB)]
+            # x - H_lam(x) = (x - b) + lam (b - a), componentwise
+            base, delta = xs - b, b - a
+            for j, lams in enumerate(lam_grids):
+                pair_curves[j] = np.minimum(
+                    pair_curves[j],
+                    [np.max(np.abs(base + lam * delta), axis=-1).min() for lam in lams])
+    return curves
+
+
+def certify_homotopies(pairs, domain, lambda_steps: int = 9,
+                       boundary_samples: int = 16, eps: float | None = None,
+                       seed: int = DEFAULT_SEED,
+                       max_doublings: int = 4) -> list[HomotopyCertificate]:
+    """Empirical admissibility of H_lam = lam*A + (1-lam)*B over the domain,
+    for every pair (A, B) of handles of one problem and one space.
+
+    Level L has (lambda_steps - 1) 2^L + 1 lambdas and boundary_samples 2^L
+    samples.  A pair stops once its running minimum boundary residual
+    changes by < 20% after at least two doublings; it is admissible iff it
+    stopped and that minimum clears eps.  The pairs refine in lock step: a
+    pass builds one level's samples and applies each distinct handle of the
+    pairs still refining once per STACK_BLOCK block.  Levels up to 2, where no
+    pair can stop yet, share a pass with the level before when their sample
+    resolutions agree.  Each certificate equals the one its pair gets alone.
+    """
+    pairs = [tuple(p) for p in pairs]
+    if not pairs:
+        raise ValueError("pairs is empty: nothing to certify")
+    if lambda_steps < 2:
+        raise ValueError(f"lambda_steps must be at least 2, got {lambda_steps}: "
+                         f"a single lambda checks only the endpoint B")
+    if max_doublings < 0:
+        raise ValueError(f"max_doublings must be at least 0, got {max_doublings}")
+    handles = [h for pair in pairs for h in pair]
+    spaces = sorted({h.space for h in handles})
+    if len(spaces) > 1:
+        raise ValueError(f"pairs mix spaces {spaces}: homotopy endpoints live "
+                         f"in different spaces")
+    problem = handles[0].problem
+    if any(h.problem != problem for h in handles):
+        raise ValueError("pairs mix problems: certify each problem's pairs "
+                         "in its own call")
+    if eps is None:
+        eps = admissibility_eps(problem) if problem is not None else 1e-4
+    unflat = _unflattener(handles[0])
+    lam_grids = [np.linspace(0.0, 1.0, (lambda_steps - 1) * 2 ** level + 1)
+                 for level in range(max_doublings + 1)]
+    counts = [boundary_samples * 2 ** level for level in range(max_doublings + 1)]
+    history = [[] for _ in pairs]
+    finest = [None] * len(pairs)  # (lambdas, curve) of the last level run
+    stable = [False] * len(pairs)
+
+    level = 0
+    while level <= max_doublings:
+        live = [i for i, done in enumerate(stable) if not done]
+        if not live:
+            break
+        samples = _domain_boundary_samples(handles[0], domain, counts[level], seed)
+        span = [level]  # the levels this pass serves
+        while span[-1] < min(2, max_doublings) and \
+                _sample_resolution(domain, counts[span[-1] + 1]) == \
+                _sample_resolution(domain, counts[level]):
+            span.append(span[-1] + 1)
+        curves = _boundary_curves([pairs[i] for i in live], samples, unflat,
+                                  [lam_grids[lv] for lv in span])
+        for i, pair_curves in zip(live, curves):
+            hist = history[i]
+            for lv, curve in zip(span, pair_curves):
+                new = float(np.min(curve))
+                hist.append(min(hist[-1], new) if hist else new)
+                finest[i] = (lam_grids[lv], curve)
+                if lv >= 2 and hist[-2] > 0 and abs(hist[-1] - hist[-2]) < 0.2 * hist[-2]:
+                    stable[i] = True
+        level = span[-1] + 1
+
+    return [HomotopyCertificate(pair=(hA.name, hB.name),
+                                lambda_grid=tuple(lams),
+                                min_residual=hist[-1],
+                                refinements=len(hist) - 1,
+                                admissible=ok and hist[-1] >= eps, stable=ok,
+                                residual_curve=tuple(curve))
+            for (hA, hB), hist, (lams, curve), ok in zip(pairs, history, finest, stable)]
 
 
 def certify_homotopy(hA: OperatorHandle, hB: OperatorHandle, domain,
                      lambda_steps: int = 9, boundary_samples: int = 16,
                      eps: float | None = None, seed: int = DEFAULT_SEED,
                      max_doublings: int = 4) -> HomotopyCertificate:
-    """Empirical admissibility of H_lam = lam*A + (1-lam)*B over the domain.
-
-    Doubles the lambda grid and the boundary sampling until the minimum
-    boundary residual stabilizes (< 20% change) after at least two
-    doublings; admissible iff the stable minimum clears eps.  Each level's
-    samples go through each endpoint in stacked blocks of STACK_BLOCK.
-    """
-    if hA.space != hB.space:
-        raise ValueError("homotopy endpoints live in different spaces")
-    if eps is None:
-        eps = admissibility_eps(hA.problem) if hA.problem is not None else 1e-4
-    unflat = _unflattener(hA)
-
-    def level_eval(n_lam: int, n_samp: int):
-        lams = np.linspace(0.0, 1.0, n_lam)
-        samples = _domain_boundary_samples(hA, domain, n_samp, seed)
-        curve = np.full(n_lam, np.inf)
-        for lo in range(0, len(samples), STACK_BLOCK):
-            xs = samples[lo:lo + STACK_BLOCK]
-            x = unflat(xs)
-            a = _flatten(hA.apply_fn(x))
-            b = _flatten(hB.apply_fn(x))
-            # x - H_lam(x) = (x - b) + lam (b - a), componentwise
-            base, delta = xs - b, b - a
-            curve = np.minimum(curve, [np.max(np.abs(base + lam * delta), axis=-1).min()
-                                       for lam in lams])
-        return float(np.min(curve)), lams, curve
-
-    n_lam, n_samp = lambda_steps, boundary_samples
-    best, lams, curve = level_eval(n_lam, n_samp)
-    history = [best]
-    stable = False
-    for level in range(1, max_doublings + 1):
-        n_lam = 2 * n_lam - 1
-        n_samp *= 2
-        new, lams, curve = level_eval(n_lam, n_samp)
-        history.append(min(history[-1], new))
-        if level >= 2 and history[-2] > 0 and \
-                abs(history[-1] - history[-2]) < 0.2 * history[-2]:
-            stable = True
-            break
-    min_res = history[-1]
-    admissible = stable and min_res >= eps
-    return HomotopyCertificate(pair=(hA.name, hB.name),
-                               lambda_grid=tuple(lams),
-                               min_residual=min_res,
-                               refinements=len(history) - 1,
-                               admissible=admissible, stable=stable,
-                               residual_curve=tuple(curve))
+    """The certificate of one pair: see ``certify_homotopies``."""
+    return certify_homotopies([(hA, hB)], domain, lambda_steps, boundary_samples,
+                              eps, seed, max_doublings)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +487,77 @@ def default_pullback(problem, U2: DomainSpec, r: float | None = None) -> DomainS
     return deg_mod.pullback_domain(kind, U2, r)
 
 
+@dataclass(frozen=True)
+class Plan:
+    """A verdict in two parts: the homotopies (hA, hB, domain) its chain
+    needs, and ``conclude(certificates, core)``, which draws the verdict from
+    their certificates, in the order of ``homotopies``, and from the common
+    core (None unless ``needs_core``)."""
+
+    name: str
+    homotopies: tuple
+    conclude: Callable
+    needs_core: bool = False
+
+
+def run_plans(problem, plans, U1: FunctionBall, U2: DomainSpec,
+              seed: int = DEFAULT_SEED, timings: dict | None = None) -> list:
+    """The conclusions of the plans of one problem, in order.
+
+    Every distinct homotopy is certified once; the pairs over one domain
+    object go through one lock-step ``certify_homotopies`` call.  The common
+    core over U1 and U2 is checked once, if any plan needs it.  ``timings``,
+    if given, receives the seconds of each stage and of each conclusion.
+    """
+    key = lambda hA, hB, dom: (id(dom), _handle_key(hA), _handle_key(hB))
+    clock = time.perf_counter
+    t0 = clock()
+    by_domain: dict = {}  # id(domain) -> (domain, {key: pair}), first seen first
+    for plan in plans:
+        for hA, hB, dom in plan.homotopies:
+            by_domain.setdefault(id(dom), (dom, {}))[1].setdefault(key(hA, hB, dom), (hA, hB))
+    certs = {}
+    for dom, pairs in by_domain.values():
+        certs.update(zip(pairs, certify_homotopies(list(pairs.values()), dom, seed=seed)))
+    t1 = clock()
+    core = check_common_core(problem, U1, U2) if any(p.needs_core for p in plans) else None
+    t2 = clock()
+    out = []
+    for plan in plans:
+        t = clock()
+        out.append(plan.conclude(tuple(certs[key(*h)] for h in plan.homotopies), core))
+        if timings is not None:
+            timings[plan.name] = clock() - t
+    if timings is not None:
+        timings.update(homotopies=t1 - t0, common_core=t2 - t1)
+    return out
+
+
+def plan_duality(problem, pair: str, U1: FunctionBall, U2: DomainSpec,
+                 vr: DomainSpec, eta: float | None = None) -> Plan:
+    """The plan of one named duality instance (see ``verify_duality``); its
+    chains run over ``vr``, the pullback of U2."""
+    name = pair if eta is None else f"{pair}[{float(eta)}]"
+    if pair == "krasnoselskii":
+        return _plan_krasnoselskii(name, problem, U2, vr)
+    if pair == "eta_sign":
+        if eta is None:
+            raise ValueError("eta_sign pair needs eta")
+        return _plan_eta_sign(name, problem, U2, vr, eta)
+    if pair == "inverse_poincare":
+        return Plan(name, (), lambda certs, core: _verify_inverse_poincare(problem, U2))
+    if pair == "dirichlet_shooting":
+        return Plan(name, (), lambda certs, core: _verify_dirichlet(problem, U2, core),
+                    needs_core=True)
+    if pair == "delay":
+        return _plan_delay(name, problem, U1, U2)
+    if pair == "nonlocal_signs":
+        if eta is None:
+            raise ValueError("nonlocal_signs pair needs eta")
+        return Plan(name, (), lambda certs, core: _verify_nonlocal_signs(problem, eta))
+    raise ValueError(f"unknown duality pair {pair!r}")
+
+
 def verify_duality(problem, pair: str, U1: FunctionBall | None = None,
                    U2: DomainSpec | None = None, eta: float | None = None,
                    seed: int = DEFAULT_SEED) -> DualityReport:
@@ -430,84 +570,65 @@ def verify_duality(problem, pair: str, U1: FunctionBall | None = None,
         U2 = problem.default_U2()
     if U1 is None:
         U1 = problem.default_U1()
-
-    core = None
-    if pair in ("krasnoselskii", "eta_sign", "delay", "dirichlet_shooting"):
-        core = check_common_core(problem, U1, U2)
-
-    if pair == "krasnoselskii":
-        return _verify_krasnoselskii(problem, U1, U2, core, seed)
-    if pair == "eta_sign":
-        if eta is None:
-            raise ValueError("eta_sign pair needs eta")
-        return _verify_eta_sign(problem, U1, U2, eta, core, seed)
-    if pair == "inverse_poincare":
-        return _verify_inverse_poincare(problem, U2)
-    if pair == "dirichlet_shooting":
-        return _verify_dirichlet(problem, U2, core)
-    if pair == "delay":
-        return _verify_delay(problem, U1, U2, core, seed)
-    if pair == "nonlocal_signs":
-        if eta is None:
-            raise ValueError("nonlocal_signs pair needs eta")
-        return _verify_nonlocal_signs(problem, eta)
-    raise ValueError(f"unknown duality pair {pair!r}")
+    plan = plan_duality(problem, pair, U1, U2, default_pullback(problem, U2), eta)
+    return run_plans(problem, [plan], U1, U2, seed)[0]
 
 
-def _verify_krasnoselskii(problem, U1, U2, core, seed=DEFAULT_SEED) -> DualityReport:
+def _plan_krasnoselskii(name, problem, U2, vr) -> Plan:
     k_op = operators.build("K", problem)
     k1_op = operators.build("K1", problem)
     ktilde = operators.build("Ktilde", problem)
-    vr = default_pullback(problem, U2)
-    certs = (certify_homotopy(k_op, k1_op, vr, seed=seed),
-             certify_homotopy(k1_op, ktilde, vr, seed=seed))
-    left = finite_rank_reduce(ktilde, U2, r=vr.r)
-    right = fixed_point_degree(operators.build_finite("K2", problem).apply_fn, U2)
-    equal = (left.degree == right.degree and left.certified and right.certified
-             and all(c.admissible for c in certs)
-             and (core is None or core.verdict))
-    return DualityReport("krasnoselskii", left, right, equal,
-                         route="homotopy_chain", certificates=certs,
-                         common_core=core)
+
+    def conclude(certs, core) -> DualityReport:
+        left = finite_rank_reduce(ktilde, U2, r=vr.r)
+        right = fixed_point_degree(operators.build_finite("K2", problem).apply_fn, U2)
+        equal = (left.degree == right.degree and left.certified and right.certified
+                 and all(c.admissible for c in certs)
+                 and (core is None or core.verdict))
+        return DualityReport("krasnoselskii", left, right, equal,
+                             route="homotopy_chain", certificates=certs,
+                             common_core=core)
+
+    return Plan(name, ((k_op, k1_op, vr), (k1_op, ktilde, vr)), conclude,
+                needs_core=True)
 
 
-def _verify_eta_sign(problem, U1, U2, eta: float, core,
-                     seed=DEFAULT_SEED) -> DualityReport:
+def _plan_eta_sign(name, problem, U2, vr, eta: float) -> Plan:
     n = problem.field().dim
     keta = operators.build("Keta", problem, {"eta": eta})
     k3 = operators.build("K3", problem)
     ktilde = operators.build("Ktilde", problem)
-    vr = default_pullback(problem, U2)
-    # right side: deg(I - K3) via the paper's chain K3 ~ K4 ~ K and reduction
+    # right side: deg(I - K3) via the paper's chain K3 ~ K4 ~ K and reduction;
+    # the left side's chain starts at Keta ~ K3 (eta > 0) or Keta ~ Khat3
     k4 = operators.build("K4", problem)
     k_op = operators.build("K", problem)
-    chain = [certify_homotopy(k3, k4, vr, seed=seed),
-             certify_homotopy(k4, k_op, vr, seed=seed)]
-    right = finite_rank_reduce(ktilde, U2, r=vr.r)
+    first = k3 if eta > 0 else operators.build("Khat3", problem)
 
-    if eta > 0:
-        chain.insert(0, certify_homotopy(keta, k3, vr, seed=seed))
-        left = DegreeResult(degree=right.degree, method=right.method,
-                            min_boundary_norm=right.min_boundary_norm,
-                            refinement_levels=right.refinement_levels,
-                            certified=right.certified, zeros=right.zeros,
-                            params={"via": "chain Keta~K3~K4~K~reduction"})
-    else:
-        khat3 = operators.build("Khat3", problem)
-        chain.insert(0, certify_homotopy(keta, khat3, vr, seed=seed))
-        # hat chain bottoms out at K2hat(x0) = 2 x0 - P(x0)
-        P = operators.build_finite("K2", problem).apply_fn
-        left = fixed_point_degree(
-            lambda v: 2.0 * v - np.asarray(P(v), dtype=float), U2)
-    sign = 1 if eta > 0 else (-1) ** n
-    equal = (left.degree == sign * right.degree
-             and left.certified and right.certified
-             and all(c.admissible for c in chain)
-             and (core is None or core.verdict))
-    return DualityReport("eta_sign", left, right, equal,
-                         route="homotopy_chain", certificates=tuple(chain),
-                         sign_factor=sign, common_core=core,
-                         params={"eta": eta})
+    def conclude(certs, core) -> DualityReport:
+        right = finite_rank_reduce(ktilde, U2, r=vr.r)
+        if eta > 0:
+            left = DegreeResult(degree=right.degree, method=right.method,
+                                min_boundary_norm=right.min_boundary_norm,
+                                refinement_levels=right.refinement_levels,
+                                certified=right.certified, zeros=right.zeros,
+                                params={"via": "chain Keta~K3~K4~K~reduction"})
+        else:
+            # hat chain bottoms out at K2hat(x0) = 2 x0 - P(x0)
+            P = operators.build_finite("K2", problem).apply_fn
+            left = fixed_point_degree(
+                lambda v: 2.0 * v - np.asarray(P(v), dtype=float), U2)
+        sign = 1 if eta > 0 else (-1) ** n
+        equal = (left.degree == sign * right.degree
+                 and left.certified and right.certified
+                 and all(c.admissible for c in certs)
+                 and (core is None or core.verdict))
+        return DualityReport("eta_sign", left, right, equal,
+                             route="homotopy_chain", certificates=certs,
+                             sign_factor=sign, common_core=core,
+                             params={"eta": eta})
+
+    return Plan(name, ((keta, first, vr), (k3, k4, vr), (k4, k_op, vr)), conclude,
+                needs_core=True)
 
 
 def _verify_inverse_poincare(problem, U2) -> DualityReport:
@@ -554,30 +675,33 @@ def _verify_dirichlet(problem, U2, core) -> DualityReport:
                          params={"block_sign_identity": block_ok})
 
 
-def _verify_delay(problem, U1, U2, core, seed=DEFAULT_SEED) -> DualityReport:
+def _plan_delay(name, problem, U1, U2) -> Plan:
     coarse = problem.with_history_nodes()
     k_op = operators.build("Kdelay", problem)
     k1_op = operators.build("Kdelay1", problem)
     ktilde = operators.build("Ktilde", coarse)
     if not isinstance(U1, FunctionBall):
         raise ValueError("delay pair needs a sup-norm ball U1")
-    certs = (certify_homotopy(k_op, k1_op, U1, seed=seed),)
-    left = finite_rank_reduce(ktilde, U2)
-    fin = operators.build_finite("Kdelay2", problem,
-                                 {"history_nodes": problem.history_nodes()})
-    right = fixed_point_degree(fin.apply_fn, U2)
-    # independent sign oracle: sgn det(I - DP) of the discrete monodromy at
-    # the first history-space fixed point, by finite differences
-    mono = 0
-    if right.zeros:
-        jac = fd_jacobian(defect(fin.apply_fn), np.asarray(right.zeros[0]))
-        mono = int(np.sign(np.linalg.det(jac)))
-    equal = (left.degree == right.degree and left.certified and right.certified
-             and all(c.admissible for c in certs)
-             and (core is None or core.verdict))
-    return DualityReport("delay", left, right, equal, route="homotopy_chain",
-                         certificates=certs, common_core=core,
-                         params={"monodromy_det_sign": mono})
+
+    def conclude(certs, core) -> DualityReport:
+        left = finite_rank_reduce(ktilde, U2)
+        fin = operators.build_finite("Kdelay2", problem,
+                                     {"history_nodes": problem.history_nodes()})
+        right = fixed_point_degree(fin.apply_fn, U2)
+        # independent sign oracle: sgn det(I - DP) of the discrete monodromy at
+        # the first history-space fixed point, by finite differences
+        mono = 0
+        if right.zeros:
+            jac = fd_jacobian(defect(fin.apply_fn), np.asarray(right.zeros[0]))
+            mono = int(np.sign(np.linalg.det(jac)))
+        equal = (left.degree == right.degree and left.certified and right.certified
+                 and all(c.admissible for c in certs)
+                 and (core is None or core.verdict))
+        return DualityReport("delay", left, right, equal, route="homotopy_chain",
+                             certificates=certs, common_core=core,
+                             params={"monodromy_det_sign": mono})
+
+    return Plan(name, ((k_op, k1_op, U1),), conclude, needs_core=True)
 
 
 def _verify_nonlocal_signs(problem, eta: float) -> DualityReport:

@@ -9,7 +9,6 @@ suites over a problem and returns a deterministic report.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field as dc_field, replace
 from importlib import resources
 from typing import Callable
@@ -368,46 +367,45 @@ def _sign_instances(problem: ProblemSpec, etas) -> list[tuple[str, dict]]:
     return []
 
 
-def _operator_chain(problem: ProblemSpec, seed: int) -> tuple[list, list]:
-    """Operator-family checks: chain homotopies and/or solution residuals."""
-    certs: list[dict] = []
-    residuals: list[dict] = []
+def _operator_plan(problem: ProblemSpec, U1, U2, vr) -> certify.Plan:
+    """Operator-family checks: chain homotopies and/or solution residuals.
+    Concludes with (certificate dicts, residual dicts)."""
     if problem.kind in operators.PERIODIC_KINDS:
-        U2 = problem.default_U2()
-        vr = certify.default_pullback(problem, U2)
-        chain_deg = deg_mod.finite_rank_reduce(
-            operators.build("Ktilde", problem), U2, r=vr.r)
-        for a, b in (("K", "Kgamma"), ("K4", "K3"), ("K3", "K5")):
-            cert = certify.certify_homotopy(operators.build(a, problem),
-                                            operators.build(b, problem),
-                                            vr, seed=seed)
-            d = report_mod.certificate_dict(cert)
-            d["chain_degree"] = chain_deg.degree
-            certs.append(d)
-    elif problem.kind == "periodic_dde":
-        k6 = operators.build("K6", problem)
-        fps = certify.find_fixed_points(k6, problem.default_U1())
+        chain = (("K", "Kgamma"), ("K4", "K3"), ("K3", "K5"))
+        homotopies = tuple((operators.build(a, problem), operators.build(b, problem), vr)
+                           for a, b in chain)
+
+        def conclude(certs, core):
+            chain_deg = deg_mod.finite_rank_reduce(
+                operators.build("Ktilde", problem), U2, r=vr.r)
+            dicts = [dict(report_mod.certificate_dict(c), chain_degree=chain_deg.degree)
+                     for c in certs]
+            return dicts, []
+
+        return certify.Plan("operators", homotopies, conclude)
+
+    names = ("K6", "K7", "K8") if problem.kind == "periodic_dde" else ("Kdir", "Kdir1")
+
+    def conclude(certs, core):
+        out: list[dict] = []
+        fps = certify.find_fixed_points(operators.build(names[0], problem), U1)
         for fp in fps:
-            for name in ("K6", "K7", "K8"):
+            for name in names:
                 h = operators.build(name, problem)
-                residuals.append({"operator": name,
-                                  "solution_sup_norm": fp.sup_norm(),
-                                  "residual": operators.residual(h, fp)})
-    elif problem.kind == "dirichlet_bvp":
-        kdir = operators.build("Kdir", problem)
-        fps = certify.find_fixed_points(kdir, problem.default_U1())
-        for fp in fps:
-            for name in ("Kdir", "Kdir1"):
-                h = operators.build(name, problem)
-                residuals.append({"operator": name,
-                                  "solution_sup_norm": fp.sup_norm(),
-                                  "residual": operators.residual(h, fp)})
-    return certs, residuals
+                out.append({"operator": name, "solution_sup_norm": fp.sup_norm(),
+                            "residual": operators.residual(h, fp)})
+        return [], out
+
+    return certify.Plan("operators", (), conclude)
 
 
 def run(problem: ProblemSpec, suite: str = "all", grid_m: int | None = None,
         etas: tuple | None = None, seed: int = certify.DEFAULT_SEED) -> RunReport:
-    """Execute a verification suite on one problem, deterministically."""
+    """Execute a verification suite on one problem, deterministically.
+
+    Every verdict's homotopies are certified together, each distinct one
+    once, and the common core is checked once (``certify.run_plans``).
+    """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     if grid_m is not None:
@@ -419,23 +417,18 @@ def run(problem: ProblemSpec, suite: str = "all", grid_m: int | None = None,
     if suite in ("all", "signs"):
         instances += _sign_instances(problem, etas)
 
-    timings: dict[str, float] = {}
-    duality = []
-    for pair, kw in instances:
-        t0 = time.perf_counter()
-        d = report_mod.duality_dict(
-            problem.pid, certify.verify_duality(problem, pair, seed=seed, **kw))
-        duality.append(d)
-        timings[f"{pair}[{d.get('eta', '')}]" if "eta" in d else pair] = \
-            time.perf_counter() - t0
-
-    certs: list = []
-    residuals: list = []
+    U1, U2 = problem.default_U1(), problem.default_U2()
+    vr = certify.default_pullback(problem, U2)
+    plans = [certify.plan_duality(problem, pair, U1, U2, vr, **kw)
+             for pair, kw in instances]
     if suite in ("all", "operators"):
-        t0 = time.perf_counter()
-        certs, residuals = _operator_chain(problem, seed)
-        timings["operators"] = time.perf_counter() - t0
+        plans.append(_operator_plan(problem, U1, U2, vr))
+    timings: dict[str, float] = {}
+    results = certify.run_plans(problem, plans, U1, U2, seed, timings)
 
+    duality = [report_mod.duality_dict(problem.pid, rep)
+               for rep in results[:len(instances)]]
+    certs, residuals = results[-1] if suite in ("all", "operators") else ([], [])
     verdict = all(d["equal"] for d in duality) \
         and all(c["admissible"] for c in certs) \
         and all(r["residual"] <= 5e-5 for r in residuals)

@@ -138,6 +138,34 @@ class TestCertifyHomotopy:
                              operators.build_finite("K2", P1),
                              P1.default_U1())
 
+    @pytest.mark.parametrize("steps", [1, 0])
+    def test_single_lambda_rejected(self, steps):
+        # one lambda checks only B: at lambda_steps=1 the grid stays [0.0]
+        with pytest.raises(ValueError, match="lambda_steps must be at least 2"):
+            certify_homotopy(operators.build("K", P1), operators.build("Kgamma", P1),
+                             P1.default_U1(), lambda_steps=steps)
+
+    def test_negative_doublings_rejected(self):
+        h = operators.build("K", P1)
+        with pytest.raises(ValueError, match="max_doublings must be at least 0"):
+            certify_homotopy(h, h, P1.default_U1(), max_doublings=-1)
+
+    def test_empty_pairs_rejected(self):
+        with pytest.raises(ValueError, match="pairs is empty"):
+            certify.certify_homotopies([], P1.default_U1())
+
+    def test_mixed_problems_rejected(self):
+        pairs = [(operators.build("K", P1), operators.build("K1", P1)),
+                 (operators.build("K", P2), operators.build("K1", P2))]
+        with pytest.raises(ValueError, match="pairs mix problems"):
+            certify.certify_homotopies(pairs, P1.default_U1())
+
+    def test_mixed_spaces_rejected(self):
+        fin = operators.build_finite("K2", P1)
+        pairs = [(operators.build("K", P1), operators.build("K1", P1)), (fin, fin)]
+        with pytest.raises(ValueError, match="pairs mix spaces"):
+            certify.certify_homotopies(pairs, P1.default_U1())
+
     def test_pullback_needs_grid_space(self):
         U = certify.default_pullback(P4, P4.default_U2())
         with pytest.raises(ValueError, match="pullback boundary samples need "

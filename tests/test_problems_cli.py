@@ -113,6 +113,16 @@ class TestRun:
         with pytest.raises(ValueError, match="unknown suite"):
             run(get_problem("p1"), suite="bogus")
 
+    @pytest.mark.parametrize("pid", ["p1", "p3"])
+    def test_common_core_checked_once_per_run(self, pid, monkeypatch):
+        calls = []
+        check = certify.check_common_core
+        monkeypatch.setattr(certify, "check_common_core",
+                            lambda *a, **k: calls.append(a) or check(*a, **k))
+        rep = run(get_problem(pid), "all", grid_m=32)
+        assert calls == [calls[0]] and rep.verdict
+        assert sum(d["common_core"] is not None for d in rep.duality) == 3
+
     def test_determinism_excluding_timings(self):
         docs = []
         for _ in range(2):

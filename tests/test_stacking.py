@@ -4,19 +4,22 @@ Every stacked path must give, bit for bit, what one call per node, per state
 or per sample gives; the references below are those loops.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from dualdeg import flows, gridfn, operators, problems
-from dualdeg.degree import _multistart_seeds, _newton, defect, fd_jacobian
+from dualdeg import certify, flows, gridfn, operators, problems
+from dualdeg.certify import HomotopyCertificate
+from dualdeg.degree import STACK_BLOCK, _multistart_seeds, _newton, box_domain, defect, \
+    fd_jacobian
 from dualdeg.flows import IntegrationError, VectorFieldSpec
 from dualdeg.gridfn import DelayKernel, Grid, GridFunction, constant
 
 P3 = replace(problems.get_problem("p3"), m=32)
 P4 = replace(problems.get_problem("p4"), m=16)
 P6 = replace(problems.get_problem("p6"), m=16)
+P1 = replace(problems.get_problem("p1"), m=32)
 
 # right for one state (n,); on a stack it indexes states, not components
 SCALAR_ONLY = lambda t, x: np.array([x[1], -x[0]])
@@ -216,3 +219,140 @@ class TestLockStepNewton:
                                 X[..., 1]], axis=-1)
         ok = self._check(g, np.array([[13.0, 0.5], [100.0, 0.5], [0.5, 0.5]]))
         assert ok.tolist() == [True, False, True]
+
+
+def _certify_one(hA, hB, domain, max_doublings=4, lambda_steps=9, boundary_samples=16,
+                 seed=certify.DEFAULT_SEED):
+    """One pair alone: each level builds its own samples and applies both
+    endpoints to each block."""
+    eps = certify.admissibility_eps(hA.problem) if hA.problem is not None else 1e-4
+    unflat = certify._unflattener(hA)
+
+    def level(n_lam, n_samp):
+        lams = np.linspace(0.0, 1.0, n_lam)
+        samples = certify._domain_boundary_samples(hA, domain, n_samp, seed)
+        curve = np.full(n_lam, np.inf)
+        for lo in range(0, len(samples), STACK_BLOCK):
+            xs = samples[lo:lo + STACK_BLOCK]
+            a = certify._flatten(hA.apply_fn(unflat(xs)))
+            b = certify._flatten(hB.apply_fn(unflat(xs)))
+            curve = np.minimum(curve, [np.max(np.abs((xs - b) + lam * (b - a)), axis=-1).min()
+                                       for lam in lams])
+        return float(np.min(curve)), lams, curve
+
+    n_lam, n_samp = lambda_steps, boundary_samples
+    best, lams, curve = level(n_lam, n_samp)
+    history = [best]
+    stable = False
+    for lv in range(1, max_doublings + 1):
+        n_lam, n_samp = 2 * n_lam - 1, 2 * n_samp
+        new, lams, curve = level(n_lam, n_samp)
+        history.append(min(history[-1], new))
+        if lv >= 2 and history[-2] > 0 and abs(history[-1] - history[-2]) < 0.2 * history[-2]:
+            stable = True
+            break
+    return HomotopyCertificate(pair=(hA.name, hB.name), lambda_grid=tuple(lams),
+                               min_residual=history[-1], refinements=len(history) - 1,
+                               admissible=stable and history[-1] >= eps, stable=stable,
+                               residual_curve=tuple(curve))
+
+
+def _pairs(problem, names):
+    """Handle pairs, each endpoint built afresh; a name may carry ("Keta", eta)."""
+    def build(name):
+        if isinstance(name, tuple):
+            return operators.build(name[0], problem, {"eta": name[1]})
+        return operators.build(name, problem)
+    return [(build(a), build(b)) for a, b in names]
+
+
+# the distinct pullback pairs of run(p3, "all"): krasnoselskii, both eta_sign
+# chains and the operator suite
+P3_RUN = (("K", "K1"), ("K1", "Ktilde"), (("Keta", 1.0), "K3"), ("K3", "K4"),
+          ("K4", "K"), (("Keta", -1.0), "Khat3"), ("K", "Kgamma"), ("K4", "K3"),
+          ("K3", "K5"))
+
+# Dip: 1 - Dip(x) is the sup distance from x to a boundary point no lattice
+# hits, so its boundary minimum shrinks by more than 20% with each doubling
+_OFF_LATTICE = np.array([1.0, 0.1234567])
+DIP = operators.OperatorHandle(
+    "Dip", operators.FINITE_SPACE,
+    lambda X: X - np.max(np.abs(X - _OFF_LATTICE), axis=-1, keepdims=True))
+HALF = operators.OperatorHandle("Half", operators.FINITE_SPACE, lambda X: 0.5 * X)
+ZERO = operators.OperatorHandle("Zero", operators.FINITE_SPACE, lambda X: 0.0 * X)
+SQUARE = box_domain([[-1.0, 1.0], [-1.0, 1.0]])
+
+
+class TestLockStepCertificates:
+    def _check(self, pairs, domain, **kw):
+        certs = certify.certify_homotopies(pairs, domain, **kw)
+        assert len(certs) == len(pairs)
+        for (hA, hB), cert in zip(pairs, certs):
+            ref = _certify_one(hA, hB, domain, **kw)
+            for f in fields(HomotopyCertificate):
+                assert getattr(cert, f.name) == getattr(ref, f.name), (cert.pair, f.name)
+        return certs
+
+    def test_p3_run_pairs_over_the_pullback(self):
+        vr = certify.default_pullback(P3, P3.default_U2())
+        certs = self._check(_pairs(P3, P3_RUN), vr)
+        assert all(c.admissible for c in certs)
+
+    def test_p1_ball_sample_counts_grow(self):
+        names = (("K", "Kgamma"), ("K", "K1"), ("K4", "K3"), (("Keta", -1.0), "Khat3"))
+        certs = self._check(_pairs(P1, names), P1.default_U1())
+        # K ~ K1 refines once more than the others: the live set shrinks
+        assert sorted(c.refinements for c in certs) == [2, 2, 2, 3]
+
+    def test_p6_delay_pair(self):
+        self._check(_pairs(P6, (("Kdelay", "Kdelay1"),)), P6.default_U1())
+
+    def test_duplicated_pair(self):
+        certs = self._check(_pairs(P1, (("K", "Kgamma"), ("K", "Kgamma"))), P1.default_U1())
+        assert certs[0] == certs[1]
+
+    def test_unstable_pair_at_max_doublings_2(self):
+        certs = self._check([(DIP, ZERO), (HALF, ZERO)], SQUARE, max_doublings=2)
+        assert [c.stable for c in certs] == [False, True]
+        assert not certs[0].admissible
+        # with room to refine, Dip runs on alone after Half stops at level 2
+        certs = self._check([(DIP, ZERO), (HALF, ZERO)], SQUARE)
+        assert [c.refinements for c in certs] == [4, 2]
+
+    def test_each_distinct_handle_once_per_block_per_pass(self):
+        calls = {}
+
+        def counted(h):
+            def apply_fn(x):
+                calls.setdefault((h.name, repr(h.params)), []).append(len(x.values))
+                return h.apply_fn(x)
+            return replace(h, apply_fn=apply_fn)
+
+        pairs = [(counted(a), counted(b)) for a, b in _pairs(P3, P3_RUN)]
+        vr = certify.default_pullback(P3, P3.default_U2())
+        certs = certify.certify_homotopies(pairs, vr)
+        assert all(c.refinements == 2 for c in certs)
+        # the pullback lattice saturates at 24 per axis: level 1 (32 samples
+        # asked) and level 2 (64) build one sample set and share one pass
+        samples = [certify._domain_boundary_samples(pairs[0][0], vr, n, certify.DEFAULT_SEED)
+                   for n in (16, 32, 64)]
+        assert np.array_equal(samples[1], samples[2])
+        blocks = [len(x[lo:lo + STACK_BLOCK]) for x in samples[:2]
+                  for lo in range(0, len(x), STACK_BLOCK)]
+        distinct = {(h.name, repr(h.params)) for pair in pairs for h in pair}
+        assert len(distinct) == 10
+        assert calls == {key: blocks for key in distinct}
+
+    @pytest.mark.parametrize("problem,domain", [
+        (P1, certify.default_pullback(P1, P1.default_U2())),
+        (P3, certify.default_pullback(P3, P3.default_U2())),
+        (P1, P1.default_U1()),
+        (None, SQUARE)], ids=["pullback-1d", "pullback-2d", "ball", "box"])
+    def test_equal_resolution_equal_samples(self, problem, domain):
+        h = ZERO if problem is None else operators.build("K", problem)
+        counts = [16 * 2 ** lv for lv in range(5)]
+        for lo, hi in zip(counts, counts[1:]):
+            same = certify._sample_resolution(domain, lo) == \
+                certify._sample_resolution(domain, hi)
+            a, b = (certify._domain_boundary_samples(h, domain, n, 7) for n in (lo, hi))
+            assert same == (a.shape == b.shape and np.array_equal(a, b))
