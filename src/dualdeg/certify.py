@@ -145,8 +145,7 @@ def _finite_handle(problem) -> OperatorHandle:
     if problem.kind == "dirichlet_bvp":
         return operators.build_finite("Kdir2", problem)
     if problem.kind == "periodic_dde":
-        return operators.build_finite(
-            "Kdelay2", problem, {"history_nodes": problem.history_nodes()})
+        return operators.build_finite("Kdelay2", problem)
     raise ValueError(f"no finite side for problem kind {problem.kind!r}")
 
 
@@ -158,8 +157,7 @@ def _grid_representative(problem, v: np.ndarray):
         return flows.mu_periodic(f, v, m=grid.m)
     if problem.kind == "dirichlet_bvp":
         n = f.dim
-        sol = flows.mu_dirichlet(f, v[:n], v[n:], m=grid.m)
-        return C1Function(sol.x, v[:n])
+        return C1Function(flows.mu_dirichlet(f, v[:n], v[n:], m=grid.m), v[:n])
     if problem.kind == "periodic_dde":
         kernel = problem.kernel()
         v = np.atleast_1d(np.asarray(v, dtype=float))
@@ -285,11 +283,15 @@ def _sample_resolution(dom, count: int) -> int:
 
 def _pullback_boundary_samples(problem, dom: DomainSpec, count: int, seed: int):
     """Boundary of pi^{-1}(U) cap B(0, r), as grid-function values (S, m+1, n):
-    lifted finite-boundary points with tangential bumps, plus norm-r shell
-    points."""
+    finite-boundary points lifted by the right inverse i of the problem's
+    Ktilde reduction, with tangential bumps, plus norm-r shell points."""
     r = dom.r
     b, per = _face_lattice(dom, count)
-    lift = lambda u: operators.i_map(dom.projector, u, problem).values
+    red = operators.build("Ktilde", problem).reduction
+    if b.shape[0] != red.k:
+        raise ValueError(f"pullback box has dimension {b.shape[0]}, but the Ktilde "
+                         f"reduction of {problem.pid} has k = {red.k}")
+    lift = lambda u: red.i(u).values
     sup = lambda v: np.max(np.abs(v), axis=(-2, -1))
     # fixed bump pool across refinement levels: refining only refines the
     # finite-boundary lattice, so the boundary minimum is stable
@@ -473,18 +475,10 @@ class DualityReport:
     common_core: CommonCoreReport | None = None
     params: dict = dc_field(default_factory=dict)
 
-    @property
-    def conclusive(self) -> bool:
-        return self.left.certified and self.right.certified
 
-
-def default_pullback(problem, U2: DomainSpec, r: float | None = None) -> DomainSpec:
-    kind = {"periodic_ode": "periodic", "nonlocal_1d": "periodic",
-            "dirichlet_bvp": "dirichlet", "periodic_dde": "delay"}[problem.kind]
-    if r is None:
-        b = U2.as_box()
-        r = 2.0 * (float(np.max(np.abs(b))) + 1.0)
-    return deg_mod.pullback_domain(kind, U2, r)
+def default_pullback(U2: DomainSpec) -> DomainSpec:
+    """pi^{-1}(U2) cap B(0, r) with r = 2 (max |U2| + 1)."""
+    return deg_mod.pullback_domain(U2, 2.0 * (float(np.max(np.abs(U2.as_box()))) + 1.0))
 
 
 @dataclass(frozen=True)
@@ -570,7 +564,7 @@ def verify_duality(problem, pair: str, U1: FunctionBall | None = None,
         U2 = problem.default_U2()
     if U1 is None:
         U1 = problem.default_U1()
-    plan = plan_duality(problem, pair, U1, U2, default_pullback(problem, U2), eta)
+    plan = plan_duality(problem, pair, U1, U2, default_pullback(U2), eta)
     return run_plans(problem, [plan], U1, U2, seed)[0]
 
 
@@ -685,8 +679,7 @@ def _plan_delay(name, problem, U1, U2) -> Plan:
 
     def conclude(certs, core) -> DualityReport:
         left = finite_rank_reduce(ktilde, U2)
-        fin = operators.build_finite("Kdelay2", problem,
-                                     {"history_nodes": problem.history_nodes()})
+        fin = operators.build_finite("Kdelay2", problem)
         right = fixed_point_degree(fin.apply_fn, U2)
         # independent sign oracle: sgn det(I - DP) of the discrete monodromy at
         # the first history-space fixed point, by finite differences

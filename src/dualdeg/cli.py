@@ -112,8 +112,6 @@ def degree(problem, operator, domain_spec, eta):
         if eta is None:
             raise click.ClickException("Keta needs --eta")
         params["eta"] = eta
-    if operator == "Kdelay2":
-        params["history_nodes"] = spec.history_nodes()
     try:
         handle = operators.build(operator, spec, params)
     except ValueError as exc:

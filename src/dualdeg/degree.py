@@ -36,18 +36,16 @@ class CollisionError(ValueError):
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Bounded open set: box or sup-norm ball in R^k, or a pullback domain.
+    """Bounded open set: a box in R^k, or a pullback domain.
 
     A pullback domain realizes pi^{-1}(U) intersected with the sup-norm
-    ball of radius r in the discretized function space, for a finite
-    domain U and a boundary projector identified by ``projector``.
+    ball of radius r in the discretized function space, for a finite box U;
+    pi is the boundary projection of the reduction witness of the operators
+    sampled over it.
     """
 
-    kind: str  # "box" | "ball" | "pullback"
+    kind: str  # "box" | "pullback"
     box: np.ndarray | None = None
-    center: np.ndarray | None = None
-    radius: float | None = None
-    projector: str | None = None
     finite: "DomainSpec | None" = None
     r: float | None = None
 
@@ -60,11 +58,6 @@ class DomainSpec:
                 raise ValueError("box must have nonempty interior")
             b.setflags(write=False)
             object.__setattr__(self, "box", b)
-        elif self.kind == "ball":
-            c = np.atleast_1d(np.asarray(self.center, dtype=float))
-            if not (self.radius and self.radius > 0):
-                raise ValueError("ball needs radius > 0")
-            object.__setattr__(self, "center", c)
         elif self.kind == "pullback":
             if self.finite is None or not (self.r and self.r > 0):
                 raise ValueError("pullback needs a finite domain and r > 0")
@@ -75,16 +68,11 @@ class DomainSpec:
     def dim(self) -> int:
         if self.kind == "box":
             return self.box.shape[0]
-        if self.kind == "ball":
-            return self.center.shape[0]
         return self.finite.dim
 
     def as_box(self) -> np.ndarray:
         if self.kind == "box":
             return self.box
-        if self.kind == "ball":
-            return np.stack([self.center - self.radius,
-                             self.center + self.radius], axis=1)
         raise ValueError("pullback domains have no finite box form")
 
     def contains(self, v) -> bool:
@@ -97,12 +85,8 @@ def box_domain(bounds) -> DomainSpec:
     return DomainSpec("box", box=np.asarray(bounds, dtype=float))
 
 
-def ball_domain(center, radius: float) -> DomainSpec:
-    return DomainSpec("ball", center=np.asarray(center, dtype=float), radius=radius)
-
-
-def pullback_domain(projector: str, finite: DomainSpec, r: float) -> DomainSpec:
-    return DomainSpec("pullback", projector=projector, finite=finite, r=r)
+def pullback_domain(finite: DomainSpec, r: float) -> DomainSpec:
+    return DomainSpec("pullback", finite=finite, r=r)
 
 
 @dataclass(frozen=True)
@@ -134,52 +118,22 @@ def brouwer_1d(g: Callable[[float], float], interval, eps: float = DEFAULT_EPS) 
 # 2-d: winding number
 # ---------------------------------------------------------------------------
 
-def _box_loop(box: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    (x0, x1), (y0, y1) = box
-    corners = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1], [x0, y0]])
+def brouwer_2d_winding(g: Callable, box: DomainSpec, eps: float = DEFAULT_EPS) -> DegreeResult:
+    """Degree of g over a 2-d box by the winding number along its boundary.
 
-    def param(s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s) * 4.0
-        seg = np.minimum(s.astype(int), 3)
-        frac = s - seg
-        return corners[seg] + frac[:, None] * (corners[seg + 1] - corners[seg])
-
-    return param
-
-
-def _polygon_loop(vertices: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    verts = np.asarray(vertices, dtype=float)
-    if np.max(np.abs(verts[0] - verts[-1])) > 0:
-        verts = np.vstack([verts, verts[0]])
-    nseg = len(verts) - 1
-
-    def param(s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s) * nseg
-        seg = np.minimum(s.astype(int), nseg - 1)
-        frac = s - seg
-        return verts[seg] + frac[:, None] * (verts[seg + 1] - verts[seg])
-
-    return param
-
-
-def brouwer_2d_winding(g: Callable, boundary, eps: float = DEFAULT_EPS) -> DegreeResult:
-    """Degree of g over the region enclosed by the boundary loop.
-
-    ``boundary`` may be a box DomainSpec, an (N, 2) vertex array, or a
-    parameterization callable s in [0, 1) -> R^2.  Sampling doubles until
-    every per-segment angle increment is below pi/2.
+    Sampling doubles until every per-segment angle increment is below pi/2.
     """
-    if isinstance(boundary, DomainSpec):
-        param = _box_loop(boundary.as_box())
-    elif callable(boundary):
-        param = lambda s: np.asarray([boundary(si) for si in s], dtype=float)
-    else:
-        param = _polygon_loop(boundary)
+    b = box.as_box()
+    if b.shape[0] != 2:
+        raise ValueError(f"brouwer_2d_winding needs a 2-d box, got dimension {b.shape[0]}")
+    (x0, x1), (y0, y1) = b
+    corners = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1], [x0, y0]])
 
     n = 64
     for level in range(MAX_WINDING_DOUBLINGS + 1):
-        s = np.arange(n) / n
-        pts = param(s)
+        s = np.arange(n) / n * 4.0
+        seg = np.minimum(s.astype(int), 3)
+        pts = corners[seg] + (s - seg)[:, None] * (corners[seg + 1] - corners[seg])
         vals = _map_rows(g, pts)
         margin = float(np.min(np.max(np.abs(vals), axis=1)))
         z = vals[:, 0] + 1j * vals[:, 1]

@@ -53,13 +53,6 @@ class VectorFieldSpec:
             raise ValueError("delay fields need tau > 0")
 
 
-@dataclass(frozen=True)
-class FlowResult:
-    trajectory: GridFunction
-    endpoint: np.ndarray
-    steps: int
-
-
 def _check_finite(v: np.ndarray, step: int, t: float):
     if not np.all(np.isfinite(v)):
         raise IntegrationError(f"non-finite state at step {step} (t={t})")
@@ -82,8 +75,8 @@ def _rk4(rhs, y0: np.ndarray, a: float, h: float, m: int) -> np.ndarray:
     return track
 
 
-def flow(f: VectorFieldSpec, x0, grid: Grid) -> FlowResult:
-    """Integrate x' = f(t, x) over the grid with classical RK4, x0 (..., n)."""
+def flow(f: VectorFieldSpec, x0, grid: Grid) -> GridFunction:
+    """Track of x' = f(t, x) over the grid by classical RK4, x0 (..., n)."""
     if f.kind != NONDELAY:
         raise ValueError(f"flow needs a nondelay field, got kind {f.kind!r}")
     x = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -93,30 +86,17 @@ def flow(f: VectorFieldSpec, x0, grid: Grid) -> FlowResult:
     if not np.all(np.isfinite(vals)):
         raise IntegrationError(f"non-finite state while integrating over "
                                f"[{grid.a}, {grid.b}]")
-    traj = GridFunction(grid, vals)
-    return FlowResult(trajectory=traj, endpoint=vals[..., -1, :].copy(), steps=grid.m)
+    return GridFunction(grid, vals)
 
 
 def poincare(f: VectorFieldSpec, x0, m: int = 256) -> np.ndarray:
     """Time-T map x0 -> Phi(T, x0)."""
-    return flow(f, x0, Grid(0.0, f.period, m)).endpoint
+    return flow(f, x0, Grid(0.0, f.period, m)).values[..., -1, :].copy()
 
 
 def mu_periodic(f: VectorFieldSpec, x0, m: int = 256) -> GridFunction:
     """Trajectory t -> Phi(t, x0) on [0, T]."""
-    return flow(f, x0, Grid(0.0, f.period, m)).trajectory
-
-
-@dataclass(frozen=True)
-class SecondOrderSolution:
-    """Position track of a second-order solve plus its derivative track."""
-
-    x: GridFunction
-    dx: GridFunction
-
-    @property
-    def deriv0(self) -> np.ndarray:
-        return self.dx.values[..., 0, :].copy()
+    return flow(f, x0, Grid(0.0, f.period, m))
 
 
 def _second_order_system(f: VectorFieldSpec):
@@ -128,8 +108,8 @@ def _second_order_system(f: VectorFieldSpec):
     return rhs
 
 
-def mu_dirichlet(f: VectorFieldSpec, a, b, m: int = 256) -> SecondOrderSolution:
-    """Solve x'' = f(t, x) on [0, 1] with x(0) = b, x'(0) = a, both (..., n)."""
+def mu_dirichlet(f: VectorFieldSpec, a, b, m: int = 256) -> GridFunction:
+    """Track of x'' = f(t, x) on [0, 1] with x(0) = b, x'(0) = a, both (..., n)."""
     if f.kind != SECOND_ORDER:
         raise ValueError(f"mu_dirichlet needs a second_order field, got {f.kind!r}")
     a, b = np.broadcast_arrays(np.atleast_1d(np.asarray(a, dtype=float)),
@@ -140,14 +120,12 @@ def mu_dirichlet(f: VectorFieldSpec, a, b, m: int = 256) -> SecondOrderSolution:
                 grid.a, grid.h, m)
     if not np.all(np.isfinite(vals)):
         raise IntegrationError("non-finite state in the Dirichlet solve")
-    return SecondOrderSolution(x=GridFunction(grid, vals[..., :n]),
-                               dx=GridFunction(grid, vals[..., n:]))
+    return GridFunction(grid, vals[..., :n])
 
 
 def shooting(f: VectorFieldSpec, a, m: int = 256) -> np.ndarray:
     """S(a) = x(1) for the solution with x(0) = 0, x'(0) = a."""
-    sol = mu_dirichlet(f, a, np.zeros(f.dim), m=m)
-    return sol.x.values[..., -1, :].copy()
+    return mu_dirichlet(f, a, np.zeros(f.dim), m=m).values[..., -1, :].copy()
 
 
 def _hermite_eval(track: np.ndarray, pos: float) -> np.ndarray:

@@ -10,7 +10,7 @@ functions: values (..., m+1, n), quadrature along axis -2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -108,13 +108,6 @@ def _check_same_grid(x: GridFunction, y: GridFunction):
         raise ValueError("grid functions live on different grids")
     if x.dim != y.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
-
-
-def from_callable(grid: Grid, fn: Callable[[float], np.ndarray], dim: int,
-                  periodic: bool = False) -> GridFunction:
-    vals = np.array([np.broadcast_to(np.asarray(fn(t), dtype=float), (dim,))
-                     for t in grid.nodes])
-    return GridFunction(grid, vals, periodic)
 
 
 def constant(grid: Grid, c, periodic: bool = False) -> GridFunction:

@@ -1,10 +1,12 @@
-"""Fixed-point operator catalog: the named operators and the right inverses i.
+"""Fixed-point operator catalog: the named operators and their reductions.
 
 Operators act either on discretized function space (grid functions over
 [0, T], or grid functions plus a derivative-at-0 track for the Dirichlet
 problem) or on finite vectors (phase space, kernel coordinates, history
-space).  Handles are immutable after build and apply() is pure.  Every
+space).  Handles are immutable after build and apply_fn is pure.  Every
 handle also maps a stack of inputs (leading axes) to the stack of outputs.
+Each problem's Ktilde carries the Reduction witness, the one place that
+defines its boundary projection pi and right inverse i.
 """
 
 from __future__ import annotations
@@ -83,10 +85,6 @@ class OperatorHandle:
     reduction: Reduction | None = None
 
 
-def apply(h: OperatorHandle, x):
-    return h.apply_fn(x)
-
-
 def sup_distance(x, y) -> float:
     if isinstance(x, GridFunction):
         return (x - y).sup_norm()
@@ -97,41 +95,7 @@ def sup_distance(x, y) -> float:
 
 def residual(h: OperatorHandle, x) -> float:
     """Sup-norm of x - h(x); zero exactly on fixed points."""
-    return sup_distance(x, apply(h, x))
-
-
-# ---------------------------------------------------------------------------
-# Right inverses of the boundary projections
-# ---------------------------------------------------------------------------
-
-def i_map(kind: str, v, problem):
-    """Right inverses of the boundary projector pi, per problem kind.
-
-    periodic: constant embedding of x(T).  dirichlet: for
-    pi(x) = t[x(1) + x'(0)] + 2 x(0) with coordinates (a, b) of t a + b, the
-    representative x = t^2 (a - b/2) + b/2 with x'(0) = 0.  delay: the
-    piecewise embedding that copies the history segment onto [T - tau, T]
-    and freezes y(-tau) before it.  v may be a stack (..., k).
-    """
-    grid = problem.grid()
-    n = problem.field().dim
-    if kind == "periodic":
-        return constant(grid, v)
-    if kind == "dirichlet":
-        v = np.asarray(v, dtype=float)
-        a, b = v[..., None, :n], v[..., None, n:]
-        t = grid.nodes[:, None]
-        return C1Function(GridFunction(grid, t * t * (a - 0.5 * b) + 0.5 * b),
-                          np.zeros(v.shape[:-1] + (n,)))
-    if kind == "delay":
-        k = problem.kernel().shift_steps(grid)
-        v = np.asarray(v, dtype=float)
-        y = v.reshape(v.shape[:-1] + (k + 1, n))
-        vals = np.empty(v.shape[:-1] + (grid.m + 1, n))
-        vals[..., : grid.m - k, :] = y[..., :1, :]
-        vals[..., grid.m - k:, :] = y
-        return GridFunction(grid, vals)
-    raise ValueError(f"unknown right-inverse kind {kind!r}")
+    return sup_distance(x, h.apply_fn(x))
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +201,7 @@ def _build_dirichlet(name: str, problem, params: dict) -> OperatorHandle:
         def apply_fn(x: C1Function):
             a = x.values.values[..., -1, :] + x.deriv0
             b = 2.0 * x.values.values[..., 0, :]
-            sol = flows.mu_dirichlet(f, a, b, m=grid.m)
-            return C1Function(sol.x, a)
+            return C1Function(flows.mu_dirichlet(f, a, b, m=grid.m), a)
     elif name == "Ktilde":
         # conjugate i~ o g o pi~ of the shooting defect g(a) = a - S(a)
         def fin(a):
@@ -248,8 +211,8 @@ def _build_dirichlet(name: str, problem, params: dict) -> OperatorHandle:
             return x.deriv0.copy()
 
         def i(a):
-            sol = flows.mu_dirichlet(f, a, np.zeros(n), m=grid.m)
-            return C1Function(sol.x, np.asarray(a, dtype=float))
+            return C1Function(flows.mu_dirichlet(f, a, np.zeros(n), m=grid.m),
+                              np.asarray(a, dtype=float))
 
         def apply_fn(x):
             return i(fin(pi(x)))
@@ -294,14 +257,20 @@ def _build_delay(name: str, problem, params: dict) -> OperatorHandle:
                                  sign=1.0, centred=name in ("K7", "K8"),
                                  periodic_out=name == "K8")
     elif name == "Ktilde":
-        fin, dim = _delay_poincare(problem, grid)
+        fin, dim = _delay_poincare(problem)
 
         def pi(x):
             v = x.values[..., grid.m - k:, :]
             return v.reshape(v.shape[:-2] + (-1,)).copy()
 
         def i(v):
-            return i_map("delay", v, problem)
+            # copy the history segment onto [T - tau, T], freeze y(-tau) before it
+            v = np.asarray(v, dtype=float)
+            y = v.reshape(v.shape[:-1] + (k + 1, f.dim))
+            vals = np.empty(v.shape[:-1] + (grid.m + 1, f.dim))
+            vals[..., : grid.m - k, :] = y[..., :1, :]
+            vals[..., grid.m - k:, :] = y
+            return GridFunction(grid, vals)
 
         def apply_fn(x):
             return i(fin(pi(x)))
@@ -314,10 +283,12 @@ def _build_delay(name: str, problem, params: dict) -> OperatorHandle:
     return OperatorHandle(name, GRID_SPACE, apply_fn, problem, dict(params))
 
 
-def _delay_poincare(problem, grid: Grid):
-    """Discrete history-space Poincare map y -> (solution with history y)_T."""
+def _delay_poincare(problem):
+    """Discrete history-space Poincare map y -> (solution with history y)_T
+    on the history nodes of the problem's grid, and its dimension."""
     f = problem.field()
     kernel = problem.kernel()
+    grid = problem.grid()
     k = kernel.shift_steps(grid)
     n = f.dim
     hg = Grid(-kernel.tau, 0.0, k)
@@ -376,30 +347,20 @@ def build_finite(name: str, problem, params: dict | None = None) -> OperatorHand
             lipschitz=f.lipschitz)
 
         def apply_fn(A):
-            return flows.flow(back, A, grid).endpoint
+            return flows.poincare(back, A, m=grid.m)
     elif name == "Kdir2":
         _require_kind(problem, ("dirichlet_bvp",), name)
 
         def apply_fn(v):
             a, b = v[..., :n], v[..., n:]
-            sol = flows.mu_dirichlet(f, a, b, m=grid.m)
-            return np.concatenate([sol.x.values[..., -1, :] + a, 2.0 * b], axis=-1)
+            x1 = flows.mu_dirichlet(f, a, b, m=grid.m).values[..., -1, :]
+            return np.concatenate([x1 + a, 2.0 * b], axis=-1)
 
         dim = 2 * n
     elif name == "Kdelay2":
+        # the history space of problem.history_nodes() nodes
         _require_kind(problem, ("periodic_dde",), name)
-        nodes = params.get("history_nodes")
-        if nodes is None:
-            g = grid
-        else:
-            tau = problem.kernel().tau
-            h = tau / (int(nodes) - 1)
-            m = round(f.period / h)
-            if abs(m * h - f.period) > 1e-9:
-                raise ValueError(
-                    f"history_nodes={nodes} does not tile the period {f.period}")
-            g = Grid(0.0, f.period, m)
-        apply_fn, dim = _delay_poincare(problem, g)
+        apply_fn, dim = _delay_poincare(problem.with_history_nodes())
     else:
         raise ValueError(f"unknown finite operator {name!r}")
 

@@ -165,6 +165,16 @@ class ProblemSpec:
         if self.m < 2:
             raise ProblemValidationError(f"grid needs m >= 2, got m={self.m}")
         box = tuple(tuple(float(v) for v in row) for row in self.u2_box)
+        rows = {"dirichlet_bvp": 2 * self.dim,
+                "periodic_dde": self.history_nodes() * self.dim}.get(self.kind, self.dim)
+        if len(box) != rows:
+            raise ProblemValidationError(
+                f"u2_box has {len(box)} rows, a {self.kind} problem of dim "
+                f"{self.dim} needs {rows}")
+        for row in box:
+            if len(row) != 2 or not (np.all(np.isfinite(row)) and row[0] < row[1]):
+                raise ProblemValidationError(
+                    f"u2_box row {list(row)} is not a finite [lo, hi] with lo < hi")
         object.__setattr__(self, "u2_box", box)
         object.__setattr__(self, "rhs", dict(self.rhs))
         _resolve_rhs(self)  # fail fast on unknown / mismatched rhs
@@ -242,10 +252,6 @@ class ProblemSpec:
         if self.description:
             d["description"] = self.description
         return d
-
-
-def serialize(spec: ProblemSpec) -> dict:
-    return spec.to_dict()
 
 
 def from_dict(doc: dict) -> ProblemSpec:
@@ -418,7 +424,7 @@ def run(problem: ProblemSpec, suite: str = "all", grid_m: int | None = None,
         instances += _sign_instances(problem, etas)
 
     U1, U2 = problem.default_U1(), problem.default_U2()
-    vr = certify.default_pullback(problem, U2)
+    vr = certify.default_pullback(U2)
     plans = [certify.plan_duality(problem, pair, U1, U2, vr, **kw)
              for pair, kw in instances]
     if suite in ("all", "operators"):

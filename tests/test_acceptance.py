@@ -28,11 +28,10 @@ def test_criterion_1_engine_laws():
                       (2, lambda g: brouwer_2d_winding(g, box_domain([(-1, 1)] * 2))),
                       (3, lambda g: brouwer_nd_regular(g, [(-1, 1)] * 3))):
         ok &= engine(lambda x: -x).degree == (-1) ** k
-    loop = lambda s: np.array([np.cos(2 * np.pi * s), np.sin(2 * np.pi * s)])
     ok &= brouwer_2d_winding(
         lambda p: np.stack([p[..., 0] ** 2 - p[..., 1] ** 2,
                             2 * p[..., 0] * p[..., 1]], axis=-1),
-        loop).degree == 2
+        box_domain([(-1, 1)] * 2)).degree == 2
     cubic = lambda x: x ** 3 - x
     whole = brouwer_nd_regular(lambda x: cubic(x), [(-2.0, 2.0)]).degree
     parts = sum(brouwer_nd_regular(lambda x: cubic(x), [iv]).degree
@@ -71,7 +70,7 @@ def test_criterion_3_multiple_solutions():
 
 def test_criterion_4_operator_chain_homotopies():
     p1 = problems.get_problem("p1")
-    vr = certify.default_pullback(p1, p1.default_U2())
+    vr = certify.default_pullback(p1.default_U2())
     ok = True
     for a, b in (("K", "Kgamma"), ("K4", "K3"), ("K3", "K5")):
         cert = certify.certify_homotopy(operators.build(a, p1),

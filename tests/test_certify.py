@@ -11,6 +11,7 @@ from dualdeg.problems import ProblemSpec
 P1 = problems.get_problem("p1")
 P2 = problems.get_problem("p2")
 P4 = problems.get_problem("p4")
+P6 = problems.get_problem("p6")
 
 ZERO_F = ProblemSpec("zf", "periodic_ode", 1, 1.0, {"poly": [0.0]}, 0.0, 32,
                      1.0, ((-1.0, 1.0),))
@@ -167,17 +168,25 @@ class TestCertifyHomotopy:
             certify.certify_homotopies(pairs, P1.default_U1())
 
     def test_pullback_needs_grid_space(self):
-        U = certify.default_pullback(P4, P4.default_U2())
+        U = certify.default_pullback(P4.default_U2())
         with pytest.raises(ValueError, match="pullback boundary samples need "
                                              "grid-space operators"):
             certify_homotopy(operators.build("Kdir", P4),
                              operators.build("Kdir1", P4), U)
 
+    def test_pullback_dimension_must_match_reduction(self):
+        # p6's box lives on 8 history nodes, its grid-level Ktilde on 65
+        U = certify.default_pullback(P6.default_U2())
+        with pytest.raises(ValueError, match="pullback box has dimension 8, but the "
+                                             "Ktilde reduction of p6 has k = 65"):
+            certify_homotopy(operators.build("Kdelay", P6),
+                             operators.build("Kdelay1", P6), U)
+
 
 class TestVerifyDuality:
     def test_krasnoselskii_p1(self):
         rep = verify_duality(P1, "krasnoselskii")
-        assert rep.equal and rep.conclusive
+        assert rep.equal and rep.left.certified and rep.right.certified
         assert rep.left.degree == rep.right.degree == 1
         assert rep.route == "homotopy_chain"
         assert all(c.admissible for c in rep.certificates)

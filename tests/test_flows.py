@@ -3,7 +3,7 @@ import pytest
 
 from dualdeg import flows
 from dualdeg.flows import IntegrationError, SingularEtaError, VectorFieldSpec
-from dualdeg.gridfn import Grid, GridFunction, constant, from_callable
+from dualdeg.gridfn import Grid, GridFunction, constant
 
 
 def _field(rhs, dim=1, period=1.0, kind=flows.NONDELAY, lip=1.0, tau=None):
@@ -21,25 +21,24 @@ class TestFlow:
     def test_zero_field_constant(self):
         f = _field(lambda t, x: 0.0 * x, lip=0.0)
         res = flows.flow(f, [3.0], Grid(0.0, 1.0, 16))
-        np.testing.assert_allclose(res.trajectory.values, 3.0)
-        assert res.endpoint[0] == 3.0
-        assert res.steps == 16
+        np.testing.assert_allclose(res.values, 3.0)
+        assert res.values[-1, 0] == 3.0
 
     def test_exponential_decay(self):
         res = flows.flow(DECAY, [1.0], Grid(0.0, 1.0, 64))
-        assert res.endpoint[0] == pytest.approx(np.exp(-1.0), abs=1e-6)
+        assert res.values[-1, 0] == pytest.approx(np.exp(-1.0), abs=1e-6)
 
     def test_rotation_half_turn(self):
         res = flows.flow(ROTATION, [1.0, 0.0], Grid(0.0, np.pi, 128))
-        np.testing.assert_allclose(res.endpoint, [-1.0, 0.0], atol=1e-6)
+        np.testing.assert_allclose(res.values[-1], [-1.0, 0.0], atol=1e-6)
 
     def test_endpoint_is_last_node(self):
-        res = flows.flow(DECAY, [1.0], Grid(0.0, 1.0, 32))
-        np.testing.assert_array_equal(res.endpoint, res.trajectory.values[-1])
+        np.testing.assert_array_equal(flows.poincare(DECAY, [1.0], m=32),
+                                      flows.flow(DECAY, [1.0], Grid(0.0, 1.0, 32)).values[-1])
 
     def test_deterministic(self):
-        a = flows.flow(FORCED, [0.3], Grid(0.0, 1.0, 64)).trajectory.values
-        b = flows.flow(FORCED, [0.3], Grid(0.0, 1.0, 64)).trajectory.values
+        a = flows.flow(FORCED, [0.3], Grid(0.0, 1.0, 64)).values
+        b = flows.flow(FORCED, [0.3], Grid(0.0, 1.0, 64)).values
         np.testing.assert_array_equal(a, b)
 
     def test_blowup_raises(self):
@@ -54,21 +53,21 @@ class TestFlow:
 
     def test_rk4_order(self):
         exact = np.exp(-1.0)
-        err = [abs(flows.flow(DECAY, [1.0], Grid(0.0, 1.0, m)).endpoint[0] - exact)
+        err = [abs(flows.flow(DECAY, [1.0], Grid(0.0, 1.0, m)).values[-1, 0] - exact)
                for m in (32, 64)]
         assert err[0] / err[1] >= 12.0
 
     def test_semigroup(self):
-        whole = flows.flow(DECAY, [1.0], Grid(0.0, 1.0, 64)).endpoint
-        half = flows.flow(DECAY, [1.0], Grid(0.0, 0.5, 32)).endpoint
-        two = flows.flow(DECAY, half, Grid(0.5, 1.0, 32)).endpoint
+        whole = flows.flow(DECAY, [1.0], Grid(0.0, 1.0, 64)).values[-1]
+        half = flows.flow(DECAY, [1.0], Grid(0.0, 0.5, 32)).values[-1]
+        two = flows.flow(DECAY, half, Grid(0.5, 1.0, 32)).values[-1]
         assert abs(two[0] - whole[0]) <= 1e-8 * abs(whole[0])
 
     def test_gronwall_surrogate(self):
         # declared Lipschitz bound l = 1 for x' = -x over T = 1
         gap = 0.25
-        a = flows.flow(DECAY, [1.0], Grid(0.0, 1.0, 64)).trajectory.values
-        b = flows.flow(DECAY, [1.0 + gap], Grid(0.0, 1.0, 64)).trajectory.values
+        a = flows.flow(DECAY, [1.0], Grid(0.0, 1.0, 64)).values
+        b = flows.flow(DECAY, [1.0 + gap], Grid(0.0, 1.0, 64)).values
         spread = np.max(np.abs(a - b))
         assert spread <= (np.exp(DECAY.lipschitz * 1.0) - 1.0) * gap + gap * 1e-9
 
@@ -90,7 +89,7 @@ class TestPoincare:
 
     def test_mu_periodic_matches_flow(self):
         mu = flows.mu_periodic(FORCED, [0.1], m=64)
-        direct = flows.flow(FORCED, [0.1], Grid(0.0, 1.0, 64)).trajectory
+        direct = flows.flow(FORCED, [0.1], Grid(0.0, 1.0, 64))
         np.testing.assert_array_equal(mu.values, direct.values)
 
 
@@ -101,17 +100,16 @@ SECOND_ID = _field(lambda t, x: x, kind=flows.SECOND_ORDER)
 class TestDirichletSolves:
     def test_zero_field_linear_exact(self):
         sol = flows.mu_dirichlet(SECOND_ZERO, [2.0], [1.0], m=16)
-        t = sol.x.grid.nodes
-        np.testing.assert_allclose(sol.x.values[:, 0], 2.0 * t + 1.0, atol=1e-14)
-        assert sol.deriv0[0] == pytest.approx(2.0)
+        t = sol.grid.nodes
+        np.testing.assert_allclose(sol.values[:, 0], 2.0 * t + 1.0, atol=1e-14)
 
     def test_sinh(self):
         sol = flows.mu_dirichlet(SECOND_ID, [1.0], [0.0])
-        assert sol.x.values[-1, 0] == pytest.approx(np.sinh(1.0), abs=1e-6)
+        assert sol.values[-1, 0] == pytest.approx(np.sinh(1.0), abs=1e-6)
 
     def test_cosh(self):
         sol = flows.mu_dirichlet(SECOND_ID, [0.0], [1.0])
-        assert sol.x.values[-1, 0] == pytest.approx(np.cosh(1.0), abs=1e-6)
+        assert sol.values[-1, 0] == pytest.approx(np.cosh(1.0), abs=1e-6)
 
     def test_shooting_zero_field(self):
         f = SECOND_ZERO
@@ -133,7 +131,8 @@ class TestDirichletSolves:
 class TestDdeFlow:
     def test_zero_field_constant_extension(self):
         f = _field(lambda t, x, y: 0.0 * x, kind=flows.DELAY, tau=0.5, lip=0.0)
-        hist = from_callable(Grid(-0.5, 0.0, 16), lambda t: t + 2.0, 1)
+        hg = Grid(-0.5, 0.0, 16)
+        hist = GridFunction(hg, (hg.nodes + 2.0)[:, None])
         out = flows.dde_flow(f, hist, 1.0)
         np.testing.assert_allclose(out.values[17:], 2.0, atol=1e-14)
 
@@ -150,7 +149,7 @@ class TestDdeFlow:
         hist = constant(Grid(-0.5, 0.0, 32), 0.3)
         out = flows.dde_flow(f, hist, 1.0)
         g = _field(lambda t, x: -x + np.expand_dims(np.sin(2 * np.pi * t), -1))
-        ref = flows.flow(g, [0.3], Grid(0.0, 1.0, 64)).endpoint
+        ref = flows.flow(g, [0.3], Grid(0.0, 1.0, 64)).values[-1]
         assert abs(out.values[-1, 0] - ref[0]) < 1e-8
 
     def test_misaligned_horizon(self):

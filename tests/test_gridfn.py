@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dualdeg import flows, gridfn
-from dualdeg.gridfn import DelayKernel, Grid, GridFunction, constant, from_callable
+from dualdeg.gridfn import DelayKernel, Grid, GridFunction, constant
 
 
 def _field(rhs, dim=1, period=1.0, kind=flows.NONDELAY, tau=None):
@@ -64,7 +64,7 @@ class TestCumulativeIntegral:
 
     def test_linear_exact(self):
         g = Grid(0.0, 1.0, 8)
-        x = from_callable(g, lambda t: t, 1)
+        x = GridFunction(g, g.nodes[:, None])
         v = gridfn.cumulative_integral(x)
         assert v.values[-1, 0] == pytest.approx(0.5, abs=1e-15)
 
@@ -81,7 +81,7 @@ class TestDoubleCumulative:
 
     def test_linear(self):
         g = Grid(0.0, 1.0, 64)
-        x = from_callable(g, lambda t: t, 1)
+        x = GridFunction(g, g.nodes[:, None])
         v = gridfn.double_cumulative_integral(x)
         assert v.values[-1, 0] == pytest.approx(1.0 / 6.0, abs=1e-3)
 
@@ -93,19 +93,19 @@ class TestAverage:
 
     def test_full_period_sine(self):
         g = Grid(0.0, 1.0, 64)
-        x = from_callable(g, lambda t: np.sin(2 * np.pi * t), 1)
+        x = GridFunction(g, np.sin(2 * np.pi * g.nodes)[:, None])
         assert abs(gridfn.average(x)[0]) < 1e-12
 
     def test_linear(self):
         g = Grid(0.0, 1.0, 8)
-        x = from_callable(g, lambda t: t, 1)
+        x = GridFunction(g, g.nodes[:, None])
         assert gridfn.average(x)[0] == pytest.approx(0.5, abs=1e-15)
 
 
 class TestNemytskii:
     def test_identity_field(self):
         g = Grid(0.0, 1.0, 8)
-        x = from_callable(g, lambda t: t * t, 1)
+        x = GridFunction(g, (g.nodes * g.nodes)[:, None])
         out = gridfn.nemytskii(_field(lambda t, x: x), x)
         np.testing.assert_allclose(out.values, x.values)
 

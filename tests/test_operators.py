@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from dualdeg import certify, flows, gridfn, problems
-from dualdeg.gridfn import Grid, GridFunction, constant, from_callable
-from dualdeg.operators import apply, build, build_finite, i_map, residual
+from dualdeg.gridfn import Grid, GridFunction, constant
+from dualdeg.operators import build, build_finite, residual
 from dualdeg.problems import ProblemSpec
 
 P1 = problems.get_problem("p1")
@@ -28,13 +28,14 @@ def _p1_solution(m=256):
 class TestBuildAndApply:
     def test_k2_is_poincare(self):
         h = build("K2", P1)
-        np.testing.assert_array_equal(apply(h, np.array([0.0])),
+        np.testing.assert_array_equal(h.apply_fn(np.array([0.0])),
                                       flows.poincare(P1.field(), [0.0], m=P1.m))
 
     def test_k_zero_field_returns_constant(self):
         h = build("K", ZERO_F)
-        x = from_callable(ZERO_F.grid(), lambda t: np.sin(2 * np.pi * t) + 0.3, 1)
-        out = apply(h, x)
+        t = ZERO_F.grid().nodes
+        x = GridFunction(ZERO_F.grid(), (np.sin(2 * np.pi * t) + 0.3)[:, None])
+        out = h.apply_fn(x)
         np.testing.assert_allclose(out.values, x.values[-1, 0], atol=1e-14)
 
     def test_keta_fixes_true_solution(self):
@@ -67,7 +68,7 @@ class TestResidual:
 
     def test_perturbed_solution_large(self):
         x = _p1_solution()
-        bump = from_callable(x.grid, lambda t: 0.1 * np.sin(np.pi * t) ** 2, 1)
+        bump = GridFunction(x.grid, 0.1 * np.sin(np.pi * x.grid.nodes)[:, None] ** 2)
         assert residual(build("K", P1), x + bump) >= 1e-3
 
 
@@ -86,7 +87,7 @@ class TestSharedFixedPoints:
         # the finite operator fixes exactly x*(0)
         k2 = build_finite("K2", P1)
         x0 = x.values[0]
-        assert np.max(np.abs(apply(k2, x0) - x0)) <= 5e-5
+        assert np.max(np.abs(k2.apply_fn(x0) - x0)) <= 5e-5
 
     def test_delay_family_residuals(self):
         fps = certify.find_fixed_points(build("K6", P6), P6.default_U1())
@@ -97,55 +98,36 @@ class TestSharedFixedPoints:
 
 class TestRightInverses:
     def test_periodic(self):
-        x = i_map("periodic", np.array([0.8]), P1)
+        x = build("Ktilde", P1).reduction.i(np.array([0.8]))
         assert x.values[-1, 0] == 0.8
         np.testing.assert_allclose(x.values, 0.8)
-
-    def test_dirichlet(self):
-        # pi(x) = t[x(1) + x'(0)] + 2 x(0) recovers (a, b) from i(ta + b)
-        for v in np.eye(2):
-            x = i_map("dirichlet", v, P4)
-            back = np.concatenate([x.values.values[-1] + x.deriv0,
-                                   2.0 * x.values.values[0]])
-            np.testing.assert_allclose(back, v, atol=1e-12)
-
-    def test_dirichlet_stack_matches_rows(self):
-        v = np.random.default_rng(1).uniform(-1.0, 1.0, (3, 2))
-        stacked = i_map("dirichlet", v, P4)
-        rows = [i_map("dirichlet", row, P4) for row in v]
-        assert np.array_equal(stacked.values.values,
-                              np.stack([r.values.values for r in rows]))
-        assert np.array_equal(stacked.deriv0, np.stack([r.deriv0 for r in rows]))
 
     def test_delay(self):
         grid = P6.grid()
         k = P6.kernel().shift_steps(grid)
         y = np.linspace(-1.0, 1.0, k + 1)
-        x = i_map("delay", y, P6)
+        x = build("Ktilde", P6).reduction.i(y)
         # copies the history segment onto [T - tau, T] ...
         np.testing.assert_array_equal(x.values[grid.m - k:, 0], y)
         # ... and freezes y(-tau) before it
         np.testing.assert_allclose(x.values[: grid.m - k, 0], y[0])
 
-    def test_unknown(self):
-        with pytest.raises(ValueError, match="right-inverse"):
-            i_map("bogus", np.array([1.0]), P1)
-
 
 class TestConjugacyAndHats:
     def test_k5_is_periodic_extension_of_k3(self):
         x = _p1_solution()
-        bump = from_callable(x.grid, lambda t: 0.2 * np.sin(np.pi * t) ** 2, 1)
+        bump = GridFunction(x.grid, 0.2 * np.sin(np.pi * x.grid.nodes)[:, None] ** 2)
         y = x + bump
-        k3 = apply(build("K3", P1), y)
-        k5 = apply(build("K5", P1), y)
+        k3 = build("K3", P1).apply_fn(y)
+        k5 = build("K5", P1).apply_fn(y)
         np.testing.assert_array_equal(k5.values[:-1], k3.values[:-1])
         np.testing.assert_array_equal(k5.values[-1], k5.values[0])
 
     def test_hat3_sign_flip(self):
         # K3 and Khat3 differ exactly by 2 T mean(N(x))
-        x = from_callable(P1.grid(), lambda t: 0.3 + 0.3 * np.cos(2 * np.pi * t), 1)
-        d = apply(build("K3", P1), x) - apply(build("Khat3", P1), x)
+        t = P1.grid().nodes
+        x = GridFunction(P1.grid(), (0.3 + 0.3 * np.cos(2 * np.pi * t))[:, None])
+        d = build("K3", P1).apply_fn(x) - build("Khat3", P1).apply_fn(x)
         nbar = gridfn.average(gridfn.nemytskii(P1.field(), x))
         assert abs(nbar[0]) > 0.1
         np.testing.assert_allclose(d.values, 2.0 * nbar[0], atol=1e-12)
@@ -154,18 +136,18 @@ class TestConjugacyAndHats:
 class TestFiniteOperators:
     def test_k2_zero_field_identity(self):
         h = build_finite("K2", ZERO_F)
-        np.testing.assert_allclose(apply(h, np.array([0.3])), [0.3], atol=1e-14)
+        np.testing.assert_allclose(h.apply_fn(np.array([0.3])), [0.3], atol=1e-14)
 
     def test_kdir2_zero_field_formula(self):
         zf = ProblemSpec("zd", "dirichlet_bvp", 1, 1.0, {"poly": [0.0]},
                          0.0, 32, 1.0, ((-1.0, 1.0), (-1.0, 1.0)))
         h = build_finite("Kdir2", zf)
         a, b = 0.7, -0.4
-        out = apply(h, np.array([a, b]))
+        out = h.apply_fn(np.array([a, b]))
         # mu(ta+b) = ta + b so K2(ta+b) = t[(a + b) + a] + 2b
         np.testing.assert_allclose(out, [2 * a + b, 2 * b], atol=1e-12)
 
     def test_khatp_backward_linear(self):
         h = build_finite("KhatP", DECAY_F)
-        out = apply(h, np.array([0.5]))
+        out = h.apply_fn(np.array([0.5]))
         assert out[0] == pytest.approx(0.5 * np.e, abs=1e-6)

@@ -7,8 +7,7 @@ from click.testing import CliRunner
 from dualdeg import certify, flows, operators, problems, report as report_mod
 from dualdeg.cli import main as cli_main
 from dualdeg.problems import (ProblemSpec, ProblemValidationError, catalog,
-                              from_dict, get_problem, load_problem, run,
-                              serialize)
+                              from_dict, get_problem, load_problem, run)
 
 
 class TestCatalog:
@@ -38,7 +37,7 @@ class TestProblemValidation:
     def test_round_trip(self, tmp_path):
         spec = catalog()[0]
         path = tmp_path / "p1.json"
-        path.write_text(json.dumps(serialize(spec)))
+        path.write_text(json.dumps(spec.to_dict()))
         assert load_problem(path) == spec
 
     def test_tau_exceeding_period(self):
@@ -57,7 +56,7 @@ class TestProblemValidation:
                         256, 1.0, ((-1.0, 1.0),))
 
     def test_schema_violation_names_field(self, tmp_path):
-        doc = serialize(catalog()[0])
+        doc = catalog()[0].to_dict()
         del doc["lipschitz"]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -260,10 +259,20 @@ class TestCli:
         (["run", "{schema_invalid}"], "'kind' is a required property"),
         (["degree", "{unparsable}", "--operator", "K2", "--domain", "[[-1,1]]"],
          "parse error"),
+        (["run", "{p3_one_row}"], "u2_box has 1 rows, a periodic_ode problem of dim 2 needs 2"),
+        (["run", "{p6_two_rows}"], "u2_box has 2 rows, a periodic_dde problem of dim 1 needs 8"),
+        (["run", "{p4_one_row}"], "u2_box has 1 rows, a dirichlet_bvp problem of dim 1 needs 2"),
+        (["run", "{p4_empty_row}"], "u2_box row [1.0, -1.0] is not a finite [lo, hi]"),
     ], ids=["not-pairs", "empty-box", "nonfinite-box", "dimension", "K0",
-            "unknown-operator", "grid-1", "schema-invalid-file", "unparsable-file"])
+            "unknown-operator", "grid-1", "schema-invalid-file", "unparsable-file",
+            "u2-box-rows-p3", "u2-box-rows-p6", "u2-box-rows-p4", "u2-box-empty-row"])
     def test_bad_input_one_line_error(self, args, message, tmp_path):
-        files = {"schema_invalid": '{"id": "x"}', "unparsable": '{"id": '}
+        box = lambda pid, rows: json.dumps(dict(get_problem(pid).to_dict(), u2_box=rows))
+        files = {"schema_invalid": '{"id": "x"}', "unparsable": '{"id": ',
+                 "p3_one_row": box("p3", [[-1, 1]]),
+                 "p6_two_rows": box("p6", [[-1, 1]] * 2),
+                 "p4_one_row": box("p4", [[-1, 1]]),
+                 "p4_empty_row": box("p4", [[1, -1], [-1, 1]])}
         for name, text in files.items():
             (tmp_path / f"{name}.json").write_text(text)
         args = [a.format(**{name: tmp_path / f"{name}.json" for name in files})

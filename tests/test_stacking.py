@@ -81,9 +81,7 @@ class TestStackMatchesLoop:
         x0 = np.random.default_rng(0).uniform(-1.0, 1.0, (5, 2))
         stacked = flows.flow(f, x0, grid)
         loop = [flows.flow(f, x, grid) for x in x0]
-        assert np.array_equal(stacked.trajectory.values,
-                              np.stack([r.trajectory.values for r in loop]))
-        assert np.array_equal(stacked.endpoint, np.stack([r.endpoint for r in loop]))
+        assert np.array_equal(stacked.values, np.stack([r.values for r in loop]))
 
     def test_nemytskii(self):
         f = P3.field()
@@ -113,8 +111,8 @@ class TestStackMatchesLoop:
         h = operators.build(name, problem, params)
         grid = problem.grid()
         vals = _smooth_stack(grid, 5, problem.dim)
-        stacked = operators.apply(h, GridFunction(grid, vals)).values
-        loop = [operators.apply(h, GridFunction(grid, v)).values for v in vals]
+        stacked = h.apply_fn(GridFunction(grid, vals)).values
+        loop = [h.apply_fn(GridFunction(grid, v)).values for v in vals]
         assert np.array_equal(stacked, np.stack(loop))
 
     def test_fd_jacobian(self):
@@ -184,8 +182,7 @@ class TestLockStepNewton:
 
     @pytest.mark.parametrize("name,problem", [("K2", P3), ("Kdir2", P4), ("Kdelay2", P6)])
     def test_multistart_seeds(self, name, problem):
-        params = {"history_nodes": problem.history_nodes()} if name == "Kdelay2" else {}
-        fin = operators.build_finite(name, problem, params)
+        fin = operators.build_finite(name, problem)
         ok = self._check(defect(fin.apply_fn),
                          _multistart_seeds(problem.default_U2().as_box()))
         assert ok.any()
@@ -294,7 +291,7 @@ class TestLockStepCertificates:
         return certs
 
     def test_p3_run_pairs_over_the_pullback(self):
-        vr = certify.default_pullback(P3, P3.default_U2())
+        vr = certify.default_pullback(P3.default_U2())
         certs = self._check(_pairs(P3, P3_RUN), vr)
         assert all(c.admissible for c in certs)
 
@@ -329,7 +326,7 @@ class TestLockStepCertificates:
             return replace(h, apply_fn=apply_fn)
 
         pairs = [(counted(a), counted(b)) for a, b in _pairs(P3, P3_RUN)]
-        vr = certify.default_pullback(P3, P3.default_U2())
+        vr = certify.default_pullback(P3.default_U2())
         certs = certify.certify_homotopies(pairs, vr)
         assert all(c.refinements == 2 for c in certs)
         # the pullback lattice saturates at 24 per axis: level 1 (32 samples
@@ -344,8 +341,8 @@ class TestLockStepCertificates:
         assert calls == {key: blocks for key in distinct}
 
     @pytest.mark.parametrize("problem,domain", [
-        (P1, certify.default_pullback(P1, P1.default_U2())),
-        (P3, certify.default_pullback(P3, P3.default_U2())),
+        (P1, certify.default_pullback(P1.default_U2())),
+        (P3, certify.default_pullback(P3.default_U2())),
         (P1, P1.default_U1()),
         (None, SQUARE)], ids=["pullback-1d", "pullback-2d", "ball", "box"])
     def test_equal_resolution_equal_samples(self, problem, domain):
