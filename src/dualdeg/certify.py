@@ -11,7 +11,7 @@ are deterministic.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from . import degree as deg_mod
 from . import flows, operators
 from .degree import STACK_BLOCK, DegreeResult, DomainSpec, box_domain, brouwer_1d, \
-    defect, fd_jacobian, finite_rank_reduce, fixed_point_degree
+    defect, fd_jacobian, fixed_point_degree
 # unused here: kept as the certify.brouwer_nd_regular binding that perfbench's
 # tracer patches and restores
 from .degree import brouwer_nd_regular  # noqa: F401
@@ -484,14 +484,33 @@ def default_pullback(U2: DomainSpec) -> DomainSpec:
 @dataclass(frozen=True)
 class Plan:
     """A verdict in two parts: the homotopies (hA, hB, domain) its chain
-    needs, and ``conclude(certificates, core)``, which draws the verdict from
-    their certificates, in the order of ``homotopies``, and from the common
-    core (None unless ``needs_core``)."""
+    needs, and ``conclude(certificates, core, degree)``, which draws the
+    verdict from their certificates, in the order of ``homotopies``, from the
+    common core (None unless ``needs_core``) and from the run's shared finite
+    degrees ``degree(h, domain)`` = deg(I - h, domain)."""
 
     name: str
     homotopies: tuple
     conclude: Callable
     needs_core: bool = False
+
+
+def _finite_degree(memo: dict, h: OperatorHandle, dom: DomainSpec) -> DegreeResult:
+    """deg(I - h, dom), each distinct Brouwer computation once per ``memo``.
+    A handle with a reduction witness takes the degree of its finite map, or
+    of the finite handle the witness names, over the box (of a pullback), so
+    deg(I - Ktilde) over the pullback of U2 is deg(I - K2, U2).  A memo serves
+    one problem's run, where a handle's name and params fix its map (Kdelay2
+    maps the same history space at any grid of the problem)."""
+    U = dom.finite if dom.kind == "pullback" else dom
+    red = None if h.space == operators.FINITE_SPACE else deg_mod._witness(h)
+    if red is not None and red.handle is not None:
+        h = operators.build_finite(red.handle, h.problem)
+    key = (_handle_key(h), U.as_box().tobytes())
+    if key not in memo:
+        F = h.apply_fn if h.space == operators.FINITE_SPACE else red.finite_map
+        memo[key] = fixed_point_degree(F, U)
+    return memo[key] if red is None else deg_mod._reduced(memo[key], dom.r)
 
 
 def run_plans(problem, plans, U1: FunctionBall, U2: DomainSpec,
@@ -500,8 +519,9 @@ def run_plans(problem, plans, U1: FunctionBall, U2: DomainSpec,
 
     Every distinct homotopy is certified once; the pairs over one domain
     object go through one lock-step ``certify_homotopies`` call.  The common
-    core over U1 and U2 is checked once, if any plan needs it.  ``timings``,
-    if given, receives the seconds of each stage and of each conclusion.
+    core over U1 and U2 is checked once, if any plan needs it, and each
+    distinct finite degree once, kept for this call only.  ``timings``, if
+    given, receives the seconds of each stage and of each conclusion.
     """
     key = lambda hA, hB, dom: (id(dom), _handle_key(hA), _handle_key(hB))
     clock = time.perf_counter
@@ -516,10 +536,13 @@ def run_plans(problem, plans, U1: FunctionBall, U2: DomainSpec,
     t1 = clock()
     core = check_common_core(problem, U1, U2) if any(p.needs_core for p in plans) else None
     t2 = clock()
+    memo: dict = {}
+    degree = lambda h, dom: _finite_degree(memo, h, dom)
     out = []
     for plan in plans:
         t = clock()
-        out.append(plan.conclude(tuple(certs[key(*h)] for h in plan.homotopies), core))
+        out.append(plan.conclude(tuple(certs[key(*h)] for h in plan.homotopies), core,
+                                 degree))
         if timings is not None:
             timings[plan.name] = clock() - t
     if timings is not None:
@@ -539,16 +562,17 @@ def plan_duality(problem, pair: str, U1: FunctionBall, U2: DomainSpec,
             raise ValueError("eta_sign pair needs eta")
         return _plan_eta_sign(name, problem, U2, vr, eta)
     if pair == "inverse_poincare":
-        return Plan(name, (), lambda certs, core: _verify_inverse_poincare(problem, U2))
+        return Plan(name, (), lambda certs, core, degree:
+                    _verify_inverse_poincare(problem, U2, degree))
     if pair == "dirichlet_shooting":
-        return Plan(name, (), lambda certs, core: _verify_dirichlet(problem, U2, core),
-                    needs_core=True)
+        return Plan(name, (), lambda certs, core, degree:
+                    _verify_dirichlet(problem, U2, core, degree), needs_core=True)
     if pair == "delay":
         return _plan_delay(name, problem, U1, U2)
     if pair == "nonlocal_signs":
         if eta is None:
             raise ValueError("nonlocal_signs pair needs eta")
-        return Plan(name, (), lambda certs, core: _verify_nonlocal_signs(problem, eta))
+        return Plan(name, (), lambda certs, core, _: _verify_nonlocal_signs(problem, eta))
     raise ValueError(f"unknown duality pair {pair!r}")
 
 
@@ -573,9 +597,9 @@ def _plan_krasnoselskii(name, problem, U2, vr) -> Plan:
     k1_op = operators.build("K1", problem)
     ktilde = operators.build("Ktilde", problem)
 
-    def conclude(certs, core) -> DualityReport:
-        left = finite_rank_reduce(ktilde, U2, r=vr.r)
-        right = fixed_point_degree(operators.build_finite("K2", problem).apply_fn, U2)
+    def conclude(certs, core, degree) -> DualityReport:
+        left = degree(ktilde, vr)
+        right = degree(operators.build_finite("K2", problem), U2)
         equal = (left.degree == right.degree and left.certified and right.certified
                  and all(c.admissible for c in certs)
                  and (core is None or core.verdict))
@@ -598,19 +622,17 @@ def _plan_eta_sign(name, problem, U2, vr, eta: float) -> Plan:
     k_op = operators.build("K", problem)
     first = k3 if eta > 0 else operators.build("Khat3", problem)
 
-    def conclude(certs, core) -> DualityReport:
-        right = finite_rank_reduce(ktilde, U2, r=vr.r)
+    def conclude(certs, core, degree) -> DualityReport:
+        right = degree(ktilde, vr)
         if eta > 0:
-            left = DegreeResult(degree=right.degree, method=right.method,
-                                min_boundary_norm=right.min_boundary_norm,
-                                refinement_levels=right.refinement_levels,
-                                certified=right.certified, zeros=right.zeros,
-                                params={"via": "chain Keta~K3~K4~K~reduction"})
+            # copied from the right side, not computed
+            left = replace(right, params={"via": "chain Keta~K3~K4~K~reduction"})
         else:
             # hat chain bottoms out at K2hat(x0) = 2 x0 - P(x0)
             P = operators.build_finite("K2", problem).apply_fn
-            left = fixed_point_degree(
-                lambda v: 2.0 * v - np.asarray(P(v), dtype=float), U2)
+            left = degree(OperatorHandle(
+                "Khat2", operators.FINITE_SPACE,
+                lambda v: 2.0 * v - np.asarray(P(v), dtype=float), problem), U2)
         sign = 1 if eta > 0 else (-1) ** n
         equal = (left.degree == sign * right.degree
                  and left.certified and right.certified
@@ -625,16 +647,16 @@ def _plan_eta_sign(name, problem, U2, vr, eta: float) -> Plan:
                 needs_core=True)
 
 
-def _verify_inverse_poincare(problem, U2) -> DualityReport:
+def _verify_inverse_poincare(problem, U2, degree) -> DualityReport:
     n = problem.field().dim
     fin = operators.build_finite("K2", problem)
     hatp = operators.build_finite("KhatP", problem)
-    right = fixed_point_degree(fin.apply_fn, U2)
+    right = degree(fin, U2)
     # image domain P(U2): bounding box of the mapped boundary samples
     b = U2.as_box()
     mapped = deg_mod._map_rows(fin.apply_fn, deg_mod._boundary_lattice(b, 17))
     img = box_domain(np.stack([mapped.min(axis=0), mapped.max(axis=0)], axis=1))
-    left = fixed_point_degree(hatp.apply_fn, img)
+    left = degree(hatp, img)
     sign = (-1) ** n
     equal = (left.degree == sign * right.degree
              and left.certified and right.certified)
@@ -643,14 +665,14 @@ def _verify_inverse_poincare(problem, U2) -> DualityReport:
                          params={"image_box": img.as_box().tolist()})
 
 
-def _verify_dirichlet(problem, U2, core) -> DualityReport:
+def _verify_dirichlet(problem, U2, core, degree) -> DualityReport:
     n = problem.field().dim
     ktilde = operators.build("Ktilde", problem)
     # phi(U2) is the slope block of the kernel-coordinate box
     phi_U2 = box_domain(U2.as_box()[:n])
-    left = finite_rank_reduce(ktilde, phi_U2)
+    left = degree(ktilde, phi_U2)
     kdir2 = operators.build_finite("Kdir2", problem)
-    right = fixed_point_degree(kdir2.apply_fn, U2)
+    right = degree(kdir2, U2)
     # block-Jacobian sign identity at each finite fixed point
     block_ok = True
     gfull = defect(kdir2.apply_fn)
@@ -677,10 +699,10 @@ def _plan_delay(name, problem, U1, U2) -> Plan:
     if not isinstance(U1, FunctionBall):
         raise ValueError("delay pair needs a sup-norm ball U1")
 
-    def conclude(certs, core) -> DualityReport:
-        left = finite_rank_reduce(ktilde, U2)
+    def conclude(certs, core, degree) -> DualityReport:
+        left = degree(ktilde, U2)  # ktilde's witness names Kdelay2: one computation
         fin = operators.build_finite("Kdelay2", problem)
-        right = fixed_point_degree(fin.apply_fn, U2)
+        right = degree(fin, U2)
         # independent sign oracle: sgn det(I - DP) of the discrete monodromy at
         # the first history-space fixed point, by finite differences
         mono = 0

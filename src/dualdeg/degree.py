@@ -15,7 +15,7 @@ values, and sample sets go through g in blocks of STACK_BLOCK points.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable
 
 import numpy as np
@@ -105,9 +105,12 @@ class DegreeResult:
 # ---------------------------------------------------------------------------
 
 def brouwer_1d(g: Callable[[float], float], interval, eps: float = DEFAULT_EPS) -> DegreeResult:
-    a, b = float(interval[0]), float(interval[1])
-    ga = float(np.asarray(g(a)).reshape(()))
-    gb = float(np.asarray(g(b)).reshape(()))
+    return _sign_change(g(float(interval[0])), g(float(interval[1])), eps)
+
+
+def _sign_change(ga, gb, eps: float) -> DegreeResult:
+    """Degree over [a, b] of a map with endpoint values g(a), g(b)."""
+    ga, gb = (float(np.asarray(v).reshape(())) for v in (ga, gb))
     margin = min(abs(ga), abs(gb))
     deg = int((np.sign(gb) - np.sign(ga)) // 2)
     return DegreeResult(degree=deg, method="sign_1d", min_boundary_norm=margin,
@@ -350,12 +353,12 @@ def defect(F: Callable) -> Callable:
 
 
 def fixed_point_degree(F: Callable, box, eps: float = DEFAULT_EPS) -> DegreeResult:
-    """Brouwer degree of I - F over a box in R^k: endpoint signs for k = 1,
-    multistart Jacobian-sign sums otherwise."""
+    """Brouwer degree of I - F over a box in R^k: endpoint signs for k = 1, in
+    one stacked call of F, multistart Jacobian-sign sums otherwise."""
     dom = box if isinstance(box, DomainSpec) else box_domain(box)
     g = defect(F)
     if dom.dim == 1:
-        return brouwer_1d(lambda t: g(np.array([t]))[0], dom.as_box()[0], eps=eps)
+        return _sign_change(*g(dom.as_box()[0][:, None])[:, 0], eps)
     return brouwer_nd_regular(g, dom, eps=eps)
 
 
@@ -371,24 +374,26 @@ def finite_rank_reduce(h, U_finite: DomainSpec, r: float | None = None,
     the Leray-Schauder degree of I - h over pi^{-1}(U) cap B(0, r) equals
     the Brouwer degree of I - F over U for any r beyond the image bound.
     """
+    return _reduced(fixed_point_degree(_witness(h).finite_map, U_finite, eps=eps), r)
+
+
+def _witness(h):
+    """The Reduction witness of ``h``, checked pi o i = id on a probe basis."""
     red = getattr(h, "reduction", None)
     if red is None:
         raise ValueError(f"operator {getattr(h, 'name', h)!r} carries no "
                          "finite-rank reduction witness")
-    # structural check pi o i = id on a probe basis
     for p in np.eye(red.k):
         back = np.atleast_1d(np.asarray(red.pi(red.i(p)), dtype=float))
         if np.max(np.abs(back - p)) > 1e-10:
             raise ValueError("reduction witness fails pi o i = id on probes")
+    return red
 
-    inner = fixed_point_degree(red.finite_map, U_finite, eps=eps)
-    params = dict(inner.params)
-    params.update({"r": r, "inner_method": inner.method})
-    return DegreeResult(degree=inner.degree, method="finite_rank_reduction",
-                        min_boundary_norm=inner.min_boundary_norm,
-                        refinement_levels=inner.refinement_levels,
-                        certified=inner.certified, zeros=inner.zeros,
-                        params=params)
+
+def _reduced(inner: DegreeResult, r: float | None) -> DegreeResult:
+    """deg(I - h, pi^{-1}(U) cap B(0, r)) from inner = deg(I - F, U), h = i o F o pi."""
+    return replace(inner, method="finite_rank_reduction",
+                   params={**inner.params, "r": r, "inner_method": inner.method})
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ functions: values (..., m+1, n), quadrature along axis -2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np

@@ -67,12 +67,14 @@ class C1Function:
 
 @dataclass(frozen=True)
 class Reduction:
-    """Structure witness h = i o F o pi with pi o i = id on R^k."""
+    """Structure witness h = i o F o pi with pi o i = id on R^k.  ``handle``
+    names the finite operator of h's problem whose map is F, if one is."""
 
     finite_map: Callable[[np.ndarray], np.ndarray]
     k: int
     pi: Callable
     i: Callable
+    handle: str | None = None
 
 
 @dataclass(frozen=True)
@@ -172,7 +174,7 @@ def _build_periodic(name: str, problem, params: dict) -> OperatorHandle:
             return i(fin(pi(x)))
 
         return OperatorHandle(name, GRID_SPACE, apply_fn, problem, params,
-                              reduction=Reduction(fin, f.dim, pi, i))
+                              reduction=Reduction(fin, f.dim, pi, i, "K2"))
     else:
         raise ValueError(f"unknown periodic operator {name!r}")
 
@@ -276,7 +278,7 @@ def _build_delay(name: str, problem, params: dict) -> OperatorHandle:
             return i(fin(pi(x)))
 
         return OperatorHandle(name, GRID_SPACE, apply_fn, problem, params,
-                              reduction=Reduction(fin, dim, pi, i))
+                              reduction=Reduction(fin, dim, pi, i, "Kdelay2"))
     else:
         raise ValueError(f"unknown delay operator {name!r}")
 

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import certify, degree as deg_mod, flows, operators, report as report_mod
+from . import certify, flows, operators, report as report_mod
 from .certify import FunctionBall
 from .degree import DomainSpec, box_domain
 from .gridfn import DelayKernel, Grid
@@ -153,8 +153,8 @@ class ProblemSpec:
         if self.kind == "periodic_dde":
             if self.tau is None:
                 raise ProblemValidationError("periodic_dde needs tau")
-            try:
-                DelayKernel(self.tau, self.period)  # validates tau <= T
+            try:  # tau <= T, and a whole number of grid steps
+                self.kernel().shift_steps(self.grid())
             except ValueError as exc:
                 raise ProblemValidationError(str(exc)) from exc
         elif self.tau is not None:
@@ -373,7 +373,7 @@ def _sign_instances(problem: ProblemSpec, etas) -> list[tuple[str, dict]]:
     return []
 
 
-def _operator_plan(problem: ProblemSpec, U1, U2, vr) -> certify.Plan:
+def _operator_plan(problem: ProblemSpec, U1, vr) -> certify.Plan:
     """Operator-family checks: chain homotopies and/or solution residuals.
     Concludes with (certificate dicts, residual dicts)."""
     if problem.kind in operators.PERIODIC_KINDS:
@@ -381,9 +381,8 @@ def _operator_plan(problem: ProblemSpec, U1, U2, vr) -> certify.Plan:
         homotopies = tuple((operators.build(a, problem), operators.build(b, problem), vr)
                            for a, b in chain)
 
-        def conclude(certs, core):
-            chain_deg = deg_mod.finite_rank_reduce(
-                operators.build("Ktilde", problem), U2, r=vr.r)
+        def conclude(certs, core, degree):
+            chain_deg = degree(operators.build("Ktilde", problem), vr)
             dicts = [dict(report_mod.certificate_dict(c), chain_degree=chain_deg.degree)
                      for c in certs]
             return dicts, []
@@ -392,7 +391,7 @@ def _operator_plan(problem: ProblemSpec, U1, U2, vr) -> certify.Plan:
 
     names = ("K6", "K7", "K8") if problem.kind == "periodic_dde" else ("Kdir", "Kdir1")
 
-    def conclude(certs, core):
+    def conclude(certs, core, degree):
         out: list[dict] = []
         fps = certify.find_fixed_points(operators.build(names[0], problem), U1)
         for fp in fps:
@@ -428,7 +427,7 @@ def run(problem: ProblemSpec, suite: str = "all", grid_m: int | None = None,
     plans = [certify.plan_duality(problem, pair, U1, U2, vr, **kw)
              for pair, kw in instances]
     if suite in ("all", "operators"):
-        plans.append(_operator_plan(problem, U1, U2, vr))
+        plans.append(_operator_plan(problem, U1, vr))
     timings: dict[str, float] = {}
     results = certify.run_plans(problem, plans, U1, U2, seed, timings)
 

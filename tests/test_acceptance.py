@@ -6,9 +6,8 @@ verdict per criterion.
 """
 
 import numpy as np
-import pytest
 
-from dualdeg import certify, degree, flows, operators, problems, report
+from dualdeg import certify, flows, operators, problems, report
 from dualdeg.degree import (box_domain, brouwer_1d, brouwer_2d_winding,
                             brouwer_nd_regular, fd_jacobian, finite_rank_reduce,
                             fixed_point_degree, fourier_block_signs)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from dualdeg import degree, operators, problems
+from dualdeg import operators, problems
 from dualdeg.degree import (CollisionError, DomainSpec, box_domain,
                             brouwer_1d, brouwer_2d_winding, brouwer_nd_regular,
-                            fd_jacobian, finite_rank_reduce, fourier_block_signs,
-                            pullback_domain)
+                            defect, fd_jacobian, finite_rank_reduce,
+                            fixed_point_degree, fourier_block_signs, pullback_domain)
 
 
 def cubic(x):
@@ -129,6 +129,24 @@ class TestFdJacobian:
         A = np.array([[2.0, -1.0], [0.5, 3.0]])
         jac = fd_jacobian(lambda x: x @ A.T, np.array([0.3, -0.7]))
         np.testing.assert_allclose(jac, A, atol=1e-8)
+
+
+class TestFixedPointDegree1d:
+    @pytest.mark.parametrize("pid", ["p1", "p2", "p4"])
+    def test_endpoints_in_one_stacked_call(self, pid):
+        p = problems.get_problem(pid)
+        if p.kind == "dirichlet_bvp":  # the Ktilde shooting defect over the slope box
+            F = operators.build("Ktilde", p).reduction.finite_map
+            box = box_domain(p.default_U2().as_box()[:1])
+        else:
+            F = operators.build_finite("K2", p).apply_fn
+            box = p.default_U2()
+        shapes = []
+        res = fixed_point_degree(lambda v: shapes.append(np.shape(v)) or F(v), box)
+        assert shapes == [(2, 1)]
+        g = defect(F)
+        assert res == brouwer_1d(lambda t: g(np.array([t]))[0], box.as_box()[0])
+        assert res.certified
 
 
 class TestFiniteRankReduce:

@@ -1,13 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from dualdeg import certify, flows, operators, problems, report as report_mod
+from dualdeg import certify, degree, flows, operators, report as report_mod
 from dualdeg.cli import main as cli_main
 from dualdeg.problems import (ProblemSpec, ProblemValidationError, catalog,
-                              from_dict, get_problem, load_problem, run)
+                              get_problem, load_problem, run)
 
 
 class TestCatalog:
@@ -121,6 +125,58 @@ class TestRun:
         rep = run(get_problem(pid), "all", grid_m=32)
         assert calls == [calls[0]] and rep.verdict
         assert sum(d["common_core"] is not None for d in rep.duality) == 3
+
+    @staticmethod
+    def _finite_degree_calls(monkeypatch) -> list:
+        """(map, box) of every Brouwer computation of a fixed-point degree in
+        the run, through either binding of ``fixed_point_degree``."""
+        calls = []
+        fpd = degree.fixed_point_degree
+
+        def counted(F, box, *a, **k):
+            calls.append((F, np.asarray(box.as_box())))
+            return fpd(F, box, *a, **k)
+
+        for mod in (degree, certify):
+            monkeypatch.setattr(mod, "fixed_point_degree", counted)
+        return calls
+
+    @pytest.mark.parametrize("pid", ["p1", "p3"])
+    def test_finite_degrees_computed_once_per_run(self, pid, monkeypatch):
+        calls = self._finite_degree_calls(monkeypatch)
+        p = get_problem(pid)
+        rep = run(p, "all", grid_m=32)
+        assert rep.verdict and len(calls) == 3
+        # deg(I - P, U2), P the Poincare map, serves all six of its readers
+        x = np.full(p.dim, 0.3)
+        P = flows.poincare(p.field(), x, m=32)
+        poincare_over_U2 = [np.array_equal(box, p.default_U2().as_box())
+                            and np.array_equal(np.asarray(F(x)), P) for F, box in calls]
+        assert sum(poincare_over_U2) == 1
+
+    def test_history_space_degree_computed_once(self, monkeypatch):
+        calls = self._finite_degree_calls(monkeypatch)
+        rep = run(get_problem("p6"), "all", grid_m=32)
+        assert rep.verdict and len(calls) == 1 and calls[0][1].shape == (8, 2)
+
+    def test_finite_degrees_fresh_in_each_run(self, monkeypatch):
+        calls = self._finite_degree_calls(monkeypatch)
+        docs = []
+        for m in (16, 32):
+            doc = run(get_problem("p3"), "all", grid_m=m).to_dict()
+            doc.pop("timings")
+            docs.append(report_mod.canonical_json(doc))
+        assert len(calls) == 6
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        for m, text in zip((16, 32), docs):
+            code = ("from dualdeg import problems, report\n"
+                    f"doc = problems.run(problems.get_problem('p3'), 'all', grid_m={m}).to_dict()\n"
+                    "doc.pop('timings')\n"
+                    "print(report.canonical_json(doc), end='')")
+            fresh = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                   capture_output=True, text=True).stdout
+            assert text == fresh
 
     def test_determinism_excluding_timings(self):
         docs = []
@@ -263,16 +319,21 @@ class TestCli:
         (["run", "{p6_two_rows}"], "u2_box has 2 rows, a periodic_dde problem of dim 1 needs 8"),
         (["run", "{p4_one_row}"], "u2_box has 1 rows, a dirichlet_bvp problem of dim 1 needs 2"),
         (["run", "{p4_empty_row}"], "u2_box row [1.0, -1.0] is not a finite [lo, hi]"),
+        (["run", "{p6_m101}"], "tau=0.5 is not an integer multiple of the grid step"),
+        (["run", "p6", "--grid", "101"],
+         "tau=0.5 is not an integer multiple of the grid step"),
     ], ids=["not-pairs", "empty-box", "nonfinite-box", "dimension", "K0",
             "unknown-operator", "grid-1", "schema-invalid-file", "unparsable-file",
-            "u2-box-rows-p3", "u2-box-rows-p6", "u2-box-rows-p4", "u2-box-empty-row"])
+            "u2-box-rows-p3", "u2-box-rows-p6", "u2-box-rows-p4", "u2-box-empty-row",
+            "tau-misaligned-file", "tau-misaligned-grid"])
     def test_bad_input_one_line_error(self, args, message, tmp_path):
         box = lambda pid, rows: json.dumps(dict(get_problem(pid).to_dict(), u2_box=rows))
         files = {"schema_invalid": '{"id": "x"}', "unparsable": '{"id": ',
                  "p3_one_row": box("p3", [[-1, 1]]),
                  "p6_two_rows": box("p6", [[-1, 1]] * 2),
                  "p4_one_row": box("p4", [[-1, 1]]),
-                 "p4_empty_row": box("p4", [[1, -1], [-1, 1]])}
+                 "p4_empty_row": box("p4", [[1, -1], [-1, 1]]),
+                 "p6_m101": json.dumps(dict(get_problem("p6").to_dict(), m=101))}
         for name, text in files.items():
             (tmp_path / f"{name}.json").write_text(text)
         args = [a.format(**{name: tmp_path / f"{name}.json" for name in files})
