@@ -18,7 +18,7 @@ import numpy as np
 
 from . import degree as deg_mod
 from . import flows, operators
-from .degree import STACK_BLOCK, DegreeResult, DomainSpec, box_domain, brouwer_1d, \
+from .degree import DegreeResult, DomainSpec, box_domain, brouwer_1d, \
     defect, fd_jacobian, fixed_point_degree
 # unused here: kept as the certify.brouwer_nd_regular binding that perfbench's
 # tracer patches and restores
@@ -355,24 +355,38 @@ def _handle_key(h: OperatorHandle) -> tuple:
 
 
 def _boundary_curves(pairs, samples: np.ndarray, unflat, lam_grids) -> list:
-    """Per pair, per lambda grid: the boundary minimum over the samples of
-    |x - H_lam(x)| at each lambda.  Each block of STACK_BLOCK samples goes
-    once through each distinct handle of the pairs."""
+    """Per pair, per lambda grid: the boundary minimum over the samples of |x - H_lam(x)|
+    at each lambda.  Each distinct handle of the pairs maps each block of
+    ``degree._stack_rows`` samples once, and its image is held from its first pair to
+    its last; each lambda of the grids' exact union is scored once per pair and block."""
+    lams, where = np.unique(np.concatenate(lam_grids), return_inverse=True)
+    keys = [(_handle_key(hA), _handle_key(hB)) for hA, hB in pairs]
     handles = {_handle_key(h): h for pair in pairs for h in pair}
-    curves = [[np.full(len(lams), np.inf) for lams in lam_grids] for _ in pairs]
-    for lo in range(0, len(samples), STACK_BLOCK):
-        xs = samples[lo:lo + STACK_BLOCK]
-        x = unflat(xs)
-        images = {key: _flatten(h.apply_fn(x)) for key, h in handles.items()}
-        for (hA, hB), pair_curves in zip(pairs, curves):
-            a, b = images[_handle_key(hA)], images[_handle_key(hB)]
+    last = {key: i for i, pair_keys in enumerate(keys) for key in pair_keys}
+    curves, block_min = np.full((len(pairs), len(lams)), np.inf), np.empty(len(lams))
+    rows = min(deg_mod._stack_rows(samples.shape[1]), len(samples))
+    scratch, row_scratch = np.empty((3, rows, samples.shape[1])), np.empty(rows)
+    for lo in range(0, len(samples), rows):
+        xs = samples[lo:lo + rows]
+        (base, delta, resid), row_max = scratch[:, :len(xs)], row_scratch[:len(xs)]
+        x, images = unflat(xs), {}
+        for i, pair_keys in enumerate(keys):
+            for key in pair_keys:
+                if key not in images:
+                    images[key] = _flatten(handles[key].apply_fn(x))
+            a, b = (images[key] for key in pair_keys)
             # x - H_lam(x) = (x - b) + lam (b - a), componentwise
-            base, delta = xs - b, b - a
-            for j, lams in enumerate(lam_grids):
-                pair_curves[j] = np.minimum(
-                    pair_curves[j],
-                    [np.max(np.abs(base + lam * delta), axis=-1).min() for lam in lams])
-    return curves
+            np.subtract(xs, b, out=base)
+            np.subtract(b, a, out=delta)
+            for j, lam in enumerate(lams):
+                np.multiply(delta, lam, out=resid)
+                np.add(base, resid, out=resid)
+                np.abs(resid, out=resid)
+                block_min[j] = np.maximum.reduce(resid, axis=-1, out=row_max).min()
+            np.minimum(curves[i], block_min, out=curves[i])
+            images = {key: im for key, im in images.items() if last[key] > i}
+    levels = np.split(where, np.cumsum([len(grid) for grid in lam_grids])[:-1])
+    return [[curve[idx] for idx in levels] for curve in curves]
 
 
 def certify_homotopies(pairs, domain, lambda_steps: int = 9,
@@ -387,9 +401,11 @@ def certify_homotopies(pairs, domain, lambda_steps: int = 9,
     changes by < 20% after at least two doublings; it is admissible iff it
     stopped and that minimum clears eps.  The pairs refine in lock step: a
     pass builds one level's samples and applies each distinct handle of the
-    pairs still refining once per STACK_BLOCK block.  Levels up to 2, where no
-    pair can stop yet, share a pass with the level before when their sample
-    resolutions agree.  Each certificate equals the one its pair gets alone.
+    pairs still refining once per block of at most ``degree.STACK_FLOATS``
+    sample floats.  Levels up to 2, where no pair can stop yet, share a pass
+    with the level before when their sample resolutions agree; the pass
+    scores each lambda of their grids' union once.  Each certificate equals
+    the one its pair gets alone.
     """
     pairs = [tuple(p) for p in pairs]
     if not pairs:

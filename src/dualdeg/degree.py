@@ -9,7 +9,7 @@ second-order periodic problems.
 
 Certification is empirical (sampled boundaries, refinement doublings),
 never rigorous.  Maps g take a stack of points (..., k) to the stack of
-values, and sample sets go through g in blocks of STACK_BLOCK points.
+values; sample sets go through g in blocks of STACK_FLOATS floats or one point.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ NEWTON_TOL = 1e-9
 JACOBIAN_DET_FLOOR = 1e-8
 WINDING_ROUND_GUARD = 0.01
 MAX_WINDING_DOUBLINGS = 20
-STACK_BLOCK = 64  # points per stacked call of g: bounds the memory one call holds
+STACK_FLOATS = 2 ** 15  # input floats per stacked call: bounds the memory one call holds
 
 
 class CollisionError(ValueError):
@@ -160,10 +160,16 @@ def brouwer_2d_winding(g: Callable, box: DomainSpec, eps: float = DEFAULT_EPS) -
 # n-d: regular-value Jacobian-sign sum
 # ---------------------------------------------------------------------------
 
+def _stack_rows(width: int) -> int:
+    """Rows of ``width`` floats per stacked call: at least one."""
+    return max(1, STACK_FLOATS // width)
+
+
 def _map_rows(g: Callable, X: np.ndarray) -> np.ndarray:
-    """g over the rows of X, STACK_BLOCK rows per call."""
-    return np.concatenate([np.asarray(g(X[i:i + STACK_BLOCK]), dtype=float)
-                           for i in range(0, len(X), STACK_BLOCK)])
+    """g over the rows of X, _stack_rows of them per call."""
+    rows = _stack_rows(X.shape[-1])
+    return np.concatenate([np.asarray(g(X[i:i + rows]), dtype=float)
+                           for i in range(0, len(X), rows)])
 
 
 def fd_jacobian(g: Callable, x: np.ndarray, scale=1e-5) -> np.ndarray:

@@ -103,7 +103,9 @@ def _second_order_system(f: VectorFieldSpec):
     n = f.dim
 
     def rhs(t, y):
-        return np.concatenate([y[..., n:], _rhs_call(f.rhs, t, y[..., :n])], axis=-1)
+        dy = np.empty_like(y)
+        dy[..., :n], dy[..., n:] = y[..., n:], _rhs_call(f.rhs, t, y[..., :n])
+        return dy
 
     return rhs
 

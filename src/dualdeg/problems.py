@@ -45,7 +45,7 @@ def _vec(*components):
 
 
 def _p1_rhs(t, x):
-    return -x + np.expand_dims(np.cos(_TWO_PI * t), -1)
+    return -x + np.cos(_TWO_PI * t)[..., None]
 
 
 def _p2_rhs(t, x):
@@ -65,7 +65,7 @@ def _p5_rhs(t, x):
 
 
 def _p6_rhs(t, x, xd):
-    return -x + 0.5 * xd + np.expand_dims(np.sin(_TWO_PI * t), -1)
+    return -x + 0.5 * xd + np.sin(_TWO_PI * t)[..., None]
 
 
 def _p7_rhs(t, x):

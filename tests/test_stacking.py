@@ -9,9 +9,9 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from dualdeg import certify, flows, gridfn, operators, problems
+from dualdeg import certify, degree, flows, gridfn, operators, problems
 from dualdeg.certify import HomotopyCertificate
-from dualdeg.degree import STACK_BLOCK, _multistart_seeds, _newton, box_domain, defect, \
+from dualdeg.degree import STACK_FLOATS, _multistart_seeds, _newton, box_domain, defect, \
     fd_jacobian
 from dualdeg.flows import IntegrationError, VectorFieldSpec
 from dualdeg.gridfn import DelayKernel, Grid, GridFunction, constant
@@ -229,8 +229,9 @@ def _certify_one(hA, hB, domain, max_doublings=4, lambda_steps=9, boundary_sampl
         lams = np.linspace(0.0, 1.0, n_lam)
         samples = certify._domain_boundary_samples(hA, domain, n_samp, seed)
         curve = np.full(n_lam, np.inf)
-        for lo in range(0, len(samples), STACK_BLOCK):
-            xs = samples[lo:lo + STACK_BLOCK]
+        rows = max(1, STACK_FLOATS // samples.shape[1])
+        for lo in range(0, len(samples), rows):
+            xs = samples[lo:lo + rows]
             a = certify._flatten(hA.apply_fn(unflat(xs)))
             b = certify._flatten(hB.apply_fn(unflat(xs)))
             curve = np.minimum(curve, [np.max(np.abs((xs - b) + lam * (b - a)), axis=-1).min()
@@ -316,12 +317,14 @@ class TestLockStepCertificates:
         certs = self._check([(DIP, ZERO), (HALF, ZERO)], SQUARE)
         assert [c.refinements for c in certs] == [4, 2]
 
-    def test_each_distinct_handle_once_per_block_per_pass(self):
-        calls = {}
+    def _handle_calls_per_block(self, monkeypatch, floats):
+        monkeypatch.setattr(degree, "STACK_FLOATS", floats)
+        calls, sizes = {}, []
 
         def counted(h):
             def apply_fn(x):
                 calls.setdefault((h.name, repr(h.params)), []).append(len(x.values))
+                sizes.append((len(x.values), x.values.size))
                 return h.apply_fn(x)
             return replace(h, apply_fn=apply_fn)
 
@@ -334,11 +337,21 @@ class TestLockStepCertificates:
         samples = [certify._domain_boundary_samples(pairs[0][0], vr, n, certify.DEFAULT_SEED)
                    for n in (16, 32, 64)]
         assert np.array_equal(samples[1], samples[2])
-        blocks = [len(x[lo:lo + STACK_BLOCK]) for x in samples[:2]
-                  for lo in range(0, len(x), STACK_BLOCK)]
+        rows = floats // samples[0].shape[1]
+        blocks = [len(x[lo:lo + rows]) for x in samples[:2]
+                  for lo in range(0, len(x), rows)]
         distinct = {(h.name, repr(h.params)) for pair in pairs for h in pair}
         assert len(distinct) == 10
         assert calls == {key: blocks for key in distinct}
+        assert all(n == 1 or size <= floats for n, size in sizes)
+
+    def test_each_distinct_handle_once_per_block_per_pass(self, monkeypatch):
+        self._handle_calls_per_block(monkeypatch, STACK_FLOATS)
+
+    def test_each_distinct_handle_once_per_block_of_99_rows(self, monkeypatch):
+        # rows of 66 floats: 99 rows and 65 floats to spare, so a 100th row
+        # would break the budget
+        self._handle_calls_per_block(monkeypatch, 99 * 66 + 65)
 
     @pytest.mark.parametrize("problem,domain", [
         (P1, certify.default_pullback(P1.default_U2())),
@@ -353,3 +366,63 @@ class TestLockStepCertificates:
                 certify._sample_resolution(domain, hi)
             a, b = (certify._domain_boundary_samples(h, domain, n, 7) for n in (lo, hi))
             assert same == (a.shape == b.shape and np.array_equal(a, b))
+
+    @pytest.mark.parametrize("lambda_steps", [7, 10])
+    def test_other_lambda_steps(self, lambda_steps):
+        vr = certify.default_pullback(P3.default_U2())
+        self._check(_pairs(P3, P3_RUN[:3]), vr, lambda_steps=lambda_steps)
+        self._check(_pairs(P1, (("K", "K1"),)), P1.default_U1(), lambda_steps=lambda_steps)
+
+    def test_lambda_union_of_grids_not_nested(self):
+        # 7, 10 and 13 points: no grid is nested in another
+        grids = [np.linspace(0.0, 1.0, n) for n in (7, 10, 13)]
+        pairs = _pairs(P1, (("K", "Kgamma"), ("K", "K1"), ("K1", "Kgamma")))
+        samples = certify._domain_boundary_samples(pairs[0][0], P1.default_U1(), 32,
+                                                   certify.DEFAULT_SEED)
+        unflat = certify._unflattener(pairs[0][0])
+        together = certify._boundary_curves(pairs, samples, unflat, grids)
+        for j, lams in enumerate(grids):
+            alone = certify._boundary_curves(pairs, samples, unflat, [lams])
+            for curves, ref in zip(together, alone):
+                assert len(curves[j]) == len(lams)
+                assert np.array_equal(curves[j], ref[0])
+
+
+class TestBlockSizeInvariance:
+    """Results do not depend on how many rows ride in one stacked call."""
+
+    # one row per call, the default budget, all rows in one call
+    BUDGETS = (1, STACK_FLOATS, 2 ** 62)
+
+    def _each_budget(self, monkeypatch, run):
+        out = []
+        for floats in self.BUDGETS:
+            monkeypatch.setattr(degree, "STACK_FLOATS", floats)
+            out.append(run())
+        return out
+
+    def test_map_rows_delay_history_map(self, monkeypatch):
+        h = operators.build("Kdelay2", P6)
+        X = np.random.default_rng(3).uniform(-1.0, 1.0, (40, P6.default_U2().dim))
+        calls = []
+
+        def g(x):
+            calls.append(len(x))
+            return h.apply_fn(x)
+
+        first, *rest = self._each_budget(monkeypatch, lambda: degree._map_rows(g, X))
+        assert calls == [1] * len(X) + [len(X), len(X)]
+        assert all(np.array_equal(first, r) for r in rest)
+
+    def test_certificates_p3_pullback(self, monkeypatch):
+        vr = certify.default_pullback(P3.default_U2())
+        first, *rest = self._each_budget(
+            monkeypatch, lambda: certify.certify_homotopies(_pairs(P3, P3_RUN), vr))
+        assert all(r == first for r in rest)
+
+    def test_certificates_p1_ball(self, monkeypatch):
+        names = (("K", "Kgamma"), ("K", "K1"), ("K4", "K3"), (("Keta", -1.0), "Khat3"))
+        first, *rest = self._each_budget(
+            monkeypatch, lambda: certify.certify_homotopies(_pairs(P1, names),
+                                                            P1.default_U1()))
+        assert all(r == first for r in rest)
