@@ -4,8 +4,10 @@ homotopy admissibility certificates and the duality verdicts.
 Each verdict compares two degree computations: the function-space side,
 evaluated by certifying a homotopy chain down to a conjugate operator with
 a finite-rank reduction witness, and the finite side, evaluated directly
-by a Brouwer engine.  All boundary sampling uses a fixed seed so pipelines
-are deterministic.
+by a Brouwer engine.  One rule decides all six pairs (``_verdict``); the
+README's "How a verdict is decided" tables their sides, signs and checks,
+and ``KIND_TABLE`` says which pairs each problem kind runs.  All boundary
+sampling uses a fixed seed so pipelines are deterministic.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .operators import C1Function, OperatorHandle
 
 DEFAULT_SEED = 0x4B52
 FINITE_FP_TOL = 1e-8
+CORE_CLEARANCE_EPS = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +142,25 @@ class CommonCoreReport:
     diagnostics: tuple = ()
 
 
-def _finite_handle(problem) -> OperatorHandle:
-    if problem.kind in operators.PERIODIC_KINDS:
-        return operators.build_finite("K2", problem)
-    if problem.kind == "dirichlet_bvp":
-        return operators.build_finite("Kdir2", problem)
-    if problem.kind == "periodic_dde":
-        return operators.build_finite("Kdelay2", problem)
-    raise ValueError(f"no finite side for problem kind {problem.kind!r}")
+@dataclass(frozen=True)
+class KindRow:
+    """What a problem kind is and runs; ``KIND_TABLE`` holds one row per kind."""
+
+    field_kind: str  # the flows kind of its vector field
+    finite: str  # the finite handle whose fixed points the common core checks
+    duality: tuple  # the pairs of the duality suite
+    signs: str | None  # the pair of the signs suite
+    etas: tuple  # and its default etas
+
+
+# the periodic kinds share field kind, finite handle and duality pairs
+_PERIODIC = (flows.NONDELAY, "K2", ("krasnoselskii", "inverse_poincare"))
+KIND_TABLE = {
+    "periodic_ode": KindRow(*_PERIODIC, "eta_sign", (1.0, -1.0)),
+    "dirichlet_bvp": KindRow(flows.SECOND_ORDER, "Kdir2", ("dirichlet_shooting",), None, ()),
+    "periodic_dde": KindRow(flows.DELAY, "Kdelay2", ("delay",), None, ()),
+    "nonlocal_1d": KindRow(*_PERIODIC, "nonlocal_signs", (0.5, -1.0)),
+}
 
 
 def _grid_representative(problem, v: np.ndarray):
@@ -174,8 +188,7 @@ def _finite_clearance(v: np.ndarray, dom: DomainSpec) -> float:
     return float(np.min(np.minimum(v - b[:, 0], b[:, 1] - v)))
 
 
-def check_common_core(problem, U1: FunctionBall, U2: DomainSpec,
-                      eps: float = 1e-3) -> CommonCoreReport:
+def check_common_core(problem, U1: FunctionBall, U2: DomainSpec) -> CommonCoreReport:
     """Verify that the two domains isolate the same solution set.
 
     Finds the finite-side fixed points, maps each solution through both
@@ -183,7 +196,7 @@ def check_common_core(problem, U1: FunctionBall, U2: DomainSpec,
     near-singular linearization at a fixed point flags the degenerate
     (non-isolated) case and the verdict is false with a diagnostic.
     """
-    fin = _finite_handle(problem)
+    fin = operators.build_finite(KIND_TABLE[problem.kind].finite, problem)
     fps = find_fixed_points(fin, U2)
     diagnostics: list[str] = []
     if not fps:
@@ -210,10 +223,10 @@ def check_common_core(problem, U1: FunctionBall, U2: DomainSpec,
                       "in_U1": c1 > 0, "in_U2": c2 > 0})
         if c1 <= 0 or c2 <= 0:
             verdict = False
-    if min(clear1, clear2) < eps:
+    if min(clear1, clear2) < CORE_CLEARANCE_EPS:
         verdict = False
-        diagnostics.append(
-            f"boundary clearance {min(clear1, clear2):.3e} below eps={eps:.1e}")
+        diagnostics.append(f"boundary clearance {min(clear1, clear2):.3e} "
+                           f"below eps={CORE_CLEARANCE_EPS:.1e}")
     return CommonCoreReport((float(clear1), float(clear2)), tuple(pairs),
                             verdict, tuple(diagnostics))
 
@@ -233,9 +246,9 @@ class HomotopyCertificate:
     residual_curve: tuple = ()  # per-lambda boundary minimum, finest level
 
 
-def admissibility_eps(problem, factor: float = 10.0) -> float:
+def admissibility_eps(problem) -> float:
     """10x the estimated operator-application error (trapezoid, order h^2)."""
-    return factor * problem.grid().h ** 2
+    return 10.0 * problem.grid().h ** 2
 
 
 def _random_directions(problem, count: int, seed: int, vanish_at_end: bool):
@@ -566,190 +579,148 @@ def run_plans(problem, plans, U1: FunctionBall, U2: DomainSpec,
     return out
 
 
+def _verdict(pair: str, name: str, homotopies: tuple, sides: Callable, sign: int,
+             needs_core: bool) -> Plan:
+    """The plan of a duality instance under the one verdict rule: equal iff
+    left.degree = sign * right.degree, both sides are certified, the extra check
+    holds, every chain certificate is admissible and, if the pair needs it, the
+    common core holds.  ``sides(degree)`` gives (left, right, extra_ok, params)."""
+
+    def conclude(certs, core, degree) -> DualityReport:
+        left, right, extra_ok, params = sides(degree)
+        equal = (left.degree == sign * right.degree and left.certified and right.certified
+                 and extra_ok and all(c.admissible for c in certs)
+                 and (not needs_core or core.verdict))
+        return DualityReport(pair, left, right, equal,
+                             route="homotopy_chain" if homotopies else "independent",
+                             certificates=certs, sign_factor=sign,
+                             common_core=core if needs_core else None, params=params)
+
+    return Plan(name, homotopies, conclude, needs_core)
+
+
 def plan_duality(problem, pair: str, U1: FunctionBall, U2: DomainSpec,
                  vr: DomainSpec, eta: float | None = None) -> Plan:
     """The plan of one named duality instance (see ``verify_duality``); its
     chains run over ``vr``, the pullback of U2."""
     name = pair if eta is None else f"{pair}[{float(eta)}]"
+    if eta is None and pair in ("eta_sign", "nonlocal_signs"):
+        raise ValueError(f"{pair} pair needs eta")
+    n = problem.field().dim
+    build = lambda *names: [operators.build(op, problem) for op in names]
+
     if pair == "krasnoselskii":
-        return _plan_krasnoselskii(name, problem, U2, vr)
+        k_op, k1_op, ktilde = build("K", "K1", "Ktilde")
+        fin = operators.build_finite("K2", problem)
+        return _verdict(pair, name, ((k_op, k1_op, vr), (k1_op, ktilde, vr)),
+                        lambda degree: (degree(ktilde, vr), degree(fin, U2), True, {}),
+                        sign=1, needs_core=True)
+
     if pair == "eta_sign":
-        if eta is None:
-            raise ValueError("eta_sign pair needs eta")
-        return _plan_eta_sign(name, problem, U2, vr, eta)
+        # right side: deg(I - K3) via the paper's chain K3 ~ K4 ~ K and reduction;
+        # the left side's chain starts at Keta ~ K3 (eta > 0) or Keta ~ Khat3
+        keta = operators.build("Keta", problem, {"eta": eta})
+        k3, k4, k_op, ktilde = build("K3", "K4", "K", "Ktilde")
+        first = k3 if eta > 0 else operators.build("Khat3", problem)
+        P = operators.build_finite("K2", problem).apply_fn
+        # the hat chain bottoms out at K2hat(x0) = 2 x0 - P(x0)
+        khat2 = OperatorHandle("Khat2", operators.FINITE_SPACE,
+                               lambda v: 2.0 * v - np.asarray(P(v), dtype=float), problem)
+
+        def sides(degree):
+            right = degree(ktilde, vr)
+            # eta > 0: a copy of the right side, not a computation of its own
+            left = replace(right, params={"via": "chain Keta~K3~K4~K~reduction"}) \
+                if eta > 0 else degree(khat2, U2)
+            return left, right, True, {"eta": eta}
+
+        return _verdict(pair, name, ((keta, first, vr), (k3, k4, vr), (k4, k_op, vr)),
+                        sides, sign=1 if eta > 0 else (-1) ** n, needs_core=True)
+
     if pair == "inverse_poincare":
-        return Plan(name, (), lambda certs, core, degree:
-                    _verify_inverse_poincare(problem, U2, degree))
+        fin = operators.build_finite("K2", problem)
+        hatp = operators.build_finite("KhatP", problem)
+
+        def sides(degree):
+            right = degree(fin, U2)
+            # image domain P(U2): bounding box of the mapped boundary samples
+            mapped = deg_mod._map_rows(fin.apply_fn,
+                                       deg_mod._boundary_lattice(U2.as_box(), 17))
+            img = box_domain(np.stack([mapped.min(axis=0), mapped.max(axis=0)], axis=1))
+            return degree(hatp, img), right, True, {"image_box": img.as_box().tolist()}
+
+        return _verdict(pair, name, (), sides, sign=(-1) ** n, needs_core=False)
+
     if pair == "dirichlet_shooting":
-        return Plan(name, (), lambda certs, core, degree:
-                    _verify_dirichlet(problem, U2, core, degree), needs_core=True)
+        ktilde = operators.build("Ktilde", problem)
+        kdir2 = operators.build_finite("Kdir2", problem)
+        shoot = lambda a: np.asarray(
+            flows.shooting(problem.field(), np.atleast_1d(a), m=problem.grid().m))
+
+        def sides(degree):
+            # phi(U2) is the slope block of the kernel-coordinate box
+            left = degree(ktilde, box_domain(U2.as_box()[:n]))
+            right = degree(kdir2, U2)
+            # block-Jacobian sign identity at each finite fixed point
+            block_ok = True
+            if right.zeros:
+                Z = np.repeat(np.asarray(right.zeros), 2, axis=0)
+                scale = np.tile([[1e-5], [5e-6]], (len(right.zeros), 1))
+                d_full = np.sign(np.linalg.det(
+                    fd_jacobian(defect(kdir2.apply_fn), Z, scale=scale)))
+                d_shoot = np.sign(np.linalg.det(fd_jacobian(shoot, Z[:, :n], scale=scale)))
+                block_ok = bool(np.all(d_full == d_shoot))
+            return left, right, block_ok, {"block_sign_identity": block_ok}
+
+        return _verdict(pair, name, (), sides, sign=1, needs_core=True)
+
     if pair == "delay":
-        return _plan_delay(name, problem, U1, U2)
+        if not isinstance(U1, FunctionBall):
+            raise ValueError("delay pair needs a sup-norm ball U1")
+        k_op, k1_op = build("Kdelay", "Kdelay1")
+        ktilde = operators.build("Ktilde", problem.with_history_nodes())
+        fin = operators.build_finite("Kdelay2", problem)
+
+        def sides(degree):
+            left = degree(ktilde, U2)  # ktilde's witness names Kdelay2: one computation
+            right = degree(fin, U2)
+            # sign oracle, not in the verdict: sgn det(I - DP) of the discrete
+            # monodromy at the first history-space fixed point, by finite differences
+            mono = 0
+            if right.zeros:
+                jac = fd_jacobian(defect(fin.apply_fn), np.asarray(right.zeros[0]))
+                mono = int(np.sign(np.linalg.det(jac)))
+            return left, right, True, {"monodromy_det_sign": mono}
+
+        return _verdict(pair, name, ((k_op, k1_op, U1),), sides, sign=1, needs_core=True)
+
     if pair == "nonlocal_signs":
-        if eta is None:
-            raise ValueError("nonlocal_signs pair needs eta")
-        return Plan(name, (), lambda certs, core, _: _verify_nonlocal_signs(problem, eta))
+        def sides(degree):
+            # left: the Fourier overall sign of I - K^eta for u'' = A u
+            rep = deg_mod.fourier_block_signs(problem.linearization(), eta, n_max=16)
+            left = DegreeResult(degree=rep.overall_sign, method="fourier_blocks",
+                                min_boundary_norm=np.inf, refinement_levels=0,
+                                certified=all(s == 1 for _, s in rep.block_signs),
+                                params={"skipped": list(rep.skipped)})
+            # right: Brouwer degree of the averaged field phi(u) = -T * mean f(., u)
+            right = brouwer_1d(problem.averaged_field(), problem.default_U2().as_box()[0])
+            return left, right, True, {"eta": eta}
+
+        # n = 1, the scalar u in u'' = u + cos t, not the field dimension 2
+        return _verdict(pair, name, (), sides, sign=1 if eta > 0 else -1,
+                        needs_core=False)
+
     raise ValueError(f"unknown duality pair {pair!r}")
 
 
 def verify_duality(problem, pair: str, U1: FunctionBall | None = None,
                    U2: DomainSpec | None = None, eta: float | None = None,
                    seed: int = DEFAULT_SEED) -> DualityReport:
-    """Run one named duality instance and compare both degrees.
-
-    pair in {"krasnoselskii", "eta_sign", "inverse_poincare",
-    "dirichlet_shooting", "delay", "nonlocal_signs"}.
-    """
+    """Run one named duality instance and compare both degrees.  ``pair``
+    names a row of the README's "How a verdict is decided" table."""
     if U2 is None:
         U2 = problem.default_U2()
     if U1 is None:
         U1 = problem.default_U1()
     plan = plan_duality(problem, pair, U1, U2, default_pullback(U2), eta)
     return run_plans(problem, [plan], U1, U2, seed)[0]
-
-
-def _plan_krasnoselskii(name, problem, U2, vr) -> Plan:
-    k_op = operators.build("K", problem)
-    k1_op = operators.build("K1", problem)
-    ktilde = operators.build("Ktilde", problem)
-
-    def conclude(certs, core, degree) -> DualityReport:
-        left = degree(ktilde, vr)
-        right = degree(operators.build_finite("K2", problem), U2)
-        equal = (left.degree == right.degree and left.certified and right.certified
-                 and all(c.admissible for c in certs)
-                 and (core is None or core.verdict))
-        return DualityReport("krasnoselskii", left, right, equal,
-                             route="homotopy_chain", certificates=certs,
-                             common_core=core)
-
-    return Plan(name, ((k_op, k1_op, vr), (k1_op, ktilde, vr)), conclude,
-                needs_core=True)
-
-
-def _plan_eta_sign(name, problem, U2, vr, eta: float) -> Plan:
-    n = problem.field().dim
-    keta = operators.build("Keta", problem, {"eta": eta})
-    k3 = operators.build("K3", problem)
-    ktilde = operators.build("Ktilde", problem)
-    # right side: deg(I - K3) via the paper's chain K3 ~ K4 ~ K and reduction;
-    # the left side's chain starts at Keta ~ K3 (eta > 0) or Keta ~ Khat3
-    k4 = operators.build("K4", problem)
-    k_op = operators.build("K", problem)
-    first = k3 if eta > 0 else operators.build("Khat3", problem)
-
-    def conclude(certs, core, degree) -> DualityReport:
-        right = degree(ktilde, vr)
-        if eta > 0:
-            # copied from the right side, not computed
-            left = replace(right, params={"via": "chain Keta~K3~K4~K~reduction"})
-        else:
-            # hat chain bottoms out at K2hat(x0) = 2 x0 - P(x0)
-            P = operators.build_finite("K2", problem).apply_fn
-            left = degree(OperatorHandle(
-                "Khat2", operators.FINITE_SPACE,
-                lambda v: 2.0 * v - np.asarray(P(v), dtype=float), problem), U2)
-        sign = 1 if eta > 0 else (-1) ** n
-        equal = (left.degree == sign * right.degree
-                 and left.certified and right.certified
-                 and all(c.admissible for c in certs)
-                 and (core is None or core.verdict))
-        return DualityReport("eta_sign", left, right, equal,
-                             route="homotopy_chain", certificates=certs,
-                             sign_factor=sign, common_core=core,
-                             params={"eta": eta})
-
-    return Plan(name, ((keta, first, vr), (k3, k4, vr), (k4, k_op, vr)), conclude,
-                needs_core=True)
-
-
-def _verify_inverse_poincare(problem, U2, degree) -> DualityReport:
-    n = problem.field().dim
-    fin = operators.build_finite("K2", problem)
-    hatp = operators.build_finite("KhatP", problem)
-    right = degree(fin, U2)
-    # image domain P(U2): bounding box of the mapped boundary samples
-    b = U2.as_box()
-    mapped = deg_mod._map_rows(fin.apply_fn, deg_mod._boundary_lattice(b, 17))
-    img = box_domain(np.stack([mapped.min(axis=0), mapped.max(axis=0)], axis=1))
-    left = degree(hatp, img)
-    sign = (-1) ** n
-    equal = (left.degree == sign * right.degree
-             and left.certified and right.certified)
-    return DualityReport("inverse_poincare", left, right, equal,
-                         route="independent", sign_factor=sign,
-                         params={"image_box": img.as_box().tolist()})
-
-
-def _verify_dirichlet(problem, U2, core, degree) -> DualityReport:
-    n = problem.field().dim
-    ktilde = operators.build("Ktilde", problem)
-    # phi(U2) is the slope block of the kernel-coordinate box
-    phi_U2 = box_domain(U2.as_box()[:n])
-    left = degree(ktilde, phi_U2)
-    kdir2 = operators.build_finite("Kdir2", problem)
-    right = degree(kdir2, U2)
-    # block-Jacobian sign identity at each finite fixed point
-    block_ok = True
-    gfull = defect(kdir2.apply_fn)
-    shoot = lambda a: np.asarray(
-        flows.shooting(problem.field(), np.atleast_1d(a), m=problem.grid().m))
-    if right.zeros:
-        Z = np.repeat(np.asarray(right.zeros), 2, axis=0)
-        scale = np.tile([[1e-5], [5e-6]], (len(right.zeros), 1))
-        d_full = np.sign(np.linalg.det(fd_jacobian(gfull, Z, scale=scale)))
-        d_shoot = np.sign(np.linalg.det(fd_jacobian(shoot, Z[:, :n], scale=scale)))
-        block_ok = bool(np.all(d_full == d_shoot))
-    equal = (left.degree == right.degree and left.certified and right.certified
-             and block_ok and (core is None or core.verdict))
-    return DualityReport("dirichlet_shooting", left, right, equal,
-                         route="independent", common_core=core,
-                         params={"block_sign_identity": block_ok})
-
-
-def _plan_delay(name, problem, U1, U2) -> Plan:
-    coarse = problem.with_history_nodes()
-    k_op = operators.build("Kdelay", problem)
-    k1_op = operators.build("Kdelay1", problem)
-    ktilde = operators.build("Ktilde", coarse)
-    if not isinstance(U1, FunctionBall):
-        raise ValueError("delay pair needs a sup-norm ball U1")
-
-    def conclude(certs, core, degree) -> DualityReport:
-        left = degree(ktilde, U2)  # ktilde's witness names Kdelay2: one computation
-        fin = operators.build_finite("Kdelay2", problem)
-        right = degree(fin, U2)
-        # independent sign oracle: sgn det(I - DP) of the discrete monodromy at
-        # the first history-space fixed point, by finite differences
-        mono = 0
-        if right.zeros:
-            jac = fd_jacobian(defect(fin.apply_fn), np.asarray(right.zeros[0]))
-            mono = int(np.sign(np.linalg.det(jac)))
-        equal = (left.degree == right.degree and left.certified and right.certified
-                 and all(c.admissible for c in certs)
-                 and (core is None or core.verdict))
-        return DualityReport("delay", left, right, equal, route="homotopy_chain",
-                             certificates=certs, common_core=core,
-                             params={"monodromy_det_sign": mono})
-
-    return Plan(name, ((k_op, k1_op, U1),), conclude, needs_core=True)
-
-
-def _verify_nonlocal_signs(problem, eta: float) -> DualityReport:
-    """d = 1 nonlocal problem: Fourier overall sign vs the averaged field."""
-    n = 1
-    A = problem.linearization()
-    rep = deg_mod.fourier_block_signs(A, eta, n_max=16)
-    left = DegreeResult(degree=rep.overall_sign, method="fourier_blocks",
-                        min_boundary_norm=np.inf, refinement_levels=0,
-                        certified=all(s == 1 for _, s in rep.block_signs),
-                        params={"skipped": list(rep.skipped)})
-    # right: Brouwer degree of the averaged field phi(u) = -T * mean f(., u)
-    phi = problem.averaged_field()
-    iv = problem.default_U2().as_box()[0]
-    right = brouwer_1d(phi, iv)
-    sign = 1 if eta > 0 else (-1) ** n
-    equal = left.degree == sign * right.degree and right.certified
-    return DualityReport("nonlocal_signs", left, right, equal,
-                         route="independent", sign_factor=sign,
-                         params={"eta": eta})

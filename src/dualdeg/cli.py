@@ -10,7 +10,7 @@ import sys
 
 import click
 
-from . import certify, degree as deg_mod, operators, problems, report as report_mod
+from . import certify, degree as deg_mod, flows, operators, problems, report as report_mod
 
 
 def _resolve_problem(name: str) -> problems.ProblemSpec:
@@ -64,7 +64,8 @@ def run(problem, suite, grid_m, etas, seed, outdir):
     try:
         rep = problems.run(spec, suite=suite, grid_m=grid_m,
                            etas=tuple(etas) or None, seed=seed)
-    except problems.ProblemValidationError as exc:
+    except (problems.ProblemValidationError, flows.SingularEtaError,
+            deg_mod.CollisionError) as exc:
         raise click.ClickException(str(exc))
     doc = rep.to_dict()
     path = report_mod.emit(doc, "json", outdir)

@@ -25,6 +25,7 @@ from .flows import IntegrationError
 DEFAULT_EPS = 1e-6
 NEWTON_TOL = 1e-9
 JACOBIAN_DET_FLOOR = 1e-8
+COLLISION_TOL = 1e-9
 WINDING_ROUND_GUARD = 0.01
 MAX_WINDING_DOUBLINGS = 20
 STACK_FLOATS = 2 ** 15  # input floats per stacked call: bounds the memory one call holds
@@ -104,24 +105,24 @@ class DegreeResult:
 # 1-d: sign change
 # ---------------------------------------------------------------------------
 
-def brouwer_1d(g: Callable[[float], float], interval, eps: float = DEFAULT_EPS) -> DegreeResult:
-    return _sign_change(g(float(interval[0])), g(float(interval[1])), eps)
+def brouwer_1d(g: Callable[[float], float], interval) -> DegreeResult:
+    return _sign_change(g(float(interval[0])), g(float(interval[1])))
 
 
-def _sign_change(ga, gb, eps: float) -> DegreeResult:
+def _sign_change(ga, gb) -> DegreeResult:
     """Degree over [a, b] of a map with endpoint values g(a), g(b)."""
     ga, gb = (float(np.asarray(v).reshape(())) for v in (ga, gb))
     margin = min(abs(ga), abs(gb))
     deg = int((np.sign(gb) - np.sign(ga)) // 2)
     return DegreeResult(degree=deg, method="sign_1d", min_boundary_norm=margin,
-                        refinement_levels=0, certified=margin >= eps)
+                        refinement_levels=0, certified=margin >= DEFAULT_EPS)
 
 
 # ---------------------------------------------------------------------------
 # 2-d: winding number
 # ---------------------------------------------------------------------------
 
-def brouwer_2d_winding(g: Callable, box: DomainSpec, eps: float = DEFAULT_EPS) -> DegreeResult:
+def brouwer_2d_winding(g: Callable, box: DomainSpec) -> DegreeResult:
     """Degree of g over a 2-d box by the winding number along its boundary.
 
     Sampling doubles until every per-segment angle increment is below pi/2.
@@ -147,7 +148,7 @@ def brouwer_2d_winding(g: Callable, box: DomainSpec, eps: float = DEFAULT_EPS) -
             winding = total / (2 * np.pi)
             deg = int(round(winding))
             certified = (abs(winding - deg) < WINDING_ROUND_GUARD
-                         and margin >= eps)
+                         and margin >= DEFAULT_EPS)
             return DegreeResult(degree=deg, method="winding_2d",
                                 min_boundary_norm=margin,
                                 refinement_levels=level, certified=certified)
@@ -320,8 +321,7 @@ def _multistart_zeros(g: Callable, dom: DomainSpec, tol: float):
     return zeros, int(np.sum(~ok))
 
 
-def brouwer_nd_regular(g: Callable, box, eps: float = DEFAULT_EPS,
-                       boundary_per_axis: int = 9) -> DegreeResult:
+def brouwer_nd_regular(g: Callable, box, boundary_per_axis: int = 9) -> DegreeResult:
     """Degree via multistart Newton zeros and Jacobian determinant signs."""
     dom = box if isinstance(box, DomainSpec) else box_domain(box)
     b = dom.as_box()
@@ -340,7 +340,7 @@ def brouwer_nd_regular(g: Callable, box, eps: float = DEFAULT_EPS,
     if fails > 0.5 * starts:
         warnings.warn(f"Newton failed from {fails}/{starts} seeds", RuntimeWarning)
 
-    deg, certified = 0, margin >= eps
+    deg, certified = 0, margin >= DEFAULT_EPS
     if zeros:
         dets = np.linalg.det(fd_jacobian(g, np.asarray(zeros)))
         small = np.abs(dets) < JACOBIAN_DET_FLOOR
@@ -358,29 +358,28 @@ def defect(F: Callable) -> Callable:
         np.asarray(F(np.atleast_1d(v)), dtype=float))
 
 
-def fixed_point_degree(F: Callable, box, eps: float = DEFAULT_EPS) -> DegreeResult:
+def fixed_point_degree(F: Callable, box) -> DegreeResult:
     """Brouwer degree of I - F over a box in R^k: endpoint signs for k = 1, in
     one stacked call of F, multistart Jacobian-sign sums otherwise."""
     dom = box if isinstance(box, DomainSpec) else box_domain(box)
     g = defect(F)
     if dom.dim == 1:
-        return _sign_change(*g(dom.as_box()[0][:, None])[:, 0], eps)
-    return brouwer_nd_regular(g, dom, eps=eps)
+        return _sign_change(*g(dom.as_box()[0][:, None])[:, 0])
+    return brouwer_nd_regular(g, dom)
 
 
 # ---------------------------------------------------------------------------
 # Finite-rank reduction
 # ---------------------------------------------------------------------------
 
-def finite_rank_reduce(h, U_finite: DomainSpec, r: float | None = None,
-                       eps: float = DEFAULT_EPS) -> DegreeResult:
+def finite_rank_reduce(h, U_finite: DomainSpec, r: float | None = None) -> DegreeResult:
     """Degree of I - h over the pullback of U_finite, via the reduced map.
 
     ``h`` must carry a Reduction witness h = i o F o pi with pi o i = id;
     the Leray-Schauder degree of I - h over pi^{-1}(U) cap B(0, r) equals
     the Brouwer degree of I - F over U for any r beyond the image bound.
     """
-    return _reduced(fixed_point_degree(_witness(h).finite_map, U_finite, eps=eps), r)
+    return _reduced(fixed_point_degree(_witness(h).finite_map, U_finite), r)
 
 
 def _witness(h):
@@ -413,8 +412,7 @@ class FourierBlockSigns:
     skipped: tuple
 
 
-def fourier_block_signs(A, eta: float, n_max: int = 16,
-                        collision_tol: float = 1e-9) -> FourierBlockSigns:
+def fourier_block_signs(A, eta: float, n_max: int = 16) -> FourierBlockSigns:
     """Signs of the Fourier-mode blocks of I - K^eta for u'' = A u.
 
     The zero mode contributes sgn det(I - A/eta); mode k contributes the
@@ -426,11 +424,11 @@ def fourier_block_signs(A, eta: float, n_max: int = 16,
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError("A must be square")
-    if abs(eta) < collision_tol:
+    if abs(eta) < COLLISION_TOL:
         raise CollisionError("eta = 0 is singular for the zero mode")
 
     det0 = float(np.linalg.det(np.eye(n) - A / eta))
-    if abs(det0) < collision_tol:
+    if abs(det0) < COLLISION_TOL:
         raise CollisionError("I - A/eta is singular")
     overall = 1 if det0 > 0 else -1
 
@@ -439,11 +437,11 @@ def fourier_block_signs(A, eta: float, n_max: int = 16,
     skipped = []
     for k in range(1, n_max + 1):
         denom = eta - k * k
-        if abs(denom) < collision_tol:
+        if abs(denom) < COLLISION_TOL:
             skipped.append(k)
             continue
         d = num_det / denom ** n
-        if abs(d) < collision_tol:
+        if abs(d) < COLLISION_TOL:
             raise CollisionError(f"block {k} is singular (eta*I - A degenerate)")
         signs.append((k, 1))  # doubled block determinant is d^2 > 0
     return FourierBlockSigns(block_signs=tuple(signs), overall_sign=overall,

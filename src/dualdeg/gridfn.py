@@ -110,10 +110,10 @@ def _check_same_grid(x: GridFunction, y: GridFunction):
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
 
 
-def constant(grid: Grid, c, periodic: bool = False) -> GridFunction:
+def constant(grid: Grid, c) -> GridFunction:
     """Constant function(s) c of shape (..., n) on every node."""
     c = np.atleast_1d(np.asarray(c, dtype=float))
-    return GridFunction(grid, np.repeat(c[..., None, :], grid.m + 1, axis=-2), periodic)
+    return GridFunction(grid, np.repeat(c[..., None, :], grid.m + 1, axis=-2))
 
 
 @dataclass(frozen=True)

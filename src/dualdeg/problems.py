@@ -21,7 +21,7 @@ from .degree import DomainSpec, box_domain
 from .gridfn import DelayKernel, Grid
 
 SCHEMA_VERSION = "1"
-KINDS = ("periodic_ode", "dirichlet_bvp", "periodic_dde", "nonlocal_1d")
+KINDS = tuple(certify.KIND_TABLE)
 SUITES = ("all", "duality", "signs", "operators")
 
 _TWO_PI = 2.0 * np.pi
@@ -84,14 +84,6 @@ _BUILTINS: dict[str, dict] = {
            "A": ((1.0,),), "scalar_rhs": lambda t, u: u + np.cos(t)},
 }
 
-_FKIND_BY_PROBLEM_KIND = {
-    "periodic_ode": flows.NONDELAY,
-    "nonlocal_1d": flows.NONDELAY,
-    "dirichlet_bvp": flows.SECOND_ORDER,
-    "periodic_dde": flows.DELAY,
-}
-
-
 def _table_rhs(rhs: dict) -> Callable:
     """Scalar f(t, x) from polynomial + trigonometric coefficient tables."""
     poly = [float(c) for c in rhs.get("poly", [])]
@@ -114,7 +106,7 @@ def _resolve_rhs(spec: "ProblemSpec") -> Callable:
         entry = _BUILTINS.get(rhs["id"])
         if entry is None:
             raise ProblemValidationError(f"unknown rhs id {rhs['id']!r}")
-        if entry["fkind"] != _FKIND_BY_PROBLEM_KIND[spec.kind]:
+        if entry["fkind"] != certify.KIND_TABLE[spec.kind].field_kind:
             raise ProblemValidationError(
                 f"rhs id {rhs['id']!r} incompatible with kind {spec.kind!r}")
         return entry["rhs"]
@@ -183,7 +175,7 @@ class ProblemSpec:
     def field(self) -> flows.VectorFieldSpec:
         return flows.VectorFieldSpec(
             dim=self.dim, period=self.period,
-            kind=_FKIND_BY_PROBLEM_KIND[self.kind],
+            kind=certify.KIND_TABLE[self.kind].field_kind,
             rhs=_resolve_rhs(self), lipschitz=self.lipschitz, tau=self.tau)
 
     def grid(self) -> Grid:
@@ -355,24 +347,6 @@ class RunReport:
                 "verdict": self.verdict, "timings": dict(self.timings)}
 
 
-def _duality_pairs(problem: ProblemSpec) -> list[tuple[str, dict]]:
-    if problem.kind in operators.PERIODIC_KINDS:
-        return [("krasnoselskii", {}), ("inverse_poincare", {})]
-    if problem.kind == "dirichlet_bvp":
-        return [("dirichlet_shooting", {})]
-    return [("delay", {})]
-
-
-def _sign_instances(problem: ProblemSpec, etas) -> list[tuple[str, dict]]:
-    if problem.kind == "periodic_ode":
-        vals = etas if etas else (1.0, -1.0)
-        return [("eta_sign", {"eta": e}) for e in vals]
-    if problem.kind == "nonlocal_1d":
-        vals = etas if etas else (0.5, -1.0)
-        return [("nonlocal_signs", {"eta": e}) for e in vals]
-    return []
-
-
 def _operator_plan(problem: ProblemSpec, U1, vr) -> certify.Plan:
     """Operator-family checks: chain homotopies and/or solution residuals.
     Concludes with (certificate dicts, residual dicts)."""
@@ -416,16 +390,15 @@ def run(problem: ProblemSpec, suite: str = "all", grid_m: int | None = None,
     if grid_m is not None:
         problem = replace(problem, m=int(grid_m))
 
-    instances: list[tuple[str, dict]] = []
-    if suite in ("all", "duality"):
-        instances += _duality_pairs(problem)
-    if suite in ("all", "signs"):
-        instances += _sign_instances(problem, etas)
+    row = certify.KIND_TABLE[problem.kind]
+    instances = [(pair, None) for pair in row.duality if suite in ("all", "duality")]
+    if row.signs and suite in ("all", "signs"):
+        instances += [(row.signs, eta) for eta in etas or row.etas]
 
     U1, U2 = problem.default_U1(), problem.default_U2()
     vr = certify.default_pullback(U2)
-    plans = [certify.plan_duality(problem, pair, U1, U2, vr, **kw)
-             for pair, kw in instances]
+    plans = [certify.plan_duality(problem, pair, U1, U2, vr, eta)
+             for pair, eta in instances]
     if suite in ("all", "operators"):
         plans.append(_operator_plan(problem, U1, vr))
     timings: dict[str, float] = {}

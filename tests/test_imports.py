@@ -1,12 +1,14 @@
-"""No module of the package or of the tests imports a name it never uses.
+"""No module of the package or of the tests imports a name it never uses, and
+the package defines no private module-level name that it never reads.
 
-A stdlib ``ast`` scan, since no linter ships with the project.  An import
+Stdlib ``ast`` scans, since no linter ships with the project.  An import
 line marked ``# noqa: F401`` is kept on purpose (``certify`` binds
 ``brouwer_nd_regular`` for a tracer to patch), and ``__init__.py`` files are
-skipped: their imports are re-exports.
+skipped by the import scan: their imports are re-exports.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = sorted(p for d in ("src/dualdeg", "tests") for p in (ROOT / d).glob("*.py")
                  if p.name != "__init__.py")
+PACKAGE = sorted((ROOT / "src/dualdeg").glob("*.py"))
 
 
 def _used_names(tree: ast.AST) -> set:
@@ -61,3 +64,54 @@ def test_checker_flags_unused_and_honours_noqa():
 @pytest.mark.parametrize("path", SCANNED, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _reads(tree: ast.AST) -> Counter:
+    """How often each name is read: loaded as a name or as an attribute."""
+    return Counter([n.id for n in ast.walk(tree)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)]
+                   + [n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)])
+
+
+def _private_definitions(tree: ast.Module) -> list:
+    """(line, name, node) of each module-level private function, class or
+    constant; dunder names are left out."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [n.id for t in node.targets for n in ast.walk(t)
+                       if isinstance(n, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        out += [(node.lineno, name, node) for name in targets
+                if name.startswith("_") and not name.startswith("__")]
+    return out
+
+
+def unread_private_names(sources: dict) -> list:
+    """(module, line, name) of each private module-level name that no module
+    of ``sources`` (module name -> source) reads outside its own definition."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    return [(mod, line, name) for mod, tree in trees.items()
+            for line, name, node in _private_definitions(tree)
+            if reads[name] == _reads(node)[name]]
+
+
+def test_dead_code_checker_flags_unread_private_names():
+    sources = {"a": ("_USED = 1\n_UNUSED = 2\n__all__ = []\n"
+                     "def _recursive(n):\n    return _recursive(n - 1)\n"
+                     "class _Read:\n    pass\n"
+                     "def public():\n    return _USED + b._helper() + _Read\n"),
+               "b": "def _helper():\n    pass\ndef _orphan():\n    pass\n"}
+    assert unread_private_names(sources) == [("a", 2, "_UNUSED"), ("a", 4, "_recursive"),
+                                             ("b", 3, "_orphan")]
+
+
+def test_no_unread_private_names_in_package():
+    sources = {p.name: p.read_text() for p in PACKAGE}
+    assert unread_private_names(sources) == []

@@ -322,10 +322,16 @@ class TestCli:
         (["run", "{p6_m101}"], "tau=0.5 is not an integer multiple of the grid step"),
         (["run", "p6", "--grid", "101"],
          "tau=0.5 is not an integer multiple of the grid step"),
+        (["run", "p1", "--suite", "signs", "--eta", "0"],
+         "eta=0.0 makes exp(eta*T) - 1 negligible"),
+        (["run", "p7", "--suite", "signs", "--eta", "0"],
+         "eta = 0 is singular for the zero mode"),
+        (["run", "p7", "--suite", "signs", "--eta", "1"], "I - A/eta is singular"),
     ], ids=["not-pairs", "empty-box", "nonfinite-box", "dimension", "K0",
             "unknown-operator", "grid-1", "schema-invalid-file", "unparsable-file",
             "u2-box-rows-p3", "u2-box-rows-p6", "u2-box-rows-p4", "u2-box-empty-row",
-            "tau-misaligned-file", "tau-misaligned-grid"])
+            "tau-misaligned-file", "tau-misaligned-grid", "eta-singular-p1",
+            "eta-zero-p7", "eta-collision-p7"])
     def test_bad_input_one_line_error(self, args, message, tmp_path):
         box = lambda pid, rows: json.dumps(dict(get_problem(pid).to_dict(), u2_box=rows))
         files = {"schema_invalid": '{"id": "x"}', "unparsable": '{"id": ',
