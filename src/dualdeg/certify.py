@@ -88,17 +88,18 @@ def _unflattener(h: OperatorHandle):
 # Fixed points
 # ---------------------------------------------------------------------------
 
-def find_fixed_points(h: OperatorHandle, domain) -> list:
+def find_fixed_points(h: OperatorHandle, domain, _search=None) -> list:
     """Fixed points of the operator inside the domain.
 
-    Finite handles: multistart Newton on x - h(x).  Grid-space handles:
-    damped Picard from 0, then Newton on the flattened discrete residual.
-    Returns clustered points; an empty list when nothing converges.
+    Finite handles: multistart Newton on x - h(x), or ``_search``'s of it.
+    Grid-space handles: damped Picard from 0, then Newton on the flattened
+    discrete residual.  Returns clustered points; an empty list when nothing
+    converges.
     """
     if h.space == operators.FINITE_SPACE:
-        g = defect(h.apply_fn)
+        search = _search or deg_mod._Search(defect(h.apply_fn), FINITE_FP_TOL)
         dom = domain if isinstance(domain, DomainSpec) else box_domain(domain)
-        return deg_mod._multistart_zeros(g, dom, FINITE_FP_TOL)[0]
+        return search.zeros(dom, FINITE_FP_TOL)[0]
 
     unflat = _unflattener(h)
 
@@ -188,27 +189,26 @@ def _finite_clearance(v: np.ndarray, dom: DomainSpec) -> float:
     return float(np.min(np.minimum(v - b[:, 0], b[:, 1] - v)))
 
 
-def check_common_core(problem, U1: FunctionBall, U2: DomainSpec) -> CommonCoreReport:
+def check_common_core(problem, U1: FunctionBall, U2: DomainSpec,
+                      _finite: "_FiniteSide | None" = None) -> CommonCoreReport:
     """Verify that the two domains isolate the same solution set.
 
     Finds the finite-side fixed points, maps each solution through both
     representations, and checks boundary clearance on both sides.  A
     near-singular linearization at a fixed point flags the degenerate
-    (non-isolated) case and the verdict is false with a diagnostic.
+    (non-isolated) case and the verdict is false with a diagnostic.  The
+    Newton search and Jacobians are ``_finite``'s, in a run, else made afresh.
     """
     fin = operators.build_finite(KIND_TABLE[problem.kind].finite, problem)
-    fps = find_fixed_points(fin, U2)
+    search = (_finite or _FiniteSide()).search(fin)
+    fps = find_fixed_points(fin, U2, _search=search)
     diagnostics: list[str] = []
     if not fps:
         return CommonCoreReport((0.0, 0.0), (), False,
                                 ("no fixed points found in U2",))
 
-    g = defect(fin.apply_fn)
-    pairs = []
-    clear1 = np.inf
-    clear2 = np.inf
-    verdict = True
-    dets = np.linalg.det(fd_jacobian(g, np.asarray(fps)))
+    pairs, clear1, clear2, verdict = [], np.inf, np.inf, True
+    dets = np.linalg.det(search.jacobian(np.asarray(fps)))
     for v, det in zip(fps, dets):
         if abs(det) < 1e-8:
             diagnostics.append("degenerate: non-isolated fixed points")
@@ -258,23 +258,17 @@ def _random_directions(problem, count: int, seed: int, vanish_at_end: bool):
     n = problem.field().dim
     T = grid.length
     t = grid.nodes[:, None]
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        vals = np.zeros((grid.m + 1, n))
-        for j in range(1, 4):
-            a = rng.standard_normal(n)
-            b = rng.standard_normal(n)
-            vals += a * np.cos(2 * np.pi * j * (t - grid.a) / T) \
-                + b * np.sin(2 * np.pi * j * (t - grid.a) / T)
-        vals += rng.standard_normal(n)
-        if vanish_at_end:
-            vals = vals * np.sin(np.pi * (t - grid.a) / T)
-        nrm = np.max(np.abs(vals))
-        if nrm == 0:
-            continue
-        out.append(vals / nrm)
-    return np.reshape(out, (-1, grid.m + 1, n))
+    # per direction, in draw order: a1, b1, a2, b2, a3, b3, c
+    coef = np.random.default_rng(seed).standard_normal((count, 7, n))[:, :, None, :]
+    vals = np.zeros((count, grid.m + 1, n))
+    for j in range(1, 4):
+        vals += coef[:, 2 * j - 2] * np.cos(2 * np.pi * j * (t - grid.a) / T) \
+            + coef[:, 2 * j - 1] * np.sin(2 * np.pi * j * (t - grid.a) / T)
+    vals += coef[:, 6]
+    if vanish_at_end:
+        vals = vals * np.sin(np.pi * (t - grid.a) / T)
+    nrm = np.max(np.abs(vals), axis=(1, 2))
+    return vals[nrm != 0] / nrm[nrm != 0, None, None]
 
 
 def _face_lattice(dom: DomainSpec, count: int):
@@ -371,11 +365,14 @@ def _boundary_curves(pairs, samples: np.ndarray, unflat, lam_grids) -> list:
     """Per pair, per lambda grid: the boundary minimum over the samples of |x - H_lam(x)|
     at each lambda.  Each distinct handle of the pairs maps each block of
     ``degree._stack_rows`` samples once, and its image is held from its first pair to
-    its last; each lambda of the grids' exact union is scored once per pair and block."""
+    its last (Ktilde's comes from K1's flow, if K1 is among them); each lambda of the
+    grids' exact union is scored once per pair and block."""
     lams, where = np.unique(np.concatenate(lam_grids), return_inverse=True)
     keys = [(_handle_key(hA), _handle_key(hB)) for hA, hB in pairs]
     handles = {_handle_key(h): h for pair in pairs for h in pair}
     last = {key: i for i, pair_keys in enumerate(keys) for key in pair_keys}
+    tracked = {key: (h.reduction.track, "[]") for key, h in handles.items()
+               if h.reduction is not None and (h.reduction.track, "[]") in handles}
     curves, block_min = np.full((len(pairs), len(lams)), np.inf), np.empty(len(lams))
     rows = min(deg_mod._stack_rows(samples.shape[1]), len(samples))
     scratch, row_scratch = np.empty((3, rows, samples.shape[1])), np.empty(rows)
@@ -386,7 +383,11 @@ def _boundary_curves(pairs, samples: np.ndarray, unflat, lam_grids) -> list:
         for i, pair_keys in enumerate(keys):
             for key in pair_keys:
                 if key not in images:
-                    images[key] = _flatten(handles[key].apply_fn(x))
+                    src = tracked.get(key, key)  # Ktilde's image comes from K1's flow
+                    images[src] = _flatten(handles[src].apply_fn(x))
+                    images.update({k: _flatten(handles[k].reduction.i(
+                        unflat(images[src]).values[..., -1, :]))
+                        for k, s in tracked.items() if s == src})
             a, b = (images[key] for key in pair_keys)
             # x - H_lam(x) = (x - b) + lam (b - a), componentwise
             np.subtract(xs, b, out=base)
@@ -516,7 +517,7 @@ class Plan:
     needs, and ``conclude(certificates, core, degree)``, which draws the
     verdict from their certificates, in the order of ``homotopies``, from the
     common core (None unless ``needs_core``) and from the run's shared finite
-    degrees ``degree(h, domain)`` = deg(I - h, domain)."""
+    side ``degree``: ``degree(h, domain)`` = deg(I - h, domain) (``_FiniteSide``)."""
 
     name: str
     homotopies: tuple
@@ -524,22 +525,32 @@ class Plan:
     needs_core: bool = False
 
 
-def _finite_degree(memo: dict, h: OperatorHandle, dom: DomainSpec) -> DegreeResult:
-    """deg(I - h, dom), each distinct Brouwer computation once per ``memo``.
-    A handle with a reduction witness takes the degree of its finite map, or
-    of the finite handle the witness names, over the box (of a pullback), so
-    deg(I - Ktilde) over the pullback of U2 is deg(I - K2, U2).  A memo serves
-    one problem's run, where a handle's name and params fix its map (Kdelay2
-    maps the same history space at any grid of the problem)."""
-    U = dom.finite if dom.kind == "pullback" else dom
-    red = None if h.space == operators.FINITE_SPACE else deg_mod._witness(h)
-    if red is not None and red.handle is not None:
-        h = operators.build_finite(red.handle, h.problem)
-    key = (_handle_key(h), U.as_box().tobytes())
-    if key not in memo:
-        F = h.apply_fn if h.space == operators.FINITE_SPACE else red.finite_map
-        memo[key] = fixed_point_degree(F, U)
-    return memo[key] if red is None else deg_mod._reduced(memo[key], dom.r)
+class _FiniteSide:
+    """The finite side of one problem's run, each computation once.  Called as
+    ``degree(h, dom)`` it gives deg(I - h, dom), through the finite map of h's
+    reduction witness, or the finite handle it names, over the box (of a
+    pullback); ``search(h)`` is the Newton search and Jacobians of I - h, h
+    finite, that the degrees, the core and the monodromy sign read.  A name and
+    params fix a map in one run (Kdelay2's at any grid of the problem)."""
+
+    def __init__(self):
+        self._memo: dict = {}
+
+    def search(self, h: OperatorHandle) -> deg_mod._Search:
+        return self._memo.setdefault(("search",) + _handle_key(h),
+                                     deg_mod._Search(defect(h.apply_fn), FINITE_FP_TOL))
+
+    def __call__(self, h: OperatorHandle, dom: DomainSpec) -> DegreeResult:
+        U = dom.finite if dom.kind == "pullback" else dom
+        red = None if h.space == operators.FINITE_SPACE else deg_mod._witness(h)
+        if red is not None and red.handle is not None:
+            h = operators.build_finite(red.handle, h.problem)
+        key = (_handle_key(h), U.as_box().tobytes())
+        if key not in self._memo:
+            finite = h.space == operators.FINITE_SPACE
+            self._memo[key] = fixed_point_degree(h.apply_fn if finite else red.finite_map, U,
+                                                 _search=self.search(h) if finite else None)
+        return self._memo[key] if red is None else deg_mod._reduced(self._memo[key], dom.r)
 
 
 def run_plans(problem, plans, U1: FunctionBall, U2: DomainSpec,
@@ -549,8 +560,10 @@ def run_plans(problem, plans, U1: FunctionBall, U2: DomainSpec,
     Every distinct homotopy is certified once; the pairs over one domain
     object go through one lock-step ``certify_homotopies`` call.  The common
     core over U1 and U2 is checked once, if any plan needs it, and each
-    distinct finite degree once, kept for this call only.  ``timings``, if
-    given, receives the seconds of each stage and of each conclusion.
+    distinct finite degree, Newton search (per finite handle and box) and FD
+    Jacobian (per finite handle and zero) once, kept for this call only
+    (``_FiniteSide``).  ``timings``, if given, receives the seconds of each
+    stage and of each conclusion.
     """
     key = lambda hA, hB, dom: (id(dom), _handle_key(hA), _handle_key(hB))
     clock = time.perf_counter
@@ -563,10 +576,10 @@ def run_plans(problem, plans, U1: FunctionBall, U2: DomainSpec,
     for dom, pairs in by_domain.values():
         certs.update(zip(pairs, certify_homotopies(list(pairs.values()), dom, seed=seed)))
     t1 = clock()
-    core = check_common_core(problem, U1, U2) if any(p.needs_core for p in plans) else None
+    degree = _FiniteSide()
+    core = check_common_core(problem, U1, U2, _finite=degree) \
+        if any(p.needs_core for p in plans) else None
     t2 = clock()
-    memo: dict = {}
-    degree = lambda h, dom: _finite_degree(memo, h, dom)
     out = []
     for plan in plans:
         t = clock()
@@ -688,7 +701,7 @@ def plan_duality(problem, pair: str, U1: FunctionBall, U2: DomainSpec,
             # monodromy at the first history-space fixed point, by finite differences
             mono = 0
             if right.zeros:
-                jac = fd_jacobian(defect(fin.apply_fn), np.asarray(right.zeros[0]))
+                jac = degree.search(fin).jacobian(np.asarray(right.zeros[:1]))[0]
                 mono = int(np.sign(np.linalg.det(jac)))
             return left, right, True, {"monodromy_det_sign": mono}
 
@@ -703,7 +716,7 @@ def plan_duality(problem, pair: str, U1: FunctionBall, U2: DomainSpec,
                                 certified=all(s == 1 for _, s in rep.block_signs),
                                 params={"skipped": list(rep.skipped)})
             # right: Brouwer degree of the averaged field phi(u) = -T * mean f(., u)
-            right = brouwer_1d(problem.averaged_field(), problem.default_U2().as_box()[0])
+            right = brouwer_1d(problem.averaged_field(), U2.as_box()[0])
             return left, right, True, {"eta": eta}
 
         # n = 1, the scalar u in u'' = u + cos t, not the field dimension 2

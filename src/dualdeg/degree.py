@@ -222,20 +222,30 @@ def _newton_steps(g: Callable, X: np.ndarray, G: np.ndarray, scale: float):
 
 def _newton(g: Callable, X0: np.ndarray, tol: float, max_iter: int = 60,
             scale: float = 1e-5):
+    """(X, ok) of ``_newton_runs`` at one tolerance."""
+    return _newton_runs(g, X0, (tol,), max_iter, scale)[0]
+
+
+def _newton_runs(g: Callable, X0: np.ndarray, tols, max_iter: int = 60,
+                 scale: float = 1e-5) -> list:
     """Damped Newton on g with a central-difference Jacobian of step ``scale``
     from each row of X0, all live starts in lock step (stacked g, Jacobian and
-    solve).  Returns the iterates and which converged, each row as a Newton
-    run from that start alone would end."""
+    solve), to the last of the decreasing ``tols``.  Per tolerance, the
+    iterates and which converged, each row as a run from that start alone at
+    that tolerance would end: rows are independent, so such a run is a prefix
+    of this one, ending at the first iterate within its tolerance."""
     X = np.array(X0, dtype=float)
     G = _safe_rows(g, X)
     live = np.all(np.isfinite(G), axis=1)
-    ok = np.zeros(len(X), dtype=bool)
-    for _ in range(max_iter):
+    runs = [(np.empty_like(X), np.zeros(len(X), dtype=bool)) for _ in tols]
+    for it in range(max_iter + 1):
         nrm = np.max(np.abs(G), axis=1)
-        ok |= live & (nrm <= tol)
-        live &= nrm > tol
+        for tol, (Xt, ok) in zip(tols, runs):
+            hit = live & ~ok & (nrm <= tol)
+            Xt[hit], ok[hit] = X[hit], True
+        live &= nrm > tols[-1]
         idx = np.flatnonzero(live)
-        if not idx.size:
+        if not idx.size or it == max_iter:
             break
         step, has = _newton_steps(g, X[idx], G[idx], scale)
         live[idx[~has]] = False
@@ -251,7 +261,9 @@ def _newton(g: Callable, X0: np.ndarray, tol: float, max_iter: int = 60,
             idx, step = idx[~better], step[~better]
             s *= 0.5
         live[idx] = False
-    return X, ok | (live & (np.max(np.abs(G), axis=1) <= tol))
+    for Xt, ok in runs:
+        Xt[~ok] = X[~ok]
+    return runs
 
 
 def _boundary_lattice(box: np.ndarray, per_axis: int) -> np.ndarray:
@@ -309,45 +321,66 @@ def _multistart_seeds(box: np.ndarray) -> np.ndarray:
     return np.vstack([center[None, :], np.asarray(offs)])
 
 
-def _multistart_zeros(g: Callable, dom: DomainSpec, tol: float):
-    """Zeros of g by Newton from the multistart seeds of the domain's box: the
-    converged starts inside the domain, clustered at radius 10 tol, and the
-    number of starts that failed."""
-    X, ok = _newton(g, _multistart_seeds(dom.as_box()), tol)
-    zeros: list[np.ndarray] = []
-    for z in X[ok]:
-        if dom.contains(z) and all(np.max(np.abs(z - z0)) > 10 * tol for z0 in zeros):
-            zeros.append(z)
-    return zeros, int(np.sum(~ok))
+class _Search:
+    """Multistart Newton zeros and FD Jacobians of one map g, each made once
+    while this object lives.  A box's search runs from its multistart seeds to
+    ``loose`` and, for k >= 2, where a Jacobian-sign degree reads it, on to
+    NEWTON_TOL (``_newton_runs``); a Jacobian (scale 1e-5) is kept per point."""
+
+    def __init__(self, g: Callable, loose: float):
+        self.g, self.loose, self._runs, self._jacobians = g, loose, {}, {}
+
+    def zeros(self, dom: DomainSpec, tol: float):
+        """At ``tol`` (``loose``, or NEWTON_TOL for k >= 2): the converged starts
+        inside the domain, clustered at radius 10 tol, and how many failed."""
+        b = dom.as_box()
+        if b.tobytes() not in self._runs:
+            tols = (self.loose, NEWTON_TOL) if len(b) >= 2 and NEWTON_TOL < self.loose \
+                else (self.loose,)
+            self._runs[b.tobytes()] = dict(zip(tols, _newton_runs(
+                self.g, _multistart_seeds(b), tols)))
+        X, ok = self._runs[b.tobytes()][tol]
+        zeros: list[np.ndarray] = []
+        for z in X[ok]:
+            if dom.contains(z) and all(np.max(np.abs(z - z0)) > 10 * tol for z0 in zeros):
+                zeros.append(z)
+        return zeros, int(np.sum(~ok))
+
+    def jacobian(self, Z: np.ndarray) -> np.ndarray:
+        """``fd_jacobian(g, Z)`` at a stack of points, the new ones in one call."""
+        new = {z.tobytes(): z for z in Z if z.tobytes() not in self._jacobians}
+        if new:
+            self._jacobians.update(zip(new, fd_jacobian(self.g, np.stack(list(new.values())))))
+        return np.stack([self._jacobians[z.tobytes()] for z in Z])
 
 
-def brouwer_nd_regular(g: Callable, box, boundary_per_axis: int = 9) -> DegreeResult:
-    """Degree via multistart Newton zeros and Jacobian determinant signs."""
+def brouwer_nd_regular(g: Callable, box, boundary_per_axis: int = 9,
+                       _search: _Search | None = None) -> DegreeResult:
+    """Degree via multistart Newton zeros and Jacobian determinant signs, those
+    of ``_search`` (a ``_Search`` of g that a run shares) if given."""
     dom = box if isinstance(box, DomainSpec) else box_domain(box)
     b = dom.as_box()
+    search = _search or _Search(g, NEWTON_TOL)
 
-    # empirical boundary margin, one refinement doubling for stability
-    margin = np.inf
-    levels = 0
-    for level in (0, 1):
-        samples = _boundary_samples(b, boundary_per_axis, level)
-        vals = np.max(np.abs(_map_rows(g, samples)), axis=-1)
-        margin = min(margin, float(np.min(vals)))
-        levels += 1
+    # empirical boundary margin, one refinement doubling for stability, both
+    # levels' samples in one stacked map
+    samples = np.concatenate([_boundary_samples(b, boundary_per_axis, level)
+                              for level in (0, 1)])
+    margin = float(np.min(np.max(np.abs(_map_rows(g, samples)), axis=-1)))
 
-    zeros, fails = _multistart_zeros(g, dom, NEWTON_TOL)
+    zeros, fails = search.zeros(dom, NEWTON_TOL)
     starts = len(_multistart_seeds(b))
     if fails > 0.5 * starts:
         warnings.warn(f"Newton failed from {fails}/{starts} seeds", RuntimeWarning)
 
     deg, certified = 0, margin >= DEFAULT_EPS
     if zeros:
-        dets = np.linalg.det(fd_jacobian(g, np.asarray(zeros)))
+        dets = np.linalg.det(search.jacobian(np.asarray(zeros)))
         small = np.abs(dets) < JACOBIAN_DET_FLOOR
         deg = int(np.sum(np.where(dets[~small] > 0, 1, -1)))
         certified = certified and not small.any()
     return DegreeResult(degree=deg, method="jacobian_sum",
-                        min_boundary_norm=margin, refinement_levels=levels,
+                        min_boundary_norm=margin, refinement_levels=2,
                         certified=certified,
                         zeros=tuple(tuple(z) for z in zeros))
 
@@ -358,14 +391,14 @@ def defect(F: Callable) -> Callable:
         np.asarray(F(np.atleast_1d(v)), dtype=float))
 
 
-def fixed_point_degree(F: Callable, box) -> DegreeResult:
+def fixed_point_degree(F: Callable, box, _search: _Search | None = None) -> DegreeResult:
     """Brouwer degree of I - F over a box in R^k: endpoint signs for k = 1, in
-    one stacked call of F, multistart Jacobian-sign sums otherwise."""
+    one stacked call of F, else Jacobian-sign sums (of ``_search``, if given)."""
     dom = box if isinstance(box, DomainSpec) else box_domain(box)
-    g = defect(F)
+    g = defect(F) if _search is None else _search.g
     if dom.dim == 1:
         return _sign_change(*g(dom.as_box()[0][:, None])[:, 0])
-    return brouwer_nd_regular(g, dom)
+    return brouwer_nd_regular(g, dom, _search=_search)
 
 
 # ---------------------------------------------------------------------------

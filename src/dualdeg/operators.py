@@ -68,13 +68,15 @@ class C1Function:
 @dataclass(frozen=True)
 class Reduction:
     """Structure witness h = i o F o pi with pi o i = id on R^k.  ``handle``
-    names the finite operator of h's problem whose map is F, if one is."""
+    names the finite operator of h's problem whose map is F, and ``track`` the
+    grid operator whose image of x is a flow ending at F(pi(x)), if one is."""
 
     finite_map: Callable[[np.ndarray], np.ndarray]
     k: int
     pi: Callable
     i: Callable
     handle: str | None = None
+    track: str | None = None
 
 
 @dataclass(frozen=True)
@@ -174,7 +176,7 @@ def _build_periodic(name: str, problem, params: dict) -> OperatorHandle:
             return i(fin(pi(x)))
 
         return OperatorHandle(name, GRID_SPACE, apply_fn, problem, params,
-                              reduction=Reduction(fin, f.dim, pi, i, "K2"))
+                              reduction=Reduction(fin, f.dim, pi, i, "K2", "K1"))
     else:
         raise ValueError(f"unknown periodic operator {name!r}")
 

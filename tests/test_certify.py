@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from dualdeg import certify, operators, problems
+from dualdeg import certify, operators, problems, report
 from dualdeg.certify import (FunctionBall, admissibility_eps, certify_homotopy,
                              check_common_core, find_fixed_points, verify_duality)
 from dualdeg.degree import box_domain
@@ -99,6 +101,16 @@ class TestCommonCore:
         rep = check_common_core(ZERO_F, ZERO_F.default_U1(), ZERO_F.default_U2())
         assert not rep.verdict
         assert any("degenerate" in d for d in rep.diagnostics)
+
+
+@pytest.mark.parametrize("pid", ["p1", "p2", "p3", "p4", "p5", "p6", "p7"])
+def test_common_core_alone_equals_the_runs(pid):
+    # in a run the core reads the search and Jacobians the finite degree shares
+    p = replace(problems.get_problem(pid), m=32)
+    cores = [d["common_core"] for d in problems.run(p, "duality").duality
+             if d["common_core"] is not None]
+    alone = report.common_core_dict(check_common_core(p, p.default_U1(), p.default_U2()))
+    assert cores and all(core == alone for core in cores)
 
 
 class TestCertifyHomotopy:
@@ -211,6 +223,14 @@ class TestVerifyDuality:
     def test_unknown_pair(self):
         with pytest.raises(ValueError, match="unknown duality pair"):
             verify_duality(P1, "bogus")
+
+    def test_nonlocal_signs_reads_the_given_U2(self):
+        # the averaged field -2 pi u has no zero in [0.5, 0.9]
+        p7 = replace(problems.get_problem("p7"), m=32)
+        rep = verify_duality(p7, "nonlocal_signs", U2=box_domain([(0.5, 0.9), (-1, 1)]),
+                             eta=0.5)
+        assert rep.right.degree == 0 and not rep.equal
+        assert verify_duality(p7, "nonlocal_signs", eta=0.5).right.degree == -1
 
 
 class TestPerturbationRobustness:

@@ -160,23 +160,54 @@ class TestRun:
         assert rep.verdict and len(calls) == 1 and calls[0][1].shape == (8, 2)
 
     def test_finite_degrees_fresh_in_each_run(self, monkeypatch):
+        # p4's Kdir2 has one name and params at every grid: a Newton search or
+        # Jacobian kept past its run would be read at the next grid
         calls = self._finite_degree_calls(monkeypatch)
+        runs = [(pid, m) for pid in ("p3", "p4") for m in (16, 32)]
         docs = []
-        for m in (16, 32):
-            doc = run(get_problem("p3"), "all", grid_m=m).to_dict()
+        for pid, m in runs:
+            doc = run(get_problem(pid), "all", grid_m=m).to_dict()
             doc.pop("timings")
             docs.append(report_mod.canonical_json(doc))
-        assert len(calls) == 6
+        assert len(calls) == 2 * 3 + 2 * 2
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        for m, text in zip((16, 32), docs):
+        for (pid, m), text in zip(runs, docs):
             code = ("from dualdeg import problems, report\n"
-                    f"doc = problems.run(problems.get_problem('p3'), 'all', grid_m={m}).to_dict()\n"
+                    f"doc = problems.run(problems.get_problem('{pid}'), 'all', grid_m={m}).to_dict()\n"
                     "doc.pop('timings')\n"
                     "print(report.canonical_json(doc), end='')")
             fresh = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                                    capture_output=True, text=True).stdout
             assert text == fresh
+
+    @staticmethod
+    def _sweep_counts(monkeypatch) -> dict:
+        """RK4 sweeps (``flows._rk4`` and ``flows.dde_flow`` calls) and FD
+        Jacobians (through either binding of ``fd_jacobian``) made from now on."""
+        counts = {"sweeps": 0, "jacobians": 0}
+
+        def counted(fn, what):
+            def wrapper(*a, **k):
+                counts[what] += 1
+                return fn(*a, **k)
+            return wrapper
+
+        monkeypatch.setattr(flows, "_rk4", counted(flows._rk4, "sweeps"))
+        monkeypatch.setattr(flows, "dde_flow", counted(flows.dde_flow, "sweeps"))
+        jacobian = counted(degree.fd_jacobian, "jacobians")
+        for mod in (degree, certify):
+            monkeypatch.setattr(mod, "fd_jacobian", jacobian)
+        return counts
+
+    @pytest.mark.parametrize("pid,m,sweeps,jacobians", [
+        ("p3", 32, 19, 6), ("p4", 64, 11, 4), ("p6", 64, 9, 3)])
+    def test_sweeps_per_run(self, pid, m, sweeps, jacobians, monkeypatch):
+        # one Newton search per finite handle and box, one Jacobian per zero,
+        # one stacked margin call per degree and one flow for K1 and Ktilde
+        counts = self._sweep_counts(monkeypatch)
+        assert run(get_problem(pid), "all", grid_m=m).verdict
+        assert counts == {"sweeps": sweeps, "jacobians": jacobians}
 
     def test_determinism_excluding_timings(self):
         docs = []

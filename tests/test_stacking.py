@@ -11,8 +11,8 @@ import pytest
 
 from dualdeg import certify, degree, flows, gridfn, operators, problems
 from dualdeg.certify import HomotopyCertificate
-from dualdeg.degree import STACK_FLOATS, _multistart_seeds, _newton, box_domain, defect, \
-    fd_jacobian
+from dualdeg.degree import STACK_FLOATS, _multistart_seeds, _newton, _newton_runs, box_domain, \
+    defect, fd_jacobian
 from dualdeg.flows import IntegrationError, VectorFieldSpec
 from dualdeg.gridfn import DelayKernel, Grid, GridFunction, constant
 
@@ -133,6 +133,34 @@ class TestStackMatchesLoop:
                               np.stack([fd_jacobian(g, x, scale=float(c))
                                         for x, c in zip(X, scale[:, 0])]))
 
+    def test_random_directions(self):
+        def loop(problem, count, seed, vanish_at_end):
+            grid, n = problem.grid(), problem.field().dim
+            t = grid.nodes[:, None]
+            rng = np.random.default_rng(seed)
+            out = []
+            for _ in range(count):
+                vals = np.zeros((grid.m + 1, n))
+                for j in range(1, 4):
+                    a = rng.standard_normal(n)
+                    b = rng.standard_normal(n)
+                    vals += a * np.cos(2 * np.pi * j * (t - grid.a) / grid.length) \
+                        + b * np.sin(2 * np.pi * j * (t - grid.a) / grid.length)
+                vals += rng.standard_normal(n)
+                if vanish_at_end:
+                    vals = vals * np.sin(np.pi * (t - grid.a) / grid.length)
+                nrm = np.max(np.abs(vals))
+                if nrm == 0:
+                    continue
+                out.append(vals / nrm)
+            return np.reshape(out, (-1, grid.m + 1, n))
+
+        for problem in (P1, P3, P6):
+            for count in (0, 16, 64):
+                for vanish in (False, True):
+                    got = certify._random_directions(problem, count, 5, vanish)
+                    assert np.array_equal(got, loop(problem, count, 5, vanish))
+
 
 def _newton_one(g, x0, tol, max_iter=60, scale=1e-5):
     """Damped Newton from a single start, one g call per evaluation."""
@@ -216,6 +244,38 @@ class TestLockStepNewton:
                                 X[..., 1]], axis=-1)
         ok = self._check(g, np.array([[13.0, 0.5], [100.0, 0.5], [0.5, 0.5]]))
         assert ok.tolist() == [True, False, True]
+
+
+class TestNewtonRuns:
+    """One lock-step run records, per tolerance, the (X, ok) of a run at that
+    tolerance alone."""
+
+    def _check(self, g, X0):
+        runs = _newton_runs(g, X0, (1e-8, 1e-9))
+        for tol, (X, ok) in zip((1e-8, 1e-9), runs):
+            ref_X, ref_ok = _newton(g, X0, tol)
+            assert np.array_equal(X, ref_X) and np.array_equal(ok, ref_ok)
+        return [ok for _, ok in runs]
+
+    def test_stall_between_the_tolerances(self):
+        # |g| >= 3e-9 everywhere: a start gets within 1e-8, never within 1e-9
+        g = lambda X: np.stack([np.sqrt(X[..., 0] * X[..., 0] + 9e-18),
+                                X[..., 1] - 0.5], axis=-1)
+        loose, tight = self._check(g, np.array([[1.0, 0.2], [-0.7, 0.9]]))
+        assert loose.all() and not tight.any()
+
+    def test_blow_up_singular_and_converging_starts(self):
+        def g(X):
+            # past x0 = 2.5 the first component is 0: a singular Jacobian
+            out = np.stack([0.0 * X[..., 0], X[..., 1]], axis=-1)
+            low = X[..., 0] <= 2.5
+            out[low] = X[low] - flows.poincare(RICCATI, X[low], m=32)
+            return out
+
+        # from x0 = 1.5 the flow blows up at the start, from 3.0 the Jacobian is singular
+        seeds = np.array([[a, b] for a in (-1.5, 0.0, 0.6, 1.2, 1.5, 3.0) for b in (-0.5, 0.5)])
+        loose, tight = self._check(g, seeds)
+        assert loose.tolist() == tight.tolist() == [True] * 8 + [False] * 4
 
 
 def _certify_one(hA, hB, domain, max_doublings=4, lambda_steps=9, boundary_samples=16,
@@ -319,7 +379,10 @@ class TestLockStepCertificates:
 
     def _handle_calls_per_block(self, monkeypatch, floats):
         monkeypatch.setattr(degree, "STACK_FLOATS", floats)
-        calls, sizes = {}, []
+        calls, sizes, flow_calls = {}, [], []
+        flow = flows.flow
+        monkeypatch.setattr(flows, "flow",
+                            lambda *a, **k: flow_calls.append(1) or flow(*a, **k))
 
         def counted(h):
             def apply_fn(x):
@@ -342,7 +405,10 @@ class TestLockStepCertificates:
                   for lo in range(0, len(x), rows)]
         distinct = {(h.name, repr(h.params)) for pair in pairs for h in pair}
         assert len(distinct) == 10
-        assert calls == {key: blocks for key in distinct}
+        # every block applies K1, whose flow also gives Ktilde's image, so
+        # Ktilde's own map never runs and each block integrates one flow
+        assert calls == {key: blocks for key in distinct - {("Ktilde", "{}")}}
+        assert len(flow_calls) == len(blocks)
         assert all(n == 1 or size <= floats for n, size in sizes)
 
     def test_each_distinct_handle_once_per_block_per_pass(self, monkeypatch):
