@@ -46,10 +46,8 @@ class FunctionBall:
 
     def clearance(self, x) -> float:
         if self.center is None:
-            nrm = x.sup_norm()
-        else:
-            nrm = operators.sup_distance(x, self.center)
-        return self.radius - nrm
+            return self.radius - x.sup_norm()
+        return self.radius - operators.sup_distance(x, self.center)
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +369,9 @@ def _boundary_curves(pairs, samples: np.ndarray, unflat, lam_grids) -> list:
     keys = [(_handle_key(hA), _handle_key(hB)) for hA, hB in pairs]
     handles = {_handle_key(h): h for pair in pairs for h in pair}
     last = {key: i for i, pair_keys in enumerate(keys) for key in pair_keys}
-    tracked = {key: (h.reduction.track, "[]") for key, h in handles.items()
-               if h.reduction is not None and (h.reduction.track, "[]") in handles}
+    tracked = {key: (_handle_key(h.reduction.track), h.reduction)
+               for key, h in handles.items() if h.reduction is not None
+               and h.reduction.track is not None and _handle_key(h.reduction.track) in handles}
     curves, block_min = np.full((len(pairs), len(lams)), np.inf), np.empty(len(lams))
     rows = min(deg_mod._stack_rows(samples.shape[1]), len(samples))
     scratch, row_scratch = np.empty((3, rows, samples.shape[1])), np.empty(rows)
@@ -383,11 +382,11 @@ def _boundary_curves(pairs, samples: np.ndarray, unflat, lam_grids) -> list:
         for i, pair_keys in enumerate(keys):
             for key in pair_keys:
                 if key not in images:
-                    src = tracked.get(key, key)  # Ktilde's image comes from K1's flow
+                    # Ktilde's image i(pi(K1(x))) comes from K1's flow
+                    src = tracked[key][0] if key in tracked else key
                     images[src] = _flatten(handles[src].apply_fn(x))
-                    images.update({k: _flatten(handles[k].reduction.i(
-                        unflat(images[src]).values[..., -1, :]))
-                        for k, s in tracked.items() if s == src})
+                    images.update({k: _flatten(red.i(red.pi(unflat(images[src]))))
+                                   for k, (s, red) in tracked.items() if s == src})
             a, b = (images[key] for key in pair_keys)
             # x - H_lam(x) = (x - b) + lam (b - a), componentwise
             np.subtract(xs, b, out=base)
@@ -527,11 +526,11 @@ class Plan:
 
 class _FiniteSide:
     """The finite side of one problem's run, each computation once.  Called as
-    ``degree(h, dom)`` it gives deg(I - h, dom), through the finite map of h's
-    reduction witness, or the finite handle it names, over the box (of a
-    pullback); ``search(h)`` is the Newton search and Jacobians of I - h, h
-    finite, that the degrees, the core and the monodromy sign read.  A name and
-    params fix a map in one run (Kdelay2's at any grid of the problem)."""
+    ``degree(h, dom)`` it gives deg(I - F, U) over the box U (of a pullback),
+    F = h if h is finite, else the finite handle of h's reduction witness;
+    ``search(F)`` is the Newton search and Jacobians of I - F that the degrees,
+    the core and the monodromy sign read.  A name and params fix a map in one
+    run (Kdelay2's at any grid of the problem)."""
 
     def __init__(self):
         self._memo: dict = {}
@@ -542,15 +541,12 @@ class _FiniteSide:
 
     def __call__(self, h: OperatorHandle, dom: DomainSpec) -> DegreeResult:
         U = dom.finite if dom.kind == "pullback" else dom
-        red = None if h.space == operators.FINITE_SPACE else deg_mod._witness(h)
-        if red is not None and red.handle is not None:
-            h = operators.build_finite(red.handle, h.problem)
-        key = (_handle_key(h), U.as_box().tobytes())
+        finite = h.space == operators.FINITE_SPACE
+        fin = h if finite else deg_mod._witness(h).finite
+        key = (_handle_key(fin), U.as_box().tobytes())
         if key not in self._memo:
-            finite = h.space == operators.FINITE_SPACE
-            self._memo[key] = fixed_point_degree(h.apply_fn if finite else red.finite_map, U,
-                                                 _search=self.search(h) if finite else None)
-        return self._memo[key] if red is None else deg_mod._reduced(self._memo[key], dom.r)
+            self._memo[key] = fixed_point_degree(fin.apply_fn, U, _search=self.search(fin))
+        return self._memo[key] if finite else deg_mod._reduced(self._memo[key], dom.r)
 
 
 def run_plans(problem, plans, U1: FunctionBall, U2: DomainSpec,
@@ -695,7 +691,7 @@ def plan_duality(problem, pair: str, U1: FunctionBall, U2: DomainSpec,
         fin = operators.build_finite("Kdelay2", problem)
 
         def sides(degree):
-            left = degree(ktilde, U2)  # ktilde's witness names Kdelay2: one computation
+            left = degree(ktilde, U2)  # ktilde's finite handle is Kdelay2: one computation
             right = degree(fin, U2)
             # sign oracle, not in the verdict: sgn det(I - DP) of the discrete
             # monodromy at the first history-space fixed point, by finite differences

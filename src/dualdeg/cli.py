@@ -117,18 +117,16 @@ def degree(problem, operator, domain_spec, eta):
         handle = operators.build(operator, spec, params)
     except ValueError as exc:
         raise click.ClickException(str(exc))
-    if handle.space == operators.FINITE_SPACE:
-        dim = handle.params["dim"]
-    elif handle.reduction is not None:
-        dim = handle.reduction.k
-    else:
+    red = handle.reduction
+    if red is None and handle.space != operators.FINITE_SPACE:
         raise click.ClickException(
             f"operator {operator!r} acts on function space without a "
             "finite-rank reduction; compute its degree through `run` instead")
+    dim = handle.params["dim"] if red is None else red.k
     if dom.dim != dim:
         raise click.ClickException(
             f"--domain has dimension {dom.dim}, {operator} needs {dim}")
-    if handle.reduction is None:
+    if red is None:
         res = deg_mod.fixed_point_degree(handle.apply_fn, dom)
     else:
         res = deg_mod.finite_rank_reduce(handle, dom)

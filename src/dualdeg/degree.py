@@ -412,7 +412,7 @@ def finite_rank_reduce(h, U_finite: DomainSpec, r: float | None = None) -> Degre
     the Leray-Schauder degree of I - h over pi^{-1}(U) cap B(0, r) equals
     the Brouwer degree of I - F over U for any r beyond the image bound.
     """
-    return _reduced(fixed_point_degree(_witness(h).finite_map, U_finite), r)
+    return _reduced(fixed_point_degree(_witness(h).finite.apply_fn, U_finite), r)
 
 
 def _witness(h):

@@ -6,7 +6,8 @@ problem) or on finite vectors (phase space, kernel coordinates, history
 space).  Handles are immutable after build and apply_fn is pure.  Every
 handle also maps a stack of inputs (leading axes) to the stack of outputs.
 Each problem's Ktilde carries the Reduction witness, the one place that
-defines its boundary projection pi and right inverse i.
+defines its boundary projection pi and right inverse i, and holds the finite
+handle F it is built from: Ktilde = i o F o pi (``reduced_handle``).
 """
 
 from __future__ import annotations
@@ -67,16 +68,18 @@ class C1Function:
 
 @dataclass(frozen=True)
 class Reduction:
-    """Structure witness h = i o F o pi with pi o i = id on R^k.  ``handle``
-    names the finite operator of h's problem whose map is F, and ``track`` the
-    grid operator whose image of x is a flow ending at F(pi(x)), if one is."""
+    """Structure witness h = i o F o pi with pi o i = id on R^k: ``finite`` is
+    the handle of F, k its ``dim``, and ``track``, if any, the grid operator
+    whose image of x ends at F(pi(x)): pi(track(x)) = F(pi(x))."""
 
-    finite_map: Callable[[np.ndarray], np.ndarray]
-    k: int
+    finite: "OperatorHandle"
     pi: Callable
     i: Callable
-    handle: str | None = None
-    track: str | None = None
+    track: "OperatorHandle | None" = None
+
+    @property
+    def k(self) -> int:
+        return self.finite.params["dim"]
 
 
 @dataclass(frozen=True)
@@ -89,10 +92,17 @@ class OperatorHandle:
     reduction: Reduction | None = None
 
 
+def reduced_handle(name: str, space: str, problem, params: dict,
+                   red: Reduction) -> OperatorHandle:
+    """The handle of h = i o F o pi, F = ``red.finite``."""
+    def apply_fn(x):
+        return red.i(red.finite.apply_fn(red.pi(x)))
+
+    return OperatorHandle(name, space, apply_fn, problem, params, reduction=red)
+
+
 def sup_distance(x, y) -> float:
-    if isinstance(x, GridFunction):
-        return (x - y).sup_norm()
-    if isinstance(x, C1Function):
+    if isinstance(x, (GridFunction, C1Function)):
         return (x - y).sup_norm()
     return float(np.max(np.abs(np.asarray(x) - np.asarray(y))))
 
@@ -109,6 +119,11 @@ def residual(h: OperatorHandle, x) -> float:
 def _require_kind(problem, kinds, name):
     if problem.kind not in kinds:
         raise ValueError(f"operator {name} incompatible with problem kind {problem.kind!r}")
+
+
+def _endpoint(x: GridFunction) -> np.ndarray:
+    """x(T): where K1's flow starts and periodic Ktilde's pi projects."""
+    return x.values[..., -1, :].copy()
 
 
 def _vn(problem, x: GridFunction) -> GridFunction:
@@ -144,7 +159,7 @@ def _build_periodic(name: str, problem, params: dict) -> OperatorHandle:
             return GridFunction(grid, x.values[..., -1:, :] + _vn(problem, x).values)
     elif name == "K1":
         def apply_fn(x):
-            return flows.mu_periodic(f, x.values[..., -1, :], m=grid.m)
+            return flows.mu_periodic(f, _endpoint(x), m=grid.m)
     elif name in ("K3", "Khat3", "K5", "Khat5"):
         apply_fn = _mean_centred(grid, T, lambda x: gridfn.nemytskii(f, x),
                                  sign=-1.0 if "hat" in name else 1.0, centred=True,
@@ -162,21 +177,10 @@ def _build_periodic(name: str, problem, params: dict) -> OperatorHandle:
         def apply_fn(x):
             return flows.eta_periodic_solve(f, eta, x)
     elif name == "Ktilde":
-        # conjugate i o K2 o pi of the Poincare map
-        def fin(x0):
-            return flows.poincare(f, x0, m=grid.m)
-
-        def pi(x):
-            return x.values[..., -1, :].copy()
-
-        def i(c):
-            return constant(grid, c)
-
-        def apply_fn(x):
-            return i(fin(pi(x)))
-
-        return OperatorHandle(name, GRID_SPACE, apply_fn, problem, params,
-                              reduction=Reduction(fin, f.dim, pi, i, "K2", "K1"))
+        # conjugate i o K2 o pi of the Poincare map; K1's flow ends at K2(pi x)
+        red = Reduction(build_finite("K2", problem), _endpoint,
+                        lambda c: constant(grid, c), _build_periodic("K1", problem, {}))
+        return reduced_handle(name, GRID_SPACE, problem, params, red)
     else:
         raise ValueError(f"unknown periodic operator {name!r}")
 
@@ -208,21 +212,16 @@ def _build_dirichlet(name: str, problem, params: dict) -> OperatorHandle:
             return C1Function(flows.mu_dirichlet(f, a, b, m=grid.m), a)
     elif name == "Ktilde":
         # conjugate i~ o g o pi~ of the shooting defect g(a) = a - S(a)
-        def fin(a):
-            return a - flows.shooting(f, a, m=grid.m)
-
-        def pi(x: C1Function):
-            return x.deriv0.copy()
+        defect = OperatorHandle("Kshoot", FINITE_SPACE,
+                                lambda a: a - flows.shooting(f, a, m=grid.m),
+                                problem, {"dim": n})
 
         def i(a):
             return C1Function(flows.mu_dirichlet(f, a, np.zeros(n), m=grid.m),
                               np.asarray(a, dtype=float))
 
-        def apply_fn(x):
-            return i(fin(pi(x)))
-
-        return OperatorHandle(name, C1_SPACE, apply_fn, problem, params,
-                              reduction=Reduction(fin, n, pi, i))
+        red = Reduction(defect, lambda x: x.deriv0.copy(), i)
+        return reduced_handle(name, C1_SPACE, problem, params, red)
     else:
         raise ValueError(f"unknown dirichlet operator {name!r}")
 
@@ -261,8 +260,6 @@ def _build_delay(name: str, problem, params: dict) -> OperatorHandle:
                                  sign=1.0, centred=name in ("K7", "K8"),
                                  periodic_out=name == "K8")
     elif name == "Ktilde":
-        fin, dim = _delay_poincare(problem)
-
         def pi(x):
             v = x.values[..., grid.m - k:, :]
             return v.reshape(v.shape[:-2] + (-1,)).copy()
@@ -276,35 +273,31 @@ def _build_delay(name: str, problem, params: dict) -> OperatorHandle:
             vals[..., grid.m - k:, :] = y
             return GridFunction(grid, vals)
 
-        def apply_fn(x):
-            return i(fin(pi(x)))
-
-        return OperatorHandle(name, GRID_SPACE, apply_fn, problem, params,
-                              reduction=Reduction(fin, dim, pi, i, "Kdelay2"))
+        red = Reduction(_delay_poincare(problem), pi, i)
+        return reduced_handle(name, GRID_SPACE, problem, params, red)
     else:
         raise ValueError(f"unknown delay operator {name!r}")
 
     return OperatorHandle(name, GRID_SPACE, apply_fn, problem, dict(params))
 
 
-def _delay_poincare(problem):
-    """Discrete history-space Poincare map y -> (solution with history y)_T
-    on the history nodes of the problem's grid, and its dimension."""
+def _delay_poincare(problem) -> OperatorHandle:
+    """The Kdelay2 handle of the problem's grid: the discrete history-space
+    Poincare map y -> (solution with history y)_T on its history nodes."""
     f = problem.field()
     kernel = problem.kernel()
     grid = problem.grid()
     k = kernel.shift_steps(grid)
     n = f.dim
     hg = Grid(-kernel.tau, 0.0, k)
-    steps = grid.m
 
     def fin(v):
         v = np.asarray(v, dtype=float)
         hist = GridFunction(hg, v.reshape(v.shape[:-1] + (k + 1, n)))
-        track = flows.dde_flow(f, hist, f.period).values[..., steps:, :]
+        track = flows.dde_flow(f, hist, f.period).values[..., grid.m:, :]
         return track.reshape(v.shape).copy()
 
-    return fin, (k + 1) * n
+    return OperatorHandle("Kdelay2", FINITE_SPACE, fin, problem, {"dim": (k + 1) * n})
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +357,8 @@ def build_finite(name: str, problem, params: dict | None = None) -> OperatorHand
     elif name == "Kdelay2":
         # the history space of problem.history_nodes() nodes
         _require_kind(problem, ("periodic_dde",), name)
-        apply_fn, dim = _delay_poincare(problem.with_history_nodes())
+        fin = _delay_poincare(problem.with_history_nodes())
+        apply_fn, dim = fin.apply_fn, fin.params["dim"]
     else:
         raise ValueError(f"unknown finite operator {name!r}")
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dualdeg import certify, operators, problems, report
+from dualdeg import certify, degree, operators, problems, report
 from dualdeg.certify import (FunctionBall, admissibility_eps, certify_homotopy,
                              check_common_core, find_fixed_points, verify_duality)
 from dualdeg.degree import box_domain
@@ -193,6 +193,44 @@ class TestCertifyHomotopy:
                                              "Ktilde reduction of p6 has k = 65"):
             certify_homotopy(operators.build("Kdelay", P6),
                              operators.build("Kdelay1", P6), U)
+
+
+class TestKtildeFromItsFiniteHandle:
+    """Ktilde = i o F o pi with F its reduction's finite handle, so the degree
+    and the certificate image read the map that Ktilde applies."""
+
+    @pytest.mark.parametrize("pid,m", [("p1", 64), ("p3", 32), ("p7", None)])
+    def test_track_endpoint_is_the_ktilde_image(self, pid, m):
+        # the image that _boundary_curves substitutes for Ktilde's own map
+        p = problems.get_problem(pid)
+        p = replace(p, m=m) if m else p
+        ktilde = operators.build("Ktilde", p)
+        red = ktilde.reduction
+        samples = certify._domain_boundary_samples(
+            ktilde, certify.default_pullback(p.default_U2()), 16, certify.DEFAULT_SEED)
+        x = certify._unflattener(ktilde)(samples[:degree._stack_rows(samples.shape[1])])
+        assert red.track.name == "K1" and len(x.values) > 1
+        assert np.array_equal(ktilde.apply_fn(x).values,
+                              red.i(red.track.apply_fn(x).values[..., -1, :]).values)
+
+    @pytest.mark.parametrize("pid", ["p1", "p2"])
+    def test_finite_side_reads_a_mutated_finite_handle(self, pid):
+        # F replaced by 2x - P(x): I - F = -(I - P), so the 1-d degree flips
+        p = problems.get_problem(pid)
+        ktilde = operators.build("Ktilde", p)
+        red = ktilde.reduction
+        P = red.finite.apply_fn
+        khat2 = operators.OperatorHandle("Khat2", operators.FINITE_SPACE,
+                                         lambda v: 2.0 * v - P(v), p, dict(red.finite.params))
+        mutant = operators.reduced_handle("Ktilde", operators.GRID_SPACE, p, {},
+                                          replace(red, finite=khat2))
+        c = np.array([0.3])
+        assert np.array_equal(mutant.apply_fn(red.i(c)).values,
+                              red.i(2.0 * c - P(c)).values)
+        vr = certify.default_pullback(p.default_U2())
+        real, mut = (certify._FiniteSide()(h, vr) for h in (ktilde, mutant))
+        assert real.certified and mut.certified
+        assert (real.degree, mut.degree) == (1, -1)
 
 
 class TestVerifyDuality:

@@ -136,7 +136,7 @@ class TestFixedPointDegree1d:
     def test_endpoints_in_one_stacked_call(self, pid):
         p = problems.get_problem(pid)
         if p.kind == "dirichlet_bvp":  # the Ktilde shooting defect over the slope box
-            F = operators.build("Ktilde", p).reduction.finite_map
+            F = operators.build("Ktilde", p).reduction.finite.apply_fn
             box = box_domain(p.default_U2().as_box()[:1])
         else:
             F = operators.build_finite("K2", p).apply_fn
@@ -153,8 +153,9 @@ class TestFiniteRankReduce:
     def test_zero_reduced_map_identity_degree(self):
         p1 = problems.get_problem("p1")
         base = operators.build("Ktilde", p1)
-        red = operators.Reduction(lambda v: np.zeros_like(v), 1,
-                                  base.reduction.pi, base.reduction.i)
+        zero = operators.OperatorHandle("Fzero", operators.FINITE_SPACE,
+                                        lambda v: np.zeros_like(v), p1, {"dim": 1})
+        red = operators.Reduction(zero, base.reduction.pi, base.reduction.i)
         h = operators.OperatorHandle("Kzero", operators.GRID_SPACE,
                                      lambda x: x, p1, {}, red)
         res = finite_rank_reduce(h, box_domain([(-1.0, 1.0)]))
@@ -184,7 +185,9 @@ class TestFiniteRankReduce:
             finite_rank_reduce(operators.build("K", p1), box_domain([(-1.0, 1.0)]))
 
     def test_broken_witness(self):
-        red = operators.Reduction(lambda v: v, 1,
+        ident = operators.OperatorHandle("Fid", operators.FINITE_SPACE,
+                                         lambda v: v, None, {"dim": 1})
+        red = operators.Reduction(ident,
                                   lambda x: 2.0 * np.asarray(x),
                                   lambda v: np.asarray(v))
         h = operators.OperatorHandle("bad", operators.GRID_SPACE,
