@@ -89,13 +89,13 @@ def _unflattener(h: OperatorHandle):
 def find_fixed_points(h: OperatorHandle, domain, _search=None) -> list:
     """Fixed points of the operator inside the domain.
 
-    Finite handles: multistart Newton on x - h(x), or ``_search``'s of it.
+    Finite handles: multistart Newton on x - h(x), ``_search``'s if given.
     Grid-space handles: damped Picard from 0, then Newton on the flattened
     discrete residual.  Returns clustered points; an empty list when nothing
     converges.
     """
     if h.space == operators.FINITE_SPACE:
-        search = _search or deg_mod._Search(defect(h.apply_fn), FINITE_FP_TOL)
+        search = _search or _FiniteSide().search(h)
         dom = domain if isinstance(domain, DomainSpec) else box_domain(domain)
         return search.zeros(dom, FINITE_FP_TOL)[0]
 
@@ -163,22 +163,30 @@ KIND_TABLE = {
 
 
 def _grid_representative(problem, v: np.ndarray):
-    """alpha_1 of the solution with finite representative v."""
+    """alpha_1 of the solution with finite representative v, or the stack of
+    them for a stack of representatives (..., k)."""
     f = problem.field()
     grid = problem.grid()
+    v = np.atleast_1d(np.asarray(v, dtype=float))
     if problem.kind in operators.PERIODIC_KINDS:
         return flows.mu_periodic(f, v, m=grid.m)
     if problem.kind == "dirichlet_bvp":
         n = f.dim
-        return C1Function(flows.mu_dirichlet(f, v[:n], v[n:], m=grid.m), v[:n])
+        return C1Function(flows.mu_dirichlet(f, v[..., :n], v[..., n:], m=grid.m), v[..., :n])
     if problem.kind == "periodic_dde":
         kernel = problem.kernel()
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        nodes = v.size // f.dim
+        nodes = v.shape[-1] // f.dim
         hg = Grid(-kernel.tau, 0.0, nodes - 1)
-        hist = GridFunction(hg, v.reshape(nodes, f.dim))
+        hist = GridFunction(hg, v.reshape(v.shape[:-1] + (nodes, f.dim)))
         return flows.dde_flow(f, hist, f.period)
     raise ValueError(problem.kind)
+
+
+def _member(x, i: int):
+    """Member i of a stack of grid or C1 functions."""
+    if isinstance(x, C1Function):
+        return C1Function(_member(x.values, i), x.deriv0[i])
+    return GridFunction(x.grid, x.values[i])
 
 
 def _finite_clearance(v: np.ndarray, dom: DomainSpec) -> float:
@@ -207,11 +215,12 @@ def check_common_core(problem, U1: FunctionBall, U2: DomainSpec,
 
     pairs, clear1, clear2, verdict = [], np.inf, np.inf, True
     dets = np.linalg.det(search.jacobian(np.asarray(fps)))
-    for v, det in zip(fps, dets):
+    trajs = _grid_representative(problem, np.asarray(fps))  # every zero in one sweep
+    for i, (v, det) in enumerate(zip(fps, dets)):
         if abs(det) < 1e-8:
             diagnostics.append("degenerate: non-isolated fixed points")
             verdict = False
-        traj = _grid_representative(problem, v)
+        traj = _member(trajs, i)
         c1 = U1.clearance(traj)
         c2 = _finite_clearance(v, U2)
         clear1 = min(clear1, c1)
@@ -527,17 +536,30 @@ class Plan:
 class _FiniteSide:
     """The finite side of one problem's run, each computation once.  Called as
     ``degree(h, dom)`` it gives deg(I - F, U) over the box U (of a pullback),
-    F = h if h is finite, else the finite handle of h's reduction witness;
-    ``search(F)`` is the Newton search and Jacobians of I - F that the degrees,
-    the core and the monodromy sign read.  A name and params fix a map in one
-    run (Kdelay2's at any grid of the problem)."""
+    F = h if h is finite, else the finite handle of h's reduction witness.
+    ``map(F)`` is F's apply_fn with each row mapped once per run
+    (``degree._Rows``); every evaluation of F in the run reads it: the search,
+    the margins, the image box, Khat2 = 2v - K2(v) and the block-Jacobian
+    check.  ``search(F)`` is the Newton search and Jacobians of I - map(F),
+    each of its stages one stacked call, that the degrees, the core and the
+    monodromy sign read.  A name and params fix a map in one run (Kdelay2's
+    at any grid of the problem)."""
 
     def __init__(self):
         self._memo: dict = {}
 
+    def map(self, h: OperatorHandle) -> deg_mod._Rows:
+        key = ("map",) + _handle_key(h)
+        if key not in self._memo:
+            self._memo[key] = deg_mod._Rows(h.apply_fn)
+        return self._memo[key]
+
     def search(self, h: OperatorHandle) -> deg_mod._Search:
-        return self._memo.setdefault(("search",) + _handle_key(h),
-                                     deg_mod._Search(defect(h.apply_fn), FINITE_FP_TOL))
+        key = ("search",) + _handle_key(h)
+        if key not in self._memo:
+            F = self.map(h)
+            self._memo[key] = deg_mod._Search(defect(F), FINITE_FP_TOL, F)
+        return self._memo[key]
 
     def __call__(self, h: OperatorHandle, dom: DomainSpec) -> DegreeResult:
         U = dom.finite if dom.kind == "pullback" else dom
@@ -631,16 +653,16 @@ def plan_duality(problem, pair: str, U1: FunctionBall, U2: DomainSpec,
         keta = operators.build("Keta", problem, {"eta": eta})
         k3, k4, k_op, ktilde = build("K3", "K4", "K", "Ktilde")
         first = k3 if eta > 0 else operators.build("Khat3", problem)
-        P = operators.build_finite("K2", problem).apply_fn
-        # the hat chain bottoms out at K2hat(x0) = 2 x0 - P(x0)
-        khat2 = OperatorHandle("Khat2", operators.FINITE_SPACE,
-                               lambda v: 2.0 * v - np.asarray(P(v), dtype=float), problem)
+        k2 = operators.build_finite("K2", problem)
 
         def sides(degree):
             right = degree(ktilde, vr)
-            # eta > 0: a copy of the right side, not a computation of its own
-            left = replace(right, params={"via": "chain Keta~K3~K4~K~reduction"}) \
-                if eta > 0 else degree(khat2, U2)
+            if eta > 0:  # a copy of the right side, not a computation of its own
+                left = replace(right, params={"via": "chain Keta~K3~K4~K~reduction"})
+            else:  # the hat chain bottoms out at K2hat(x0) = 2 x0 - P(x0), P the run's K2
+                P = degree.map(k2)
+                left = degree(OperatorHandle("Khat2", operators.FINITE_SPACE,
+                                             lambda v: 2.0 * v - P(v), problem), U2)
             return left, right, True, {"eta": eta}
 
         return _verdict(pair, name, ((keta, first, vr), (k3, k4, vr), (k4, k_op, vr)),
@@ -653,8 +675,7 @@ def plan_duality(problem, pair: str, U1: FunctionBall, U2: DomainSpec,
         def sides(degree):
             right = degree(fin, U2)
             # image domain P(U2): bounding box of the mapped boundary samples
-            mapped = deg_mod._map_rows(fin.apply_fn,
-                                       deg_mod._boundary_lattice(U2.as_box(), 17))
+            mapped = degree.map(fin)(deg_mod._boundary_lattice(U2.as_box(), 17))
             img = box_domain(np.stack([mapped.min(axis=0), mapped.max(axis=0)], axis=1))
             return degree(hatp, img), right, True, {"image_box": img.as_box().tolist()}
 
@@ -676,7 +697,7 @@ def plan_duality(problem, pair: str, U1: FunctionBall, U2: DomainSpec,
                 Z = np.repeat(np.asarray(right.zeros), 2, axis=0)
                 scale = np.tile([[1e-5], [5e-6]], (len(right.zeros), 1))
                 d_full = np.sign(np.linalg.det(
-                    fd_jacobian(defect(kdir2.apply_fn), Z, scale=scale)))
+                    fd_jacobian(defect(degree.map(kdir2)), Z, scale=scale)))
                 d_shoot = np.sign(np.linalg.det(fd_jacobian(shoot, Z[:, :n], scale=scale)))
                 block_ok = bool(np.all(d_full == d_shoot))
             return left, right, block_ok, {"block_sign_identity": block_ok}

@@ -29,6 +29,7 @@ COLLISION_TOL = 1e-9
 WINDING_ROUND_GUARD = 0.01
 MAX_WINDING_DOUBLINGS = 20
 STACK_FLOATS = 2 ** 15  # input floats per stacked call: bounds the memory one call holds
+MARGIN_PER_AXIS = 9  # level-0 boundary lattice points per axis of a margin
 
 
 class CollisionError(ValueError):
@@ -173,6 +174,15 @@ def _map_rows(g: Callable, X: np.ndarray) -> np.ndarray:
                            for i in range(0, len(X), rows)])
 
 
+def _stencil(X: np.ndarray, scale=1e-5):
+    """The 2k central-difference points of each row of X (S, k), as rows
+    (2kS, k), and their steps h = scale * (1 + |x_i|), (S, k)."""
+    k = X.shape[1]
+    h = scale * (1.0 + np.abs(X))
+    E = h[:, :, None] * np.eye(k)
+    return np.concatenate([X[:, None] + E, X[:, None] - E], axis=1).reshape(-1, k), h
+
+
 def fd_jacobian(g: Callable, x: np.ndarray, scale=1e-5) -> np.ndarray:
     """Central finite-difference Jacobian with step scale * (1 + |x_i|).
 
@@ -182,23 +192,22 @@ def fd_jacobian(g: Callable, x: np.ndarray, scale=1e-5) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     X = np.atleast_2d(x)
     S, k = X.shape
-    h = scale * (1.0 + np.abs(X))
-    E = h[:, :, None] * np.eye(k)
-    gx = _map_rows(g, np.concatenate([X[:, None] + E, X[:, None] - E], axis=1)
-                   .reshape(-1, k)).reshape(S, 2 * k, -1)
+    pts, h = _stencil(X, scale)
+    gx = _map_rows(g, pts).reshape(S, 2 * k, -1)
     J = np.swapaxes(gx[:, :k] - gx[:, k:], 1, 2) / (2 * h[:, None, :])
     return J if x.ndim > 1 else J[0]
 
 
 def _safe_rows(g: Callable, X: np.ndarray) -> np.ndarray:
-    """g over the rows of X; a stack whose integration blows up is redone one
-    row at a time, and only the rows that blow up read inf."""
+    """g over the rows of X; a stack whose integration blows up is split in
+    halves until only the rows that blow up are left, and those read inf."""
     try:
         return _map_rows(g, X)
     except IntegrationError:
         if len(X) == 1:
             return np.full(X.shape, np.inf)
-        return np.concatenate([_safe_rows(g, X[i:i + 1]) for i in range(len(X))])
+        half = len(X) // 2
+        return np.concatenate([_safe_rows(g, X[:half]), _safe_rows(g, X[half:])])
 
 
 def _newton_steps(g: Callable, X: np.ndarray, G: np.ndarray, scale: float):
@@ -227,13 +236,15 @@ def _newton(g: Callable, X0: np.ndarray, tol: float, max_iter: int = 60,
 
 
 def _newton_runs(g: Callable, X0: np.ndarray, tols, max_iter: int = 60,
-                 scale: float = 1e-5) -> list:
+                 scale: float = 1e-5, warm: Callable | None = None) -> list:
     """Damped Newton on g with a central-difference Jacobian of step ``scale``
     from each row of X0, all live starts in lock step (stacked g, Jacobian and
     solve), to the last of the decreasing ``tols``.  Per tolerance, the
     iterates and which converged, each row as a run from that start alone at
     that tolerance would end: rows are independent, so such a run is a prefix
-    of this one, ending at the first iterate within its tolerance."""
+    of this one, ending at the first iterate within its tolerance.  ``warm``,
+    if given, is handed each line-search try's iterates with their stencil
+    before g maps them (``_Rows.warm`` of the map behind g)."""
     X = np.array(X0, dtype=float)
     G = _safe_rows(g, X)
     live = np.all(np.isfinite(G), axis=1)
@@ -255,6 +266,8 @@ def _newton_runs(g: Callable, X0: np.ndarray, tols, max_iter: int = 60,
             if not idx.size:
                 break
             Xn = X[idx] - s * step
+            if warm is not None:
+                warm(np.concatenate([Xn, _stencil(Xn, scale)[0]]))
             Gn = _safe_rows(g, Xn)
             better = np.all(np.isfinite(Gn), axis=1) & (np.max(np.abs(Gn), axis=1) < nrm[idx])
             X[idx[better]], G[idx[better]] = Xn[better], Gn[better]
@@ -291,11 +304,18 @@ def _boundary_random(box: np.ndarray, count: int, seed: int) -> np.ndarray:
     return pts
 
 
-def _boundary_samples(box: np.ndarray, per_axis: int, level: int) -> np.ndarray:
-    """Face samples at the given refinement level, budget-capped in k."""
+def _lattice_per(box: np.ndarray, per_axis: int, level: int) -> int | None:
+    """Lattice points per axis at the given refinement level, or None where
+    the level is random because a lattice would exceed the budget in k."""
     k = box.shape[0]
     per = per_axis + level * (per_axis - 1)  # doubling-style refinement
-    if 2 * k * per ** (k - 1) <= 20000:
+    return per if 2 * k * per ** (k - 1) <= 20000 else None
+
+
+def _boundary_samples(box: np.ndarray, per_axis: int, level: int) -> np.ndarray:
+    """Face samples at the given refinement level, budget-capped in k."""
+    per = _lattice_per(box, per_axis, level)
+    if per is not None:
         return _boundary_lattice(box, per)
     return _boundary_random(box, 1024 * (level + 1), seed=0x4B52 + level)
 
@@ -321,25 +341,138 @@ def _multistart_seeds(box: np.ndarray) -> np.ndarray:
     return np.vstack([center[None, :], np.asarray(offs)])
 
 
+def _margin_samples(box: np.ndarray, per_axis: int = MARGIN_PER_AXIS) -> np.ndarray:
+    """The boundary samples of a margin, levels 0 and 1, each distinct point
+    once: lattice levels share points (for k = 1, the two endpoints), random
+    ones are kept as drawn."""
+    S = np.concatenate([_boundary_samples(box, per_axis, level) for level in (0, 1)])
+    if _lattice_per(box, per_axis, 1) is None:
+        return S
+    return np.unique(S.view(np.uint64), axis=0).view(float)  # distinct bit patterns
+
+
+class _Rows:
+    """The map ``fn`` over stacks of rows, each distinct row mapped once while
+    this object lives.  A call maps the rows it does not hold together
+    (``_map_rows``), in the order they first appear; rows are independent, so
+    each value is the one fn gives that row alone.  A row is held by its bytes,
+    except the margin samples of a box, whose values are held as one array per
+    box (``edge``) and found again from the box, so that a large margin costs
+    no object per row.  A call that raises stores nothing."""
+
+    def __init__(self, fn: Callable):
+        self.fn, self._rows, self._edges = fn, {}, {}
+
+    def _lookup(self, X: np.ndarray):
+        """The held value of each row of X, or None; and the rows that are not
+        held, by their bytes, with where each occurs in X."""
+        out = [self._rows.get(row.tobytes()) for row in X]
+        for box, per_axis, vals in self._edges.values():
+            # a margin sample lies on a face of its box
+            on = [i for i in np.flatnonzero(np.any((X == box[:, 0]) | (X == box[:, 1]), axis=1))
+                  if out[i] is None]
+            if on:
+                at = {s.tobytes(): j for j, s in enumerate(_margin_samples(box, per_axis))}
+                for i in on:
+                    j = at.get(X[i].tobytes())
+                    if j is not None:
+                        out[i] = vals[j]
+        new: dict = {}
+        for i, v in enumerate(out):
+            if v is None:
+                new.setdefault(X[i].tobytes(), []).append(i)
+        return out, new
+
+    def _hold(self, out: list, new: dict, vals: np.ndarray):
+        """Hold the values of the new rows and fill them in."""
+        for (key, at), val in zip(new.items(), vals):
+            self._rows[key] = val
+            for i in at:
+                out[i] = val
+
+    def __call__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        X = x.reshape(-1, x.shape[-1])
+        out, new = self._lookup(X)
+        if new:
+            self._hold(out, new, _map_rows(self.fn, X[[at[0] for at in new.values()]]))
+        out = np.stack(out)
+        return out.reshape(x.shape[:-1] + out.shape[-1:])
+
+    def warm(self, X: np.ndarray):
+        """Map the new rows of X ahead, in one stacked call; if it blows up,
+        nothing is stored and each row is mapped when it is asked for."""
+        try:
+            self(X)
+        except IntegrationError:
+            pass
+
+    def _with_edge(self, box: np.ndarray, X: np.ndarray, per_axis: int = MARGIN_PER_AXIS):
+        """Map the margin samples of the box and the new rows of X in one
+        stacked call, and hold both."""
+        S = _margin_samples(box, per_axis)
+        out, new = self._lookup(X)
+        vals = _map_rows(self.fn, np.concatenate([S, X[[at[0] for at in new.values()]]]))
+        self._edges[box.tobytes(), per_axis] = (box, per_axis, vals[:len(S)])
+        self._hold(out, new, vals[len(S):].copy())  # a copy: the index holds no margin row
+
+    def open(self, box: np.ndarray, X: np.ndarray):
+        """On the first use of a box: its margin samples and the new rows of X
+        in one stacked call; if it blows up, nothing is stored."""
+        try:
+            if (box.tobytes(), MARGIN_PER_AXIS) in self._edges:
+                self(X)
+            else:
+                self._with_edge(box, X)
+        except IntegrationError:
+            pass
+
+    def edge(self, box: np.ndarray, per_axis: int = MARGIN_PER_AXIS) -> np.ndarray:
+        """fn over the margin samples of the box."""
+        if (box.tobytes(), per_axis) not in self._edges:
+            self._with_edge(box, np.empty((0, box.shape[0])), per_axis)
+        return self._edges[box.tobytes(), per_axis][2]
+
+
 class _Search:
     """Multistart Newton zeros and FD Jacobians of one map g, each made once
     while this object lives.  A box's search runs from its multistart seeds to
     ``loose`` and, for k >= 2, where a Jacobian-sign degree reads it, on to
-    NEWTON_TOL (``_newton_runs``); a Jacobian (scale 1e-5) is kept per point."""
+    NEWTON_TOL (``_newton_runs``); a Jacobian (scale 1e-5) is kept per point.
 
-    def __init__(self, g: Callable, loose: float):
-        self.g, self.loose, self._runs, self._jacobians = g, loose, {}, {}
+    ``rows``, if given, is the ``_Rows`` of a map F with g = v - F(v); then each
+    stage costs one stacked call of F: on a box's first use, its margin
+    samples, the seeds and the seeds' stencil (``_Rows.open``); on each
+    line-search try, the iterates and their stencil (``_Rows.warm``).  The
+    margin, the next Newton step and the Jacobian at each zero then read rows
+    already mapped."""
+
+    def __init__(self, g: Callable, loose: float, rows: _Rows | None = None):
+        self.g, self.loose, self.rows, self._runs, self._jacobians = g, loose, rows, {}, {}
+
+    def _open(self, b: np.ndarray) -> dict:
+        """The runs of box b per tolerance, made on its first use."""
+        if b.tobytes() not in self._runs:
+            seeds = _multistart_seeds(b)
+            if self.rows is not None:
+                self.rows.open(b, np.concatenate([seeds, _stencil(seeds)[0]]))
+            tols = (self.loose, NEWTON_TOL) if len(b) >= 2 and NEWTON_TOL < self.loose \
+                else (self.loose,)
+            self._runs[b.tobytes()] = dict(zip(tols, _newton_runs(
+                self.g, seeds, tols, warm=None if self.rows is None else self.rows.warm)))
+        return self._runs[b.tobytes()]
+
+    def margin(self, b: np.ndarray, per_axis: int = MARGIN_PER_AXIS) -> float:
+        """min |g| over the margin samples of box b."""
+        self._open(b)
+        S = _margin_samples(b, per_axis)
+        G = _map_rows(self.g, S) if self.rows is None else S - self.rows.edge(b, per_axis)
+        return float(np.min(np.max(np.abs(G), axis=-1)))
 
     def zeros(self, dom: DomainSpec, tol: float):
         """At ``tol`` (``loose``, or NEWTON_TOL for k >= 2): the converged starts
         inside the domain, clustered at radius 10 tol, and how many failed."""
-        b = dom.as_box()
-        if b.tobytes() not in self._runs:
-            tols = (self.loose, NEWTON_TOL) if len(b) >= 2 and NEWTON_TOL < self.loose \
-                else (self.loose,)
-            self._runs[b.tobytes()] = dict(zip(tols, _newton_runs(
-                self.g, _multistart_seeds(b), tols)))
-        X, ok = self._runs[b.tobytes()][tol]
+        X, ok = self._open(dom.as_box())[tol]
         zeros: list[np.ndarray] = []
         for z in X[ok]:
             if dom.contains(z) and all(np.max(np.abs(z - z0)) > 10 * tol for z0 in zeros):
@@ -354,7 +487,7 @@ class _Search:
         return np.stack([self._jacobians[z.tobytes()] for z in Z])
 
 
-def brouwer_nd_regular(g: Callable, box, boundary_per_axis: int = 9,
+def brouwer_nd_regular(g: Callable, box, boundary_per_axis: int = MARGIN_PER_AXIS,
                        _search: _Search | None = None) -> DegreeResult:
     """Degree via multistart Newton zeros and Jacobian determinant signs, those
     of ``_search`` (a ``_Search`` of g that a run shares) if given."""
@@ -362,11 +495,8 @@ def brouwer_nd_regular(g: Callable, box, boundary_per_axis: int = 9,
     b = dom.as_box()
     search = _search or _Search(g, NEWTON_TOL)
 
-    # empirical boundary margin, one refinement doubling for stability, both
-    # levels' samples in one stacked map
-    samples = np.concatenate([_boundary_samples(b, boundary_per_axis, level)
-                              for level in (0, 1)])
-    margin = float(np.min(np.max(np.abs(_map_rows(g, samples)), axis=-1)))
+    # empirical boundary margin, one refinement doubling for stability
+    margin = search.margin(b, boundary_per_axis)
 
     zeros, fails = search.zeros(dom, NEWTON_TOL)
     starts = len(_multistart_seeds(b))

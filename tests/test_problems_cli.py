@@ -201,13 +201,36 @@ class TestRun:
         return counts
 
     @pytest.mark.parametrize("pid,m,sweeps,jacobians", [
-        ("p3", 32, 19, 6), ("p4", 64, 11, 4), ("p6", 64, 9, 3)])
+        pytest.param(pid, m, sweeps, jacobians, id=f"{pid}-{m}") for pid, m, sweeps, jacobians in
+        (("p1", 64, 5, 2), ("p2", 64, 4, 1), ("p3", 32, 8, 6), ("p4", 64, 8, 4), ("p6", 64, 6, 3))])
     def test_sweeps_per_run(self, pid, m, sweeps, jacobians, monkeypatch):
         # one Newton search per finite handle and box, one Jacobian per zero,
-        # one stacked margin call per degree and one flow for K1 and Ktilde
+        # one flow for K1 and Ktilde, each finite row mapped once per run and
+        # one stacked call per stage: a box's margin, seeds and seed stencil,
+        # then each line-search try with its stencil
         counts = self._sweep_counts(monkeypatch)
         assert run(get_problem(pid), "all", grid_m=m).verdict
         assert counts == {"sweeps": sweeps, "jacobians": jacobians}
+
+    @pytest.mark.parametrize("pid,m", [("p1", 64), ("p3", 32)])
+    def test_no_finite_row_is_mapped_twice(self, pid, m, monkeypatch):
+        # K2 and KhatP are the Poincare maps of the field and its time reversal;
+        # a key holds its rhs, so no two fields share one
+        seen, repeats = set(), []
+        poincare = flows.poincare
+
+        def recorded(f, x0, m=256):
+            X = np.asarray(x0, dtype=float).reshape(-1, f.dim)
+            for row in X:
+                key = (f.rhs, row.tobytes())
+                if key in seen:
+                    repeats.append(row)
+                seen.add(key)
+            return poincare(f, x0, m=m)
+
+        monkeypatch.setattr(flows, "poincare", recorded)
+        assert run(get_problem(pid), "all", grid_m=m).verdict
+        assert seen and not repeats
 
     def test_determinism_excluding_timings(self):
         docs = []

@@ -83,6 +83,19 @@ class TestStackMatchesLoop:
         loop = [flows.flow(f, x, grid) for x in x0]
         assert np.array_equal(stacked.values, np.stack([r.values for r in loop]))
 
+    @pytest.mark.parametrize("problem", [P3, P4, P6], ids=["periodic", "dirichlet", "delay"])
+    def test_grid_representatives(self, problem):
+        # the common core maps the representatives of all its zeros in one sweep
+        V = _multistart_seeds(problem.default_U2().as_box())[:3]
+        stacked = certify._grid_representative(problem, V)
+        for i, v in enumerate(V):
+            got, one = certify._member(stacked, i), certify._grid_representative(problem, v)
+            assert type(got) is type(one)
+            if isinstance(one, operators.C1Function):
+                assert np.array_equal(got.deriv0, one.deriv0)
+                got, one = got.values, one.values
+            assert got.grid == one.grid and np.array_equal(got.values, one.values)
+
     def test_nemytskii(self):
         f = P3.field()
         x = GridFunction(P3.grid(), _smooth_stack(P3.grid(), 4, 2))
@@ -276,6 +289,102 @@ class TestNewtonRuns:
         seeds = np.array([[a, b] for a in (-1.5, 0.0, 0.6, 1.2, 1.5, 3.0) for b in (-0.5, 0.5)])
         loose, tight = self._check(g, seeds)
         assert loose.tolist() == tight.tolist() == [True] * 8 + [False] * 4
+
+
+def _bounded(calls: list):
+    """x -> (x0^2/2 - 1/2, 0.3 x1, ...), whose stacks blow up once a row has a
+    component beyond 2 in size; ``calls`` records each call's rows and outcome."""
+    def F(X):
+        X = np.asarray(X, dtype=float)
+        bad = bool(np.any(np.abs(X) > 2.0))
+        calls.append((len(X.reshape(-1, X.shape[-1])), bad))
+        if bad:
+            raise IntegrationError("beyond |x| = 2")
+        return np.concatenate([0.5 * X[..., :1] * X[..., :1] - 0.5, 0.3 * X[..., 1:]], axis=-1)
+    return F
+
+
+class TestRowMemo:
+    """``degree._Rows`` maps each row once and gives the map's own values;
+    searches through it take the path of the plain algorithm."""
+
+    def test_each_row_once_and_the_maps_values(self):
+        calls, F = [], _bounded([])
+        rows = degree._Rows(_bounded(calls))
+        X = np.array([[0.5, 1.0], [-0.0, 0.3], [0.0, 0.3], [0.5, 1.0], [1.5, -1.9]])
+        assert np.array_equal(rows(X), F(X))
+        assert np.array_equal(rows(X[3]), F(X[3]))
+        assert np.array_equal(rows(X[:, None]), F(X)[:, None])
+        # -0.0 and 0.0 are two rows; the repeated row is mapped once
+        assert calls == [(4, False)]
+
+    def test_a_call_that_blows_up_stores_nothing(self):
+        calls = []
+        rows = degree._Rows(_bounded(calls))
+        rows.warm(np.array([[0.5, 0.5], [2.5, 0.0]]))
+        rows(np.array([[0.5, 0.5]]))
+        assert calls == [(2, True), (1, False)]
+
+    @pytest.mark.parametrize("bounds", [[(-1.0, 1.5)], [(-1.0, 1.5), (-0.5, 1.0)]])
+    def test_margin_samples_held_per_box(self, bounds):
+        calls, F = [], _bounded([])
+        rows = degree._Rows(_bounded(calls))
+        b = np.array(bounds)
+        S = degree._margin_samples(b)
+        # lattice levels share points: each distinct one once, level 1 holds level 0
+        assert len(S) == len({s.tobytes() for s in S}) == \
+            len(degree._boundary_samples(b, degree.MARGIN_PER_AXIS, 1))
+        seeds = degree._multistart_seeds(b)
+        rows.open(b, seeds)
+        assert calls == [(len(S) + len({x.tobytes() for x in seeds}), False)]
+        assert np.array_equal(rows.edge(b), F(S))
+        # the inverse_poincare image box and the 1-d endpoints read the margin
+        for X in (degree._boundary_lattice(b, 17), b[0][:, None] if len(b) == 1 else S[::3],
+                  seeds):
+            assert np.array_equal(rows(X), F(X))
+        assert len(calls) == 1
+
+    def test_random_margin_kept_as_drawn(self):
+        b = np.array([(-1.0, 1.0)] * 8)
+        S = degree._margin_samples(b)
+        levels = [degree._boundary_samples(b, degree.MARGIN_PER_AXIS, level) for level in (0, 1)]
+        assert np.array_equal(S, np.concatenate(levels))
+
+    def test_safe_rows_splits_a_stack_in_halves(self):
+        calls = []
+        F = _bounded(calls)
+        X = np.tile([[0.25, -0.5]], (64, 1)) * np.arange(1, 65)[:, None] / 64
+        X[37] = [2.5, 0.0]
+        got = degree._safe_rows(F, X)
+        ref = np.array([F(x) if i != 37 else np.full(2, np.inf) for i, x in enumerate(X)])
+        assert np.array_equal(got, ref)
+        assert len(calls) - 64 <= 2 * 6 + 1  # 2 ceil(log2 64) + 1 calls
+
+    def test_memoized_search_through_blow_ups(self):
+        # Newton steps from x0 = 0.95 land far beyond the bound, and so do the
+        # stencils of the starts at 1.99999: their stacked calls blow up
+        calls = []
+        F = _bounded(calls)
+        rows = degree._Rows(F)
+        memo = degree._Search(defect(rows), 1e-8, rows)
+        plain = degree._Search(defect(F), 1e-8)
+        box = box_domain([(-1.9, 1.9), (-1.9, 1.9)])
+        for tol in (1e-8, 1e-9):
+            (zm, fm), (zp, fp) = memo.zeros(box, tol), plain.zeros(box, tol)
+            assert np.array_equal(zm, zp) and fm == fp
+        for tol in (1e-8, 1e-9):
+            for got, ref in zip(memo._open(box.as_box())[tol], plain._open(box.as_box())[tol]):
+                assert np.array_equal(got, ref)
+        assert memo.margin(box.as_box()) == plain.margin(box.as_box())
+
+        starts = np.array([[1.99999, 0.5], [0.95, -1.0], [-1.5, 1.99999], [1.9, 0.2]])
+        tols = (1e-8, 1e-9)
+        calls.clear()
+        runs = degree._newton_runs(defect(rows), starts, tols, warm=rows.warm)
+        assert any(bad for _, bad in calls)
+        for (X, ok), (ref_X, ref_ok) in zip(runs, degree._newton_runs(defect(F), starts, tols)):
+            assert np.array_equal(X, ref_X) and np.array_equal(ok, ref_ok)
+        assert runs[-1][1].any() and not runs[-1][1].all()
 
 
 def _certify_one(hA, hB, domain, max_doublings=4, lambda_steps=9, boundary_samples=16,
