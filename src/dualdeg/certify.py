@@ -89,13 +89,13 @@ def _unflattener(h: OperatorHandle):
 def find_fixed_points(h: OperatorHandle, domain, _search=None) -> list:
     """Fixed points of the operator inside the domain.
 
-    Finite handles: multistart Newton on x - h(x), ``_search``'s if given.
+    Finite handles: multistart Newton on x - h(x), or ``_search``'s of it.
     Grid-space handles: damped Picard from 0, then Newton on the flattened
     discrete residual.  Returns clustered points; an empty list when nothing
     converges.
     """
     if h.space == operators.FINITE_SPACE:
-        search = _search or _FiniteSide().search(h)
+        search = _search or deg_mod._Search(defect(h.apply_fn), FINITE_FP_TOL)
         dom = domain if isinstance(domain, DomainSpec) else box_domain(domain)
         return search.zeros(dom, FINITE_FP_TOL)[0]
 
@@ -539,8 +539,9 @@ class _FiniteSide:
     F = h if h is finite, else the finite handle of h's reduction witness.
     ``map(F)`` is F's apply_fn with each row mapped once per run
     (``degree._Rows``); every evaluation of F in the run reads it: the search,
-    the margins, the image box, Khat2 = 2v - K2(v) and the block-Jacobian
-    check.  ``search(F)`` is the Newton search and Jacobians of I - map(F),
+    the margins, the image box and the block-Jacobian check, and Khat2 =
+    2v - K2(v), whose apply_fn is a ``degree._Derived`` of K2's map and is its
+    own map.  ``search(F)`` is the Newton search and Jacobians of I - map(F),
     each of its stages one stacked call, that the degrees, the core and the
     monodromy sign read.  A name and params fix a map in one run (Kdelay2's
     at any grid of the problem)."""
@@ -548,7 +549,9 @@ class _FiniteSide:
     def __init__(self):
         self._memo: dict = {}
 
-    def map(self, h: OperatorHandle) -> deg_mod._Rows:
+    def map(self, h: OperatorHandle):
+        if isinstance(h.apply_fn, deg_mod._Derived):  # reads a map of this run
+            return h.apply_fn
         key = ("map",) + _handle_key(h)
         if key not in self._memo:
             self._memo[key] = deg_mod._Rows(h.apply_fn)
@@ -660,9 +663,8 @@ def plan_duality(problem, pair: str, U1: FunctionBall, U2: DomainSpec,
             if eta > 0:  # a copy of the right side, not a computation of its own
                 left = replace(right, params={"via": "chain Keta~K3~K4~K~reduction"})
             else:  # the hat chain bottoms out at K2hat(x0) = 2 x0 - P(x0), P the run's K2
-                P = degree.map(k2)
-                left = degree(OperatorHandle("Khat2", operators.FINITE_SPACE,
-                                             lambda v: 2.0 * v - P(v), problem), U2)
+                khat2 = deg_mod._Derived(degree.map(k2), lambda v, p: 2.0 * v - p)
+                left = degree(OperatorHandle("Khat2", operators.FINITE_SPACE, khat2, problem), U2)
             return left, right, True, {"eta": eta}
 
         return _verdict(pair, name, ((keta, first, vr), (k3, k4, vr), (k4, k_op, vr)),
@@ -674,8 +676,11 @@ def plan_duality(problem, pair: str, U1: FunctionBall, U2: DomainSpec,
 
         def sides(degree):
             right = degree(fin, U2)
-            # image domain P(U2): bounding box of the mapped boundary samples
-            mapped = degree.map(fin)(deg_mod._boundary_lattice(U2.as_box(), 17))
+            # image domain P(U2): bounding box of the mapped 17-point boundary
+            # lattice, for k <= 3 the margin samples of U2 (``degree._margin_samples``)
+            b, F = U2.as_box(), degree.map(fin)
+            mapped = F.edge(b) if deg_mod._lattice_per(b, deg_mod.MARGIN_PER_AXIS, 1) == 17 \
+                else F(deg_mod._boundary_lattice(b, 17))
             img = box_domain(np.stack([mapped.min(axis=0), mapped.max(axis=0)], axis=1))
             return degree(hatp, img), right, True, {"image_box": img.as_box().tolist()}
 

@@ -199,15 +199,14 @@ def fd_jacobian(g: Callable, x: np.ndarray, scale=1e-5) -> np.ndarray:
 
 
 def _safe_rows(g: Callable, X: np.ndarray) -> np.ndarray:
-    """g over the rows of X; a stack whose integration blows up is split in
-    halves until only the rows that blow up are left, and those read inf."""
+    """g over the rows of X; a stack whose integration blows up is redone one
+    row at a time, and only the rows that blow up read inf."""
     try:
         return _map_rows(g, X)
     except IntegrationError:
         if len(X) == 1:
             return np.full(X.shape, np.inf)
-        half = len(X) // 2
-        return np.concatenate([_safe_rows(g, X[:half]), _safe_rows(g, X[half:])])
+        return np.concatenate([_safe_rows(g, X[i:i + 1]) for i in range(len(X))])
 
 
 def _newton_steps(g: Callable, X: np.ndarray, G: np.ndarray, scale: float):
@@ -355,48 +354,30 @@ class _Rows:
     """The map ``fn`` over stacks of rows, each distinct row mapped once while
     this object lives.  A call maps the rows it does not hold together
     (``_map_rows``), in the order they first appear; rows are independent, so
-    each value is the one fn gives that row alone.  A row is held by its bytes,
-    except the margin samples of a box, whose values are held as one array per
-    box (``edge``) and found again from the box, so that a large margin costs
-    no object per row.  A call that raises stores nothing."""
+    each value is the one fn gives that row alone.  Rows are held by their
+    bytes, the margin samples of a box as one array per box (``edge``), so
+    that a large margin costs no object per row; the two endpoints of a 1-d
+    box, which the 1-d degree reads as rows, are held both ways.  A call that
+    raises stores nothing."""
 
     def __init__(self, fn: Callable):
         self.fn, self._rows, self._edges = fn, {}, {}
 
-    def _lookup(self, X: np.ndarray):
-        """The held value of each row of X, or None; and the rows that are not
-        held, by their bytes, with where each occurs in X."""
-        out = [self._rows.get(row.tobytes()) for row in X]
-        for box, per_axis, vals in self._edges.values():
-            # a margin sample lies on a face of its box
-            on = [i for i in np.flatnonzero(np.any((X == box[:, 0]) | (X == box[:, 1]), axis=1))
-                  if out[i] is None]
-            if on:
-                at = {s.tobytes(): j for j, s in enumerate(_margin_samples(box, per_axis))}
-                for i in on:
-                    j = at.get(X[i].tobytes())
-                    if j is not None:
-                        out[i] = vals[j]
-        new: dict = {}
-        for i, v in enumerate(out):
-            if v is None:
-                new.setdefault(X[i].tobytes(), []).append(i)
-        return out, new
+    def _new(self, X: np.ndarray) -> np.ndarray:
+        """The rows of X that are not held, each once, as they first appear."""
+        new = {row.tobytes(): row for row in X if row.tobytes() not in self._rows}
+        return np.stack(list(new.values())) if new else X[:0]
 
-    def _hold(self, out: list, new: dict, vals: np.ndarray):
-        """Hold the values of the new rows and fill them in."""
-        for (key, at), val in zip(new.items(), vals):
-            self._rows[key] = val
-            for i in at:
-                out[i] = val
+    def _hold(self, X: np.ndarray, vals: np.ndarray):
+        self._rows.update(zip((row.tobytes() for row in X), vals))
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         X = x.reshape(-1, x.shape[-1])
-        out, new = self._lookup(X)
-        if new:
-            self._hold(out, new, _map_rows(self.fn, X[[at[0] for at in new.values()]]))
-        out = np.stack(out)
+        new = self._new(X)
+        if len(new):
+            self._hold(new, _map_rows(self.fn, new))
+        out = np.stack([self._rows[row.tobytes()] for row in X])
         return out.reshape(x.shape[:-1] + out.shape[-1:])
 
     def warm(self, X: np.ndarray):
@@ -410,11 +391,12 @@ class _Rows:
     def _with_edge(self, box: np.ndarray, X: np.ndarray, per_axis: int = MARGIN_PER_AXIS):
         """Map the margin samples of the box and the new rows of X in one
         stacked call, and hold both."""
-        S = _margin_samples(box, per_axis)
-        out, new = self._lookup(X)
-        vals = _map_rows(self.fn, np.concatenate([S, X[[at[0] for at in new.values()]]]))
-        self._edges[box.tobytes(), per_axis] = (box, per_axis, vals[:len(S)])
-        self._hold(out, new, vals[len(S):].copy())  # a copy: the index holds no margin row
+        S, new = _margin_samples(box, per_axis), self._new(X)
+        vals = _map_rows(self.fn, np.concatenate([S, new]))
+        self._edges[box.tobytes(), per_axis] = vals[:len(S)]
+        self._hold(new, vals[len(S):])
+        if len(box) == 1:
+            self._hold(S, vals[:len(S)])
 
     def open(self, box: np.ndarray, X: np.ndarray):
         """On the first use of a box: its margin samples and the new rows of X
@@ -428,10 +410,31 @@ class _Rows:
             pass
 
     def edge(self, box: np.ndarray, per_axis: int = MARGIN_PER_AXIS) -> np.ndarray:
-        """fn over the margin samples of the box."""
+        """fn over the margin samples of the box (``_margin_samples``)."""
         if (box.tobytes(), per_axis) not in self._edges:
-            self._with_edge(box, np.empty((0, box.shape[0])), per_axis)
-        return self._edges[box.tobytes(), per_axis][2]
+            self._with_edge(box, np.empty((0, len(box))), per_axis)
+        return self._edges[box.tobytes(), per_axis]
+
+
+class _Derived:
+    """v -> post(v, F(v)) over stacks of rows, for F a ``_Rows``: every value
+    of F, a margin's too, is read from F, and nothing is held here."""
+
+    def __init__(self, F: _Rows, post: Callable):
+        self.F, self.post = F, post
+
+    def __call__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return self.post(x, self.F(x))
+
+    def warm(self, X: np.ndarray):
+        self.F.warm(X)
+
+    def open(self, box: np.ndarray, X: np.ndarray):
+        self.F.open(box, X)
+
+    def edge(self, box: np.ndarray, per_axis: int = MARGIN_PER_AXIS) -> np.ndarray:
+        return self.post(_margin_samples(box, per_axis), self.F.edge(box, per_axis))
 
 
 class _Search:
@@ -440,14 +443,14 @@ class _Search:
     ``loose`` and, for k >= 2, where a Jacobian-sign degree reads it, on to
     NEWTON_TOL (``_newton_runs``); a Jacobian (scale 1e-5) is kept per point.
 
-    ``rows``, if given, is the ``_Rows`` of a map F with g = v - F(v); then each
-    stage costs one stacked call of F: on a box's first use, its margin
-    samples, the seeds and the seeds' stencil (``_Rows.open``); on each
-    line-search try, the iterates and their stencil (``_Rows.warm``).  The
-    margin, the next Newton step and the Jacobian at each zero then read rows
-    already mapped."""
+    ``rows``, if given, is the ``_Rows`` (or ``_Derived``) of a map F with
+    g = v - F(v); then each stage costs one stacked call of F: on a box's
+    first use, its margin samples, the seeds and the seeds' stencil
+    (``_Rows.open``); on each line-search try, the iterates and their stencil
+    (``_Rows.warm``).  The margin, the next Newton step and the Jacobian at
+    each zero then read rows already mapped."""
 
-    def __init__(self, g: Callable, loose: float, rows: _Rows | None = None):
+    def __init__(self, g: Callable, loose: float, rows: _Rows | _Derived | None = None):
         self.g, self.loose, self.rows, self._runs, self._jacobians = g, loose, rows, {}, {}
 
     def _open(self, b: np.ndarray) -> dict:

@@ -9,6 +9,7 @@ suites over a problem and returns a deterministic report.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field as dc_field, replace
 from importlib import resources
 from typing import Callable
@@ -347,35 +348,34 @@ class RunReport:
                 "verdict": self.verdict, "timings": dict(self.timings)}
 
 
-def _operator_plan(problem: ProblemSpec, U1, vr) -> certify.Plan:
-    """Operator-family checks: chain homotopies and/or solution residuals.
-    Concludes with (certificate dicts, residual dicts)."""
-    if problem.kind in operators.PERIODIC_KINDS:
-        chain = (("K", "Kgamma"), ("K4", "K3"), ("K3", "K5"))
-        homotopies = tuple((operators.build(a, problem), operators.build(b, problem), vr)
-                           for a, b in chain)
-
-        def conclude(certs, core, degree):
-            chain_deg = degree(operators.build("Ktilde", problem), vr)
-            dicts = [dict(report_mod.certificate_dict(c), chain_degree=chain_deg.degree)
-                     for c in certs]
-            return dicts, []
-
-        return certify.Plan("operators", homotopies, conclude)
-
-    names = ("K6", "K7", "K8") if problem.kind == "periodic_dde" else ("Kdir", "Kdir1")
+def _operator_plan(problem: ProblemSpec, vr) -> certify.Plan:
+    """Operator-family chain homotopies of a periodic kind.  Concludes with
+    their certificate dicts, each with the degree of the chain's Ktilde."""
+    chain = (("K", "Kgamma"), ("K4", "K3"), ("K3", "K5"))
+    homotopies = tuple((operators.build(a, problem), operators.build(b, problem), vr)
+                       for a, b in chain)
 
     def conclude(certs, core, degree):
-        out: list[dict] = []
-        fps = certify.find_fixed_points(operators.build(names[0], problem), U1)
-        for fp in fps:
-            for name in names:
-                h = operators.build(name, problem)
-                out.append({"operator": name, "solution_sup_norm": fp.sup_norm(),
-                            "residual": operators.residual(h, fp)})
-        return [], out
+        chain_deg = degree(operators.build("Ktilde", problem), vr)
+        return [dict(report_mod.certificate_dict(c), chain_degree=chain_deg.degree)
+                for c in certs]
 
-    return certify.Plan("operators", (), conclude)
+    return certify.Plan("operators", homotopies, conclude)
+
+
+def _residuals(problem: ProblemSpec, U1) -> list[dict]:
+    """Solution residuals of the grid operators of a Dirichlet or delay
+    problem at the fixed points of the first.  They read no homotopy, common
+    core or finite degree, so ``run`` makes them after ``run_plans``, once the
+    run's finite side is freed."""
+    names = ("K6", "K7", "K8") if problem.kind == "periodic_dde" else ("Kdir", "Kdir1")
+    out: list[dict] = []
+    for fp in certify.find_fixed_points(operators.build(names[0], problem), U1):
+        for name in names:
+            h = operators.build(name, problem)
+            out.append({"operator": name, "solution_sup_norm": fp.sup_norm(),
+                        "residual": operators.residual(h, fp)})
+    return out
 
 
 def run(problem: ProblemSpec, suite: str = "all", grid_m: int | None = None,
@@ -383,7 +383,8 @@ def run(problem: ProblemSpec, suite: str = "all", grid_m: int | None = None,
     """Execute a verification suite on one problem, deterministically.
 
     Every verdict's homotopies are certified together, each distinct one
-    once, and the common core is checked once (``certify.run_plans``).
+    once, and the common core is checked once (``certify.run_plans``); the
+    residuals of a Dirichlet or delay problem follow.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
@@ -399,14 +400,20 @@ def run(problem: ProblemSpec, suite: str = "all", grid_m: int | None = None,
     vr = certify.default_pullback(U2)
     plans = [certify.plan_duality(problem, pair, U1, U2, vr, eta)
              for pair, eta in instances]
-    if suite in ("all", "operators"):
-        plans.append(_operator_plan(problem, U1, vr))
+    operator_suite = suite in ("all", "operators")
+    chain = operator_suite and problem.kind in operators.PERIODIC_KINDS
+    if chain:
+        plans.append(_operator_plan(problem, vr))
     timings: dict[str, float] = {}
     results = certify.run_plans(problem, plans, U1, U2, seed, timings)
+    certs, residuals = (results[-1] if chain else []), []
+    if operator_suite and not chain:
+        t = time.perf_counter()
+        residuals = _residuals(problem, U1)
+        timings["operators"] = time.perf_counter() - t
 
     duality = [report_mod.duality_dict(problem.pid, rep)
                for rep in results[:len(instances)]]
-    certs, residuals = results[-1] if suite in ("all", "operators") else ([], [])
     verdict = all(d["equal"] for d in duality) \
         and all(c["admissible"] for c in certs) \
         and all(r["residual"] <= 5e-5 for r in residuals)

@@ -338,27 +338,27 @@ class TestRowMemo:
         rows.open(b, seeds)
         assert calls == [(len(S) + len({x.tobytes() for x in seeds}), False)]
         assert np.array_equal(rows.edge(b), F(S))
-        # the inverse_poincare image box and the 1-d endpoints read the margin
-        for X in (degree._boundary_lattice(b, 17), b[0][:, None] if len(b) == 1 else S[::3],
-                  seeds):
+        # the seeds and the two endpoints that the 1-d degree reads are rows
+        for X in ([seeds, b.T] if len(b) == 1 else [seeds]):
             assert np.array_equal(rows(X), F(X))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("bounds", [
+        [(-1.0, 1.5)], [(0.1, 0.7), (-1.3, 2.9)], [(-0.3, 0.3)] * 2 + [(1e-3, 7.0)],
+        [(-2.0, -0.1), (0.37, 5.11), (-9.0, 3.3)]])
+    def test_margin_samples_are_the_image_box_lattice(self, bounds):
+        # for k <= 3 the inverse_poincare image box reads the margin's values:
+        # as bit patterns, the margin samples are the 17-point boundary lattice
+        b = np.array(bounds)
+        assert degree._lattice_per(b, degree.MARGIN_PER_AXIS, 1) == 17
+        rows = lambda X: sorted(x.tobytes() for x in X)
+        assert rows(degree._margin_samples(b)) == rows(degree._boundary_lattice(b, 17))
 
     def test_random_margin_kept_as_drawn(self):
         b = np.array([(-1.0, 1.0)] * 8)
         S = degree._margin_samples(b)
         levels = [degree._boundary_samples(b, degree.MARGIN_PER_AXIS, level) for level in (0, 1)]
         assert np.array_equal(S, np.concatenate(levels))
-
-    def test_safe_rows_splits_a_stack_in_halves(self):
-        calls = []
-        F = _bounded(calls)
-        X = np.tile([[0.25, -0.5]], (64, 1)) * np.arange(1, 65)[:, None] / 64
-        X[37] = [2.5, 0.0]
-        got = degree._safe_rows(F, X)
-        ref = np.array([F(x) if i != 37 else np.full(2, np.inf) for i, x in enumerate(X)])
-        assert np.array_equal(got, ref)
-        assert len(calls) - 64 <= 2 * 6 + 1  # 2 ceil(log2 64) + 1 calls
 
     def test_memoized_search_through_blow_ups(self):
         # Newton steps from x0 = 0.95 land far beyond the bound, and so do the
