@@ -370,10 +370,12 @@ def _handle_key(h: OperatorHandle) -> tuple:
 
 def _boundary_curves(pairs, samples: np.ndarray, unflat, lam_grids) -> list:
     """Per pair, per lambda grid: the boundary minimum over the samples of |x - H_lam(x)|
-    at each lambda.  Each distinct handle of the pairs maps each block of
-    ``degree._stack_rows`` samples once, and its image is held from its first pair to
-    its last (Ktilde's comes from K1's flow, if K1 is among them); each lambda of the
-    grids' exact union is scored once per pair and block."""
+    at each lambda.  A handle with ``factors`` (K1 = lift o mu o pi) maps mu over pi of
+    all samples first, ``degree._stack_rows(n)`` rows per call; every other distinct
+    handle maps each block of ``degree._stack_rows`` samples once, the block's one x,
+    whose memo they share.  An image is held from its first pair to its last (Ktilde's
+    comes from K1's, if K1 is among them); each lambda of the grids' exact union is
+    scored once per pair and block."""
     lams, where = np.unique(np.concatenate(lam_grids), return_inverse=True)
     keys = [(_handle_key(hA), _handle_key(hB)) for hA, hB in pairs]
     handles = {_handle_key(h): h for pair in pairs for h in pair}
@@ -381,6 +383,9 @@ def _boundary_curves(pairs, samples: np.ndarray, unflat, lam_grids) -> list:
     tracked = {key: (_handle_key(h.reduction.track), h.reduction)
                for key, h in handles.items() if h.reduction is not None
                and h.reduction.track is not None and _handle_key(h.reduction.track) in handles}
+    lifted = {key: deg_mod._map_rows(lambda c, mu=h.factors[1]: mu(c).reshape(len(c), -1),
+                                     h.factors[0](unflat(samples)))
+              for key, h in handles.items() if h.factors is not None}
     curves, block_min = np.full((len(pairs), len(lams)), np.inf), np.empty(len(lams))
     rows = min(deg_mod._stack_rows(samples.shape[1]), len(samples))
     scratch, row_scratch = np.empty((3, rows, samples.shape[1])), np.empty(rows)
@@ -393,7 +398,8 @@ def _boundary_curves(pairs, samples: np.ndarray, unflat, lam_grids) -> list:
                 if key not in images:
                     # Ktilde's image i(pi(K1(x))) comes from K1's flow
                     src = tracked[key][0] if key in tracked else key
-                    images[src] = _flatten(handles[src].apply_fn(x))
+                    images[src] = lifted[src][lo:lo + rows] if src in lifted \
+                        else _flatten(handles[src].apply_fn(x))
                     images.update({k: _flatten(red.i(red.pi(unflat(images[src]))))
                                    for k, (s, red) in tracked.items() if s == src})
             a, b = (images[key] for key in pair_keys)
@@ -437,6 +443,8 @@ def certify_homotopies(pairs, domain, lambda_steps: int = 9,
                          f"a single lambda checks only the endpoint B")
     if max_doublings < 0:
         raise ValueError(f"max_doublings must be at least 0, got {max_doublings}")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     handles = [h for pair in pairs for h in pair]
     spaces = sorted({h.space for h in handles})
     if len(spaces) > 1:

@@ -55,7 +55,7 @@ def list_catalog():
 @click.option("--eta", "etas", multiple=True, type=float,
               help="Eta values for the signs suite (repeatable).")
 @click.option("--seed", default=certify.DEFAULT_SEED, show_default=True,
-              type=int, help="Boundary-sampling seed.")
+              type=click.IntRange(min=0), help="Boundary-sampling seed.")
 @click.option("--out", "outdir", default=".", show_default=True,
               help="Directory for the JSON report.")
 def run(problem, suite, grid_m, etas, seed, outdir):

@@ -9,8 +9,8 @@ functions: values (..., m+1, n), quadrature along axis -2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -65,11 +65,16 @@ class GridFunction:
     ``values`` has shape (m+1, n), or (..., m+1, n) for a stack of
     functions.  With ``periodic=True`` the first and last node values are
     asserted to agree and index arithmetic downstream may wrap modulo m.
+    The values are read-only, so ``_memo`` keeps what is derived from them
+    (Nemytskii images by field, average, cumulative integral, mean-free part)
+    once computed, for every operator applied to this object; it dies with
+    the object and takes no part in ``==`` or ``repr``.
     """
 
     grid: Grid
     values: np.ndarray
     periodic: bool = False
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         v = _as_values(self.values, self.grid.m)
@@ -142,13 +147,22 @@ class DelayKernel:
         return k
 
 
+def _memoized(x: GridFunction, key, compute: Callable):
+    """x's derived quantity under ``key``, computed on first use."""
+    memo = x._memo
+    return memo[key] if key in memo else memo.setdefault(key, compute())
+
+
 def cumulative_integral(x: GridFunction) -> GridFunction:
     """V(x)(t) = integral of x from the grid start to t, cumulative trapezoid."""
-    h = x.grid.h
-    v = np.zeros_like(x.values)
-    increments = 0.5 * h * (x.values[..., :-1, :] + x.values[..., 1:, :])
-    v[..., 1:, :] = np.cumsum(increments, axis=-2)
-    return GridFunction(x.grid, v)
+    def compute():
+        h = x.grid.h
+        v = np.zeros_like(x.values)
+        increments = 0.5 * h * (x.values[..., :-1, :] + x.values[..., 1:, :])
+        v[..., 1:, :] = np.cumsum(increments, axis=-2)
+        return GridFunction(x.grid, v)
+
+    return _memoized(x, "V", compute)
 
 
 def double_cumulative_integral(x: GridFunction) -> GridFunction:
@@ -164,7 +178,18 @@ def integral(x: GridFunction) -> np.ndarray:
 
 
 def average(x: GridFunction) -> np.ndarray:
-    return integral(x) / x.grid.length
+    def compute():
+        a = integral(x) / x.grid.length
+        a.setflags(write=False)
+        return a
+
+    return _memoized(x, "average", compute)
+
+
+def centred(x: GridFunction) -> GridFunction:
+    """The mean-free part x - average(x)."""
+    return _memoized(x, "centred",
+                     lambda: GridFunction(x.grid, x.values - average(x)[..., None, :]))
 
 
 def _rhs_call(rhs, t, x: np.ndarray, *delayed) -> np.ndarray:
@@ -190,8 +215,8 @@ def _superpose(f: "VectorFieldSpec", x: GridFunction, *delayed) -> GridFunction:
 
 
 def nemytskii(f: "VectorFieldSpec", x: GridFunction) -> GridFunction:
-    """Superposition t -> f(t, x(t)) at the grid nodes."""
-    return _superpose(f, x)
+    """Superposition t -> f(t, x(t)) at the grid nodes, once per value-equal f."""
+    return _memoized(x, f, lambda: _superpose(f, x))
 
 
 def nemytskii_delay(f: "VectorFieldSpec", x: GridFunction, k: DelayKernel) -> GridFunction:

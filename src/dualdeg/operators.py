@@ -90,6 +90,22 @@ class OperatorHandle:
     problem: object = None
     params: dict = dc_field(default_factory=dict)
     reduction: Reduction | None = None
+    factors: tuple | None = None  # (pi, mu) of a ``lifted_handle``
+
+
+def lifted_handle(name: str, problem, params: dict, pi: Callable,
+                  mu: Callable) -> OperatorHandle:
+    """The grid handle of h = lift o mu o pi: pi projects x onto R^n, mu maps a
+    stack (..., n) to node values (..., m+1, n) and lift makes those a grid
+    function.  ``factors`` = (pi, mu): a caller may map mu over the projections
+    of many inputs at once, and gets h's values row for row."""
+    grid = problem.grid()
+
+    def apply_fn(x):
+        return GridFunction(grid, mu(pi(x)))
+
+    return OperatorHandle(name, GRID_SPACE, apply_fn, problem, dict(params),
+                          factors=(pi, mu))
 
 
 def reduced_handle(name: str, space: str, problem, params: dict,
@@ -134,13 +150,12 @@ def _mean_centred(grid: Grid, T: float, superpose: Callable, sign: float,
                   centred: bool, periodic_out: bool) -> Callable:
     """x -> mean(x) + sign T mean(N x) + V(I) - mean(V(I)), N = superpose and
     I = N x - mean(N x) if centred, else N x.  With periodic_out the last node
-    copies the first, exact for a centred I since then V(I)(T) = 0."""
+    copies the first, exact for a centred I since then V(I)(T) = 0.  Each term
+    comes from the memo of x, N x or I, shared by every operator given one x."""
     def apply_fn(x):
         nx = superpose(x)
-        nbar = gridfn.average(nx)[..., None, :]
-        v = gridfn.cumulative_integral(
-            GridFunction(grid, nx.values - nbar) if centred else nx)
-        vals = (gridfn.average(x)[..., None, :] + sign * T * nbar
+        v = gridfn.cumulative_integral(gridfn.centred(nx) if centred else nx)
+        vals = (gridfn.average(x)[..., None, :] + sign * T * gridfn.average(nx)[..., None, :]
                 - gridfn.average(v)[..., None, :]) + v.values
         if periodic_out:
             vals[..., -1, :] = vals[..., 0, :]
@@ -158,8 +173,8 @@ def _build_periodic(name: str, problem, params: dict) -> OperatorHandle:
         def apply_fn(x):
             return GridFunction(grid, x.values[..., -1:, :] + _vn(problem, x).values)
     elif name == "K1":
-        def apply_fn(x):
-            return flows.mu_periodic(f, _endpoint(x), m=grid.m)
+        return lifted_handle(name, problem, params, _endpoint,
+                             lambda c: flows.mu_periodic(f, c, m=grid.m).values)
     elif name in ("K3", "Khat3", "K5", "Khat5"):
         apply_fn = _mean_centred(grid, T, lambda x: gridfn.nemytskii(f, x),
                                  sign=-1.0 if "hat" in name else 1.0, centred=True,

@@ -3,11 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dualdeg import certify, degree, operators, problems, report
+from dualdeg import certify, degree, flows, operators, problems, report
 from dualdeg.certify import (FunctionBall, admissibility_eps, certify_homotopy,
                              check_common_core, find_fixed_points, verify_duality)
 from dualdeg.degree import box_domain
-from dualdeg.gridfn import constant
+from dualdeg.gridfn import GridFunction, constant
 from dualdeg.problems import ProblemSpec
 
 P1 = problems.get_problem("p1")
@@ -163,6 +163,11 @@ class TestCertifyHomotopy:
         with pytest.raises(ValueError, match="max_doublings must be at least 0"):
             certify_homotopy(h, h, P1.default_U1(), max_doublings=-1)
 
+    def test_negative_seed_rejected(self):
+        h = operators.build("K", P1)
+        with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+            certify_homotopy(h, operators.build("K1", P1), P1.default_U1(), seed=-1)
+
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError, match="pairs is empty"):
             certify.certify_homotopies([], P1.default_U1())
@@ -231,6 +236,50 @@ class TestKtildeFromItsFiniteHandle:
         real, mut = (certify._FiniteSide()(h, vr) for h in (ktilde, mutant))
         assert real.certified and mut.certified
         assert (real.degree, mut.degree) == (1, -1)
+
+
+class TestK1FromItsFactors:
+    """K1 = lift o mu o pi with pi = x(T) and mu the flow on R^n; the
+    certificates map the same mu over pi of a whole pass."""
+
+    @staticmethod
+    def _block(p, m):
+        p = replace(p, m=m)
+        k1 = operators.build("K1", p)
+        samples = certify._domain_boundary_samples(
+            k1, certify.default_pullback(p.default_U2()), 16, certify.DEFAULT_SEED)
+        return p, k1, certify._unflattener(k1)(samples[:degree._stack_rows(samples.shape[1])])
+
+    @pytest.mark.parametrize("pid,m", [("p1", 64), ("p3", 32)])
+    def test_apply_is_lift_of_mu_of_pi(self, pid, m):
+        p, k1, x = self._block(problems.get_problem(pid), m)
+        pi, mu = k1.factors
+        c = pi(x)
+        assert np.array_equal(c, x.values[..., -1, :]) and len(c) > 1
+        assert np.array_equal(mu(c), flows.mu_periodic(p.field(), c, m=m).values)
+        y = k1.apply_fn(x)
+        assert y.grid == p.grid() and np.array_equal(y.values, GridFunction(p.grid(), mu(c)).values)
+
+    def test_image_reads_only_the_endpoint(self):
+        p, k1, x = self._block(P1, 64)
+        moved = x.values + 0.5
+        moved[..., -1, :] = x.values[..., -1, :]
+        assert np.array_equal(k1.apply_fn(GridFunction(x.grid, moved)).values,
+                              k1.apply_fn(x).values)
+
+    def test_mutant_mu_changes_map_and_certificate(self):
+        p = replace(P1, m=64)
+        vr = certify.default_pullback(p.default_U2())
+        k, k1 = operators.build("K", p), operators.build("K1", p)
+        pi, mu = k1.factors
+        mutant = operators.lifted_handle("K1", p, {}, pi, lambda c: mu(c) + 0.25)
+        x = constant(p.grid(), [0.7])
+        assert np.array_equal(mutant.apply_fn(x).values, k1.apply_fn(x).values + 0.25)
+        # the pass maps the mutant's mu, as its blocks would map its apply_fn
+        cert, cert_mut = (certify_homotopy(k, h, vr) for h in (k1, mutant))
+        assert cert_mut == certify_homotopy(k, replace(mutant, factors=None), vr)
+        assert cert == certify_homotopy(k, replace(k1, factors=None), vr)
+        assert cert_mut.min_residual != cert.min_residual
 
 
 class TestVerifyDuality:

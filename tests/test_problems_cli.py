@@ -202,10 +202,12 @@ class TestRun:
 
     @pytest.mark.parametrize("pid,m,sweeps,jacobians", [
         pytest.param(pid, m, sweeps, jacobians, id=f"{pid}-{m}") for pid, m, sweeps, jacobians in
-        (("p1", 64, 5, 2), ("p2", 64, 4, 1), ("p3", 32, 8, 6), ("p4", 64, 8, 4), ("p6", 64, 6, 3))])
+        (("p1", 64, 5, 2), ("p2", 64, 4, 1), ("p3", 32, 8, 6), ("p3", 128, 8, 6),
+         ("p4", 64, 8, 4), ("p6", 64, 6, 3))])
     def test_sweeps_per_run(self, pid, m, sweeps, jacobians, monkeypatch):
         # one Newton search per finite handle and box, one Jacobian per zero,
-        # one flow for K1 and Ktilde, each finite row mapped once per run and
+        # one flow for K1 and Ktilde per certificate pass (at m = 128 too, where
+        # a pass has several blocks), each finite row mapped once per run and
         # one stacked call per stage: a box's margin, seeds and seed stencil,
         # then each line-search try with its stencil
         counts = self._sweep_counts(monkeypatch)
@@ -318,6 +320,13 @@ class TestCli:
                        "--out", str(tmp_path)])
         assert res.exit_code == 1
         assert "verdict: FAIL" in res.output
+
+    def test_run_negative_seed_one_error_line(self, tmp_path):
+        res = CliRunner().invoke(cli_main, ["run", "p1", "--seed", "-1", "--out", str(tmp_path)])
+        assert res.exit_code == 2, res.output  # click's usage error
+        errors = [line for line in res.output.splitlines() if line.startswith("Error: ")]
+        assert len(errors) == 1 and "'--seed': -1" in errors[0], res.output
+        assert "Traceback" not in res.output and not list(tmp_path.iterdir())
 
     def test_run_unknown_problem(self):
         res = CliRunner().invoke(cli_main, ["run", "p99"])

@@ -4,6 +4,7 @@ Every stacked path must give, bit for bit, what one call per node, per state
 or per sample gives; the references below are those loops.
 """
 
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -424,13 +425,15 @@ def _certify_one(hA, hB, domain, max_doublings=4, lambda_steps=9, boundary_sampl
                                residual_curve=tuple(curve))
 
 
+def _build(problem, name):
+    """A handle built afresh; a name may carry ("Keta", eta)."""
+    if isinstance(name, tuple):
+        return operators.build(name[0], problem, {"eta": name[1]})
+    return operators.build(name, problem)
+
+
 def _pairs(problem, names):
-    """Handle pairs, each endpoint built afresh; a name may carry ("Keta", eta)."""
-    def build(name):
-        if isinstance(name, tuple):
-            return operators.build(name[0], problem, {"eta": name[1]})
-        return operators.build(name, problem)
-    return [(build(a), build(b)) for a, b in names]
+    return [(_build(problem, a), _build(problem, b)) for a, b in names]
 
 
 # the distinct pullback pairs of run(p3, "all"): krasnoselskii, both eta_sign
@@ -491,7 +494,7 @@ class TestLockStepCertificates:
         calls, sizes, flow_calls = {}, [], []
         flow = flows.flow
         monkeypatch.setattr(flows, "flow",
-                            lambda *a, **k: flow_calls.append(1) or flow(*a, **k))
+                            lambda f, x0, grid: flow_calls.append(np.size(x0)) or flow(f, x0, grid))
 
         def counted(h):
             def apply_fn(x):
@@ -514,11 +517,12 @@ class TestLockStepCertificates:
                   for lo in range(0, len(x), rows)]
         distinct = {(h.name, repr(h.params)) for pair in pairs for h in pair}
         assert len(distinct) == 10
-        # every block applies K1, whose flow also gives Ktilde's image, so
-        # Ktilde's own map never runs and each block integrates one flow
-        assert calls == {key: blocks for key in distinct - {("Ktilde", "{}")}}
-        assert len(flow_calls) == len(blocks)
+        # K1's flow of x(T) runs once per pass over every sample, before the
+        # blocks, and also gives Ktilde's image: neither map runs per block
+        assert calls == {key: blocks for key in distinct - {("K1", "{}"), ("Ktilde", "{}")}}
+        assert len(flow_calls) == 2
         assert all(n == 1 or size <= floats for n, size in sizes)
+        assert all(size <= floats for size in flow_calls)
 
     def test_each_distinct_handle_once_per_block_per_pass(self, monkeypatch):
         self._handle_calls_per_block(monkeypatch, STACK_FLOATS)
@@ -561,6 +565,73 @@ class TestLockStepCertificates:
             for curves, ref in zip(together, alone):
                 assert len(curves[j]) == len(lams)
                 assert np.array_equal(curves[j], ref[0])
+
+
+P3_128 = replace(P3, m=128)
+# every periodic grid operator; each block of a p3 pass gives them one x
+PERIODIC_GRID = ("K", "K1", "K3", "K4", "K5", "Kgamma", ("Keta", 1.0), ("Keta", -1.0),
+                 "Khat3", "Khat5", "Ktilde")
+
+
+class TestSharedGridQuantities:
+    """Handles applied to one GridFunction read its Nemytskii image, average,
+    cumulative integral and mean-free part from its memo."""
+
+    @staticmethod
+    def _first_block(problem):
+        vr = certify.default_pullback(problem.default_U2())
+        h = operators.build("K", problem)
+        samples = certify._domain_boundary_samples(h, vr, 16, certify.DEFAULT_SEED)
+        return certify._unflattener(h)(samples[:degree._stack_rows(samples.shape[1])])
+
+    def test_shared_images_equal_fresh_ones(self):
+        x = self._first_block(P3_128)
+        assert len(x.values) > 1
+        handles = [_build(P3_128, name) for name in PERIODIC_GRID]
+        shared = [h.apply_fn(x).values for h in handles]
+        assert x._memo  # the block's quantities were shared
+        for h, image in zip(handles, shared):
+            fresh = GridFunction(x.grid, x.values.copy())
+            assert np.array_equal(image, h.apply_fn(fresh).values), h.name
+
+    def test_one_superposition_per_block(self, monkeypatch):
+        calls = []
+        superpose = gridfn._superpose
+        monkeypatch.setattr(gridfn, "_superpose",
+                            lambda f, x, *d: calls.append(len(x.values)) or superpose(f, x, *d))
+        pairs = _pairs(P3_128, P3_RUN)
+        vr = certify.default_pullback(P3_128.default_U2())
+        assert all(c.refinements == 2 for c in certify.certify_homotopies(pairs, vr))
+        # levels 1 and 2 share one pass, so two passes in all
+        rows = degree._stack_rows((P3_128.m + 1) * P3_128.dim)
+        blocks = [len(x[lo:lo + rows]) for x in
+                  (certify._domain_boundary_samples(pairs[0][0], vr, n, certify.DEFAULT_SEED)
+                   for n in (16, 32)) for lo in range(0, len(x), rows)]
+        assert len(blocks) > 2 and calls == blocks
+
+    def test_value_equal_field_shares_the_image(self):
+        x = GridFunction(P3.grid(), _smooth_stack(P3.grid(), 3, 2))
+        nx = gridfn.nemytskii(P3.field(), x)
+        assert gridfn.nemytskii(P3.field(), x) is nx
+        other = replace(P3.field(), rhs=lambda t, y: 2.0 * y)
+        assert np.array_equal(gridfn.nemytskii(other, x).values, 2.0 * x.values)
+        assert gridfn.average(x) is gridfn.average(x)
+        assert not gridfn.average(x).flags.writeable
+        assert gridfn.cumulative_integral(x) is gridfn.cumulative_integral(x)
+
+    def test_memo_outside_eq_and_repr(self):
+        x = GridFunction(P3.grid(), _smooth_stack(P3.grid(), 1, 2)[0])
+        twin = replace(x)  # the same values array, an empty memo
+        gridfn.centred(gridfn.nemytskii(P3.field(), x))
+        assert x._memo and not twin._memo
+        assert x == twin and repr(x) == repr(twin) and "_memo" not in repr(x)
+
+    def test_memo_dies_with_its_function(self):
+        x = GridFunction(P3.grid(), _smooth_stack(P3.grid(), 1, 2)[0])
+        ref = weakref.ref(gridfn.nemytskii(P3.field(), x))
+        assert ref() is not None
+        del x
+        assert ref() is None
 
 
 class TestBlockSizeInvariance:
