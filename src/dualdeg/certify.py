@@ -45,9 +45,7 @@ class FunctionBall:
     center: object = None
 
     def clearance(self, x) -> float:
-        if self.center is None:
-            return self.radius - x.sup_norm()
-        return self.radius - operators.sup_distance(x, self.center)
+        return self.radius - (x if self.center is None else x - self.center).sup_norm()
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +118,7 @@ def find_fixed_points(h: OperatorHandle, domain, _search=None) -> list:
         v = v - 0.5 * r
         if not np.all(np.isfinite(v)):
             return []
-    v, ok = deg_mod._newton(res, v[None], 1e-10, max_iter=30, scale=1e-6)
+    [(v, ok)] = deg_mod._newton_runs(res, v[None], (1e-10,), max_iter=30, scale=1e-6)
     if not ok[0]:
         return []
     x = unflat(v[0])
@@ -684,11 +682,9 @@ def plan_duality(problem, pair: str, U1: FunctionBall, U2: DomainSpec,
 
         def sides(degree):
             right = degree(fin, U2)
-            # image domain P(U2): bounding box of the mapped 17-point boundary
-            # lattice, for k <= 3 the margin samples of U2 (``degree._margin_samples``)
-            b, F = U2.as_box(), degree.map(fin)
-            mapped = F.edge(b) if deg_mod._lattice_per(b, deg_mod.MARGIN_PER_AXIS, 1) == 17 \
-                else F(deg_mod._boundary_lattice(b, 17))
+            # image domain P(U2): bounding box of P over the margin samples of
+            # U2 (``degree._margin_samples``), for k <= 2 its 17-point lattice
+            mapped = degree.map(fin).edge(U2.as_box())
             img = box_domain(np.stack([mapped.min(axis=0), mapped.max(axis=0)], axis=1))
             return degree(hatp, img), right, True, {"image_box": img.as_box().tolist()}
 

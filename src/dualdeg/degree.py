@@ -228,12 +228,6 @@ def _newton_steps(g: Callable, X: np.ndarray, G: np.ndarray, scale: float):
         return step, has
 
 
-def _newton(g: Callable, X0: np.ndarray, tol: float, max_iter: int = 60,
-            scale: float = 1e-5):
-    """(X, ok) of ``_newton_runs`` at one tolerance."""
-    return _newton_runs(g, X0, (tol,), max_iter, scale)[0]
-
-
 def _newton_runs(g: Callable, X0: np.ndarray, tols, max_iter: int = 60,
                  scale: float = 1e-5, warm: Callable | None = None) -> list:
     """Damped Newton on g with a central-difference Jacobian of step ``scale``
@@ -340,12 +334,12 @@ def _multistart_seeds(box: np.ndarray) -> np.ndarray:
     return np.vstack([center[None, :], np.asarray(offs)])
 
 
-def _margin_samples(box: np.ndarray, per_axis: int = MARGIN_PER_AXIS) -> np.ndarray:
+def _margin_samples(box: np.ndarray) -> np.ndarray:
     """The boundary samples of a margin, levels 0 and 1, each distinct point
     once: lattice levels share points (for k = 1, the two endpoints), random
     ones are kept as drawn."""
-    S = np.concatenate([_boundary_samples(box, per_axis, level) for level in (0, 1)])
-    if _lattice_per(box, per_axis, 1) is None:
+    S = np.concatenate([_boundary_samples(box, MARGIN_PER_AXIS, level) for level in (0, 1)])
+    if _lattice_per(box, MARGIN_PER_AXIS, 1) is None:
         return S
     return np.unique(S.view(np.uint64), axis=0).view(float)  # distinct bit patterns
 
@@ -355,10 +349,10 @@ class _Rows:
     this object lives.  A call maps the rows it does not hold together
     (``_map_rows``), in the order they first appear; rows are independent, so
     each value is the one fn gives that row alone.  Rows are held by their
-    bytes, the margin samples of a box as one array per box (``edge``), so
-    that a large margin costs no object per row; the two endpoints of a 1-d
-    box, which the 1-d degree reads as rows, are held both ways.  A call that
-    raises stores nothing."""
+    bytes, the margin samples of a box as one array per box (``edge``, keyed
+    by the box's bytes), so that a large margin costs no object per row; the
+    two endpoints of a 1-d box, which the 1-d degree reads as rows, are held
+    both ways.  A call that raises stores nothing."""
 
     def __init__(self, fn: Callable):
         self.fn, self._rows, self._edges = fn, {}, {}
@@ -380,45 +374,39 @@ class _Rows:
         out = np.stack([self._rows[row.tobytes()] for row in X])
         return out.reshape(x.shape[:-1] + out.shape[-1:])
 
-    def warm(self, X: np.ndarray):
-        """Map the new rows of X ahead, in one stacked call; if it blows up,
-        nothing is stored and each row is mapped when it is asked for."""
+    def warm(self, X: np.ndarray, box: np.ndarray | None = None):
+        """Map the new rows of X ahead, with the margin samples of ``box`` if
+        it is given and new, in one stacked call; if it blows up, nothing is
+        stored and each row is mapped when it is asked for."""
         try:
-            self(X)
-        except IntegrationError:
-            pass
-
-    def _with_edge(self, box: np.ndarray, X: np.ndarray, per_axis: int = MARGIN_PER_AXIS):
-        """Map the margin samples of the box and the new rows of X in one
-        stacked call, and hold both."""
-        S, new = _margin_samples(box, per_axis), self._new(X)
-        vals = _map_rows(self.fn, np.concatenate([S, new]))
-        self._edges[box.tobytes(), per_axis] = vals[:len(S)]
-        self._hold(new, vals[len(S):])
-        if len(box) == 1:
-            self._hold(S, vals[:len(S)])
-
-    def open(self, box: np.ndarray, X: np.ndarray):
-        """On the first use of a box: its margin samples and the new rows of X
-        in one stacked call; if it blows up, nothing is stored."""
-        try:
-            if (box.tobytes(), MARGIN_PER_AXIS) in self._edges:
+            if box is None or box.tobytes() in self._edges:
                 self(X)
             else:
                 self._with_edge(box, X)
         except IntegrationError:
             pass
 
-    def edge(self, box: np.ndarray, per_axis: int = MARGIN_PER_AXIS) -> np.ndarray:
+    def _with_edge(self, box: np.ndarray, X: np.ndarray):
+        """Map the margin samples of the box and the new rows of X in one
+        stacked call, and hold both."""
+        S, new = _margin_samples(box), self._new(X)
+        vals = _map_rows(self.fn, np.concatenate([S, new]))
+        self._edges[box.tobytes()] = vals[:len(S)]
+        self._hold(new, vals[len(S):])
+        if len(box) == 1:
+            self._hold(S, vals[:len(S)])
+
+    def edge(self, box: np.ndarray) -> np.ndarray:
         """fn over the margin samples of the box (``_margin_samples``)."""
-        if (box.tobytes(), per_axis) not in self._edges:
-            self._with_edge(box, np.empty((0, len(box))), per_axis)
-        return self._edges[box.tobytes(), per_axis]
+        if box.tobytes() not in self._edges:
+            self._with_edge(box, np.empty((0, len(box))))
+        return self._edges[box.tobytes()]
 
 
 class _Derived:
     """v -> post(v, F(v)) over stacks of rows, for F a ``_Rows``: every value
-    of F, a margin's too, is read from F, and nothing is held here."""
+    of F, a margin's too, is read from F (``warm`` and ``edge`` pass through
+    to it), and nothing is held here."""
 
     def __init__(self, F: _Rows, post: Callable):
         self.F, self.post = F, post
@@ -427,14 +415,11 @@ class _Derived:
         x = np.asarray(x, dtype=float)
         return self.post(x, self.F(x))
 
-    def warm(self, X: np.ndarray):
-        self.F.warm(X)
+    def warm(self, X: np.ndarray, box: np.ndarray | None = None):
+        self.F.warm(X, box)
 
-    def open(self, box: np.ndarray, X: np.ndarray):
-        self.F.open(box, X)
-
-    def edge(self, box: np.ndarray, per_axis: int = MARGIN_PER_AXIS) -> np.ndarray:
-        return self.post(_margin_samples(box, per_axis), self.F.edge(box, per_axis))
+    def edge(self, box: np.ndarray) -> np.ndarray:
+        return self.post(_margin_samples(box), self.F.edge(box))
 
 
 class _Search:
@@ -444,11 +429,11 @@ class _Search:
     NEWTON_TOL (``_newton_runs``); a Jacobian (scale 1e-5) is kept per point.
 
     ``rows``, if given, is the ``_Rows`` (or ``_Derived``) of a map F with
-    g = v - F(v); then each stage costs one stacked call of F: on a box's
-    first use, its margin samples, the seeds and the seeds' stencil
-    (``_Rows.open``); on each line-search try, the iterates and their stencil
-    (``_Rows.warm``).  The margin, the next Newton step and the Jacobian at
-    each zero then read rows already mapped."""
+    g = v - F(v); then each stage costs one stacked call of F (``warm``): on
+    a box's first use, its margin samples, the seeds and the seeds' stencil;
+    on each line-search try, the iterates and their stencil.  The margin, the
+    next Newton step and the Jacobian at each zero then read rows already
+    mapped."""
 
     def __init__(self, g: Callable, loose: float, rows: _Rows | _Derived | None = None):
         self.g, self.loose, self.rows, self._runs, self._jacobians = g, loose, rows, {}, {}
@@ -458,18 +443,18 @@ class _Search:
         if b.tobytes() not in self._runs:
             seeds = _multistart_seeds(b)
             if self.rows is not None:
-                self.rows.open(b, np.concatenate([seeds, _stencil(seeds)[0]]))
+                self.rows.warm(np.concatenate([seeds, _stencil(seeds)[0]]), b)
             tols = (self.loose, NEWTON_TOL) if len(b) >= 2 and NEWTON_TOL < self.loose \
                 else (self.loose,)
             self._runs[b.tobytes()] = dict(zip(tols, _newton_runs(
                 self.g, seeds, tols, warm=None if self.rows is None else self.rows.warm)))
         return self._runs[b.tobytes()]
 
-    def margin(self, b: np.ndarray, per_axis: int = MARGIN_PER_AXIS) -> float:
+    def margin(self, b: np.ndarray) -> float:
         """min |g| over the margin samples of box b."""
         self._open(b)
-        S = _margin_samples(b, per_axis)
-        G = _map_rows(self.g, S) if self.rows is None else S - self.rows.edge(b, per_axis)
+        S = _margin_samples(b)
+        G = _map_rows(self.g, S) if self.rows is None else S - self.rows.edge(b)
         return float(np.min(np.max(np.abs(G), axis=-1)))
 
     def zeros(self, dom: DomainSpec, tol: float):
@@ -490,16 +475,14 @@ class _Search:
         return np.stack([self._jacobians[z.tobytes()] for z in Z])
 
 
-def brouwer_nd_regular(g: Callable, box, boundary_per_axis: int = MARGIN_PER_AXIS,
-                       _search: _Search | None = None) -> DegreeResult:
+def brouwer_nd_regular(g: Callable, box, _search: _Search | None = None) -> DegreeResult:
     """Degree via multistart Newton zeros and Jacobian determinant signs, those
-    of ``_search`` (a ``_Search`` of g that a run shares) if given."""
+    of ``_search`` (a ``_Search`` of g that a run shares) if given; the margin
+    is min |g| over the box's boundary samples at two refinement levels."""
     dom = box if isinstance(box, DomainSpec) else box_domain(box)
     b = dom.as_box()
     search = _search or _Search(g, NEWTON_TOL)
-
-    # empirical boundary margin, one refinement doubling for stability
-    margin = search.margin(b, boundary_per_axis)
+    margin = search.margin(b)
 
     zeros, fails = search.zeros(dom, NEWTON_TOL)
     starts = len(_multistart_seeds(b))

@@ -3,7 +3,9 @@
 All integrators are fixed-step classical RK4.  Determinism (bitwise
 reproducibility for identical inputs) matters more than adaptivity here:
 the degree computations downstream must see the same map on every call.
-Each integrator advances a whole stack of states or histories in one loop.
+Every integrator, the delay one too, is one sweep of ``_rk4``, the only RK4
+loop, over a whole stack of states or histories; the sweep alone rejects
+states that blow up (IntegrationError).
 """
 
 from __future__ import annotations
@@ -53,15 +55,14 @@ class VectorFieldSpec:
             raise ValueError("delay fields need tau > 0")
 
 
-def _check_finite(v: np.ndarray, step: int, t: float):
-    if not np.all(np.isfinite(v)):
-        raise IntegrationError(f"non-finite state at step {step} (t={t})")
-
-
-def _rk4(rhs, y0: np.ndarray, a: float, h: float, m: int) -> np.ndarray:
+def _rk4(rhs, y0: np.ndarray, a: float, h: float, m: int,
+         track: np.ndarray | None = None) -> np.ndarray:
     """Track (..., m+1, n) of m RK4 steps of y' = rhs(t, y) from the stack
-    y0 (..., n) at t = a; the caller rejects non-finite states."""
-    track = np.empty(y0.shape[:-1] + (m + 1, y0.shape[-1]))
+    y0 (..., n) at t = a, written step by step into ``track`` if given, so
+    that rhs may read the steps already taken.  A state that overflows or
+    is not finite raises IntegrationError once the sweep is done."""
+    if track is None:
+        track = np.empty(y0.shape[:-1] + (m + 1, y0.shape[-1]))
     track[..., 0, :] = y = y0
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(m):
@@ -72,6 +73,9 @@ def _rk4(rhs, y0: np.ndarray, a: float, h: float, m: int) -> np.ndarray:
             k4 = _rhs_call(rhs, t + h, y + h * k3)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             track[..., j + 1, :] = y
+    if not np.all(np.isfinite(track)):
+        raise IntegrationError(f"non-finite state while integrating over "
+                               f"[{a}, {a + m * h}]")
     return track
 
 
@@ -82,11 +86,7 @@ def flow(f: VectorFieldSpec, x0, grid: Grid) -> GridFunction:
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     if x.shape[-1:] != (f.dim,):
         raise ValueError(f"x0 must have shape (..., {f.dim}), got {x.shape}")
-    vals = _rk4(f.rhs, x, grid.a, grid.h, grid.m)
-    if not np.all(np.isfinite(vals)):
-        raise IntegrationError(f"non-finite state while integrating over "
-                               f"[{grid.a}, {grid.b}]")
-    return GridFunction(grid, vals)
+    return GridFunction(grid, _rk4(f.rhs, x, grid.a, grid.h, grid.m))
 
 
 def poincare(f: VectorFieldSpec, x0, m: int = 256) -> np.ndarray:
@@ -120,8 +120,6 @@ def mu_dirichlet(f: VectorFieldSpec, a, b, m: int = 256) -> GridFunction:
     grid = Grid(0.0, 1.0, m)
     vals = _rk4(_second_order_system(f), np.concatenate([b, a], axis=-1),
                 grid.a, grid.h, m)
-    if not np.all(np.isfinite(vals)):
-        raise IntegrationError("non-finite state in the Dirichlet solve")
     return GridFunction(grid, vals[..., :n])
 
 
@@ -154,9 +152,10 @@ def dde_flow(f: VectorFieldSpec, history: GridFunction, horizon: float) -> GridF
     """Method of steps for x'(t) = f(t, x(t), x(t - tau)) with given history.
 
     ``history`` (maybe stacked) lives on [-tau, 0]; the returned track lives
-    on [-tau, horizon] with the same step.  Delayed values at whole steps are
-    exact node lookups; at RK4 half-steps they are cubic Hermite reads of
-    the already-computed track.
+    on [-tau, horizon] with the same step, and ``_rk4`` fills it in place.
+    Delayed values at whole steps are exact node lookups in it; at an RK4
+    half-step they are one cubic Hermite read of the already-computed track,
+    shared by the two stages there.
     """
     if f.kind != DELAY:
         raise ValueError(f"dde_flow needs a delay field, got {f.kind!r}")
@@ -172,27 +171,22 @@ def dde_flow(f: VectorFieldSpec, history: GridFunction, horizon: float) -> GridF
 
     track = np.empty(history.values.shape[:-2] + (k + n_steps + 1, f.dim))
     track[..., : k + 1, :] = history.values
+    half = [None, None]  # (t, x(t - tau)) at the half step in progress
 
-    for j in range(n_steps):
-        t = j * h
-        x = track[..., k + j, :]
-        base = j  # index of t - tau in track space
-        k1 = _rhs_call(f.rhs, t, x, track[..., base, :])
-        # The track has a derivative kink at t = 0 (index k): the stencil
-        # must not straddle it, and only the computed prefix may feed it.
-        if base + 0.5 < k:
-            xd_half = _hermite_eval(track[..., : k + 1, :], base + 0.5)
-        else:
-            xd_half = _hermite_eval(track[..., k: k + j + 1, :], base + 0.5 - k)
-        k2 = _rhs_call(f.rhs, t + 0.5 * h, x + 0.5 * h * k1, xd_half)
-        k3 = _rhs_call(f.rhs, t + 0.5 * h, x + 0.5 * h * k2, xd_half)
-        k4 = _rhs_call(f.rhs, t + h, x + h * k3, track[..., base + 1, :])
-        xn = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _check_finite(xn, j + 1, t + h)
-        track[..., k + j + 1, :] = xn
+    def rhs(t, x):
+        q = round(2.0 * t / h)  # t - tau, in half steps from the track's start
+        if q % 2 == 0:
+            return f.rhs(t, x, track[..., q // 2, :])
+        if half[0] != t:  # stages 2 and 3 share one read
+            j = q // 2  # the step in progress, from the state at index k + j
+            # The track has a derivative kink at t = 0 (index k): the stencil
+            # must not straddle it, and only the computed prefix may feed it.
+            half[:] = t, (_hermite_eval(track[..., : k + 1, :], j + 0.5) if j + 0.5 < k
+                          else _hermite_eval(track[..., k: k + j + 1, :], j + 0.5 - k))
+        return f.rhs(t, x, half[1])
 
-    out_grid = Grid(-tau, horizon, k + n_steps)
-    return GridFunction(out_grid, track)
+    _rk4(rhs, track[..., k, :], 0.0, h, n_steps, track[..., k:, :])
+    return GridFunction(Grid(-tau, horizon, k + n_steps), track)
 
 
 class SingularEtaError(ValueError):

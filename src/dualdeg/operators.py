@@ -117,15 +117,9 @@ def reduced_handle(name: str, space: str, problem, params: dict,
     return OperatorHandle(name, space, apply_fn, problem, params, reduction=red)
 
 
-def sup_distance(x, y) -> float:
-    if isinstance(x, (GridFunction, C1Function)):
-        return (x - y).sup_norm()
-    return float(np.max(np.abs(np.asarray(x) - np.asarray(y))))
-
-
 def residual(h: OperatorHandle, x) -> float:
     """Sup-norm of x - h(x); zero exactly on fixed points."""
-    return sup_distance(x, h.apply_fn(x))
+    return (x - h.apply_fn(x)).sup_norm()
 
 
 # ---------------------------------------------------------------------------

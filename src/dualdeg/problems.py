@@ -386,6 +386,8 @@ def run(problem: ProblemSpec, suite: str = "all", grid_m: int | None = None,
     once, and the common core is checked once (``certify.run_plans``); the
     residuals of a Dirichlet or delay problem follow.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     if grid_m is not None:

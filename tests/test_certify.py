@@ -218,6 +218,18 @@ class TestKtildeFromItsFiniteHandle:
         assert np.array_equal(ktilde.apply_fn(x).values,
                               red.i(red.track.apply_fn(x).values[..., -1, :]).values)
 
+    @staticmethod
+    def _mutant(ktilde, **changes):
+        """Ktilde with its finite handle replaced by 2x - P(x), named Khat2,
+        and its other witness fields as ``changes`` set them."""
+        red = ktilde.reduction
+        P = red.finite.apply_fn
+        khat2 = operators.OperatorHandle("Khat2", operators.FINITE_SPACE,
+                                         lambda v: 2.0 * v - P(v), ktilde.problem,
+                                         dict(red.finite.params))
+        return operators.reduced_handle("Ktilde", operators.GRID_SPACE, ktilde.problem, {},
+                                        replace(red, finite=khat2, **changes))
+
     @pytest.mark.parametrize("pid", ["p1", "p2"])
     def test_finite_side_reads_a_mutated_finite_handle(self, pid):
         # F replaced by 2x - P(x): I - F = -(I - P), so the 1-d degree flips
@@ -225,10 +237,7 @@ class TestKtildeFromItsFiniteHandle:
         ktilde = operators.build("Ktilde", p)
         red = ktilde.reduction
         P = red.finite.apply_fn
-        khat2 = operators.OperatorHandle("Khat2", operators.FINITE_SPACE,
-                                         lambda v: 2.0 * v - P(v), p, dict(red.finite.params))
-        mutant = operators.reduced_handle("Ktilde", operators.GRID_SPACE, p, {},
-                                          replace(red, finite=khat2))
+        mutant = self._mutant(ktilde)
         c = np.array([0.3])
         assert np.array_equal(mutant.apply_fn(red.i(c)).values,
                               red.i(2.0 * c - P(c)).values)
@@ -236,6 +245,22 @@ class TestKtildeFromItsFiniteHandle:
         real, mut = (certify._FiniteSide()(h, vr) for h in (ktilde, mutant))
         assert real.certified and mut.certified
         assert (real.degree, mut.degree) == (1, -1)
+
+    @pytest.mark.parametrize("pid", ["p1", "p2"])
+    def test_names_dropped_mutant_fails_krasnoselskii(self, pid, monkeypatch):
+        # with no track named, the certificates map the mutant itself, and its
+        # left side deg(I - Ktilde) = -1 no longer equals deg(I - P) = +1
+        build = operators.build
+
+        def mutated(name, problem, params=None):
+            h = build(name, problem, params)
+            return self._mutant(h, track=None) if name == "Ktilde" else h
+
+        monkeypatch.setattr(operators, "build", mutated)
+        rep = verify_duality(problems.get_problem(pid), "krasnoselskii")
+        assert rep.certificates[1].pair == ("K1", "Ktilde")
+        assert not rep.equal
+        assert (rep.left.degree, rep.right.degree) == (-1, 1)
 
 
 class TestK1FromItsFactors:

@@ -164,6 +164,14 @@ class TestDdeFlow:
         with pytest.raises(ValueError, match="history"):
             flows.dde_flow(f, hist, 1.0)
 
+    def test_blowup_raises(self):
+        # x' = 1000 x^3 from 50 overflows in the first steps: the sweep reports
+        # it as IntegrationError, not as a numpy overflow warning
+        f = _field(lambda t, x, y: 1e3 * x ** 3, kind=flows.DELAY, tau=0.5, lip=100.0)
+        hist = constant(Grid(-0.5, 0.0, 16), 50.0)
+        with pytest.raises(IntegrationError):
+            flows.dde_flow(f, hist, 1.0)
+
 
 class TestEtaPeriodicSolve:
     def test_constant(self):

@@ -75,9 +75,12 @@ def _reads(tree: ast.AST) -> Counter:
 
 def _private_definitions(tree: ast.Module) -> list:
     """(line, name, node) of each module-level private function, class or
-    constant; dunder names are left out."""
+    constant, and of each private method of a module-level class; dunder names
+    are left out."""
     out = []
-    for node in tree.body:
+    methods = [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for node in tree.body + methods:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             targets = [node.name]
         elif isinstance(node, ast.Assign):
@@ -93,8 +96,9 @@ def _private_definitions(tree: ast.Module) -> list:
 
 
 def unread_private_names(sources: dict) -> list:
-    """(module, line, name) of each private module-level name that no module
-    of ``sources`` (module name -> source) reads outside its own definition."""
+    """(module, line, name) of each private module-level name or method that
+    no module of ``sources`` (module name -> source) reads outside its own
+    definition."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
     reads = sum((_reads(tree) for tree in trees.values()), Counter())
     return [(mod, line, name) for mod, tree in trees.items()
@@ -110,6 +114,16 @@ def test_dead_code_checker_flags_unread_private_names():
                "b": "def _helper():\n    pass\ndef _orphan():\n    pass\n"}
     assert unread_private_names(sources) == [("a", 2, "_UNUSED"), ("a", 4, "_recursive"),
                                              ("b", 3, "_orphan")]
+
+
+def test_dead_code_checker_flags_unread_private_methods():
+    sources = {"a": ("class C:\n"
+                     "    def __init__(self):\n        self._ready()\n"
+                     "    def _ready(self):\n        pass\n"
+                     "    def _stale(self):\n        return self._stale()\n"
+                     "    def public(self):\n        return b.D()._used()\n"),
+               "b": "class D:\n    def _used(self):\n        pass\n"}
+    assert unread_private_names(sources) == [("a", 6, "_stale")]
 
 
 def test_no_unread_private_names_in_package():

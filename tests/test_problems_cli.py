@@ -183,7 +183,7 @@ class TestRun:
 
     @staticmethod
     def _sweep_counts(monkeypatch) -> dict:
-        """RK4 sweeps (``flows._rk4`` and ``flows.dde_flow`` calls) and FD
+        """RK4 sweeps (``flows._rk4`` calls, the delay solve's too) and FD
         Jacobians (through either binding of ``fd_jacobian``) made from now on."""
         counts = {"sweeps": 0, "jacobians": 0}
 
@@ -194,7 +194,6 @@ class TestRun:
             return wrapper
 
         monkeypatch.setattr(flows, "_rk4", counted(flows._rk4, "sweeps"))
-        monkeypatch.setattr(flows, "dde_flow", counted(flows.dde_flow, "sweeps"))
         jacobian = counted(degree.fd_jacobian, "jacobians")
         for mod in (degree, certify):
             monkeypatch.setattr(mod, "fd_jacobian", jacobian)
@@ -213,6 +212,12 @@ class TestRun:
         counts = self._sweep_counts(monkeypatch)
         assert run(get_problem(pid), "all", grid_m=m).verdict
         assert counts == {"sweeps": sweeps, "jacobians": jacobians}
+
+    @pytest.mark.parametrize("pid", ["p1", "p4"])
+    def test_negative_seed_rejected(self, pid):
+        # p1's homotopies read the seed, p4's run reads none: both reject it
+        with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+            run(get_problem(pid), seed=-1)
 
     @pytest.mark.parametrize("pid,m", [("p1", 64), ("p3", 32)])
     def test_no_finite_row_is_mapped_twice(self, pid, m, monkeypatch):

@@ -12,7 +12,7 @@ import pytest
 
 from dualdeg import certify, degree, flows, gridfn, operators, problems
 from dualdeg.certify import HomotopyCertificate
-from dualdeg.degree import STACK_FLOATS, _multistart_seeds, _newton, _newton_runs, box_domain, \
+from dualdeg.degree import STACK_FLOATS, _multistart_seeds, _newton_runs, box_domain, \
     defect, fd_jacobian
 from dualdeg.flows import IntegrationError, VectorFieldSpec
 from dualdeg.gridfn import DelayKernel, Grid, GridFunction, constant
@@ -216,7 +216,7 @@ RICCATI = _field(lambda t, x: np.stack([x[..., 0] * x[..., 0] - 1.0, -x[..., 1]]
 
 class TestLockStepNewton:
     def _check(self, g, X0, tol=1e-9):
-        X, ok = _newton(g, X0, tol)
+        X, ok = _newton_runs(g, X0, (tol,))[0]
         ref = [_newton_one(g, x, tol) for x in X0]
         assert np.array_equal(X, np.stack([x for x, _ in ref]))
         assert np.array_equal(ok, np.array([o for _, o in ref]))
@@ -267,7 +267,7 @@ class TestNewtonRuns:
     def _check(self, g, X0):
         runs = _newton_runs(g, X0, (1e-8, 1e-9))
         for tol, (X, ok) in zip((1e-8, 1e-9), runs):
-            ref_X, ref_ok = _newton(g, X0, tol)
+            ref_X, ref_ok = _newton_runs(g, X0, (tol,))[0]
             assert np.array_equal(X, ref_X) and np.array_equal(ok, ref_ok)
         return [ok for _, ok in runs]
 
@@ -336,7 +336,7 @@ class TestRowMemo:
         assert len(S) == len({s.tobytes() for s in S}) == \
             len(degree._boundary_samples(b, degree.MARGIN_PER_AXIS, 1))
         seeds = degree._multistart_seeds(b)
-        rows.open(b, seeds)
+        rows.warm(seeds, b)
         assert calls == [(len(S) + len({x.tobytes() for x in seeds}), False)]
         assert np.array_equal(rows.edge(b), F(S))
         # the seeds and the two endpoints that the 1-d degree reads are rows
@@ -348,7 +348,7 @@ class TestRowMemo:
         [(-1.0, 1.5)], [(0.1, 0.7), (-1.3, 2.9)], [(-0.3, 0.3)] * 2 + [(1e-3, 7.0)],
         [(-2.0, -0.1), (0.37, 5.11), (-9.0, 3.3)]])
     def test_margin_samples_are_the_image_box_lattice(self, bounds):
-        # for k <= 3 the inverse_poincare image box reads the margin's values:
+        # the inverse_poincare image box reads the margin's values: for k <= 3,
         # as bit patterns, the margin samples are the 17-point boundary lattice
         b = np.array(bounds)
         assert degree._lattice_per(b, degree.MARGIN_PER_AXIS, 1) == 17
