@@ -21,7 +21,7 @@ import numpy as np
 from . import degree as deg_mod
 from . import flows, operators
 from .degree import DegreeResult, DomainSpec, box_domain, brouwer_1d, \
-    defect, fd_jacobian, fixed_point_degree
+    fd_jacobian, fixed_point_degree
 # unused here: kept as the certify.brouwer_nd_regular binding that perfbench's
 # tracer patches and restores
 from .degree import brouwer_nd_regular  # noqa: F401
@@ -84,18 +84,20 @@ def _unflattener(h: OperatorHandle):
 # Fixed points
 # ---------------------------------------------------------------------------
 
-def find_fixed_points(h: OperatorHandle, domain, _search=None) -> list:
+def find_fixed_points(h: OperatorHandle, domain) -> list:
     """Fixed points of the operator inside the domain.
 
-    Finite handles: multistart Newton on x - h(x), or ``_search``'s of it.
+    Finite handles: multistart Newton on x - h(x), the search of h's
+    ``apply_fn`` if that is a ``degree._Finite`` (a run's), else of a fresh one.
     Grid-space handles: damped Picard from 0, then Newton on the flattened
     discrete residual.  Returns clustered points; an empty list when nothing
     converges.
     """
     if h.space == operators.FINITE_SPACE:
-        search = _search or deg_mod._Search(defect(h.apply_fn), FINITE_FP_TOL)
+        F = h.apply_fn if isinstance(h.apply_fn, deg_mod._Finite) \
+            else deg_mod._Finite(h.apply_fn, FINITE_FP_TOL)
         dom = domain if isinstance(domain, DomainSpec) else box_domain(domain)
-        return search.zeros(dom, FINITE_FP_TOL)[0]
+        return F.zeros(dom, FINITE_FP_TOL)[0]
 
     unflat = _unflattener(h)
 
@@ -204,18 +206,18 @@ def check_common_core(problem, U1: FunctionBall, U2: DomainSpec,
     Newton search and Jacobians are ``_finite``'s, in a run, else made afresh.
     """
     fin = operators.build_finite(KIND_TABLE[problem.kind].finite, problem)
-    search = (_finite or _FiniteSide()).search(fin)
-    fps = find_fixed_points(fin, U2, _search=search)
+    F = (_finite or _FiniteSide()).map(fin)
+    fps = find_fixed_points(replace(fin, apply_fn=F), U2)
     diagnostics: list[str] = []
     if not fps:
         return CommonCoreReport((0.0, 0.0), (), False,
                                 ("no fixed points found in U2",))
 
     pairs, clear1, clear2, verdict = [], np.inf, np.inf, True
-    dets = np.linalg.det(search.jacobian(np.asarray(fps)))
+    dets = np.linalg.det(F.jacobian(np.asarray(fps)))
     trajs = _grid_representative(problem, np.asarray(fps))  # every zero in one sweep
     for i, (v, det) in enumerate(zip(fps, dets)):
-        if abs(det) < 1e-8:
+        if abs(det) < deg_mod.JACOBIAN_DET_FLOOR:
             diagnostics.append("degenerate: non-isolated fixed points")
             verdict = False
         traj = _member(trajs, i)
@@ -543,41 +545,27 @@ class _FiniteSide:
     """The finite side of one problem's run, each computation once.  Called as
     ``degree(h, dom)`` it gives deg(I - F, U) over the box U (of a pullback),
     F = h if h is finite, else the finite handle of h's reduction witness.
-    ``map(F)`` is F's apply_fn with each row mapped once per run
-    (``degree._Rows``); every evaluation of F in the run reads it: the search,
-    the margins, the image box and the block-Jacobian check, and Khat2 =
-    2v - K2(v), whose apply_fn is a ``degree._Derived`` of K2's map and is its
-    own map.  ``search(F)`` is the Newton search and Jacobians of I - map(F),
-    each of its stages one stacked call, that the degrees, the core and the
-    monodromy sign read.  A name and params fix a map in one run (Kdelay2's
-    at any grid of the problem)."""
+    ``map(F)`` is the run's ``degree._Finite`` of F: its rows, Newton searches
+    and Jacobians, which every evaluation of F in the run reads.  A name and
+    params fix a map in one run (Kdelay2's at any grid of the problem)."""
 
     def __init__(self):
-        self._memo: dict = {}
+        self._maps, self._degrees = {}, {}
 
-    def map(self, h: OperatorHandle):
-        if isinstance(h.apply_fn, deg_mod._Derived):  # reads a map of this run
-            return h.apply_fn
-        key = ("map",) + _handle_key(h)
-        if key not in self._memo:
-            self._memo[key] = deg_mod._Rows(h.apply_fn)
-        return self._memo[key]
-
-    def search(self, h: OperatorHandle) -> deg_mod._Search:
-        key = ("search",) + _handle_key(h)
-        if key not in self._memo:
-            F = self.map(h)
-            self._memo[key] = deg_mod._Search(defect(F), FINITE_FP_TOL, F)
-        return self._memo[key]
+    def map(self, h: OperatorHandle) -> deg_mod._Finite:
+        key = _handle_key(h)
+        if key not in self._maps:
+            self._maps[key] = deg_mod._Finite(h.apply_fn, FINITE_FP_TOL)
+        return self._maps[key]
 
     def __call__(self, h: OperatorHandle, dom: DomainSpec) -> DegreeResult:
         U = dom.finite if dom.kind == "pullback" else dom
         finite = h.space == operators.FINITE_SPACE
         fin = h if finite else deg_mod._witness(h).finite
         key = (_handle_key(fin), U.as_box().tobytes())
-        if key not in self._memo:
-            self._memo[key] = fixed_point_degree(fin.apply_fn, U, _search=self.search(fin))
-        return self._memo[key] if finite else deg_mod._reduced(self._memo[key], dom.r)
+        if key not in self._degrees:
+            self._degrees[key] = fixed_point_degree(self.map(fin), U)
+        return self._degrees[key] if finite else deg_mod._reduced(self._degrees[key], dom.r)
 
 
 def run_plans(problem, plans, U1: FunctionBall, U2: DomainSpec,
@@ -669,8 +657,10 @@ def plan_duality(problem, pair: str, U1: FunctionBall, U2: DomainSpec,
             if eta > 0:  # a copy of the right side, not a computation of its own
                 left = replace(right, params={"via": "chain Keta~K3~K4~K~reduction"})
             else:  # the hat chain bottoms out at K2hat(x0) = 2 x0 - P(x0), P the run's K2
-                khat2 = deg_mod._Derived(degree.map(k2), lambda v, p: 2.0 * v - p)
-                left = degree(OperatorHandle("Khat2", operators.FINITE_SPACE, khat2, problem), U2)
+                P = degree.map(k2)
+                khat2 = OperatorHandle("Khat2", operators.FINITE_SPACE,
+                                       lambda v: 2.0 * v - P(v), problem)
+                left = degree(khat2, U2)
             return left, right, True, {"eta": eta}
 
         return _verdict(pair, name, ((keta, first, vr), (k3, k4, vr), (k4, k_op, vr)),
@@ -706,7 +696,7 @@ def plan_duality(problem, pair: str, U1: FunctionBall, U2: DomainSpec,
                 Z = np.repeat(np.asarray(right.zeros), 2, axis=0)
                 scale = np.tile([[1e-5], [5e-6]], (len(right.zeros), 1))
                 d_full = np.sign(np.linalg.det(
-                    fd_jacobian(defect(degree.map(kdir2)), Z, scale=scale)))
+                    fd_jacobian(degree.map(kdir2).g, Z, scale=scale)))
                 d_shoot = np.sign(np.linalg.det(fd_jacobian(shoot, Z[:, :n], scale=scale)))
                 block_ok = bool(np.all(d_full == d_shoot))
             return left, right, block_ok, {"block_sign_identity": block_ok}
@@ -727,7 +717,7 @@ def plan_duality(problem, pair: str, U1: FunctionBall, U2: DomainSpec,
             # monodromy at the first history-space fixed point, by finite differences
             mono = 0
             if right.zeros:
-                jac = degree.search(fin).jacobian(np.asarray(right.zeros[:1]))[0]
+                jac = degree.map(fin).jacobian(np.asarray(right.zeros[:1]))[0]
                 mono = int(np.sign(np.linalg.det(jac)))
             return left, right, True, {"monodromy_det_sign": mono}
 

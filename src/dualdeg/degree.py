@@ -237,7 +237,8 @@ def _newton_runs(g: Callable, X0: np.ndarray, tols, max_iter: int = 60,
     that tolerance would end: rows are independent, so such a run is a prefix
     of this one, ending at the first iterate within its tolerance.  ``warm``,
     if given, is handed each line-search try's iterates with their stencil
-    before g maps them (``_Rows.warm`` of the map behind g)."""
+    before g maps them: a ``_Finite`` passes its own ``warm`` with its ``g``,
+    so each try is one stacked call of its map."""
     X = np.array(X0, dtype=float)
     G = _safe_rows(g, X)
     live = np.all(np.isfinite(G), axis=1)
@@ -344,18 +345,26 @@ def _margin_samples(box: np.ndarray) -> np.ndarray:
     return np.unique(S.view(np.uint64), axis=0).view(float)  # distinct bit patterns
 
 
-class _Rows:
-    """The map ``fn`` over stacks of rows, each distinct row mapped once while
-    this object lives.  A call maps the rows it does not hold together
-    (``_map_rows``), in the order they first appear; rows are independent, so
-    each value is the one fn gives that row alone.  Rows are held by their
-    bytes, the margin samples of a box as one array per box (``edge``, keyed
-    by the box's bytes), so that a large margin costs no object per row; the
-    two endpoints of a 1-d box, which the 1-d degree reads as rows, are held
-    both ways.  A call that raises stores nothing."""
+class _Finite:
+    """One finite map F while this object lives: each distinct row mapped
+    once, and the Newton searches for the zeros of g = v - F(v) (``g``; g is
+    F itself if ``_fn_is_g``) and its Jacobians, each made once.
 
-    def __init__(self, fn: Callable):
-        self.fn, self._rows, self._edges = fn, {}, {}
+    A call maps the rows it does not hold together (``_map_rows``), in the
+    order they first appear; rows are independent, so each value is the one
+    F gives that row alone.  A call that raises stores nothing.  Rows are
+    held by their bytes, a box's margin samples as one array per box
+    (``edge``) and, for a lattice margin (k <= 3), by row too: the 1-d
+    degree reads its endpoints, and a map reading F (Khat2 = 2v - F(v)) its
+    margin.  A box's search runs from its multistart seeds to ``loose`` and,
+    for k >= 2, on to NEWTON_TOL (``_newton_runs``), each stage one stacked
+    call of F (``warm``): the margin samples, seeds and seed stencil, then
+    each line-search try's iterates and stencil.  A Jacobian (scale 1e-5) is
+    kept per point."""
+
+    def __init__(self, fn: Callable, loose: float, _fn_is_g: bool = False):
+        self.fn, self.loose, self._fn_is_g = fn, loose, _fn_is_g
+        self._rows, self._edges, self._runs, self._jacobians = {}, {}, {}, {}
 
     def _new(self, X: np.ndarray) -> np.ndarray:
         """The rows of X that are not held, each once, as they first appear."""
@@ -373,6 +382,11 @@ class _Rows:
             self._hold(new, _map_rows(self.fn, new))
         out = np.stack([self._rows[row.tobytes()] for row in X])
         return out.reshape(x.shape[:-1] + out.shape[-1:])
+
+    def g(self, x) -> np.ndarray:
+        """g over a stack of rows."""
+        x = np.asarray(x, dtype=float)
+        return self(x) if self._fn_is_g else x - self(x)
 
     def warm(self, X: np.ndarray, box: np.ndarray | None = None):
         """Map the new rows of X ahead, with the margin samples of ``box`` if
@@ -393,68 +407,30 @@ class _Rows:
         vals = _map_rows(self.fn, np.concatenate([S, new]))
         self._edges[box.tobytes()] = vals[:len(S)]
         self._hold(new, vals[len(S):])
-        if len(box) == 1:
+        if _lattice_per(box, MARGIN_PER_AXIS, 1) is not None:
             self._hold(S, vals[:len(S)])
 
     def edge(self, box: np.ndarray) -> np.ndarray:
-        """fn over the margin samples of the box (``_margin_samples``)."""
+        """F over the margin samples of the box (``_margin_samples``)."""
         if box.tobytes() not in self._edges:
             self._with_edge(box, np.empty((0, len(box))))
         return self._edges[box.tobytes()]
-
-
-class _Derived:
-    """v -> post(v, F(v)) over stacks of rows, for F a ``_Rows``: every value
-    of F, a margin's too, is read from F (``warm`` and ``edge`` pass through
-    to it), and nothing is held here."""
-
-    def __init__(self, F: _Rows, post: Callable):
-        self.F, self.post = F, post
-
-    def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self.post(x, self.F(x))
-
-    def warm(self, X: np.ndarray, box: np.ndarray | None = None):
-        self.F.warm(X, box)
-
-    def edge(self, box: np.ndarray) -> np.ndarray:
-        return self.post(_margin_samples(box), self.F.edge(box))
-
-
-class _Search:
-    """Multistart Newton zeros and FD Jacobians of one map g, each made once
-    while this object lives.  A box's search runs from its multistart seeds to
-    ``loose`` and, for k >= 2, where a Jacobian-sign degree reads it, on to
-    NEWTON_TOL (``_newton_runs``); a Jacobian (scale 1e-5) is kept per point.
-
-    ``rows``, if given, is the ``_Rows`` (or ``_Derived``) of a map F with
-    g = v - F(v); then each stage costs one stacked call of F (``warm``): on
-    a box's first use, its margin samples, the seeds and the seeds' stencil;
-    on each line-search try, the iterates and their stencil.  The margin, the
-    next Newton step and the Jacobian at each zero then read rows already
-    mapped."""
-
-    def __init__(self, g: Callable, loose: float, rows: _Rows | _Derived | None = None):
-        self.g, self.loose, self.rows, self._runs, self._jacobians = g, loose, rows, {}, {}
 
     def _open(self, b: np.ndarray) -> dict:
         """The runs of box b per tolerance, made on its first use."""
         if b.tobytes() not in self._runs:
             seeds = _multistart_seeds(b)
-            if self.rows is not None:
-                self.rows.warm(np.concatenate([seeds, _stencil(seeds)[0]]), b)
+            self.warm(np.concatenate([seeds, _stencil(seeds)[0]]), b)
             tols = (self.loose, NEWTON_TOL) if len(b) >= 2 and NEWTON_TOL < self.loose \
                 else (self.loose,)
             self._runs[b.tobytes()] = dict(zip(tols, _newton_runs(
-                self.g, seeds, tols, warm=None if self.rows is None else self.rows.warm)))
+                self.g, seeds, tols, warm=self.warm)))
         return self._runs[b.tobytes()]
 
     def margin(self, b: np.ndarray) -> float:
         """min |g| over the margin samples of box b."""
         self._open(b)
-        S = _margin_samples(b)
-        G = _map_rows(self.g, S) if self.rows is None else S - self.rows.edge(b)
+        G = self.edge(b) if self._fn_is_g else _margin_samples(b) - self.edge(b)
         return float(np.min(np.max(np.abs(G), axis=-1)))
 
     def zeros(self, dom: DomainSpec, tol: float):
@@ -475,13 +451,13 @@ class _Search:
         return np.stack([self._jacobians[z.tobytes()] for z in Z])
 
 
-def brouwer_nd_regular(g: Callable, box, _search: _Search | None = None) -> DegreeResult:
+def brouwer_nd_regular(g: Callable, box, _search: _Finite | None = None) -> DegreeResult:
     """Degree via multistart Newton zeros and Jacobian determinant signs, those
-    of ``_search`` (a ``_Search`` of g that a run shares) if given; the margin
-    is min |g| over the box's boundary samples at two refinement levels."""
+    of ``_search`` (a ``_Finite`` whose ``g`` is g) if given, else of g's own;
+    the margin is min |g| over the box's boundary samples at two levels."""
     dom = box if isinstance(box, DomainSpec) else box_domain(box)
     b = dom.as_box()
-    search = _search or _Search(g, NEWTON_TOL)
+    search = _Finite(g, NEWTON_TOL, _fn_is_g=True) if _search is None else _search
     margin = search.margin(b)
 
     zeros, fails = search.zeros(dom, NEWTON_TOL)
@@ -507,14 +483,15 @@ def defect(F: Callable) -> Callable:
         np.asarray(F(np.atleast_1d(v)), dtype=float))
 
 
-def fixed_point_degree(F: Callable, box, _search: _Search | None = None) -> DegreeResult:
+def fixed_point_degree(F: Callable, box) -> DegreeResult:
     """Brouwer degree of I - F over a box in R^k: endpoint signs for k = 1, in
-    one stacked call of F, else Jacobian-sign sums (of ``_search``, if given)."""
+    one stacked call of F, else Jacobian-sign sums.  A ``_Finite`` F (a run's)
+    is read through its memo; any other F gets a fresh one."""
     dom = box if isinstance(box, DomainSpec) else box_domain(box)
-    g = defect(F) if _search is None else _search.g
+    fin = F if isinstance(F, _Finite) else _Finite(F, NEWTON_TOL)
     if dom.dim == 1:
-        return _sign_change(*g(dom.as_box()[0][:, None])[:, 0])
-    return brouwer_nd_regular(g, dom, _search=_search)
+        return _sign_change(*fin.g(dom.as_box()[0][:, None])[:, 0])
+    return brouwer_nd_regular(fin.g, dom, _search=fin)
 
 
 # ---------------------------------------------------------------------------

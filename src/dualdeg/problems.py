@@ -170,14 +170,15 @@ class ProblemSpec:
                     f"u2_box row {list(row)} is not a finite [lo, hi] with lo < hi")
         object.__setattr__(self, "u2_box", box)
         object.__setattr__(self, "rhs", dict(self.rhs))
-        _resolve_rhs(self)  # fail fast on unknown / mismatched rhs
+        # fail fast on unknown / mismatched rhs; one function for every field()
+        object.__setattr__(self, "_rhs_fn", _resolve_rhs(self))
 
     # -- duck-typed interface consumed by operators / certify ------------
     def field(self) -> flows.VectorFieldSpec:
         return flows.VectorFieldSpec(
             dim=self.dim, period=self.period,
             kind=certify.KIND_TABLE[self.kind].field_kind,
-            rhs=_resolve_rhs(self), lipschitz=self.lipschitz, tau=self.tau)
+            rhs=self._rhs_fn, lipschitz=self.lipschitz, tau=self.tau)
 
     def grid(self) -> Grid:
         if self.kind == "dirichlet_bvp":
@@ -227,7 +228,7 @@ class ProblemSpec:
         w *= self.grid().h
 
         def phi(u: float) -> float:
-            return float(-np.sum(w * np.array([g(t, u) for t in nodes])))
+            return float(-np.sum(w * g(nodes, u)))
 
         return phi
 

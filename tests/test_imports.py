@@ -1,5 +1,6 @@
-"""No module of the package or of the tests imports a name it never uses, and
-the package defines no private module-level name that it never reads.
+"""No module of the package or of the tests imports a name it never uses, the
+package defines no private module-level name that it never reads, and every
+name the README cites from the package exists.
 
 Stdlib ``ast`` scans, since no linter ships with the project.  An import
 line marked ``# noqa: F401`` is kept on purpose (``certify`` binds
@@ -8,6 +9,8 @@ skipped by the import scan: their imports are re-exports.
 """
 
 import ast
+import importlib
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -129,3 +132,42 @@ def test_dead_code_checker_flags_unread_private_methods():
 def test_no_unread_private_names_in_package():
     sources = {p.name: p.read_text() for p in PACKAGE}
     assert unread_private_names(sources) == []
+
+
+def _resolves(obj, attrs: list) -> bool:
+    for attr in attrs:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def stale_references(text: str) -> list:
+    """Each backticked `module.name[.attr]` of a package module, and each
+    backticked `_private[.attr]` of any of them, in ``text`` that does not
+    resolve; other backticked text is not a reference."""
+    mods = {p.stem: importlib.import_module(f"dualdeg.{p.stem}")
+            for p in PACKAGE if p.name != "__init__.py"}
+    stale = []
+    for ref in re.findall(r"`(\w+(?:\.\w+)*)`", text):
+        head, *attrs = ref.split(".")
+        if head in mods and attrs:
+            owners = [mods[head]]
+        elif head.startswith("_") and not head.startswith("__"):
+            owners, attrs = mods.values(), [head] + attrs
+        else:
+            continue
+        if not any(_resolves(m, attrs) for m in owners):
+            stale.append(ref)
+    return stale
+
+
+def test_reference_checker_flags_stale_names():
+    text = ("`degree.fixed_point_degree`, `certify._FiniteSide.map`, `_rk4`, "
+            "`degree._Gone`, `_Gone.warm`, `flows._rk4.nope`, `x.y`, `degree`, "
+            "`f(x)`, `degree._stack_rows(n)`")
+    assert stale_references(text) == ["degree._Gone", "_Gone.warm", "flows._rk4.nope"]
+
+
+def test_readme_references_resolve():
+    assert stale_references((ROOT / "README.md").read_text()) == []

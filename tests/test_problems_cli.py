@@ -1,14 +1,16 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from dualdeg import certify, degree, flows, operators, report as report_mod
+from dualdeg import certify, degree, flows, gridfn, operators, problems, report as report_mod
 from dualdeg.cli import main as cli_main
 from dualdeg.problems import (ProblemSpec, ProblemValidationError, catalog,
                               get_problem, load_problem, run)
@@ -31,6 +33,17 @@ class TestCatalog:
         p4 = get_problem("p4")
         out = flows.shooting(p4.field(), [1.0], m=p4.m)
         assert out[0] == pytest.approx(np.sinh(1.0), abs=1e-6)
+
+    def test_p7_averaged_field_is_the_node_loop(self):
+        # one rhs call over the node array gives, bit for bit, the per-node loop
+        p7 = get_problem("p7")
+        g, nodes = problems._BUILTINS["p7"]["scalar_rhs"], p7.grid().nodes
+        w = np.ones_like(nodes)
+        w[0] = w[-1] = 0.5
+        w *= p7.grid().h
+        phi = p7.averaged_field()
+        for u in (-1.0, 1.0, 0.3, -0.77, 2.5):
+            assert phi(u) == float(-np.sum(w * np.array([g(t, u) for t in nodes])))
 
     def test_unknown_id(self):
         with pytest.raises(KeyError):
@@ -238,6 +251,40 @@ class TestRun:
         monkeypatch.setattr(flows, "poincare", recorded)
         assert run(get_problem(pid), "all", grid_m=m).verdict
         assert seen and not repeats
+
+    def test_finite_side_freed_by_reference_counting(self, monkeypatch):
+        # a finite map that refers to itself, say through a stored defect
+        # closure, waits for the cyclic collector, and each run's rows with it
+        made, init = [], degree._Finite.__init__
+
+        def recorded(self, *a, **k):
+            init(self, *a, **k)
+            made.append(weakref.ref(self))
+
+        monkeypatch.setattr(degree._Finite, "__init__", recorded)
+        gc.disable()
+        try:
+            assert run(get_problem("p1"), "all", grid_m=32).verdict
+            alive = sum(ref() is not None for ref in made)
+        finally:
+            gc.enable()
+        assert made and alive == 0
+
+    def test_table_rhs_shares_nemytskii_images(self, monkeypatch):
+        # a coefficient-table rhs is resolved once per problem, so its fields
+        # are value-equal and a run superposes as often as for a builtin rhs
+        table = ProblemSpec("t1", "periodic_ode", 1, 1.0,
+                            {"poly": [0.0, -1.0], "cos": [[1.0, 2 * np.pi]]}, 1.0, 256,
+                            1.0, ((-1.0, 1.0),))
+        assert table.field() == table.field()
+        calls, superpose = [], gridfn._superpose
+        monkeypatch.setattr(gridfn, "_superpose", lambda *a: calls.append(a) or superpose(*a))
+        counts = []
+        for p in (get_problem("p1"), table):
+            calls.clear()
+            assert run(p, "all", grid_m=64).verdict
+            counts.append(len(calls))
+        assert counts == [1, 1]
 
     def test_determinism_excluding_timings(self):
         docs = []

@@ -306,12 +306,12 @@ def _bounded(calls: list):
 
 
 class TestRowMemo:
-    """``degree._Rows`` maps each row once and gives the map's own values;
-    searches through it take the path of the plain algorithm."""
+    """``degree._Finite`` maps each row once and gives the map's own values;
+    its search takes the path of the plain algorithm."""
 
     def test_each_row_once_and_the_maps_values(self):
         calls, F = [], _bounded([])
-        rows = degree._Rows(_bounded(calls))
+        rows = degree._Finite(_bounded(calls), 1e-8)
         X = np.array([[0.5, 1.0], [-0.0, 0.3], [0.0, 0.3], [0.5, 1.0], [1.5, -1.9]])
         assert np.array_equal(rows(X), F(X))
         assert np.array_equal(rows(X[3]), F(X[3]))
@@ -321,7 +321,7 @@ class TestRowMemo:
 
     def test_a_call_that_blows_up_stores_nothing(self):
         calls = []
-        rows = degree._Rows(_bounded(calls))
+        rows = degree._Finite(_bounded(calls), 1e-8)
         rows.warm(np.array([[0.5, 0.5], [2.5, 0.0]]))
         rows(np.array([[0.5, 0.5]]))
         assert calls == [(2, True), (1, False)]
@@ -329,7 +329,7 @@ class TestRowMemo:
     @pytest.mark.parametrize("bounds", [[(-1.0, 1.5)], [(-1.0, 1.5), (-0.5, 1.0)]])
     def test_margin_samples_held_per_box(self, bounds):
         calls, F = [], _bounded([])
-        rows = degree._Rows(_bounded(calls))
+        rows = degree._Finite(_bounded(calls), 1e-8)
         b = np.array(bounds)
         S = degree._margin_samples(b)
         # lattice levels share points: each distinct one once, level 1 holds level 0
@@ -339,8 +339,9 @@ class TestRowMemo:
         rows.warm(seeds, b)
         assert calls == [(len(S) + len({x.tobytes() for x in seeds}), False)]
         assert np.array_equal(rows.edge(b), F(S))
-        # the seeds and the two endpoints that the 1-d degree reads are rows
-        for X in ([seeds, b.T] if len(b) == 1 else [seeds]):
+        # the seeds are rows, and so is a lattice margin: the 1-d degree reads
+        # its two endpoints, and Khat2 = 2v - P(v) reads P's margin, as rows
+        for X in (seeds, S, b.T):
             assert np.array_equal(rows(X), F(X))
         assert len(calls) == 1
 
@@ -360,28 +361,30 @@ class TestRowMemo:
         S = degree._margin_samples(b)
         levels = [degree._boundary_samples(b, degree.MARGIN_PER_AXIS, level) for level in (0, 1)]
         assert np.array_equal(S, np.concatenate(levels))
+        # held as one array, no object per row
+        fin = degree._Finite(lambda X: 0.5 * X, 1e-8)
+        assert np.array_equal(fin.edge(b), 0.5 * S) and not fin._rows
 
     def test_memoized_search_through_blow_ups(self):
         # Newton steps from x0 = 0.95 land far beyond the bound, and so do the
         # stencils of the starts at 1.99999: their stacked calls blow up
         calls = []
         F = _bounded(calls)
-        rows = degree._Rows(F)
-        memo = degree._Search(defect(rows), 1e-8, rows)
-        plain = degree._Search(defect(F), 1e-8)
+        fin = degree._Finite(F, 1e-8)
         box = box_domain([(-1.9, 1.9), (-1.9, 1.9)])
-        for tol in (1e-8, 1e-9):
-            (zm, fm), (zp, fp) = memo.zeros(box, tol), plain.zeros(box, tol)
-            assert np.array_equal(zm, zp) and fm == fp
-        for tol in (1e-8, 1e-9):
-            for got, ref in zip(memo._open(box.as_box())[tol], plain._open(box.as_box())[tol]):
-                assert np.array_equal(got, ref)
-        assert memo.margin(box.as_box()) == plain.margin(box.as_box())
+        b = box.as_box()
+        tols = (1e-8, 1e-9)
+        plain = degree._newton_runs(defect(F), degree._multistart_seeds(b), tols)
+        for tol, (ref_X, ref_ok) in zip(tols, plain):
+            X, ok = fin._open(b)[tol]
+            assert np.array_equal(X, ref_X) and np.array_equal(ok, ref_ok)
+            assert fin.zeros(box, tol)[1] == np.sum(~ref_ok)
+        S = degree._margin_samples(b)
+        assert fin.margin(b) == np.min(np.max(np.abs(S - F(S)), axis=-1))
 
         starts = np.array([[1.99999, 0.5], [0.95, -1.0], [-1.5, 1.99999], [1.9, 0.2]])
-        tols = (1e-8, 1e-9)
         calls.clear()
-        runs = degree._newton_runs(defect(rows), starts, tols, warm=rows.warm)
+        runs = degree._newton_runs(fin.g, starts, tols, warm=fin.warm)
         assert any(bad for _, bad in calls)
         for (X, ok), (ref_X, ref_ok) in zip(runs, degree._newton_runs(defect(F), starts, tols)):
             assert np.array_equal(X, ref_X) and np.array_equal(ok, ref_ok)
