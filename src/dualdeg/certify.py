@@ -25,7 +25,7 @@ from .degree import DegreeResult, DomainSpec, box_domain, brouwer_1d, \
 # unused here: kept as the certify.brouwer_nd_regular binding that perfbench's
 # tracer patches and restores
 from .degree import brouwer_nd_regular  # noqa: F401
-from .gridfn import Grid, GridFunction, constant
+from .gridfn import GridFunction, constant
 from .operators import C1Function, OperatorHandle
 
 DEFAULT_SEED = 0x4B52
@@ -162,26 +162,6 @@ KIND_TABLE = {
 }
 
 
-def _grid_representative(problem, v: np.ndarray):
-    """alpha_1 of the solution with finite representative v, or the stack of
-    them for a stack of representatives (..., k)."""
-    f = problem.field()
-    grid = problem.grid()
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if problem.kind in operators.PERIODIC_KINDS:
-        return flows.mu_periodic(f, v, m=grid.m)
-    if problem.kind == "dirichlet_bvp":
-        n = f.dim
-        return C1Function(flows.mu_dirichlet(f, v[..., :n], v[..., n:], m=grid.m), v[..., :n])
-    if problem.kind == "periodic_dde":
-        kernel = problem.kernel()
-        nodes = v.shape[-1] // f.dim
-        hg = Grid(-kernel.tau, 0.0, nodes - 1)
-        hist = GridFunction(hg, v.reshape(v.shape[:-1] + (nodes, f.dim)))
-        return flows.dde_flow(f, hist, f.period)
-    raise ValueError(problem.kind)
-
-
 def _member(x, i: int):
     """Member i of a stack of grid or C1 functions."""
     if isinstance(x, C1Function):
@@ -199,11 +179,12 @@ def check_common_core(problem, U1: FunctionBall, U2: DomainSpec,
                       _finite: "_FiniteSide | None" = None) -> CommonCoreReport:
     """Verify that the two domains isolate the same solution set.
 
-    Finds the finite-side fixed points, maps each solution through both
-    representations, and checks boundary clearance on both sides.  A
-    near-singular linearization at a fixed point flags the degenerate
-    (non-isolated) case and the verdict is false with a diagnostic.  The
-    Newton search and Jacobians are ``_finite``'s, in a run, else made afresh.
+    Finds the finite handle's fixed points, lifts them by the solution map of
+    the handle's own problem (``operators.solution``; the delay's is the
+    history-node one), and checks boundary clearance on both sides.  Zeros
+    with near-singular linearizations are degenerate (non-isolated): the
+    verdict is false, with one diagnostic that counts them.  The Newton
+    search and Jacobians are ``_finite``'s, in a run, else made afresh.
     """
     fin = operators.build_finite(KIND_TABLE[problem.kind].finite, problem)
     F = (_finite or _FiniteSide()).map(fin)
@@ -215,11 +196,12 @@ def check_common_core(problem, U1: FunctionBall, U2: DomainSpec,
 
     pairs, clear1, clear2, verdict = [], np.inf, np.inf, True
     dets = np.linalg.det(F.jacobian(np.asarray(fps)))
-    trajs = _grid_representative(problem, np.asarray(fps))  # every zero in one sweep
-    for i, (v, det) in enumerate(zip(fps, dets)):
-        if abs(det) < deg_mod.JACOBIAN_DET_FLOOR:
-            diagnostics.append("degenerate: non-isolated fixed points")
-            verdict = False
+    degenerate = int(np.sum(np.abs(dets) < deg_mod.JACOBIAN_DET_FLOOR))
+    if degenerate:
+        diagnostics.append(f"degenerate: {degenerate} of {len(fps)} fixed points non-isolated")
+        verdict = False
+    trajs = operators.solution(fin.problem)(np.asarray(fps))  # every zero in one sweep
+    for i, v in enumerate(fps):
         traj = _member(trajs, i)
         c1 = U1.clearance(traj)
         c2 = _finite_clearance(v, U2)
@@ -370,12 +352,13 @@ def _handle_key(h: OperatorHandle) -> tuple:
 
 def _boundary_curves(pairs, samples: np.ndarray, unflat, lam_grids) -> list:
     """Per pair, per lambda grid: the boundary minimum over the samples of |x - H_lam(x)|
-    at each lambda.  A handle with ``factors`` (K1 = lift o mu o pi) maps mu over pi of
-    all samples first, ``degree._stack_rows(n)`` rows per call; every other distinct
-    handle maps each block of ``degree._stack_rows`` samples once, the block's one x,
-    whose memo they share.  An image is held from its first pair to its last (Ktilde's
-    comes from K1's, if K1 is among them); each lambda of the grids' exact union is
-    scored once per pair and block."""
+    at each lambda.  A lifted handle (K1 or Kdelay1 = lift o mu o pi, ``factors``) maps
+    mu over pi of all samples first, ``degree._stack_rows(k)`` rows per call, so its
+    flow runs once per pass; every other distinct handle maps each block of
+    ``degree._stack_rows`` samples once, the block's one x, whose memo they share.  An
+    image is held from its first pair to its last (Ktilde's comes from K1's, if K1 is
+    among them); each lambda of the grids' exact union is scored once per pair and
+    block."""
     lams, where = np.unique(np.concatenate(lam_grids), return_inverse=True)
     keys = [(_handle_key(hA), _handle_key(hB)) for hA, hB in pairs]
     handles = {_handle_key(h): h for pair in pairs for h in pair}
@@ -683,8 +666,7 @@ def plan_duality(problem, pair: str, U1: FunctionBall, U2: DomainSpec,
     if pair == "dirichlet_shooting":
         ktilde = operators.build("Ktilde", problem)
         kdir2 = operators.build_finite("Kdir2", problem)
-        shoot = lambda a: np.asarray(
-            flows.shooting(problem.field(), np.atleast_1d(a), m=problem.grid().m))
+        shoot = lambda a: ktilde.reduction.i(a).values.values[..., -1, :]  # S(a) = x(1)
 
         def sides(degree):
             # phi(U2) is the slope block of the kernel-coordinate box

@@ -65,7 +65,7 @@ def run(problem, suite, grid_m, etas, seed, outdir):
         rep = problems.run(spec, suite=suite, grid_m=grid_m,
                            etas=tuple(etas) or None, seed=seed)
     except (problems.ProblemValidationError, flows.SingularEtaError,
-            deg_mod.CollisionError) as exc:
+            flows.IntegrationError, deg_mod.CollisionError) as exc:
         raise click.ClickException(str(exc))
     doc = rep.to_dict()
     path = report_mod.emit(doc, "json", outdir)
@@ -126,10 +126,11 @@ def degree(problem, operator, domain_spec, eta):
     if dom.dim != dim:
         raise click.ClickException(
             f"--domain has dimension {dom.dim}, {operator} needs {dim}")
-    if red is None:
-        res = deg_mod.fixed_point_degree(handle.apply_fn, dom)
-    else:
-        res = deg_mod.finite_rank_reduce(handle, dom)
+    try:
+        res = deg_mod.fixed_point_degree(handle.apply_fn, dom) if red is None \
+            else deg_mod.finite_rank_reduce(handle, dom)
+    except flows.IntegrationError as exc:
+        raise click.ClickException(str(exc))
     click.echo(f"degree={res.degree:+d} method={res.method} "
                f"certified={res.certified} "
                f"min_boundary_norm={res.min_boundary_norm:.3e}")

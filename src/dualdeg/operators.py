@@ -5,9 +5,11 @@ Operators act either on discretized function space (grid functions over
 problem) or on finite vectors (phase space, kernel coordinates, history
 space).  Handles are immutable after build and apply_fn is pure.  Every
 handle also maps a stack of inputs (leading axes) to the stack of outputs.
-Each problem's Ktilde carries the Reduction witness, the one place that
-defines its boundary projection pi and right inverse i, and holds the finite
-handle F it is built from: Ktilde = i o F o pi (``reduced_handle``).
+Every operator that integrates the equation composes with one solution map
+alpha per problem (``solution``).  Each problem's Ktilde carries the
+Reduction witness, the one place that defines its boundary projection pi and
+right inverse i, and holds the finite handle F it is built from: Ktilde =
+i o F o pi (``reduced_handle``).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import flows, gridfn
-from .gridfn import DelayKernel, Grid, GridFunction, constant
+from .gridfn import Grid, GridFunction, constant
 
 GRID_SPACE = "grid_function"
 FINITE_SPACE = "finite_vector"
@@ -95,10 +97,11 @@ class OperatorHandle:
 
 def lifted_handle(name: str, problem, params: dict, pi: Callable,
                   mu: Callable) -> OperatorHandle:
-    """The grid handle of h = lift o mu o pi: pi projects x onto R^n, mu maps a
-    stack (..., n) to node values (..., m+1, n) and lift makes those a grid
-    function.  ``factors`` = (pi, mu): a caller may map mu over the projections
-    of many inputs at once, and gets h's values row for row."""
+    """The grid handle of h = lift o mu o pi: pi projects x onto R^k (x(T), or
+    the last delay-length segment of x), mu maps a stack (..., k) to node
+    values (..., m+1, n) and lift makes those a grid function.  ``factors`` =
+    (pi, mu): a caller may map mu over the projections of many inputs at once,
+    and gets h's values row for row."""
     grid = problem.grid()
 
     def apply_fn(x):
@@ -120,6 +123,29 @@ def reduced_handle(name: str, space: str, problem, params: dict,
 def residual(h: OperatorHandle, x) -> float:
     """Sup-norm of x - h(x); zero exactly on fixed points."""
     return (x - h.apply_fn(x)).sup_norm()
+
+
+def solution(problem) -> Callable:
+    """alpha: a stack of finite representatives (..., k) -> the solutions they
+    start on the problem's grid, one solution in either space.  Periodic kinds:
+    the trajectory from x(0); Dirichlet: the C1Function from v = (x'(0), x(0));
+    delay: the track on [-tau, T] from the history on [-tau, 0], its nodes
+    flattened.  It makes the one integrator call of each kind."""
+    f, grid = problem.field(), problem.grid()
+    n = f.dim
+    if problem.kind in PERIODIC_KINDS:
+        lift = lambda c: flows.mu_periodic(f, c, m=grid.m)
+    elif problem.kind == "dirichlet_bvp":
+        lift = lambda v: C1Function(flows.mu_dirichlet(f, v[..., :n], v[..., n:], m=grid.m),
+                                    v[..., :n])
+    elif problem.kind == "periodic_dde":
+        kernel = problem.kernel()
+        hg = Grid(-kernel.tau, 0.0, kernel.shift_steps(grid))
+        lift = lambda v: flows.dde_flow(
+            f, GridFunction(hg, v.reshape(v.shape[:-1] + (hg.m + 1, n))), f.period)
+    else:
+        raise ValueError(f"unknown problem kind {problem.kind!r}")
+    return lambda v: lift(np.asarray(v, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +193,8 @@ def _build_periodic(name: str, problem, params: dict) -> OperatorHandle:
         def apply_fn(x):
             return GridFunction(grid, x.values[..., -1:, :] + _vn(problem, x).values)
     elif name == "K1":
-        return lifted_handle(name, problem, params, _endpoint,
-                             lambda c: flows.mu_periodic(f, c, m=grid.m).values)
+        alpha = solution(problem)
+        return lifted_handle(name, problem, params, _endpoint, lambda c: alpha(c).values)
     elif name in ("K3", "Khat3", "K5", "Khat5"):
         apply_fn = _mean_centred(grid, T, lambda x: gridfn.nemytskii(f, x),
                                  sign=-1.0 if "hat" in name else 1.0, centred=True,
@@ -200,35 +226,39 @@ def _build_periodic(name: str, problem, params: dict) -> OperatorHandle:
 # Dirichlet-problem operators
 # ---------------------------------------------------------------------------
 
+def _restart(x: C1Function) -> np.ndarray:
+    """(x(1) + x'(0), 2 x(0)) (..., 2n): Kdir1 = alpha o restart, Kdir2 = restart o alpha."""
+    vals = x.values.values
+    return np.concatenate([vals[..., -1, :] + x.deriv0, 2.0 * vals[..., 0, :]], axis=-1)
+
+
 def _build_dirichlet(name: str, problem, params: dict) -> OperatorHandle:
     f = problem.field()
     grid = problem.grid()
     n = f.dim
     t = grid.nodes[:, None]
+    alpha = solution(problem)
 
     if name == "Kdir":
         def apply_fn(x: C1Function):
-            a = x.values.values[..., -1, :] + x.deriv0
-            b = 2.0 * x.values.values[..., 0, :]
+            r = _restart(x)
+            a, b = r[..., :n], r[..., n:]
             vvn = gridfn.double_cumulative_integral(
                 gridfn.nemytskii(f, x.values))
             vals = t * a[..., None, :] + b[..., None, :] + vvn.values
             return C1Function(GridFunction(grid, vals), a)
     elif name == "Kdir1":
         def apply_fn(x: C1Function):
-            a = x.values.values[..., -1, :] + x.deriv0
-            b = 2.0 * x.values.values[..., 0, :]
-            return C1Function(flows.mu_dirichlet(f, a, b, m=grid.m), a)
+            return alpha(_restart(x))
     elif name == "Ktilde":
-        # conjugate i~ o g o pi~ of the shooting defect g(a) = a - S(a)
-        defect = OperatorHandle("Kshoot", FINITE_SPACE,
-                                lambda a: a - flows.shooting(f, a, m=grid.m),
-                                problem, {"dim": n})
-
+        # conjugate i~ o g o pi~ of the shooting defect g(a) = a - i(a)(1)
         def i(a):
-            return C1Function(flows.mu_dirichlet(f, a, np.zeros(n), m=grid.m),
-                              np.asarray(a, dtype=float))
+            a = np.atleast_1d(np.asarray(a, dtype=float))
+            return alpha(np.concatenate([a, np.zeros_like(a)], axis=-1))
 
+        defect = OperatorHandle("Kshoot", FINITE_SPACE,
+                                lambda a: a - i(a).values.values[..., -1, :],
+                                problem, {"dim": n})
         red = Reduction(defect, lambda x: x.deriv0.copy(), i)
         return reduced_handle(name, C1_SPACE, problem, params, red)
     else:
@@ -241,13 +271,6 @@ def _build_dirichlet(name: str, problem, params: dict) -> OperatorHandle:
 # Delay-problem operators
 # ---------------------------------------------------------------------------
 
-def _history_of(x: GridFunction, kernel: DelayKernel) -> GridFunction:
-    """Last delay-length segment of x, relocated to [-tau, 0]."""
-    k = kernel.shift_steps(x.grid)
-    hg = Grid(-kernel.tau, 0.0, k)
-    return GridFunction(hg, x.values[..., x.grid.m - k:, :])
-
-
 def _build_delay(name: str, problem, params: dict) -> OperatorHandle:
     f = problem.field()
     grid = problem.grid()
@@ -255,24 +278,24 @@ def _build_delay(name: str, problem, params: dict) -> OperatorHandle:
     T = f.period
     k = kernel.shift_steps(grid)
 
+    def pi(x):
+        # the last delay-length segment x|[T - tau, T], flattened
+        v = x.values[..., grid.m - k:, :]
+        return v.reshape(v.shape[:-2] + (-1,)).copy()
+
     if name == "Kdelay":
         def apply_fn(x):
             nr = gridfn.nemytskii_delay(f, x, kernel)
             return GridFunction(grid, x.values[..., -1:, :]
                                 + gridfn.cumulative_integral(nr).values)
     elif name == "Kdelay1":
-        def apply_fn(x):
-            track = flows.dde_flow(f, _history_of(x, kernel), T)
-            return GridFunction(grid, track.values[..., k:, :])
+        alpha = solution(problem)
+        return lifted_handle(name, problem, params, pi, lambda v: alpha(v).values[..., k:, :])
     elif name in ("K6", "K7", "K8"):
         apply_fn = _mean_centred(grid, T, lambda x: gridfn.nemytskii_delay(f, x, kernel),
                                  sign=1.0, centred=name in ("K7", "K8"),
                                  periodic_out=name == "K8")
     elif name == "Ktilde":
-        def pi(x):
-            v = x.values[..., grid.m - k:, :]
-            return v.reshape(v.shape[:-2] + (-1,)).copy()
-
         def i(v):
             # copy the history segment onto [T - tau, T], freeze y(-tau) before it
             v = np.asarray(v, dtype=float)
@@ -290,23 +313,19 @@ def _build_delay(name: str, problem, params: dict) -> OperatorHandle:
     return OperatorHandle(name, GRID_SPACE, apply_fn, problem, dict(params))
 
 
-def _delay_poincare(problem) -> OperatorHandle:
+def _delay_poincare(problem, params: dict | None = None) -> OperatorHandle:
     """The Kdelay2 handle of the problem's grid: the discrete history-space
-    Poincare map y -> (solution with history y)_T on its history nodes."""
-    f = problem.field()
-    kernel = problem.kernel()
+    Poincare map y -> (solution with history y)_T, the last history segment
+    of alpha(y)."""
     grid = problem.grid()
-    k = kernel.shift_steps(grid)
-    n = f.dim
-    hg = Grid(-kernel.tau, 0.0, k)
+    alpha = solution(problem)
 
     def fin(v):
         v = np.asarray(v, dtype=float)
-        hist = GridFunction(hg, v.reshape(v.shape[:-1] + (k + 1, n)))
-        track = flows.dde_flow(f, hist, f.period).values[..., grid.m:, :]
-        return track.reshape(v.shape).copy()
+        return alpha(v).values[..., grid.m:, :].reshape(v.shape).copy()
 
-    return OperatorHandle("Kdelay2", FINITE_SPACE, fin, problem, {"dim": (k + 1) * n})
+    dim = (problem.kernel().shift_steps(grid) + 1) * problem.field().dim
+    return OperatorHandle("Kdelay2", FINITE_SPACE, fin, problem, {**(params or {}), "dim": dim})
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +360,8 @@ def build_finite(name: str, problem, params: dict | None = None) -> OperatorHand
 
     if name == "K2":
         _require_kind(problem, PERIODIC_KINDS, name)
-
-        def apply_fn(x0):
-            return flows.poincare(f, x0, m=grid.m)
+        alpha = solution(problem)
+        apply_fn = lambda x0: _endpoint(alpha(x0))
     elif name == "KhatP":
         _require_kind(problem, PERIODIC_KINDS, name)
         T = f.period
@@ -356,18 +374,13 @@ def build_finite(name: str, problem, params: dict | None = None) -> OperatorHand
             return flows.poincare(back, A, m=grid.m)
     elif name == "Kdir2":
         _require_kind(problem, ("dirichlet_bvp",), name)
-
-        def apply_fn(v):
-            a, b = v[..., :n], v[..., n:]
-            x1 = flows.mu_dirichlet(f, a, b, m=grid.m).values[..., -1, :]
-            return np.concatenate([x1 + a, 2.0 * b], axis=-1)
-
-        dim = 2 * n
+        alpha = solution(problem)
+        apply_fn, dim = lambda v: _restart(alpha(v)), 2 * n
     elif name == "Kdelay2":
-        # the history space of problem.history_nodes() nodes
+        # the history space of problem.history_nodes() nodes: the handle's
+        # problem is that coarse one, whose alpha lifts its zeros
         _require_kind(problem, ("periodic_dde",), name)
-        fin = _delay_poincare(problem.with_history_nodes())
-        apply_fn, dim = fin.apply_fn, fin.params["dim"]
+        return _delay_poincare(problem.with_history_nodes(), params)
     else:
         raise ValueError(f"unknown finite operator {name!r}")
 

@@ -98,9 +98,11 @@ class TestCommonCore:
         assert any("clearance" in d for d in rep.diagnostics)
 
     def test_degenerate_false(self):
+        # every point is fixed: one diagnostic names the count of degenerate zeros
         rep = check_common_core(ZERO_F, ZERO_F.default_U1(), ZERO_F.default_U2())
         assert not rep.verdict
-        assert any("degenerate" in d for d in rep.diagnostics)
+        assert [d for d in rep.diagnostics if "degenerate" in d] == \
+            ["degenerate: 3 of 3 fixed points non-isolated"]
 
 
 @pytest.mark.parametrize("pid", ["p1", "p2", "p3", "p4", "p5", "p6", "p7"])

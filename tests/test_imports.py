@@ -1,6 +1,7 @@
 """No module of the package or of the tests imports a name it never uses, the
-package defines no private module-level name that it never reads, and every
-name the README cites from the package exists.
+package defines no private module-level name that it never reads, every name
+the README cites from the package exists, and only ``flows`` and
+``operators`` call a ``flows`` integrator.
 
 Stdlib ``ast`` scans, since no linter ships with the project.  An import
 line marked ``# noqa: F401`` is kept on purpose (``certify`` binds
@@ -171,3 +172,47 @@ def test_reference_checker_flags_stale_names():
 
 def test_readme_references_resolve():
     assert stale_references((ROOT / "README.md").read_text()) == []
+
+
+INTEGRATORS = ("flow", "poincare", "mu_periodic", "mu_dirichlet", "shooting",
+               "dde_flow", "eta_periodic_solve")
+# the integrators' own module, and the one that holds each kind's solution map
+INTEGRATING_MODULES = ("flows.py", "operators.py")
+
+
+def integrator_calls(source: str) -> list:
+    """(line, name) of each call of a ``flows`` integrator in the source, as
+    ``flows.<name>(...)`` or through a name imported from ``flows``."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("flows")
+                for alias in node.names}
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) \
+                and f.value.id == "flows" and f.attr in INTEGRATORS:
+            out.append((node.lineno, f.attr))
+        elif isinstance(f, ast.Name) and imported.get(f.id) in INTEGRATORS:
+            out.append((node.lineno, imported[f.id]))
+    return sorted(out)
+
+
+def test_integrator_checker_flags_flows_calls():
+    src = ("from . import flows\n"
+           "from .flows import dde_flow as dde, IntegrationError, flow\n"
+           "x = flows.mu_dirichlet(f, a, b)\n"
+           "y = dde(f, h, 1.0) + flows.IntegrationError\n"
+           "z = flows.poincare\n"
+           "w = flow(f, x0, g)\n"
+           "v = other.flow(f, x0, g)\n")
+    assert integrator_calls(src) == [(3, "mu_dirichlet"), (4, "dde_flow"), (6, "flow")]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name not in INTEGRATING_MODULES],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_only_operators_integrates(path):
+    # each kind's solution is integrated in operators (``operators.solution``)
+    assert integrator_calls(path.read_text()) == []

@@ -1,0 +1,121 @@
+"""Mutation table: which verdicts notice a wrong map.
+
+Each row puts one mutant into the operator catalog by a monkeypatch, runs one
+``verify_duality`` at m = 64 and records its outcome: ``killed`` (the verdict
+FAILs, which an inadmissible certificate implies, or the run ends in a named
+error) or ``survives`` (it still PASSes).  A mutant that changes the
+mathematics and survives points at a check that is missing.  The table holds
+today's outcomes, so a row fails when its outcome changes in either
+direction: a change that kills a survivor flips that row's entry.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from dualdeg import certify, flows, operators, problems
+
+M = 64
+BUILD, BUILD_FINITE = operators.build, operators.build_finite
+
+
+def opposite_degree(name, problem, params=None):
+    """K2, Kdir2 and Kdelay2 replaced by F'(v) = v - R(v - F(v)), R flipping
+    coordinate 0: the same zeros, the opposite degree."""
+    h = BUILD_FINITE(name, problem, params)
+    if name not in ("K2", "Kdir2", "Kdelay2"):
+        return h
+    F = h.apply_fn
+
+    def apply_fn(v):
+        g = np.array(v - F(v), dtype=float)
+        g[..., 0] = -g[..., 0]
+        return v - g
+
+    return replace(h, apply_fn=apply_fn)
+
+
+def wrong_track(name, problem, params=None):
+    """Ktilde whose witness names K, not K1, as the track of its image."""
+    h = BUILD(name, problem, params)
+    if name != "Ktilde":
+        return h
+    return replace(h, reduction=replace(h.reduction, track=BUILD("K", problem)))
+
+
+def k3_for_khat3(name, problem, params=None):
+    """K3 put in wherever the chain asks for K-hat-3 (the eta < 0 chain)."""
+    return BUILD("K3" if name == "Khat3" else name, problem, params)
+
+
+def names_dropped(name, problem, params=None):
+    """Ktilde built on the finite map 2x - P(x), with no track named."""
+    h = BUILD(name, problem, params)
+    if name != "Ktilde":
+        return h
+    red = h.reduction
+    P = red.finite.apply_fn
+    khat2 = operators.OperatorHandle("Khat2", operators.FINITE_SPACE,
+                                     lambda v: 2.0 * v - P(v), h.problem,
+                                     dict(red.finite.params))
+    return operators.reduced_handle("Ktilde", operators.GRID_SPACE, h.problem, {},
+                                    replace(red, finite=khat2, track=None))
+
+
+MUTANTS = {"opposite_degree": ("build_finite", opposite_degree),
+           "wrong_track": ("build", wrong_track),
+           "k3_for_khat3": ("build", k3_for_khat3),
+           "names_dropped": ("build", names_dropped)}
+
+TABLE = [
+    ("opposite_degree", "p1", "krasnoselskii", "survives"),
+    ("opposite_degree", "p1", "inverse_poincare", "killed"),
+    ("opposite_degree", "p1", "eta_sign[1]", "survives"),
+    ("opposite_degree", "p1", "eta_sign[-1]", "survives"),
+    ("opposite_degree", "p2", "inverse_poincare", "killed"),  # KhatP blows up
+    ("opposite_degree", "p3", "krasnoselskii", "survives"),
+    ("opposite_degree", "p3", "inverse_poincare", "killed"),
+    ("opposite_degree", "p3", "eta_sign[1]", "survives"),
+    ("opposite_degree", "p3", "eta_sign[-1]", "survives"),
+    ("opposite_degree", "p4", "dirichlet_shooting", "killed"),
+    ("opposite_degree", "p5", "dirichlet_shooting", "killed"),
+    ("opposite_degree", "p6", "delay", "survives"),
+    ("opposite_degree", "p7", "krasnoselskii", "survives"),
+    ("opposite_degree", "p7", "inverse_poincare", "killed"),
+    ("wrong_track", "p1", "krasnoselskii", "survives"),
+    ("wrong_track", "p2", "krasnoselskii", "survives"),
+    ("wrong_track", "p3", "krasnoselskii", "survives"),
+    ("k3_for_khat3", "p1", "eta_sign[-1]", "survives"),
+    ("k3_for_khat3", "p2", "eta_sign[-1]", "killed"),  # inadmissible certificate
+    ("k3_for_khat3", "p3", "eta_sign[-1]", "survives"),  # n = 2 keeps the degree
+    ("names_dropped", "p1", "krasnoselskii", "killed"),
+    ("names_dropped", "p2", "krasnoselskii", "killed"),
+    ("names_dropped", "p1", "eta_sign[1]", "survives"),
+    ("names_dropped", "p2", "eta_sign[1]", "survives"),
+]
+
+
+def outcome(pid: str, verdict: str) -> str:
+    """``killed`` or ``survives`` for one verdict at m = M under the catalog
+    as it is patched now."""
+    pair, _, eta = verdict.partition("[")
+    problem = replace(problems.get_problem(pid), m=M)
+    try:
+        rep = certify.verify_duality(problem, pair, eta=float(eta[:-1]) if eta else None)
+    except flows.IntegrationError:
+        return "killed"
+    return "survives" if rep.equal else "killed"
+
+
+@pytest.mark.parametrize("pid,verdict", sorted({row[1:3] for row in TABLE}))
+def test_unmutated_verdict_passes(pid, verdict):
+    # a survivor means something only where the real catalog PASSes
+    assert outcome(pid, verdict) == "survives"
+
+
+@pytest.mark.parametrize("mutant,pid,verdict,expected", TABLE,
+                         ids=["-".join(row[:3]) for row in TABLE])
+def test_mutation_table(mutant, pid, verdict, expected, monkeypatch):
+    monkeypatch.setattr(operators, *MUTANTS[mutant])
+    assert outcome(pid, verdict) == expected

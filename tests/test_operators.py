@@ -151,3 +151,10 @@ class TestFiniteOperators:
         h = build_finite("KhatP", DECAY_F)
         out = h.apply_fn(np.array([0.5]))
         assert out[0] == pytest.approx(0.5 * np.e, abs=1e-6)
+
+    def test_kdelay2_on_history_node_problem_keeps_params(self):
+        # its zeros are lifted by the solution map of the handle's own problem
+        h = build_finite("Kdelay2", P6, {"tag": 1})
+        coarse = P6.with_history_nodes()
+        assert h.problem == coarse and coarse.m != P6.m
+        assert h.params == {"tag": 1, "dim": P6.history_nodes()}

@@ -442,19 +442,29 @@ class TestCli:
         (["run", "p7", "--suite", "signs", "--eta", "0"],
          "eta = 0 is singular for the zero mode"),
         (["run", "p7", "--suite", "signs", "--eta", "1"], "I - A/eta is singular"),
+        (["run", "{cubic_blow_up}"], "non-finite state while integrating"),
+        (["run", "{duffing_blow_up}"], "non-finite state while integrating"),
+        (["degree", "{duffing_blow_up}", "--operator", "K2", "--domain", "[[-1.5,1.5]]"],
+         "non-finite state while integrating"),
     ], ids=["not-pairs", "empty-box", "nonfinite-box", "dimension", "K0",
             "unknown-operator", "grid-1", "schema-invalid-file", "unparsable-file",
             "u2-box-rows-p3", "u2-box-rows-p6", "u2-box-rows-p4", "u2-box-empty-row",
             "tau-misaligned-file", "tau-misaligned-grid", "eta-singular-p1",
-            "eta-zero-p7", "eta-collision-p7"])
+            "eta-zero-p7", "eta-collision-p7", "blow-up-run-cubic", "blow-up-run-duffing",
+            "blow-up-degree-duffing"])
     def test_bad_input_one_line_error(self, args, message, tmp_path):
         box = lambda pid, rows: json.dumps(dict(get_problem(pid).to_dict(), u2_box=rows))
+        # x' = x^3 and x' = x^3 - x: flows from parts of U2 blow up within T = 1
+        poly = lambda coef, rows: json.dumps(dict(get_problem("p1").to_dict(), m=64,
+                                                  rhs={"poly": coef}, u2_box=rows))
         files = {"schema_invalid": '{"id": "x"}', "unparsable": '{"id": ',
                  "p3_one_row": box("p3", [[-1, 1]]),
                  "p6_two_rows": box("p6", [[-1, 1]] * 2),
                  "p4_one_row": box("p4", [[-1, 1]]),
                  "p4_empty_row": box("p4", [[1, -1], [-1, 1]]),
-                 "p6_m101": json.dumps(dict(get_problem("p6").to_dict(), m=101))}
+                 "p6_m101": json.dumps(dict(get_problem("p6").to_dict(), m=101)),
+                 "cubic_blow_up": poly([0, 0, 0, 1], [[-2, 2]]),
+                 "duffing_blow_up": poly([0, -1, 0, 1], [[-1.5, 1.5]])}
         for name, text in files.items():
             (tmp_path / f"{name}.json").write_text(text)
         args = [a.format(**{name: tmp_path / f"{name}.json" for name in files})

@@ -86,11 +86,14 @@ class TestStackMatchesLoop:
 
     @pytest.mark.parametrize("problem", [P3, P4, P6], ids=["periodic", "dirichlet", "delay"])
     def test_grid_representatives(self, problem):
-        # the common core maps the representatives of all its zeros in one sweep
+        # the common core lifts all its zeros in one sweep, by the solution map
+        # of its finite handle's own problem (the delay's history-node one)
+        fin = operators.build_finite(certify.KIND_TABLE[problem.kind].finite, problem)
+        alpha = operators.solution(fin.problem)
         V = _multistart_seeds(problem.default_U2().as_box())[:3]
-        stacked = certify._grid_representative(problem, V)
+        stacked = alpha(V)
         for i, v in enumerate(V):
-            got, one = certify._member(stacked, i), certify._grid_representative(problem, v)
+            got, one = certify._member(stacked, i), alpha(v)
             assert type(got) is type(one)
             if isinstance(one, operators.C1Function):
                 assert np.array_equal(got.deriv0, one.deriv0)
