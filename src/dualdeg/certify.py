@@ -84,6 +84,16 @@ def _unflattener(h: OperatorHandle):
 # Fixed points
 # ---------------------------------------------------------------------------
 
+def _grid_residual(h: OperatorHandle, unflat, v: np.ndarray) -> np.ndarray:
+    """v - h(v), v flattened; module-level, so no search closure refers to itself."""
+    try:
+        return v - _flatten(h.apply_fn(unflat(v)))
+    except (flows.IntegrationError, ValueError):
+        if v.ndim > 1:  # a failed stack: only its failing rows read inf
+            return np.stack([_grid_residual(h, unflat, row) for row in v])
+        return np.full_like(v, np.inf)
+
+
 def find_fixed_points(h: OperatorHandle, domain) -> list:
     """Fixed points of the operator inside the domain.
 
@@ -100,15 +110,7 @@ def find_fixed_points(h: OperatorHandle, domain) -> list:
         return F.zeros(dom, FINITE_FP_TOL)[0]
 
     unflat = _unflattener(h)
-
-    def res(v):
-        try:
-            return v - _flatten(h.apply_fn(unflat(v)))
-        except (flows.IntegrationError, ValueError):
-            if v.ndim > 1:  # a failed stack: only its failing rows read inf
-                return np.stack([res(row) for row in v])
-            return np.full_like(v, np.inf)
-
+    res = lambda v: _grid_residual(h, unflat, v)
     n = h.problem.field().dim
     v = np.zeros((h.problem.grid().m + 1) * n
                  + (n if h.space == operators.C1_SPACE else 0))
@@ -180,11 +182,11 @@ def check_common_core(problem, U1: FunctionBall, U2: DomainSpec,
     """Verify that the two domains isolate the same solution set.
 
     Finds the finite handle's fixed points, lifts them by the solution map of
-    the handle's own problem (``operators.solution``; the delay's is the
-    history-node one), and checks boundary clearance on both sides.  Zeros
-    with near-singular linearizations are degenerate (non-isolated): the
-    verdict is false, with one diagnostic that counts them.  The Newton
-    search and Jacobians are ``_finite``'s, in a run, else made afresh.
+    the handle's own problem (``operators.solution``, the delay's history-node
+    one, in a run read from what the search integrated), and checks boundary
+    clearance on both sides.  Zeros with near-singular linearizations are
+    degenerate (non-isolated): the verdict is false, with one diagnostic that
+    counts them.  The search and Jacobians are ``_finite``'s, else made afresh.
     """
     fin = operators.build_finite(KIND_TABLE[problem.kind].finite, problem)
     F = (_finite or _FiniteSide()).map(fin)
@@ -200,7 +202,7 @@ def check_common_core(problem, U1: FunctionBall, U2: DomainSpec,
     if degenerate:
         diagnostics.append(f"degenerate: {degenerate} of {len(fps)} fixed points non-isolated")
         verdict = False
-    trajs = operators.solution(fin.problem)(np.asarray(fps))  # every zero in one sweep
+    trajs = operators.solution(fin.problem)(np.asarray(fps))  # no sweep in a run, else one
     for i, v in enumerate(fps):
         traj = _member(trajs, i)
         c1 = U1.clearance(traj)

@@ -50,7 +50,7 @@ class VectorFieldSpec:
         if not (self.period > 0):
             raise ValueError(f"period must be positive, got {self.period}")
         if not np.isfinite(self.lipschitz) or self.lipschitz < 0:
-            raise ValueError(f"lipschitz bound must be finite and >= 0")
+            raise ValueError(f"lipschitz bound must be finite and >= 0, got {self.lipschitz}")
         if self.kind == DELAY and (self.tau is None or self.tau <= 0):
             raise ValueError("delay fields need tau > 0")
 

@@ -125,27 +125,60 @@ def residual(h: OperatorHandle, x) -> float:
     return (x - h.apply_fn(x)).sup_norm()
 
 
-def solution(problem) -> Callable:
+class Solutions:
+    """alpha's memo for one run (``problems.run``): each distinct row (grid m,
+    bytes) is integrated once, in the stacked call that first asks for it;
+    later calls re-stack the tracks held, row for row, and integrate only new
+    rows.  Rows are independent, and a call that raises stores nothing."""
+
+    def __init__(self):
+        self._tracks, self._grids = {}, {}
+
+    def memoize(self, m: int, integrate: Callable) -> Callable:
+        """``integrate`` (rows -> GridFunction of their tracks) through the memo."""
+        def alpha(v):
+            X = v.reshape(-1, v.shape[-1])
+            keys = [(m, row.tobytes()) for row in X]
+            new = {key: row for key, row in zip(keys, X) if key not in self._tracks}
+            if new:
+                tracks = integrate(np.stack(list(new.values())))
+                self._grids[m] = tracks.grid
+                self._tracks.update(zip(new, tracks.values))
+            vals = np.stack([self._tracks[key] for key in keys])
+            return GridFunction(self._grids[m], vals.reshape(v.shape[:-1] + vals.shape[1:]))
+
+        return alpha
+
+
+def solution(problem, held: bool = True) -> Callable:
     """alpha: a stack of finite representatives (..., k) -> the solutions they
     start on the problem's grid, one solution in either space.  Periodic kinds:
     the trajectory from x(0); Dirichlet: the C1Function from v = (x'(0), x(0));
     delay: the track on [-tau, T] from the history on [-tau, 0], its nodes
-    flattened.  It makes the one integrator call of each kind."""
+    flattened.  It makes the one integrator call of each kind, in a run through
+    its memo (``Solutions``) if ``held``: the lifted handles' samples never repeat."""
     f, grid = problem.field(), problem.grid()
     n = f.dim
     if problem.kind in PERIODIC_KINDS:
-        lift = lambda c: flows.mu_periodic(f, c, m=grid.m)
+        track = lambda c: flows.mu_periodic(f, c, m=grid.m)
     elif problem.kind == "dirichlet_bvp":
-        lift = lambda v: C1Function(flows.mu_dirichlet(f, v[..., :n], v[..., n:], m=grid.m),
-                                    v[..., :n])
+        track = lambda v: flows.mu_dirichlet(f, v[..., :n], v[..., n:], m=grid.m)
     elif problem.kind == "periodic_dde":
         kernel = problem.kernel()
         hg = Grid(-kernel.tau, 0.0, kernel.shift_steps(grid))
-        lift = lambda v: flows.dde_flow(
+        track = lambda v: flows.dde_flow(
             f, GridFunction(hg, v.reshape(v.shape[:-1] + (hg.m + 1, n))), f.period)
     else:
         raise ValueError(f"unknown problem kind {problem.kind!r}")
-    return lambda v: lift(np.asarray(v, dtype=float))
+    memo = getattr(problem, "_solutions", None)
+    if held and memo is not None:
+        track = memo.memoize(grid.m, track)
+
+    def alpha(v):
+        v = np.asarray(v, dtype=float)
+        return C1Function(track(v), v[..., :n]) if problem.kind == "dirichlet_bvp" else track(v)
+
+    return alpha
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +226,7 @@ def _build_periodic(name: str, problem, params: dict) -> OperatorHandle:
         def apply_fn(x):
             return GridFunction(grid, x.values[..., -1:, :] + _vn(problem, x).values)
     elif name == "K1":
-        alpha = solution(problem)
+        alpha = solution(problem, held=False)
         return lifted_handle(name, problem, params, _endpoint, lambda c: alpha(c).values)
     elif name in ("K3", "Khat3", "K5", "Khat5"):
         apply_fn = _mean_centred(grid, T, lambda x: gridfn.nemytskii(f, x),
@@ -289,7 +322,7 @@ def _build_delay(name: str, problem, params: dict) -> OperatorHandle:
             return GridFunction(grid, x.values[..., -1:, :]
                                 + gridfn.cumulative_integral(nr).values)
     elif name == "Kdelay1":
-        alpha = solution(problem)
+        alpha = solution(problem, held=False)
         return lifted_handle(name, problem, params, pi, lambda v: alpha(v).values[..., k:, :])
     elif name in ("K6", "K7", "K8"):
         apply_fn = _mean_centred(grid, T, lambda x: gridfn.nemytskii_delay(f, x, kernel),

@@ -139,6 +139,9 @@ class ProblemSpec:
     hist_nodes: int | None = None
     description: str = ""
     schema_version: str = SCHEMA_VERSION
+    # alpha's memo on a run's copy (``run``), None elsewhere; ``replace`` keeps
+    # it, so the copies of one run (their m differs) share one memo
+    _solutions: object = dc_field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -368,7 +371,8 @@ def _residuals(problem: ProblemSpec, U1) -> list[dict]:
     """Solution residuals of the grid operators of a Dirichlet or delay
     problem at the fixed points of the first.  They read no homotopy, common
     core or finite degree, so ``run`` makes them after ``run_plans``, once the
-    run's finite side is freed."""
+    run's finite side is freed.  Kdir1's alpha still reads the run's memo, so
+    a state the Kdir2 search integrated costs no sweep."""
     names = ("K6", "K7", "K8") if problem.kind == "periodic_dde" else ("Kdir", "Kdir1")
     out: list[dict] = []
     for fp in certify.find_fixed_points(operators.build(names[0], problem), U1):
@@ -391,8 +395,9 @@ def run(problem: ProblemSpec, suite: str = "all", grid_m: int | None = None,
         raise ValueError(f"seed must be at least 0, got {seed}")
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
-    if grid_m is not None:
-        problem = replace(problem, m=int(grid_m))
+    # the run's own copy, whose alpha integrates each distinct state once
+    problem = replace(problem, m=problem.m if grid_m is None else int(grid_m),
+                      _solutions=operators.Solutions())
 
     row = certify.KIND_TABLE[problem.kind]
     instances = [(pair, None) for pair in row.duality if suite in ("all", "duality")]

@@ -17,6 +17,14 @@ ROTATION = _field(lambda t, x: np.stack([x[..., 1], -x[..., 0]], axis=-1), dim=2
 FORCED = _field(lambda t, x: -x + np.expand_dims(np.cos(2 * np.pi * t), -1))
 
 
+class TestVectorFieldSpec:
+    @pytest.mark.parametrize("lip,shown", [(-1.0, "-1.0"), (np.inf, "inf"), (np.nan, "nan")])
+    def test_bad_lipschitz_named(self, lip, shown):
+        with pytest.raises(ValueError,
+                           match=f"lipschitz bound must be finite and >= 0, got {shown}$"):
+            _field(lambda t, x: -x, lip=lip)
+
+
 class TestFlow:
     def test_zero_field_constant(self):
         f = _field(lambda t, x: 0.0 * x, lip=0.0)

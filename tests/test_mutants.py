@@ -1,9 +1,9 @@
 """Mutation table: which verdicts notice a wrong map.
 
-Each row puts one mutant into the operator catalog by a monkeypatch, runs one
-``verify_duality`` at m = 64 and records its outcome: ``killed`` (the verdict
-FAILs, which an inadmissible certificate implies, or the run ends in a named
-error) or ``survives`` (it still PASSes).  A mutant that changes the
+Each row puts one mutant into the operator catalog or the verdict rule by a
+monkeypatch, runs one ``verify_duality`` at m = 64 and records its outcome:
+``killed`` (the verdict FAILs, which an inadmissible certificate implies, or
+the run ends in a named error) or ``survives`` (it still PASSes).  A mutant that changes the
 mathematics and survives points at a check that is missing.  The table holds
 today's outcomes, so a row fails when its outcome changes in either
 direction: a change that kills a survivor flips that row's entry.
@@ -17,7 +17,7 @@ import pytest
 from dualdeg import certify, flows, operators, problems
 
 M = 64
-BUILD, BUILD_FINITE = operators.build, operators.build_finite
+BUILD, BUILD_FINITE, VERDICT = operators.build, operators.build_finite, certify._verdict
 
 
 def opposite_degree(name, problem, params=None):
@@ -63,10 +63,16 @@ def names_dropped(name, problem, params=None):
                                     replace(red, finite=khat2, track=None))
 
 
-MUTANTS = {"opposite_degree": ("build_finite", opposite_degree),
-           "wrong_track": ("build", wrong_track),
-           "k3_for_khat3": ("build", k3_for_khat3),
-           "names_dropped": ("build", names_dropped)}
+def flipped_sign(*args, sign, **kwargs):
+    """The verdict rule with the sign factor negated: left = -sign * right."""
+    return VERDICT(*args, sign=-sign, **kwargs)
+
+
+MUTANTS = {"opposite_degree": (operators, "build_finite", opposite_degree),
+           "wrong_track": (operators, "build", wrong_track),
+           "k3_for_khat3": (operators, "build", k3_for_khat3),
+           "names_dropped": (operators, "build", names_dropped),
+           "flipped_sign": (certify, "_verdict", flipped_sign)}
 
 TABLE = [
     ("opposite_degree", "p1", "krasnoselskii", "survives"),
@@ -93,7 +99,15 @@ TABLE = [
     ("names_dropped", "p2", "krasnoselskii", "killed"),
     ("names_dropped", "p1", "eta_sign[1]", "survives"),
     ("names_dropped", "p2", "eta_sign[1]", "survives"),
-]
+] + [("flipped_sign", pid, verdict, "killed")  # every degree is nonzero
+     for pid, verdicts in (
+         ("p1", ("krasnoselskii", "inverse_poincare", "eta_sign[1]", "eta_sign[-1]")),
+         ("p2", ("krasnoselskii", "inverse_poincare", "eta_sign[1]", "eta_sign[-1]")),
+         ("p3", ("krasnoselskii", "inverse_poincare", "eta_sign[1]", "eta_sign[-1]")),
+         ("p4", ("dirichlet_shooting",)), ("p5", ("dirichlet_shooting",)), ("p6", ("delay",)),
+         ("p7", ("krasnoselskii", "inverse_poincare", "nonlocal_signs[0.5]",
+                 "nonlocal_signs[-1]")))
+     for verdict in verdicts]
 
 
 def outcome(pid: str, verdict: str) -> str:
@@ -117,5 +131,5 @@ def test_unmutated_verdict_passes(pid, verdict):
 @pytest.mark.parametrize("mutant,pid,verdict,expected", TABLE,
                          ids=["-".join(row[:3]) for row in TABLE])
 def test_mutation_table(mutant, pid, verdict, expected, monkeypatch):
-    monkeypatch.setattr(operators, *MUTANTS[mutant])
+    monkeypatch.setattr(*MUTANTS[mutant])
     assert outcome(pid, verdict) == expected

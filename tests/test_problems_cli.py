@@ -214,14 +214,16 @@ class TestRun:
 
     @pytest.mark.parametrize("pid,m,sweeps,jacobians", [
         pytest.param(pid, m, sweeps, jacobians, id=f"{pid}-{m}") for pid, m, sweeps, jacobians in
-        (("p1", 64, 5, 2), ("p2", 64, 4, 1), ("p3", 32, 8, 6), ("p3", 128, 8, 6),
-         ("p4", 64, 8, 4), ("p6", 64, 6, 3))])
+        (("p1", 64, 4, 2), ("p2", 64, 3, 1), ("p3", 32, 7, 6), ("p3", 128, 7, 6),
+         ("p4", 64, 4, 4), ("p5", 64, 4, 4), ("p6", 64, 5, 3))])
     def test_sweeps_per_run(self, pid, m, sweeps, jacobians, monkeypatch):
         # one Newton search per finite handle and box, one Jacobian per zero,
         # one flow for K1 and Ktilde per certificate pass (at m = 128 too, where
         # a pass has several blocks), each finite row mapped once per run and
         # one stacked call per stage: a box's margin, seeds and seed stencil,
-        # then each line-search try with its stencil
+        # then each line-search try with its stencil; the common-core lift, the
+        # witness probe, Kshoot's endpoints and the Kdir1 residual read states
+        # the search already integrated (the run's alpha memo)
         counts = self._sweep_counts(monkeypatch)
         assert run(get_problem(pid), "all", grid_m=m).verdict
         assert counts == {"sweeps": sweeps, "jacobians": jacobians}
@@ -232,25 +234,77 @@ class TestRun:
         with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
             run(get_problem(pid), seed=-1)
 
-    @pytest.mark.parametrize("pid,m", [("p1", 64), ("p3", 32)])
-    def test_no_finite_row_is_mapped_twice(self, pid, m, monkeypatch):
-        # K2 and KhatP are the Poincare maps of the field and its time reversal;
-        # a key holds its rhs, so no two fields share one
-        seen, repeats = set(), []
-        poincare = flows.poincare
+    @pytest.mark.parametrize("pid", ["p1", "p2", "p3", "p4", "p5", "p6", "p7"])
+    def test_no_state_is_integrated_twice(self, pid, monkeypatch):
+        # outside the certificate passes, whose samples do not repeat, each
+        # initial state goes into an RK4 sweep once per run.  A state is keyed
+        # by the problem whose alpha it starts, its field on its grid (for the
+        # delay, the history grid), and by its bytes; KhatP's backward field is
+        # a field of its own.
+        seen, repeats, passes = set(), [], []
 
-        def recorded(f, x0, m=256):
-            X = np.asarray(x0, dtype=float).reshape(-1, f.dim)
-            for row in X:
-                key = (f.rhs, row.tobytes())
-                if key in seen:
-                    repeats.append(row)
-                seen.add(key)
-            return poincare(f, x0, m=m)
+        def recorded(integrate, problem_rows):
+            def wrapper(*a, **k):
+                if not passes:
+                    key, rows = problem_rows(*a, **k)
+                    for row in rows:
+                        if (key, row.tobytes()) in seen:
+                            repeats.append(row)
+                        seen.add((key, row.tobytes()))
+                return integrate(*a, **k)
+            return wrapper
 
-        monkeypatch.setattr(flows, "poincare", recorded)
-        assert run(get_problem(pid), "all", grid_m=m).verdict
+        def initial(f, x0, grid):
+            return (f, grid), np.asarray(x0, dtype=float).reshape(-1, f.dim)
+
+        def shot(f, a, b, m=256):
+            a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+            return (f, m), np.concatenate([a, b], axis=-1).reshape(-1, 2 * f.dim)
+
+        def history(f, hist, horizon):
+            return (f, hist.grid, horizon), hist.values.reshape(-1, hist.values[0].size)
+
+        certify_all = certify.certify_homotopies
+
+        def certified(*a, **k):
+            passes.append(True)
+            try:
+                return certify_all(*a, **k)
+            finally:
+                passes.pop()
+
+        monkeypatch.setattr(certify, "certify_homotopies", certified)
+        for name, problem_rows in (("flow", initial), ("mu_dirichlet", shot),
+                                   ("dde_flow", history)):
+            monkeypatch.setattr(flows, name, recorded(getattr(flows, name), problem_rows))
+        assert run(get_problem(pid), "all", grid_m=64).verdict
         assert seen and not repeats
+
+    @pytest.mark.parametrize("pid,sweeps", [("p4", 4), ("p6", 5)])
+    def test_alpha_memo_lives_one_run(self, pid, sweeps, monkeypatch):
+        # a memo kept past its run would leave the next run fewer sweeps;
+        # reference counting frees it when run returns, and the caller's spec
+        # never holds one.  p6 makes 5 sweeps only if its history-node copies
+        # share the run's memo, so the common-core lift reads it
+        made, init = [], operators.Solutions.__init__
+
+        def recorded(self):
+            init(self)
+            made.append(weakref.ref(self))
+
+        monkeypatch.setattr(operators.Solutions, "__init__", recorded)
+        counts, spec, per_run = self._sweep_counts(monkeypatch), get_problem(pid), []
+        gc.disable()
+        try:
+            for _ in range(2):
+                counts["sweeps"] = 0
+                assert run(spec, "all", grid_m=64).verdict
+                per_run.append(counts["sweeps"])
+            alive = sum(ref() is not None for ref in made)
+        finally:
+            gc.enable()
+        assert per_run == [sweeps, sweeps] and len(made) == 2 and alive == 0
+        assert spec._solutions is None
 
     def test_finite_side_freed_by_reference_counting(self, monkeypatch):
         # a finite map that refers to itself, say through a stored defect

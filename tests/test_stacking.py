@@ -75,6 +75,15 @@ class TestRhsShapeGuards:
                 gridfn.nemytskii(f, x)
 
 
+def _assert_same_solution(got, want):
+    """Equal type, grid and values, bit for bit (and x'(0) for a C1Function)."""
+    assert type(got) is type(want)
+    if isinstance(want, operators.C1Function):
+        assert np.array_equal(got.deriv0, want.deriv0)
+        got, want = got.values, want.values
+    assert got.grid == want.grid and np.array_equal(got.values, want.values)
+
+
 class TestStackMatchesLoop:
     def test_flow(self):
         f = P3.field()
@@ -93,12 +102,37 @@ class TestStackMatchesLoop:
         V = _multistart_seeds(problem.default_U2().as_box())[:3]
         stacked = alpha(V)
         for i, v in enumerate(V):
-            got, one = certify._member(stacked, i), alpha(v)
-            assert type(got) is type(one)
-            if isinstance(one, operators.C1Function):
-                assert np.array_equal(got.deriv0, one.deriv0)
-                got, one = got.values, one.values
-            assert got.grid == one.grid and np.array_equal(got.values, one.values)
+            _assert_same_solution(certify._member(stacked, i), alpha(v))
+
+    @pytest.mark.parametrize("problem", [P3, P4, P6], ids=["periodic", "dirichlet", "delay"])
+    def test_held_solutions(self, problem, monkeypatch):
+        # a run's alpha re-stacks the rows it holds and integrates only the
+        # new ones, each once: a held, a new, a repeated and a held row
+        fin = operators.build_finite(certify.KIND_TABLE[problem.kind].finite, problem)
+        held = operators.solution(replace(fin.problem, _solutions=operators.Solutions()))
+        V = _multistart_seeds(problem.default_U2().as_box())[:3]
+        want = operators.solution(fin.problem)(V[[1, 2, 2, 0]])
+        held(V[:2])
+        states, rk4 = [], flows._rk4
+        monkeypatch.setattr(flows, "_rk4", lambda rhs, y0, *a, **k:
+                            states.append(len(y0)) or rk4(rhs, y0, *a, **k))
+        _assert_same_solution(held(V[[1, 2, 2, 0]]), want)
+        assert states == [1]
+
+    def test_held_solutions_store_nothing_on_blow_up(self, monkeypatch):
+        # x' = x^3 blows up from 50 within the period: that call raises, and
+        # the row from 0.5 it carried is integrated again when asked for
+        cubic = problems.ProblemSpec("cubic", "periodic_ode", 1, 1.0, {"poly": [0, 0, 0, 1]},
+                                     1.0, 32, 1.0, ((-2.0, 2.0),),
+                                     _solutions=operators.Solutions())
+        alpha = operators.solution(cubic)
+        with pytest.raises(IntegrationError):
+            alpha([[0.5], [50.0]])
+        sweeps, rk4 = [], flows._rk4
+        monkeypatch.setattr(flows, "_rk4", lambda *a, **k: sweeps.append(1) or rk4(*a, **k))
+        alpha([[0.5]])
+        alpha([[0.5]])
+        assert sweeps == [1]
 
     def test_nemytskii(self):
         f = P3.field()
