@@ -98,14 +98,15 @@ def find_fixed_points(h: OperatorHandle, domain) -> list:
     """Fixed points of the operator inside the domain.
 
     Finite handles: multistart Newton on x - h(x), the search of h's
-    ``apply_fn`` if that is a ``degree._Finite`` (a run's), else of a fresh one.
+    ``apply_fn`` if that is a ``degree._Finite`` (a run's), else of a fresh one
+    on a fresh row memo (``degree._held``).
     Grid-space handles: damped Picard from 0, then Newton on the flattened
     discrete residual.  Returns clustered points; an empty list when nothing
     converges.
     """
     if h.space == operators.FINITE_SPACE:
         F = h.apply_fn if isinstance(h.apply_fn, deg_mod._Finite) \
-            else deg_mod._Finite(h.apply_fn, FINITE_FP_TOL)
+            else deg_mod._Finite(deg_mod._held(h.apply_fn, {}), FINITE_FP_TOL)
         dom = domain if isinstance(domain, DomainSpec) else box_domain(domain)
         return F.zeros(dom, FINITE_FP_TOL)[0]
 
@@ -186,7 +187,8 @@ def check_common_core(problem, U1: FunctionBall, U2: DomainSpec,
     one, in a run read from what the search integrated), and checks boundary
     clearance on both sides.  Zeros with near-singular linearizations are
     degenerate (non-isolated): the verdict is false, with one diagnostic that
-    counts them.  The search and Jacobians are ``_finite``'s, else made afresh.
+    counts them.  The search and Jacobians are ``_finite``'s, else made afresh
+    on a fresh row memo (``_FiniteSide.map``), and the lift makes one sweep.
     """
     fin = operators.build_finite(KIND_TABLE[problem.kind].finite, problem)
     F = (_finite or _FiniteSide()).map(fin)
@@ -530,9 +532,10 @@ class _FiniteSide:
     """The finite side of one problem's run, each computation once.  Called as
     ``degree(h, dom)`` it gives deg(I - F, U) over the box U (of a pullback),
     F = h if h is finite, else the finite handle of h's reduction witness.
-    ``map(F)`` is the run's ``degree._Finite`` of F: its rows, Newton searches
-    and Jacobians, which every evaluation of F in the run reads.  A name and
-    params fix a map in one run (Kdelay2's at any grid of the problem)."""
+    ``map(F)`` is the run's ``degree._Finite`` of F: its Newton searches,
+    margins and Jacobians; F's rows are the run memo's, or a fresh row memo's
+    (``degree._held``) if h's problem has none.  A name and params fix a map
+    in one run (Kdelay2's at any grid of the problem)."""
 
     def __init__(self):
         self._maps, self._degrees = {}, {}
@@ -540,7 +543,9 @@ class _FiniteSide:
     def map(self, h: OperatorHandle) -> deg_mod._Finite:
         key = _handle_key(h)
         if key not in self._maps:
-            self._maps[key] = deg_mod._Finite(h.apply_fn, FINITE_FP_TOL)
+            fn = h.apply_fn if getattr(h.problem, "_solutions", None) is not None \
+                else deg_mod._held(h.apply_fn, {})
+            self._maps[key] = deg_mod._Finite(fn, FINITE_FP_TOL)
         return self._maps[key]
 
     def __call__(self, h: OperatorHandle, dom: DomainSpec) -> DegreeResult:
@@ -730,7 +735,9 @@ def verify_duality(problem, pair: str, U1: FunctionBall | None = None,
                    U2: DomainSpec | None = None, eta: float | None = None,
                    seed: int = DEFAULT_SEED) -> DualityReport:
     """Run one named duality instance and compare both degrees.  ``pair``
-    names a row of the README's "How a verdict is decided" table."""
+    names a row of the README's "How a verdict is decided" table.  Like
+    ``problems.run``, it works on a run copy (``operators.run_copy``)."""
+    problem = operators.run_copy(problem, problem.m)
     if U2 is None:
         U2 = problem.default_U2()
     if U1 is None:

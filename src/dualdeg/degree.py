@@ -174,6 +174,22 @@ def _map_rows(g: Callable, X: np.ndarray) -> np.ndarray:
                            for i in range(0, len(X), rows)])
 
 
+def _held(fn: Callable, rows: dict) -> Callable:
+    """fn through the row memo ``rows`` (a row's bytes -> its value): a call
+    maps the new rows, each once, in ``_map_rows`` calls, and stores nothing
+    if that raises.  Rows are independent: each value is that row's alone."""
+    def held(x):
+        x = np.asarray(x, dtype=float)
+        X = x.reshape(-1, x.shape[-1])
+        new = {row.tobytes(): row for row in X if row.tobytes() not in rows}
+        if new:
+            rows.update(zip(new, _map_rows(fn, np.stack(list(new.values())))))
+        out = np.stack([rows[row.tobytes()] for row in X])
+        return out.reshape(x.shape[:-1] + out.shape[1:])
+
+    return held
+
+
 def _stencil(X: np.ndarray, scale=1e-5):
     """The 2k central-difference points of each row of X (S, k), as rows
     (2kS, k), and their steps h = scale * (1 + |x_i|), (S, k)."""
@@ -346,42 +362,23 @@ def _margin_samples(box: np.ndarray) -> np.ndarray:
 
 
 class _Finite:
-    """One finite map F while this object lives: each distinct row mapped
-    once, and the Newton searches for the zeros of g = v - F(v) (``g``; g is
-    F itself if ``_fn_is_g``) and its Jacobians, each made once.
+    """The Newton searches of one finite map F while this object lives, for
+    the zeros of g = v - F(v) (``g``; g is F itself if ``_fn_is_g``), and its
+    Jacobians, each made once.  F's rows are held by F's memo, not here: a
+    run's (``operators.Solutions``) or a fresh ``_held`` one its builder gives.
 
-    A call maps the rows it does not hold together (``_map_rows``), in the
-    order they first appear; rows are independent, so each value is the one
-    F gives that row alone.  A call that raises stores nothing.  Rows are
-    held by their bytes, a box's margin samples as one array per box
-    (``edge``) and, for a lattice margin (k <= 3), by row too: the 1-d
-    degree reads its endpoints, and a map reading F (Khat2 = 2v - F(v)) its
-    margin.  A box's search runs from its multistart seeds to ``loose`` and,
-    for k >= 2, on to NEWTON_TOL (``_newton_runs``), each stage one stacked
-    call of F (``warm``): the margin samples, seeds and seed stencil, then
-    each line-search try's iterates and stencil.  A Jacobian (scale 1e-5) is
-    kept per point."""
+    A box's margin values are one array per box (``edge``).  A box's search
+    runs from its multistart seeds to ``loose`` and, for k >= 2, on to
+    NEWTON_TOL (``_newton_runs``), each stage one stacked call of F
+    (``warm``): the margin samples, seeds and seed stencil, then each
+    line-search try's iterates and stencil."""
 
     def __init__(self, fn: Callable, loose: float, _fn_is_g: bool = False):
         self.fn, self.loose, self._fn_is_g = fn, loose, _fn_is_g
-        self._rows, self._edges, self._runs, self._jacobians = {}, {}, {}, {}
-
-    def _new(self, X: np.ndarray) -> np.ndarray:
-        """The rows of X that are not held, each once, as they first appear."""
-        new = {row.tobytes(): row for row in X if row.tobytes() not in self._rows}
-        return np.stack(list(new.values())) if new else X[:0]
-
-    def _hold(self, X: np.ndarray, vals: np.ndarray):
-        self._rows.update(zip((row.tobytes() for row in X), vals))
+        self._edges, self._runs, self._jacobians = {}, {}, {}
 
     def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        X = x.reshape(-1, x.shape[-1])
-        new = self._new(X)
-        if len(new):
-            self._hold(new, _map_rows(self.fn, new))
-        out = np.stack([self._rows[row.tobytes()] for row in X])
-        return out.reshape(x.shape[:-1] + out.shape[-1:])
+        return self.fn(np.asarray(x, dtype=float))
 
     def g(self, x) -> np.ndarray:
         """g over a stack of rows."""
@@ -389,8 +386,8 @@ class _Finite:
         return self(x) if self._fn_is_g else x - self(x)
 
     def warm(self, X: np.ndarray, box: np.ndarray | None = None):
-        """Map the new rows of X ahead, with the margin samples of ``box`` if
-        it is given and new, in one stacked call; if it blows up, nothing is
+        """Map the rows of X ahead, with the margin samples of ``box`` if it
+        is given and new, in one stacked call; if it blows up, nothing is
         stored and each row is mapped when it is asked for."""
         try:
             if box is None or box.tobytes() in self._edges:
@@ -401,14 +398,10 @@ class _Finite:
             pass
 
     def _with_edge(self, box: np.ndarray, X: np.ndarray):
-        """Map the margin samples of the box and the new rows of X in one
-        stacked call, and hold both."""
-        S, new = _margin_samples(box), self._new(X)
-        vals = _map_rows(self.fn, np.concatenate([S, new]))
-        self._edges[box.tobytes()] = vals[:len(S)]
-        self._hold(new, vals[len(S):])
-        if _lattice_per(box, MARGIN_PER_AXIS, 1) is not None:
-            self._hold(S, vals[:len(S)])
+        """Map the margin samples of the box and the rows of X in one stacked
+        call, and keep the margin's values."""
+        S = _margin_samples(box)
+        self._edges[box.tobytes()] = self(np.concatenate([S, X]))[:len(S)]
 
     def edge(self, box: np.ndarray) -> np.ndarray:
         """F over the margin samples of the box (``_margin_samples``)."""
@@ -453,11 +446,12 @@ class _Finite:
 
 def brouwer_nd_regular(g: Callable, box, _search: _Finite | None = None) -> DegreeResult:
     """Degree via multistart Newton zeros and Jacobian determinant signs, those
-    of ``_search`` (a ``_Finite`` whose ``g`` is g) if given, else of g's own;
-    the margin is min |g| over the box's boundary samples at two levels."""
+    of ``_search`` (a ``_Finite`` whose ``g`` is g) if given, else of g's own
+    on a fresh row memo (``_held``); the margin is min |g| over the box's
+    boundary samples at two levels."""
     dom = box if isinstance(box, DomainSpec) else box_domain(box)
     b = dom.as_box()
-    search = _Finite(g, NEWTON_TOL, _fn_is_g=True) if _search is None else _search
+    search = _Finite(_held(g, {}), NEWTON_TOL, _fn_is_g=True) if _search is None else _search
     margin = search.margin(b)
 
     zeros, fails = search.zeros(dom, NEWTON_TOL)
@@ -486,9 +480,9 @@ def defect(F: Callable) -> Callable:
 def fixed_point_degree(F: Callable, box) -> DegreeResult:
     """Brouwer degree of I - F over a box in R^k: endpoint signs for k = 1, in
     one stacked call of F, else Jacobian-sign sums.  A ``_Finite`` F (a run's)
-    is read through its memo; any other F gets a fresh one."""
+    brings its searches; any other F gets fresh ones on a fresh row memo (``_held``)."""
     dom = box if isinstance(box, DomainSpec) else box_domain(box)
-    fin = F if isinstance(F, _Finite) else _Finite(F, NEWTON_TOL)
+    fin = F if isinstance(F, _Finite) else _Finite(_held(F, {}), NEWTON_TOL)
     if dom.dim == 1:
         return _sign_change(*fin.g(dom.as_box()[0][:, None])[:, 0])
     return brouwer_nd_regular(fin.g, dom, _search=fin)

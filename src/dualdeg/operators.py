@@ -14,12 +14,12 @@ i o F o pi (``reduced_handle``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable
 
 import numpy as np
 
-from . import flows, gridfn
+from . import degree, flows, gridfn
 from .gridfn import Grid, GridFunction, constant
 
 GRID_SPACE = "grid_function"
@@ -125,29 +125,22 @@ def residual(h: OperatorHandle, x) -> float:
     return (x - h.apply_fn(x)).sup_norm()
 
 
-class Solutions:
-    """alpha's memo for one run (``problems.run``): each distinct row (grid m,
-    bytes) is integrated once, in the stacked call that first asks for it;
-    later calls re-stack the tracks held, row for row, and integrate only new
-    rows.  Rows are independent, and a call that raises stores nothing."""
+class Solutions(dict):
+    """One run's memo (``run_copy``): per key, the row dict of a
+    ``degree._held`` map, so each distinct row under a key is mapped once.
+    alpha's key names the grid m of its problem; KhatP's is its own."""
 
-    def __init__(self):
-        self._tracks, self._grids = {}, {}
 
-    def memoize(self, m: int, integrate: Callable) -> Callable:
-        """``integrate`` (rows -> GridFunction of their tracks) through the memo."""
-        def alpha(v):
-            X = v.reshape(-1, v.shape[-1])
-            keys = [(m, row.tobytes()) for row in X]
-            new = {key: row for key, row in zip(keys, X) if key not in self._tracks}
-            if new:
-                tracks = integrate(np.stack(list(new.values())))
-                self._grids[m] = tracks.grid
-                self._tracks.update(zip(new, tracks.values))
-            vals = np.stack([self._tracks[key] for key in keys])
-            return GridFunction(self._grids[m], vals.reshape(v.shape[:-1] + vals.shape[1:]))
+def run_copy(problem, m: int):
+    """The problem's copy for one run, at grid m, with a fresh ``Solutions``;
+    ``replace`` carries it, so the run's other copies (their m differs) share it."""
+    return replace(problem, m=int(m), _solutions=Solutions())
 
-        return alpha
+
+def _through_memo(problem, key, fn: Callable) -> Callable:
+    """``fn`` through the run memo of the problem under ``key``, if it has one."""
+    memo = getattr(problem, "_solutions", None)
+    return fn if memo is None else degree._held(fn, memo.setdefault(key, {}))
 
 
 def solution(problem, held: bool = True) -> Callable:
@@ -158,25 +151,26 @@ def solution(problem, held: bool = True) -> Callable:
     flattened.  It makes the one integrator call of each kind, in a run through
     its memo (``Solutions``) if ``held``: the lifted handles' samples never repeat."""
     f, grid = problem.field(), problem.grid()
-    n = f.dim
+    n, track_grid = f.dim, grid
     if problem.kind in PERIODIC_KINDS:
-        track = lambda c: flows.mu_periodic(f, c, m=grid.m)
+        track = lambda c: flows.mu_periodic(f, c, m=grid.m).values
     elif problem.kind == "dirichlet_bvp":
-        track = lambda v: flows.mu_dirichlet(f, v[..., :n], v[..., n:], m=grid.m)
+        track = lambda v: flows.mu_dirichlet(f, v[..., :n], v[..., n:], m=grid.m).values
     elif problem.kind == "periodic_dde":
         kernel = problem.kernel()
         hg = Grid(-kernel.tau, 0.0, kernel.shift_steps(grid))
+        track_grid = Grid(-kernel.tau, f.period, hg.m + grid.m)
         track = lambda v: flows.dde_flow(
-            f, GridFunction(hg, v.reshape(v.shape[:-1] + (hg.m + 1, n))), f.period)
+            f, GridFunction(hg, v.reshape(v.shape[:-1] + (hg.m + 1, n))), f.period).values
     else:
         raise ValueError(f"unknown problem kind {problem.kind!r}")
-    memo = getattr(problem, "_solutions", None)
-    if held and memo is not None:
-        track = memo.memoize(grid.m, track)
+    if held:
+        track = _through_memo(problem, ("alpha", grid.m), track)
 
     def alpha(v):
         v = np.asarray(v, dtype=float)
-        return C1Function(track(v), v[..., :n]) if problem.kind == "dirichlet_bvp" else track(v)
+        x = GridFunction(track_grid, track(v))
+        return C1Function(x, v[..., :n]) if problem.kind == "dirichlet_bvp" else x
 
     return alpha
 
@@ -402,9 +396,8 @@ def build_finite(name: str, problem, params: dict | None = None) -> OperatorHand
             dim=n, period=T, kind=flows.NONDELAY,
             rhs=lambda s, z: -np.asarray(f.rhs(T - s, z), dtype=float),
             lipschitz=f.lipschitz)
-
-        def apply_fn(A):
-            return flows.poincare(back, A, m=grid.m)
+        apply_fn = _through_memo(problem, ("KhatP", grid.m),
+                                 lambda A: flows.poincare(back, A, m=grid.m))
     elif name == "Kdir2":
         _require_kind(problem, ("dirichlet_bvp",), name)
         alpha = solution(problem)

@@ -139,8 +139,9 @@ class ProblemSpec:
     hist_nodes: int | None = None
     description: str = ""
     schema_version: str = SCHEMA_VERSION
-    # alpha's memo on a run's copy (``run``), None elsewhere; ``replace`` keeps
-    # it, so the copies of one run (their m differs) share one memo
+    # the run memo on a run's copy (``operators.run_copy``: ``run`` and
+    # ``certify.verify_duality``), None elsewhere; ``replace`` keeps it, so the
+    # copies of one run (their m differs) share one memo
     _solutions: object = dc_field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -395,9 +396,8 @@ def run(problem: ProblemSpec, suite: str = "all", grid_m: int | None = None,
         raise ValueError(f"seed must be at least 0, got {seed}")
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
-    # the run's own copy, whose alpha integrates each distinct state once
-    problem = replace(problem, m=problem.m if grid_m is None else int(grid_m),
-                      _solutions=operators.Solutions())
+    # the run's own copy, whose finite maps integrate each distinct state once
+    problem = operators.run_copy(problem, problem.m if grid_m is None else grid_m)
 
     row = certify.KIND_TABLE[problem.kind]
     instances = [(pair, None) for pair in row.duality if suite in ("all", "duality")]

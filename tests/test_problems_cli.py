@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +228,32 @@ class TestRun:
         counts = self._sweep_counts(monkeypatch)
         assert run(get_problem(pid), "all", grid_m=m).verdict
         assert counts == {"sweeps": sweeps, "jacobians": jacobians}
+
+    @pytest.mark.parametrize("pid,pair,eta,sweeps", [
+        ("p4", "dirichlet_shooting", None, 4), ("p6", "delay", None, 5),
+        ("p2", "eta_sign", -1.0, 1)])
+    def test_sweeps_per_verify_duality(self, pid, pair, eta, sweeps, monkeypatch):
+        # verify_duality runs on a run copy with its own memo, like run: each
+        # state the finite side, the lift and Kshoot read is integrated once
+        counts = self._sweep_counts(monkeypatch)
+        problem = replace(get_problem(pid), m=64)
+        assert certify.verify_duality(problem, pair, eta=eta).equal
+        assert counts["sweeps"] == sweeps
+
+    @pytest.mark.parametrize("pid,core,degree_alone", [
+        ("p1", 3, 1), ("p3", 3, 2), ("p4", 3, 2), ("p6", 3, 2)])
+    def test_sweeps_standalone(self, pid, core, degree_alone, monkeypatch):
+        # outside a run, each row is still mapped once, through a fresh memo:
+        # the search's stages, then the common core's lift
+        counts = self._sweep_counts(monkeypatch)
+        problem = replace(get_problem(pid), m=64)
+        U2 = problem.default_U2()
+        assert certify.check_common_core(problem, problem.default_U1(), U2).verdict
+        got = [counts["sweeps"]]
+        counts["sweeps"] = 0
+        fin = operators.build_finite(certify.KIND_TABLE[problem.kind].finite, problem)
+        assert degree.fixed_point_degree(fin.apply_fn, U2).certified
+        assert got + [counts["sweeps"]] == [core, degree_alone]
 
     @pytest.mark.parametrize("pid", ["p1", "p4"])
     def test_negative_seed_rejected(self, pid):

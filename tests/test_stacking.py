@@ -76,8 +76,12 @@ class TestRhsShapeGuards:
 
 
 def _assert_same_solution(got, want):
-    """Equal type, grid and values, bit for bit (and x'(0) for a C1Function)."""
+    """Equal type, grid and values, bit for bit (and x'(0) for a C1Function);
+    for arrays, equal bits."""
     assert type(got) is type(want)
+    if isinstance(want, np.ndarray):
+        assert np.array_equal(got, want)
+        return
     if isinstance(want, operators.C1Function):
         assert np.array_equal(got.deriv0, want.deriv0)
         got, want = got.values, want.values
@@ -104,14 +108,18 @@ class TestStackMatchesLoop:
         for i, v in enumerate(V):
             _assert_same_solution(certify._member(stacked, i), alpha(v))
 
-    @pytest.mark.parametrize("problem", [P3, P4, P6], ids=["periodic", "dirichlet", "delay"])
-    def test_held_solutions(self, problem, monkeypatch):
-        # a run's alpha re-stacks the rows it holds and integrates only the
-        # new ones, each once: a held, a new, a repeated and a held row
-        fin = operators.build_finite(certify.KIND_TABLE[problem.kind].finite, problem)
-        held = operators.solution(replace(fin.problem, _solutions=operators.Solutions()))
+    @pytest.mark.parametrize("problem,name", [(P3, None), (P4, None), (P6, None), (P3, "KhatP")],
+                             ids=["periodic", "dirichlet", "delay", "khatp"])
+    def test_held_solutions(self, problem, name, monkeypatch):
+        # on a run copy, alpha (and KhatP's backward Poincare map, under a key
+        # of its own) re-stacks the rows it holds and integrates only the new
+        # ones, each once: a held, a new, a repeated and a held row
+        fin = operators.build_finite(name or certify.KIND_TABLE[problem.kind].finite, problem)
+        mapping = (lambda p: operators.build_finite(name, p).apply_fn) if name \
+            else operators.solution
+        held = mapping(replace(fin.problem, _solutions=operators.Solutions()))
         V = _multistart_seeds(problem.default_U2().as_box())[:3]
-        want = operators.solution(fin.problem)(V[[1, 2, 2, 0]])
+        want = mapping(fin.problem)(V[[1, 2, 2, 0]])
         held(V[:2])
         states, rk4 = [], flows._rk4
         monkeypatch.setattr(flows, "_rk4", lambda rhs, y0, *a, **k:
@@ -343,12 +351,12 @@ def _bounded(calls: list):
 
 
 class TestRowMemo:
-    """``degree._Finite`` maps each row once and gives the map's own values;
-    its search takes the path of the plain algorithm."""
+    """``degree._held`` maps each row once and gives the map's own values;
+    ``degree._Finite``'s search takes the path of the plain algorithm."""
 
     def test_each_row_once_and_the_maps_values(self):
         calls, F = [], _bounded([])
-        rows = degree._Finite(_bounded(calls), 1e-8)
+        rows = degree._held(_bounded(calls), {})
         X = np.array([[0.5, 1.0], [-0.0, 0.3], [0.0, 0.3], [0.5, 1.0], [1.5, -1.9]])
         assert np.array_equal(rows(X), F(X))
         assert np.array_equal(rows(X[3]), F(X[3]))
@@ -357,16 +365,17 @@ class TestRowMemo:
         assert calls == [(4, False)]
 
     def test_a_call_that_blows_up_stores_nothing(self):
-        calls = []
-        rows = degree._Finite(_bounded(calls), 1e-8)
-        rows.warm(np.array([[0.5, 0.5], [2.5, 0.0]]))
-        rows(np.array([[0.5, 0.5]]))
-        assert calls == [(2, True), (1, False)]
+        calls, held = [], {}
+        fin = degree._Finite(degree._held(_bounded(calls), held), 1e-8)
+        fin.warm(np.array([[0.5, 0.5], [2.5, 0.0]]))
+        assert not held
+        fin(np.array([[0.5, 0.5]]))
+        assert calls == [(2, True), (1, False)] and len(held) == 1
 
     @pytest.mark.parametrize("bounds", [[(-1.0, 1.5)], [(-1.0, 1.5), (-0.5, 1.0)]])
     def test_margin_samples_held_per_box(self, bounds):
         calls, F = [], _bounded([])
-        rows = degree._Finite(_bounded(calls), 1e-8)
+        rows = degree._Finite(degree._held(_bounded(calls), {}), 1e-8)
         b = np.array(bounds)
         S = degree._margin_samples(b)
         # lattice levels share points: each distinct one once, level 1 holds level 0
@@ -376,8 +385,8 @@ class TestRowMemo:
         rows.warm(seeds, b)
         assert calls == [(len(S) + len({x.tobytes() for x in seeds}), False)]
         assert np.array_equal(rows.edge(b), F(S))
-        # the seeds are rows, and so is a lattice margin: the 1-d degree reads
-        # its two endpoints, and Khat2 = 2v - P(v) reads P's margin, as rows
+        # the memo holds every row of that call: the 1-d degree reads the two
+        # endpoints, and Khat2 = 2v - P(v) reads P's margin, as rows
         for X in (seeds, S, b.T):
             assert np.array_equal(rows(X), F(X))
         assert len(calls) == 1
@@ -398,16 +407,15 @@ class TestRowMemo:
         S = degree._margin_samples(b)
         levels = [degree._boundary_samples(b, degree.MARGIN_PER_AXIS, level) for level in (0, 1)]
         assert np.array_equal(S, np.concatenate(levels))
-        # held as one array, no object per row
         fin = degree._Finite(lambda X: 0.5 * X, 1e-8)
-        assert np.array_equal(fin.edge(b), 0.5 * S) and not fin._rows
+        assert np.array_equal(fin.edge(b), 0.5 * S)
 
     def test_memoized_search_through_blow_ups(self):
         # Newton steps from x0 = 0.95 land far beyond the bound, and so do the
         # stencils of the starts at 1.99999: their stacked calls blow up
         calls = []
         F = _bounded(calls)
-        fin = degree._Finite(F, 1e-8)
+        fin = degree._Finite(degree._held(F, {}), 1e-8)
         box = box_domain([(-1.9, 1.9), (-1.9, 1.9)])
         b = box.as_box()
         tols = (1e-8, 1e-9)
