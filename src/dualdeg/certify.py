@@ -187,9 +187,11 @@ def check_common_core(problem, U1: FunctionBall, U2: DomainSpec,
     one, in a run read from what the search integrated), and checks boundary
     clearance on both sides.  Zeros with near-singular linearizations are
     degenerate (non-isolated): the verdict is false, with one diagnostic that
-    counts them.  The search and Jacobians are ``_finite``'s, else made afresh
-    on a fresh row memo (``_FiniteSide.map``), and the lift makes one sweep.
+    counts them.  The search and Jacobians are ``_finite``'s, else made afresh,
+    on a run copy (``operators.run_copy``) if the problem has no run memo.
     """
+    if getattr(problem, "_solutions", None) is None:
+        problem = operators.run_copy(problem, problem.m)
     fin = operators.build_finite(KIND_TABLE[problem.kind].finite, problem)
     F = (_finite or _FiniteSide()).map(fin)
     fps = find_fixed_points(replace(fin, apply_fn=F), U2)
@@ -354,6 +356,55 @@ def _handle_key(h: OperatorHandle) -> tuple:
     return h.name, repr(sorted(h.params.items()))
 
 
+def _scores(base, delta, lams, work):
+    """Per step of as many lambdas as ``work`` holds: their slice and |base + lam delta|
+    (lambdas, entries), by one multiply, add and abs as scoring every entry makes."""
+    step = max(1, work.size // len(base))
+    for lo in range(0, len(lams), step):
+        lam = lams[lo:lo + step, None]
+        r = work.reshape(-1)[:len(lam) * len(base)].reshape(len(lam), len(base))
+        np.multiply(delta, lam, out=r)
+        np.add(base, r, out=r)
+        np.abs(r, out=r)
+        yield slice(lo, lo + step), r
+
+
+def _score_block(curve, base, delta, lams, work) -> None:
+    """Lower ``curve`` per lambda to the block's min over rows of max over entries of
+    |base + lam delta|, bit for bit as scoring all would; ``work``: a (rows, N) scratch.
+    Rounding is monotone, so on lam in [0, 1] an entry is at most the larger of its
+    ends |b|, |b + d| (rounded as at lam = 1): a convexity bound with no rounding
+    slack.  A row's max is at least that of its entries largest at lam = 0 and 1,
+    scored exactly; the new curve at most the old one and the exact max of the row
+    with the smallest bound.  Rows whose lower bound exceeds that at every lambda go,
+    and so do entries below their row's lowest lower bound: the rest hold every max
+    that can lower the curve.  A block with bounds not finite keeps every entry."""
+    pos = np.arange(len(base))
+    top0 = np.abs(base, out=work).argmax(axis=1)
+    bound = work[pos, top0]
+    top1 = np.abs(np.add(base, delta, out=work), out=work).argmax(axis=1)
+    bound = np.maximum(bound, work[pos, top1])  # each row's largest entry bound
+    kept, floor = pos, np.full(len(base), -np.inf)
+    if np.isfinite(bound).all():
+        best, high = bound.argmin(), curve.copy()
+        for at, r in _scores(base[best], delta[best], lams, work):
+            np.minimum(high[at], r.max(axis=1), out=high[at])
+        reach, floor = pos == best, np.full(len(base), np.inf)
+        two = np.stack([top0, top1])[:base.shape[1]]  # N = 1: one a row, to fit work
+        for at, r in _scores(base[pos, two].ravel(), delta[pos, two].ravel(), lams, work):
+            r = r.reshape(len(r), len(two), -1)
+            low = np.maximum(r[:, 0], r[:, -1], out=r[:, 0])  # (lambdas, rows)
+            reach |= ~(low > high[at, None]).all(axis=0)
+            np.minimum(floor, low.min(axis=0), out=floor)
+        kept, floor = np.flatnonzero(reach), floor[reach]
+    b, d = base[kept], delta[kept]
+    keep = ~(np.maximum(np.abs(b + d), np.abs(b)) < floor[:, None])
+    starts = np.concatenate(([0], np.cumsum(keep.sum(axis=1))[:-1]))
+    for at, r in _scores(b[keep], d[keep], lams, work):
+        np.minimum(curve[at], np.maximum.reduceat(r, starts, axis=1).min(axis=1),
+                   out=curve[at])
+
+
 def _boundary_curves(pairs, samples: np.ndarray, unflat, lam_grids) -> list:
     """Per pair, per lambda grid: the boundary minimum over the samples of |x - H_lam(x)|
     at each lambda.  A lifted handle (K1 or Kdelay1 = lift o mu o pi, ``factors``) maps
@@ -362,7 +413,7 @@ def _boundary_curves(pairs, samples: np.ndarray, unflat, lam_grids) -> list:
     ``degree._stack_rows`` samples once, the block's one x, whose memo they share.  An
     image is held from its first pair to its last (Ktilde's comes from K1's, if K1 is
     among them); each lambda of the grids' exact union is scored once per pair and
-    block."""
+    block, on the entries that can hold the block's minimum (``_score_block``)."""
     lams, where = np.unique(np.concatenate(lam_grids), return_inverse=True)
     keys = [(_handle_key(hA), _handle_key(hB)) for hA, hB in pairs]
     handles = {_handle_key(h): h for pair in pairs for h in pair}
@@ -373,12 +424,12 @@ def _boundary_curves(pairs, samples: np.ndarray, unflat, lam_grids) -> list:
     lifted = {key: deg_mod._map_rows(lambda c, mu=h.factors[1]: mu(c).reshape(len(c), -1),
                                      h.factors[0](unflat(samples)))
               for key, h in handles.items() if h.factors is not None}
-    curves, block_min = np.full((len(pairs), len(lams)), np.inf), np.empty(len(lams))
+    curves = np.full((len(pairs), len(lams)), np.inf)
     rows = min(deg_mod._stack_rows(samples.shape[1]), len(samples))
-    scratch, row_scratch = np.empty((3, rows, samples.shape[1])), np.empty(rows)
+    scratch = np.empty((3, rows, samples.shape[1]))
     for lo in range(0, len(samples), rows):
         xs = samples[lo:lo + rows]
-        (base, delta, resid), row_max = scratch[:, :len(xs)], row_scratch[:len(xs)]
+        base, delta, work = scratch[:, :len(xs)]
         x, images = unflat(xs), {}
         for i, pair_keys in enumerate(keys):
             for key in pair_keys:
@@ -393,12 +444,7 @@ def _boundary_curves(pairs, samples: np.ndarray, unflat, lam_grids) -> list:
             # x - H_lam(x) = (x - b) + lam (b - a), componentwise
             np.subtract(xs, b, out=base)
             np.subtract(b, a, out=delta)
-            for j, lam in enumerate(lams):
-                np.multiply(delta, lam, out=resid)
-                np.add(base, resid, out=resid)
-                np.abs(resid, out=resid)
-                block_min[j] = np.maximum.reduce(resid, axis=-1, out=row_max).min()
-            np.minimum(curves[i], block_min, out=curves[i])
+            _score_block(curves[i], base, delta, lams, work)
             images = {key: im for key, im in images.items() if last[key] > i}
     levels = np.split(where, np.cumsum([len(grid) for grid in lam_grids])[:-1])
     return [[curve[idx] for idx in levels] for curve in curves]
@@ -428,6 +474,8 @@ def certify_homotopies(pairs, domain, lambda_steps: int = 9,
     if lambda_steps < 2:
         raise ValueError(f"lambda_steps must be at least 2, got {lambda_steps}: "
                          f"a single lambda checks only the endpoint B")
+    if boundary_samples < 1:
+        raise ValueError(f"boundary_samples must be at least 1, got {boundary_samples}")
     if max_doublings < 0:
         raise ValueError(f"max_doublings must be at least 0, got {max_doublings}")
     if seed < 0:
@@ -533,9 +581,8 @@ class _FiniteSide:
     ``degree(h, dom)`` it gives deg(I - F, U) over the box U (of a pullback),
     F = h if h is finite, else the finite handle of h's reduction witness.
     ``map(F)`` is the run's ``degree._Finite`` of F: its Newton searches,
-    margins and Jacobians; F's rows are the run memo's, or a fresh row memo's
-    (``degree._held``) if h's problem has none.  A name and params fix a map
-    in one run (Kdelay2's at any grid of the problem)."""
+    margins and Jacobians, on the run memo of h's problem (a run copy).  A name
+    and params fix a map in one run (Kdelay2's at any grid of the problem)."""
 
     def __init__(self):
         self._maps, self._degrees = {}, {}
@@ -543,9 +590,7 @@ class _FiniteSide:
     def map(self, h: OperatorHandle) -> deg_mod._Finite:
         key = _handle_key(h)
         if key not in self._maps:
-            fn = h.apply_fn if getattr(h.problem, "_solutions", None) is not None \
-                else deg_mod._held(h.apply_fn, {})
-            self._maps[key] = deg_mod._Finite(fn, FINITE_FP_TOL)
+            self._maps[key] = deg_mod._Finite(h.apply_fn, FINITE_FP_TOL)
         return self._maps[key]
 
     def __call__(self, h: OperatorHandle, dom: DomainSpec) -> DegreeResult:

@@ -165,6 +165,17 @@ class TestCertifyHomotopy:
         with pytest.raises(ValueError, match="max_doublings must be at least 0"):
             certify_homotopy(h, h, P1.default_U1(), max_doublings=-1)
 
+    @pytest.mark.parametrize("count,domain", [
+        (0, P1.default_U1()), (-3, certify.default_pullback(P1.default_U2()))],
+        ids=["ball-0", "pullback-minus-3"])
+    def test_no_boundary_samples_rejected(self, count, domain):
+        # with none, a ball keeps only its 2n constant samples and a pullback
+        # lattice its floor, so K ~ K1 was certified from a handful of points
+        with pytest.raises(ValueError, match=f"boundary_samples must be at least 1, "
+                                             f"got {count}"):
+            certify_homotopy(operators.build("K", P1), operators.build("K1", P1), domain,
+                             boundary_samples=count)
+
     def test_negative_seed_rejected(self):
         h = operators.build("K", P1)
         with pytest.raises(ValueError, match="seed must be at least 0, got -1"):

@@ -241,10 +241,11 @@ class TestRun:
         assert counts["sweeps"] == sweeps
 
     @pytest.mark.parametrize("pid,core,degree_alone", [
-        ("p1", 3, 1), ("p3", 3, 2), ("p4", 3, 2), ("p6", 3, 2)])
+        ("p1", 2, 1), ("p3", 2, 2), ("p4", 2, 2), ("p6", 2, 2)])
     def test_sweeps_standalone(self, pid, core, degree_alone, monkeypatch):
         # outside a run, each row is still mapped once, through a fresh memo:
-        # the search's stages, then the common core's lift
+        # the common core works on a run copy, so its lift reads the states the
+        # search's stages integrated
         counts = self._sweep_counts(monkeypatch)
         problem = replace(get_problem(pid), m=64)
         U2 = problem.default_U2()

@@ -436,6 +436,12 @@ class TestRowMemo:
         assert runs[-1][1].any() and not runs[-1][1].all()
 
 
+def _dense_minima(base, delta, lams):
+    """The reference: every entry scored at every lambda, min over rows of the
+    row maxima."""
+    return np.array([np.max(np.abs(base + delta * lam), axis=-1).min() for lam in lams])
+
+
 def _certify_one(hA, hB, domain, max_doublings=4, lambda_steps=9, boundary_samples=16,
                  seed=certify.DEFAULT_SEED):
     """One pair alone: each level builds its own samples and applies both
@@ -452,8 +458,7 @@ def _certify_one(hA, hB, domain, max_doublings=4, lambda_steps=9, boundary_sampl
             xs = samples[lo:lo + rows]
             a = certify._flatten(hA.apply_fn(unflat(xs)))
             b = certify._flatten(hB.apply_fn(unflat(xs)))
-            curve = np.minimum(curve, [np.max(np.abs((xs - b) + lam * (b - a)), axis=-1).min()
-                                       for lam in lams])
+            curve = np.minimum(curve, _dense_minima(xs - b, b - a, lams))
         return float(np.min(curve)), lams, curve
 
     n_lam, n_samp = lambda_steps, boundary_samples
@@ -720,3 +725,66 @@ class TestBlockSizeInvariance:
             monkeypatch, lambda: certify.certify_homotopies(_pairs(P1, names),
                                                             P1.default_U1()))
         assert all(r == first for r in rest)
+
+
+def _random_block(rng, case, rows, cols):
+    """(base, delta) of a block; column magnitudes spread over 1e-8 to 1e8."""
+    scale = 10.0 ** rng.uniform(-8.0, 8.0, cols)
+    if case == "ties":  # few distinct values, and half the rows repeat the first
+        base, delta = rng.integers(-3, 4, (2, rows, cols)) * scale
+        base[:rows // 2], delta[:rows // 2] = base[0], delta[0]
+    else:
+        base, delta = rng.standard_normal((2, rows, cols)) * scale
+    if case == "b == a":
+        delta[:] = 0.0
+    if case == "half a == b":
+        delta[:, ::2] = 0.0
+    return base, delta
+
+
+class TestPrunedScoring:
+    """``certify._score_block`` scores only what can hold a block's minimum;
+    the running curve it lowers is the dense loop's, bit for bit."""
+
+    @pytest.mark.parametrize("n_lam", [2, 7, 9, 33, 129])
+    @pytest.mark.parametrize("case", ["random", "ties", "b == a", "half a == b"])
+    def test_equals_the_dense_loop(self, case, n_lam):
+        rng = np.random.default_rng(n_lam)
+        lams = np.linspace(0.0, 1.0, n_lam)
+        for rows, cols in [(1, 1), (1, 40), (30, 1), (25, 60), (127, 258)] * 4:
+            base, delta = _random_block(rng, case, rows, cols)
+            want = _dense_minima(base, delta, lams)
+            # a fresh curve, and one that crosses the block's minima
+            for curve in (np.full(n_lam, np.inf), want * rng.uniform(0.5, 1.5, n_lam)):
+                got = curve.copy()
+                certify._score_block(got, base, delta, lams, np.empty((rows, cols)))
+                assert np.array_equal(got, np.minimum(curve, want))
+
+    def test_overflow_block_keeps_every_entry(self):
+        base, delta = np.random.default_rng(5).uniform(0.9, 1.0, (2, 6, 7)) * 1.7e308
+        lams = np.linspace(0.0, 1.0, 9)
+        with np.errstate(over="ignore"):
+            want = _dense_minima(base, delta, lams)
+            got = np.full(9, np.inf)
+            certify._score_block(got, base, delta, lams, np.empty((6, 7)))
+        assert np.isfinite(want[0]) and np.isinf(want[1:]).all()
+        assert np.array_equal(got, want)
+
+    def test_p3_run_pairs_score_few_entries(self, monkeypatch):
+        # a return to dense scoring fails here, not only in the benchmark
+        blocks, scored = [0], [0]
+        score_block, scores = certify._score_block, certify._scores
+
+        def counted_blocks(curve, base, delta, lams, work):
+            blocks[0] += base.size * len(lams)
+            return score_block(curve, base, delta, lams, work)
+
+        def counted_scores(base, delta, lams, work):
+            scored[0] += len(base) * len(lams)
+            return scores(base, delta, lams, work)
+
+        monkeypatch.setattr(certify, "_score_block", counted_blocks)
+        monkeypatch.setattr(certify, "_scores", counted_scores)
+        vr = certify.default_pullback(P3_128.default_U2())
+        certify.certify_homotopies(_pairs(P3_128, P3_RUN), vr)
+        assert 0 < scored[0] < 0.1 * blocks[0]
