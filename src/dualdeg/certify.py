@@ -248,7 +248,9 @@ def admissibility_eps(problem) -> float:
 
 def _random_directions(problem, count: int, seed: int, vanish_at_end: bool):
     """Values (count, m+1, n) of smooth random unit-sup-norm grid functions,
-    optionally zero at t=T."""
+    optionally zero at t=T, and the draw index of each: draws of sup norm 0 go.
+    A draw is the same for every count that holds it (``default_rng`` fills in
+    C order)."""
     grid = problem.grid()
     n = problem.field().dim
     T = grid.length
@@ -263,7 +265,8 @@ def _random_directions(problem, count: int, seed: int, vanish_at_end: bool):
     if vanish_at_end:
         vals = vals * np.sin(np.pi * (t - grid.a) / T)
     nrm = np.max(np.abs(vals), axis=(1, 2))
-    return vals[nrm != 0] / nrm[nrm != 0, None, None]
+    drawn = np.flatnonzero(nrm)
+    return vals[drawn] / nrm[drawn, None, None], drawn
 
 
 def _face_lattice(dom: DomainSpec, count: int):
@@ -274,13 +277,14 @@ def _face_lattice(dom: DomainSpec, count: int):
     return b, (min(per, 24) if dom.kind == "pullback" else per)
 
 
-def _sample_resolution(dom, count: int) -> int:
-    """What the boundary samples for a count depend on besides the problem,
-    the space and the seed: equal resolutions give equal sample arrays."""
+def _shares_pass(dom, count: int, more: int) -> bool:
+    """Whether the boundary samples for ``count`` are the first rows of those for
+    ``more``, told by the domain kind and resolution: on a ball always; on a
+    lattice when the lattice points per face agree (1 on an interval)."""
     if isinstance(dom, FunctionBall):
-        return count
-    b, per = _face_lattice(dom, count)
-    return per ** (b.shape[0] - 1)  # lattice points per face; 1 on an interval
+        return True
+    (b, per), (_, more_per) = _face_lattice(dom, count), _face_lattice(dom, more)
+    return per ** (b.shape[0] - 1) == more_per ** (b.shape[0] - 1)
 
 
 def _pullback_boundary_samples(problem, dom: DomainSpec, count: int, seed: int):
@@ -297,7 +301,7 @@ def _pullback_boundary_samples(problem, dom: DomainSpec, count: int, seed: int):
     sup = lambda v: np.max(np.abs(v), axis=(-2, -1))
     # fixed bump pool across refinement levels: refining only refines the
     # finite-boundary lattice, so the boundary minimum is stable
-    bumps = _random_directions(problem, 8, seed, vanish_at_end=True)
+    bumps = _random_directions(problem, 8, seed, vanish_at_end=True)[0]
 
     samples = []
     lifted = lift(deg_mod._boundary_lattice(b, per))
@@ -323,32 +327,34 @@ def _pullback_boundary_samples(problem, dom: DomainSpec, count: int, seed: int):
     return np.stack(samples)
 
 
-def _domain_boundary_samples(hA: OperatorHandle, dom, count: int, seed: int):
-    """Boundary samples of the domain, flattened (S, N) in the space of ``hA``."""
+def _domain_boundary_samples(hA: OperatorHandle, dom, counts, seed: int):
+    """Boundary samples of the domain for the last of ``counts``, flattened (S, N) in
+    the space of ``hA``, and per count the rows that its own samples are a prefix
+    of.  A ball's are the constants e_0, -e_0, e_1, -e_1, ..., then the directions by
+    draw index; the counts of a lattice's pass share a resolution (``_shares_pass``)."""
     problem = hA.problem
     if isinstance(dom, FunctionBall):
         n = problem.field().dim
-        # random directions, then the constants e_0, -e_0, e_1, -e_1, ...
         signed = np.stack([np.eye(n), -np.eye(n)], axis=1).reshape(2 * n, n)
-        dirs = np.concatenate([
-            _random_directions(problem, count, seed, vanish_at_end=False),
-            constant(problem.grid(), signed).values])
-        x = dom.radius * dirs
+        dirs, drawn = _random_directions(problem, counts[-1], seed, vanish_at_end=False)
+        x = dom.radius * np.concatenate([constant(problem.grid(), signed).values, dirs])
         if dom.center is not None:
             x = dom.center.values + x
         x = x.reshape(len(x), -1)
         if hA.space == operators.C1_SPACE:
             x = np.concatenate([x, np.zeros((len(x), n))], axis=1)  # x'(0) = 0
-        return x
+        return x, (2 * n + np.searchsorted(drawn, counts)).tolist()
     if isinstance(dom, DomainSpec) and dom.kind == "pullback":
         if hA.space != operators.GRID_SPACE:
             raise ValueError(f"pullback boundary samples need grid-space operators, "
                              f"not {hA.space!r} ({hA.name})")
-        x = _pullback_boundary_samples(problem, dom, count, seed)
-        return x.reshape(len(x), -1)
-    if isinstance(dom, DomainSpec):
-        return deg_mod._boundary_lattice(*_face_lattice(dom, count))
-    raise ValueError(f"unsupported homotopy domain {dom!r}")
+        x = _pullback_boundary_samples(problem, dom, counts[-1], seed)
+        x = x.reshape(len(x), -1)
+    elif isinstance(dom, DomainSpec):
+        x = deg_mod._boundary_lattice(*_face_lattice(dom, counts[-1]))
+    else:
+        raise ValueError(f"unsupported homotopy domain {dom!r}")
+    return x, [len(x)] * len(counts)
 
 
 def _handle_key(h: OperatorHandle) -> tuple:
@@ -405,15 +411,18 @@ def _score_block(curve, base, delta, lams, work) -> None:
                    out=curve[at])
 
 
-def _boundary_curves(pairs, samples: np.ndarray, unflat, lam_grids) -> list:
-    """Per pair, per lambda grid: the boundary minimum over the samples of |x - H_lam(x)|
-    at each lambda.  A lifted handle (K1 or Kdelay1 = lift o mu o pi, ``factors``) maps
-    mu over pi of all samples first, ``degree._stack_rows(k)`` rows per call, so its
-    flow runs once per pass; every other distinct handle maps each block of
-    ``degree._stack_rows`` samples once, the block's one x, whose memo they share.  An
-    image is held from its first pair to its last (Ktilde's comes from K1's, if K1 is
-    among them); each lambda of the grids' exact union is scored once per pair and
-    block, on the entries that can hold the block's minimum (``_score_block``)."""
+def _boundary_curves(pairs, samples: np.ndarray, unflat, lam_grids, ends) -> list:
+    """Per pair, per lambda grid j: the boundary minimum over the first ``ends[j]``
+    samples of |x - H_lam(x)| at each lambda.  A lifted handle (K1 or Kdelay1 = lift o
+    mu o pi, ``factors``) maps mu over pi of all samples first,
+    ``degree._stack_rows(k)`` rows per call, so its flow runs once per pass; every
+    other distinct handle maps each block of ``degree._stack_rows`` samples once, the
+    block's one x, whose memo they share.  An image is held from its first pair to its
+    last (Ktilde's comes from K1's, if K1 is among them).  Segment j, the rows from
+    ``ends[j - 1]`` to ``ends[j]``, has a curve of its own: each lambda of the grids'
+    exact union is scored once per pair and block segment, on the entries that can
+    hold its minimum (``_score_block``), and grid j's curve is the min of segments
+    0..j."""
     lams, where = np.unique(np.concatenate(lam_grids), return_inverse=True)
     keys = [(_handle_key(hA), _handle_key(hB)) for hA, hB in pairs]
     handles = {_handle_key(h): h for pair in pairs for h in pair}
@@ -424,12 +433,15 @@ def _boundary_curves(pairs, samples: np.ndarray, unflat, lam_grids) -> list:
     lifted = {key: deg_mod._map_rows(lambda c, mu=h.factors[1]: mu(c).reshape(len(c), -1),
                                      h.factors[0](unflat(samples)))
               for key, h in handles.items() if h.factors is not None}
-    curves = np.full((len(pairs), len(lams)), np.inf)
+    curves = np.full((len(pairs), len(ends), len(lams)), np.inf)
     rows = min(deg_mod._stack_rows(samples.shape[1]), len(samples))
     scratch = np.empty((3, rows, samples.shape[1]))
     for lo in range(0, len(samples), rows):
         xs = samples[lo:lo + rows]
         base, delta, work = scratch[:, :len(xs)]
+        segments = [(j, slice(max(start - lo, 0), end - lo))
+                    for j, (start, end) in enumerate(zip([0] + ends[:-1], ends))
+                    if start < min(end, lo + len(xs)) and end > lo]
         x, images = unflat(xs), {}
         for i, pair_keys in enumerate(keys):
             for key in pair_keys:
@@ -444,10 +456,12 @@ def _boundary_curves(pairs, samples: np.ndarray, unflat, lam_grids) -> list:
             # x - H_lam(x) = (x - b) + lam (b - a), componentwise
             np.subtract(xs, b, out=base)
             np.subtract(b, a, out=delta)
-            _score_block(curves[i], base, delta, lams, work)
+            for j, at in segments:
+                _score_block(curves[i, j], base[at], delta[at], lams, work[at])
             images = {key: im for key, im in images.items() if last[key] > i}
     levels = np.split(where, np.cumsum([len(grid) for grid in lam_grids])[:-1])
-    return [[curve[idx] for idx in levels] for curve in curves]
+    return [[curve[idx] for curve, idx in zip(np.minimum.accumulate(segs), levels)]
+            for segs in curves]
 
 
 def certify_homotopies(pairs, domain, lambda_steps: int = 9,
@@ -463,10 +477,12 @@ def certify_homotopies(pairs, domain, lambda_steps: int = 9,
     stopped and that minimum clears eps.  The pairs refine in lock step: a
     pass builds one level's samples and applies each distinct handle of the
     pairs still refining once per block of at most ``degree.STACK_FLOATS``
-    sample floats.  Levels up to 2, where no pair can stop yet, share a pass
-    with the level before when their sample resolutions agree; the pass
-    scores each lambda of their grids' union once.  Each certificate equals
-    the one its pair gets alone.
+    sample floats.  Levels up to 2, where no pair can stop yet, join the pass
+    of the level before when their samples hold its samples as their first
+    rows (``_shares_pass``: on a ball always, on a lattice at one resolution);
+    the pass builds and maps only its finest samples and scores each lambda
+    of the levels' grid union once per segment.  Each certificate equals the
+    one its pair gets alone.
     """
     pairs = [tuple(p) for p in pairs]
     if not pairs:
@@ -504,14 +520,14 @@ def certify_homotopies(pairs, domain, lambda_steps: int = 9,
         live = [i for i, done in enumerate(stable) if not done]
         if not live:
             break
-        samples = _domain_boundary_samples(handles[0], domain, counts[level], seed)
         span = [level]  # the levels this pass serves
         while span[-1] < min(2, max_doublings) and \
-                _sample_resolution(domain, counts[span[-1] + 1]) == \
-                _sample_resolution(domain, counts[level]):
+                _shares_pass(domain, counts[span[-1]], counts[span[-1] + 1]):
             span.append(span[-1] + 1)
+        samples, ends = _domain_boundary_samples(handles[0], domain,
+                                                 [counts[lv] for lv in span], seed)
         curves = _boundary_curves([pairs[i] for i in live], samples, unflat,
-                                  [lam_grids[lv] for lv in span])
+                                  [lam_grids[lv] for lv in span], ends)
         for i, pair_curves in zip(live, curves):
             hist = history[i]
             for lv, curve in zip(span, pair_curves):

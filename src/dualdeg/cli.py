@@ -113,6 +113,8 @@ def degree(problem, operator, domain_spec, eta):
         if eta is None:
             raise click.ClickException("Keta needs --eta")
         params["eta"] = eta
+    elif eta is not None:
+        raise click.ClickException(f"--eta applies only to Keta, not {operator}")
     try:
         handle = operators.build(operator, spec, params)
     except ValueError as exc:

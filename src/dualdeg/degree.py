@@ -175,16 +175,21 @@ def _map_rows(g: Callable, X: np.ndarray) -> np.ndarray:
 
 
 def _held(fn: Callable, rows: dict) -> Callable:
-    """fn through the row memo ``rows`` (a row's bytes -> its value): a call
-    maps the new rows, each once, in ``_map_rows`` calls, and stores nothing
-    if that raises.  Rows are independent: each value is that row's alone."""
+    """fn through the row memo ``rows`` (a row's bytes -> its value, read-only): a
+    call keys each row once, maps the new rows, each once, in ``_map_rows`` calls,
+    and stores nothing if that raises; if every row is new, it returns their mapped
+    block.  Rows are independent: each value is that row's alone."""
     def held(x):
         x = np.asarray(x, dtype=float)
         X = x.reshape(-1, x.shape[-1])
-        new = {row.tobytes(): row for row in X if row.tobytes() not in rows}
+        keys = [row.tobytes() for row in X]
+        new = {key: i for i, key in enumerate(keys) if key not in rows}
         if new:
-            rows.update(zip(new, _map_rows(fn, np.stack(list(new.values())))))
-        out = np.stack([rows[row.tobytes()] for row in X])
+            out = _map_rows(fn, X[list(new.values())])
+            out.flags.writeable = False
+            rows.update(zip(new, out))
+        if not new or len(new) < len(X):
+            out = np.stack([rows[key] for key in keys])
         return out.reshape(x.shape[:-1] + out.shape[1:])
 
     return held

@@ -225,7 +225,7 @@ class TestKtildeFromItsFiniteHandle:
         ktilde = operators.build("Ktilde", p)
         red = ktilde.reduction
         samples = certify._domain_boundary_samples(
-            ktilde, certify.default_pullback(p.default_U2()), 16, certify.DEFAULT_SEED)
+            ktilde, certify.default_pullback(p.default_U2()), [16], certify.DEFAULT_SEED)[0]
         x = certify._unflattener(ktilde)(samples[:degree._stack_rows(samples.shape[1])])
         assert red.track.name == "K1" and len(x.values) > 1
         assert np.array_equal(ktilde.apply_fn(x).values,
@@ -285,7 +285,7 @@ class TestK1FromItsFactors:
         p = replace(p, m=m)
         k1 = operators.build("K1", p)
         samples = certify._domain_boundary_samples(
-            k1, certify.default_pullback(p.default_U2()), 16, certify.DEFAULT_SEED)
+            k1, certify.default_pullback(p.default_U2()), [16], certify.DEFAULT_SEED)[0]
         return p, k1, certify._unflattener(k1)(samples[:degree._stack_rows(samples.shape[1])])
 
     @pytest.mark.parametrize("pid,m", [("p1", 64), ("p3", 32)])

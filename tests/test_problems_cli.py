@@ -216,7 +216,7 @@ class TestRun:
     @pytest.mark.parametrize("pid,m,sweeps,jacobians", [
         pytest.param(pid, m, sweeps, jacobians, id=f"{pid}-{m}") for pid, m, sweeps, jacobians in
         (("p1", 64, 4, 2), ("p2", 64, 3, 1), ("p3", 32, 7, 6), ("p3", 128, 7, 6),
-         ("p4", 64, 4, 4), ("p5", 64, 4, 4), ("p6", 64, 5, 3))])
+         ("p4", 64, 4, 4), ("p5", 64, 4, 4), ("p6", 64, 3, 3))])
     def test_sweeps_per_run(self, pid, m, sweeps, jacobians, monkeypatch):
         # one Newton search per finite handle and box, one Jacobian per zero,
         # one flow for K1 and Ktilde per certificate pass (at m = 128 too, where
@@ -230,7 +230,7 @@ class TestRun:
         assert counts == {"sweeps": sweeps, "jacobians": jacobians}
 
     @pytest.mark.parametrize("pid,pair,eta,sweeps", [
-        ("p4", "dirichlet_shooting", None, 4), ("p6", "delay", None, 5),
+        ("p4", "dirichlet_shooting", None, 4), ("p6", "delay", None, 3),
         ("p2", "eta_sign", -1.0, 1)])
     def test_sweeps_per_verify_duality(self, pid, pair, eta, sweeps, monkeypatch):
         # verify_duality runs on a run copy with its own memo, like run: each
@@ -308,11 +308,11 @@ class TestRun:
         assert run(get_problem(pid), "all", grid_m=64).verdict
         assert seen and not repeats
 
-    @pytest.mark.parametrize("pid,sweeps", [("p4", 4), ("p6", 5)])
+    @pytest.mark.parametrize("pid,sweeps", [("p4", 4), ("p6", 3)])
     def test_alpha_memo_lives_one_run(self, pid, sweeps, monkeypatch):
         # a memo kept past its run would leave the next run fewer sweeps;
         # reference counting frees it when run returns, and the caller's spec
-        # never holds one.  p6 makes 5 sweeps only if its history-node copies
+        # never holds one.  p6 makes 3 sweeps only if its history-node copies
         # share the run's memo, so the common-core lift reads it
         made, init = [], operators.Solutions.__init__
 
@@ -508,6 +508,8 @@ class TestCli:
          "unknown operator name 'K0'"),
         (["degree", "p1", "--operator", "Kbogus", "--domain", "[[-1,1]]"],
          "unknown operator name 'Kbogus'"),
+        (["degree", "p1", "--operator", "K2", "--domain", "[[-1,1]]", "--eta", "1"],
+         "--eta applies only to Keta, not K2"),
         (["run", "p1", "--grid", "1"], "grid needs m >= 2, got m=1"),
         (["run", "{schema_invalid}"], "'kind' is a required property"),
         (["degree", "{unparsable}", "--operator", "K2", "--domain", "[[-1,1]]"],
@@ -529,11 +531,11 @@ class TestCli:
         (["degree", "{duffing_blow_up}", "--operator", "K2", "--domain", "[[-1.5,1.5]]"],
          "non-finite state while integrating"),
     ], ids=["not-pairs", "empty-box", "nonfinite-box", "dimension", "K0",
-            "unknown-operator", "grid-1", "schema-invalid-file", "unparsable-file",
-            "u2-box-rows-p3", "u2-box-rows-p6", "u2-box-rows-p4", "u2-box-empty-row",
-            "tau-misaligned-file", "tau-misaligned-grid", "eta-singular-p1",
-            "eta-zero-p7", "eta-collision-p7", "blow-up-run-cubic", "blow-up-run-duffing",
-            "blow-up-degree-duffing"])
+            "unknown-operator", "eta-not-keta", "grid-1", "schema-invalid-file",
+            "unparsable-file", "u2-box-rows-p3", "u2-box-rows-p6", "u2-box-rows-p4",
+            "u2-box-empty-row", "tau-misaligned-file", "tau-misaligned-grid",
+            "eta-singular-p1", "eta-zero-p7", "eta-collision-p7", "blow-up-run-cubic",
+            "blow-up-run-duffing", "blow-up-degree-duffing"])
     def test_bad_input_one_line_error(self, args, message, tmp_path):
         box = lambda pid, rows: json.dumps(dict(get_problem(pid).to_dict(), u2_box=rows))
         # x' = x^3 and x' = x^3 - x: flows from parts of U2 blow up within T = 1

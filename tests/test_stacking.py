@@ -4,6 +4,7 @@ Every stacked path must give, bit for bit, what one call per node, per state
 or per sample gives; the references below are those loops.
 """
 
+import contextlib
 import weakref
 from dataclasses import fields, replace
 
@@ -217,8 +218,9 @@ class TestStackMatchesLoop:
         for problem in (P1, P3, P6):
             for count in (0, 16, 64):
                 for vanish in (False, True):
-                    got = certify._random_directions(problem, count, 5, vanish)
+                    got, drawn = certify._random_directions(problem, count, 5, vanish)
                     assert np.array_equal(got, loop(problem, count, 5, vanish))
+                    assert np.array_equal(drawn, np.arange(count))  # none of norm 0
 
 
 def _newton_one(g, x0, tol, max_iter=60, scale=1e-5):
@@ -364,6 +366,28 @@ class TestRowMemo:
         # -0.0 and 0.0 are two rows; the repeated row is mapped once
         assert calls == [(4, False)]
 
+    def test_held_keys_each_row_once_and_guards_its_values(self):
+        calls, F, memo = [], _bounded([]), {}
+        held = degree._held(_bounded(calls), memo)
+        X = np.array([[0.5, 1.0], [0.2, 0.3], [0.5, 1.0]])
+        # a row twice in one call is mapped once
+        assert np.array_equal(held(X), F(X)) and calls == [(2, False)]
+        # a call whose rows are all held maps nothing
+        assert np.array_equal(held(X[::-1]), F(X[::-1])) and len(calls) == 1
+        # writing into a returned array, an all-new block or a re-stacked
+        # one, cannot change a later result
+        Y = np.array([[0.1, 0.2], [0.3, 0.4]])
+        for out in (held(Y), held(X)):
+            with contextlib.suppress(ValueError):  # the block is read-only
+                out[...] = 7.0
+        assert np.array_equal(held(Y), F(Y)) and np.array_equal(held(X), F(X))
+        # a call that raises stores nothing: its new row is mapped when asked for
+        with pytest.raises(IntegrationError):
+            held(np.array([[0.9, 0.0], [2.5, 0.0]]))
+        assert len(memo) == 4
+        assert np.array_equal(held(np.array([[0.9, 0.0]])), F(np.array([[0.9, 0.0]])))
+        assert calls[-2:] == [(2, True), (1, False)] and len(memo) == 5
+
     def test_a_call_that_blows_up_stores_nothing(self):
         calls, held = [], {}
         fin = degree._Finite(degree._held(_bounded(calls), held), 1e-8)
@@ -451,7 +475,7 @@ def _certify_one(hA, hB, domain, max_doublings=4, lambda_steps=9, boundary_sampl
 
     def level(n_lam, n_samp):
         lams = np.linspace(0.0, 1.0, n_lam)
-        samples = certify._domain_boundary_samples(hA, domain, n_samp, seed)
+        samples = certify._domain_boundary_samples(hA, domain, [n_samp], seed)[0]
         curve = np.full(n_lam, np.inf)
         rows = max(1, STACK_FLOATS // samples.shape[1])
         for lo in range(0, len(samples), rows):
@@ -530,6 +554,40 @@ class TestLockStepCertificates:
     def test_p6_delay_pair(self):
         self._check(_pairs(P6, (("Kdelay", "Kdelay1"),)), P6.default_U1())
 
+    @pytest.mark.parametrize("max_doublings,boundary_samples", [(0, 16), (1, 16), (4, 16),
+                                                                (4, 1)])
+    @pytest.mark.parametrize("problem,names", [(P6, ("Kdelay", "Kdelay1")), (P1, ("K", "K1"))],
+                             ids=["p6", "p1"])
+    def test_ball_pass_equals_one_curve_call_per_level(self, problem, names, max_doublings,
+                                                       boundary_samples):
+        # a ball's levels 0-2 share one pass, scored per segment: each level's
+        # curve, and so each certificate, equals one made of a _boundary_curves
+        # call per level on that level's own samples, under the same stop rule
+        pair = _pairs(problem, (names,))[0]
+        domain, unflat = problem.default_U1(), certify._unflattener(pair[0])
+        counts = [boundary_samples * 2 ** lv for lv in range(max_doublings + 1)]
+        grids = [np.linspace(0.0, 1.0, 8 * 2 ** lv + 1) for lv in range(max_doublings + 1)]
+        curves = []
+        for n, lams in zip(counts, grids):
+            samples = certify._domain_boundary_samples(pair[0], domain, [n],
+                                                       certify.DEFAULT_SEED)[0]
+            curves += certify._boundary_curves([pair], samples, unflat, [lams],
+                                               [len(samples)])[0]
+        span = min(2, max_doublings) + 1
+        samples, ends = certify._domain_boundary_samples(pair[0], domain, counts[:span],
+                                                         certify.DEFAULT_SEED)
+        shared = certify._boundary_curves([pair], samples, unflat, grids[:span], ends)[0]
+        assert all(np.array_equal(a, b) for a, b in zip(shared, curves[:span]))
+        hist = []
+        for lv, curve in enumerate(curves):
+            hist.append(min(hist + [float(np.min(curve))]))
+            if lv >= 2 and hist[-2] > 0 and abs(hist[-1] - hist[-2]) < 0.2 * hist[-2]:
+                break
+        cert = certify.certify_homotopy(*pair, domain, boundary_samples=boundary_samples,
+                                        max_doublings=max_doublings)
+        assert cert.min_residual == hist[-1] and cert.refinements == len(hist) - 1
+        assert cert.residual_curve == tuple(curve)
+
     def test_duplicated_pair(self):
         certs = self._check(_pairs(P1, (("K", "Kgamma"), ("K", "Kgamma"))), P1.default_U1())
         assert certs[0] == certs[1]
@@ -562,7 +620,8 @@ class TestLockStepCertificates:
         assert all(c.refinements == 2 for c in certs)
         # the pullback lattice saturates at 24 per axis: level 1 (32 samples
         # asked) and level 2 (64) build one sample set and share one pass
-        samples = [certify._domain_boundary_samples(pairs[0][0], vr, n, certify.DEFAULT_SEED)
+        samples = [certify._domain_boundary_samples(pairs[0][0], vr, [n],
+                                                    certify.DEFAULT_SEED)[0]
                    for n in (16, 32, 64)]
         assert np.array_equal(samples[1], samples[2])
         rows = floats // samples[0].shape[1]
@@ -585,19 +644,36 @@ class TestLockStepCertificates:
         # would break the budget
         self._handle_calls_per_block(monkeypatch, 99 * 66 + 65)
 
-    @pytest.mark.parametrize("problem,domain", [
-        (P1, certify.default_pullback(P1.default_U2())),
-        (P3, certify.default_pullback(P3.default_U2())),
-        (P1, P1.default_U1()),
-        (None, SQUARE)], ids=["pullback-1d", "pullback-2d", "ball", "box"])
-    def test_equal_resolution_equal_samples(self, problem, domain):
-        h = ZERO if problem is None else operators.build("K", problem)
+    @pytest.mark.parametrize("problem,domain,seed", [
+        (P1, certify.default_pullback(P1.default_U2()), 7),
+        (P3, certify.default_pullback(P3.default_U2()), 7),
+        (None, SQUARE, 7)] + [
+        (problem, ball, seed) for problem, ball in (
+            (P1, P1.default_U1()), (P6, P6.default_U1()),
+            (P1, certify.FunctionBall(0.5, constant(P1.grid(), [0.25]))))
+        for seed in (7, certify.DEFAULT_SEED)],
+        ids=["pullback-1d", "pullback-2d", "box", "ball", "ball-default-seed", "ball-p6",
+             "ball-p6-default-seed", "ball-centred", "ball-centred-default-seed"])
+    def test_equal_resolution_equal_samples(self, problem, domain, seed):
+        # a lattice level shares the pass of the level before iff their
+        # resolutions agree, and then their samples are equal; a ball level
+        # always does, and its samples are the first rows of the next level's
+        # and, as the pass's ends say, of the finest level's
+        h = ZERO if problem is None else operators.build(
+            "Kdelay" if problem.kind == "periodic_dde" else "K", problem)
         counts = [16 * 2 ** lv for lv in range(5)]
-        for lo, hi in zip(counts, counts[1:]):
-            same = certify._sample_resolution(domain, lo) == \
-                certify._sample_resolution(domain, hi)
-            a, b = (certify._domain_boundary_samples(h, domain, n, 7) for n in (lo, hi))
-            assert same == (a.shape == b.shape and np.array_equal(a, b))
+        samples = [certify._domain_boundary_samples(h, domain, [n], seed)[0] for n in counts]
+        ball = isinstance(domain, certify.FunctionBall)
+        for lv, (a, b) in enumerate(zip(samples, samples[1:])):
+            same = certify._shares_pass(domain, counts[lv], counts[lv + 1])
+            if ball:
+                assert same and len(a) < len(b) and np.array_equal(a, b[:len(a)])
+            else:
+                assert same == (a.shape == b.shape and np.array_equal(a, b))
+        if ball:
+            finest, ends = certify._domain_boundary_samples(h, domain, counts, seed)
+            assert np.array_equal(finest, samples[-1])
+            assert all(np.array_equal(finest[:end], a) for end, a in zip(ends, samples))
 
     @pytest.mark.parametrize("lambda_steps", [7, 10])
     def test_other_lambda_steps(self, lambda_steps):
@@ -609,12 +685,13 @@ class TestLockStepCertificates:
         # 7, 10 and 13 points: no grid is nested in another
         grids = [np.linspace(0.0, 1.0, n) for n in (7, 10, 13)]
         pairs = _pairs(P1, (("K", "Kgamma"), ("K", "K1"), ("K1", "Kgamma")))
-        samples = certify._domain_boundary_samples(pairs[0][0], P1.default_U1(), 32,
-                                                   certify.DEFAULT_SEED)
+        samples = certify._domain_boundary_samples(pairs[0][0], P1.default_U1(), [32],
+                                                   certify.DEFAULT_SEED)[0]
         unflat = certify._unflattener(pairs[0][0])
-        together = certify._boundary_curves(pairs, samples, unflat, grids)
+        together = certify._boundary_curves(pairs, samples, unflat, grids,
+                                            [len(samples)] * len(grids))
         for j, lams in enumerate(grids):
-            alone = certify._boundary_curves(pairs, samples, unflat, [lams])
+            alone = certify._boundary_curves(pairs, samples, unflat, [lams], [len(samples)])
             for curves, ref in zip(together, alone):
                 assert len(curves[j]) == len(lams)
                 assert np.array_equal(curves[j], ref[0])
@@ -634,7 +711,7 @@ class TestSharedGridQuantities:
     def _first_block(problem):
         vr = certify.default_pullback(problem.default_U2())
         h = operators.build("K", problem)
-        samples = certify._domain_boundary_samples(h, vr, 16, certify.DEFAULT_SEED)
+        samples = certify._domain_boundary_samples(h, vr, [16], certify.DEFAULT_SEED)[0]
         return certify._unflattener(h)(samples[:degree._stack_rows(samples.shape[1])])
 
     def test_shared_images_equal_fresh_ones(self):
@@ -657,9 +734,9 @@ class TestSharedGridQuantities:
         assert all(c.refinements == 2 for c in certify.certify_homotopies(pairs, vr))
         # levels 1 and 2 share one pass, so two passes in all
         rows = degree._stack_rows((P3_128.m + 1) * P3_128.dim)
-        blocks = [len(x[lo:lo + rows]) for x in
-                  (certify._domain_boundary_samples(pairs[0][0], vr, n, certify.DEFAULT_SEED)
-                   for n in (16, 32)) for lo in range(0, len(x), rows)]
+        samples = (certify._domain_boundary_samples(pairs[0][0], vr, [n],
+                                                    certify.DEFAULT_SEED)[0] for n in (16, 32))
+        blocks = [len(x[lo:lo + rows]) for x in samples for lo in range(0, len(x), rows)]
         assert len(blocks) > 2 and calls == blocks
 
     def test_value_equal_field_shares_the_image(self):
