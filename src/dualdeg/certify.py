@@ -97,16 +97,14 @@ def _grid_residual(h: OperatorHandle, unflat, v: np.ndarray) -> np.ndarray:
 def find_fixed_points(h: OperatorHandle, domain) -> list:
     """Fixed points of the operator inside the domain.
 
-    Finite handles: multistart Newton on x - h(x), the search of h's
-    ``apply_fn`` if that is a ``degree._Finite`` (a run's), else of a fresh one
-    on a fresh row memo (``degree._held``).
+    Finite handles: multistart Newton on x - h(x), a fresh ``degree._Finite``
+    search on a fresh row memo (``degree._held``).
     Grid-space handles: damped Picard from 0, then Newton on the flattened
     discrete residual.  Returns clustered points; an empty list when nothing
     converges.
     """
     if h.space == operators.FINITE_SPACE:
-        F = h.apply_fn if isinstance(h.apply_fn, deg_mod._Finite) \
-            else deg_mod._Finite(deg_mod._held(h.apply_fn, {}), FINITE_FP_TOL)
+        F = deg_mod._Finite(deg_mod._held(h.apply_fn, {}), FINITE_FP_TOL)
         dom = domain if isinstance(domain, DomainSpec) else box_domain(domain)
         return F.zeros(dom, FINITE_FP_TOL)[0]
 
@@ -153,15 +151,20 @@ class KindRow:
     duality: tuple  # the pairs of the duality suite
     signs: str | None  # the pair of the signs suite
     etas: tuple  # and its default etas
+    chain: tuple  # the operator suite's homotopy pairs, each with Ktilde's degree
+    residuals: tuple  # or the operators whose residuals it takes at the first's fixed points
 
 
-# the periodic kinds share field kind, finite handle and duality pairs
+# the periodic kinds share field kind, finite handle, duality pairs and operator chain
 _PERIODIC = (flows.NONDELAY, "K2", ("krasnoselskii", "inverse_poincare"))
+_CHAIN = (("K", "Kgamma"), ("K4", "K3"), ("K3", "K5"))
 KIND_TABLE = {
-    "periodic_ode": KindRow(*_PERIODIC, "eta_sign", (1.0, -1.0)),
-    "dirichlet_bvp": KindRow(flows.SECOND_ORDER, "Kdir2", ("dirichlet_shooting",), None, ()),
-    "periodic_dde": KindRow(flows.DELAY, "Kdelay2", ("delay",), None, ()),
-    "nonlocal_1d": KindRow(*_PERIODIC, "nonlocal_signs", (0.5, -1.0)),
+    "periodic_ode": KindRow(*_PERIODIC, "eta_sign", (1.0, -1.0), _CHAIN, ()),
+    "dirichlet_bvp": KindRow(flows.SECOND_ORDER, "Kdir2", ("dirichlet_shooting",), None, (),
+                             (), ("Kdir", "Kdir1")),
+    "periodic_dde": KindRow(flows.DELAY, "Kdelay2", ("delay",), None, (),
+                            (), ("K6", "K7", "K8")),
+    "nonlocal_1d": KindRow(*_PERIODIC, "nonlocal_signs", (0.5, -1.0), _CHAIN, ()),
 }
 
 
@@ -184,17 +187,18 @@ def check_common_core(problem, U1: FunctionBall, U2: DomainSpec,
 
     Finds the finite handle's fixed points, lifts them by the solution map of
     the handle's own problem (``operators.solution``, the delay's history-node
-    one, in a run read from what the search integrated), and checks boundary
-    clearance on both sides.  Zeros with near-singular linearizations are
-    degenerate (non-isolated): the verdict is false, with one diagnostic that
-    counts them.  The search and Jacobians are ``_finite``'s, else made afresh,
-    on a run copy (``operators.run_copy``) if the problem has no run memo.
+    one, in a run read from what the search integrated), and fails a boundary
+    clearance below CORE_CLEARANCE_EPS on either side.  Zeros with
+    near-singular linearizations are degenerate (non-isolated): the verdict is
+    false, with one diagnostic that counts them.  The search (``_Finite.zeros``)
+    and Jacobians are ``_finite``'s, else made afresh, on a run copy
+    (``operators.run_copy``) if the problem has no run memo.
     """
     if getattr(problem, "_solutions", None) is None:
         problem = operators.run_copy(problem, problem.m)
     fin = operators.build_finite(KIND_TABLE[problem.kind].finite, problem)
     F = (_finite or _FiniteSide()).map(fin)
-    fps = find_fixed_points(replace(fin, apply_fn=F), U2)
+    fps = F.zeros(U2, FINITE_FP_TOL)[0]
     diagnostics: list[str] = []
     if not fps:
         return CommonCoreReport((0.0, 0.0), (), False,
@@ -216,8 +220,6 @@ def check_common_core(problem, U1: FunctionBall, U2: DomainSpec,
         pairs.append({"finite": tuple(np.atleast_1d(v)),
                       "grid_sup_norm": traj.sup_norm(),
                       "in_U1": c1 > 0, "in_U2": c2 > 0})
-        if c1 <= 0 or c2 <= 0:
-            verdict = False
     if min(clear1, clear2) < CORE_CLEARANCE_EPS:
         verdict = False
         diagnostics.append(f"boundary clearance {min(clear1, clear2):.3e} "

@@ -149,11 +149,14 @@ def report_cmd(directory, fmt):
     paths = sorted(glob.glob(os.path.join(directory, "report-*.json")))
     if not paths:
         raise click.ClickException(f"no report-*.json files in {directory!r}")
+    docs = []
     for p in paths:
-        with open(p) as fh:
-            doc = json.load(fh)
-        out = report_mod.emit(doc, fmt, directory)
-        click.echo(out)
+        try:
+            docs.append(report_mod.load_valid(p, "report.schema.json"))
+        except ValueError as exc:
+            raise click.ClickException(f"{p}: {exc}")
+    for doc in docs:
+        click.echo(report_mod.emit(doc, fmt, directory))
 
 
 if __name__ == "__main__":

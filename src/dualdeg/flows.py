@@ -214,4 +214,4 @@ def eta_periodic_solve(f: VectorFieldSpec, eta: float, x: GridFunction) -> GridF
     y0 = cum[..., -1:, :] / np.expm1(eta * T)
     y = np.exp(-eta * t) * (y0 + cum)
     y[..., -1, :] = y[..., 0, :]  # periodic closure; equality holds to quadrature error
-    return GridFunction(grid, y, periodic=True)
+    return GridFunction(grid, y)

@@ -17,8 +17,6 @@ import numpy as np
 if TYPE_CHECKING:
     from .flows import VectorFieldSpec
 
-PERIODIC_CLOSURE_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -63,27 +61,19 @@ class GridFunction:
     """Vector-valued function sampled at the nodes of a uniform grid.
 
     ``values`` has shape (m+1, n), or (..., m+1, n) for a stack of
-    functions.  With ``periodic=True`` the first and last node values are
-    asserted to agree and index arithmetic downstream may wrap modulo m.
-    The values are read-only, so ``_memo`` keeps what is derived from them
-    (Nemytskii images by field, average, cumulative integral, mean-free part)
-    once computed, for every operator applied to this object; it dies with
-    the object and takes no part in ``==`` or ``repr``.
+    functions.  An operator whose image is periodic closes it itself, copying
+    node 0 onto node m.  The values are read-only, so ``_memo`` keeps what is
+    derived from them (Nemytskii images by field, average, cumulative
+    integral, mean-free part) once computed, for every operator applied to
+    this object; it dies with the object and takes no part in ``==`` or ``repr``.
     """
 
     grid: Grid
     values: np.ndarray
-    periodic: bool = False
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         v = _as_values(self.values, self.grid.m)
-        if self.periodic:
-            gap = np.max(np.abs(v[..., 0, :] - v[..., -1, :]))
-            if gap > PERIODIC_CLOSURE_TOL:
-                raise ValueError(
-                    f"periodic grid function must close up: |x(a)-x(b)| = {gap:.3e}"
-                )
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 

@@ -29,7 +29,7 @@ C1_SPACE = "c1_function"
 PERIODIC_KINDS = ("periodic_ode", "nonlocal_1d")
 
 GRID_OPERATORS = ("K", "K1", "K3", "K4", "K5", "Kgamma", "Keta",
-                  "Khat3", "Khat5", "Ktilde",
+                  "Khat3", "Ktilde",
                   "Kdir", "Kdir1",
                   "Kdelay", "Kdelay1", "K6", "K7", "K8")
 FINITE_OPERATORS = ("K2", "Kdir2", "KhatP", "Kdelay2")
@@ -56,16 +56,8 @@ class C1Function:
     def sup_norm(self) -> float:
         return max(self.values.sup_norm(), float(np.max(np.abs(self.deriv0))))
 
-    def __add__(self, other: "C1Function") -> "C1Function":
-        return C1Function(self.values + other.values, self.deriv0 + other.deriv0)
-
     def __sub__(self, other: "C1Function") -> "C1Function":
         return C1Function(self.values - other.values, self.deriv0 - other.deriv0)
-
-    def __mul__(self, scalar: float) -> "C1Function":
-        return C1Function(scalar * self.values, scalar * self.deriv0)
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)
@@ -206,7 +198,7 @@ def _mean_centred(grid: Grid, T: float, superpose: Callable, sign: float,
                 - gridfn.average(v)[..., None, :]) + v.values
         if periodic_out:
             vals[..., -1, :] = vals[..., 0, :]
-        return GridFunction(grid, vals, periodic=periodic_out)
+        return GridFunction(grid, vals)
 
     return apply_fn
 
@@ -222,10 +214,10 @@ def _build_periodic(name: str, problem, params: dict) -> OperatorHandle:
     elif name == "K1":
         alpha = solution(problem, held=False)
         return lifted_handle(name, problem, params, _endpoint, lambda c: alpha(c).values)
-    elif name in ("K3", "Khat3", "K5", "Khat5"):
+    elif name in ("K3", "Khat3", "K5"):
         apply_fn = _mean_centred(grid, T, lambda x: gridfn.nemytskii(f, x),
-                                 sign=-1.0 if "hat" in name else 1.0, centred=True,
-                                 periodic_out=name in ("K5", "Khat5"))
+                                 sign=-1.0 if name == "Khat3" else 1.0, centred=True,
+                                 periodic_out=name == "K5")
     elif name in ("K4", "Kgamma"):
         def apply_fn(x):
             vn = _vn(problem, x)

@@ -8,10 +8,7 @@ suites over a problem and returns a deterministic report.
 
 from __future__ import annotations
 
-import json
-import time
 from dataclasses import dataclass, field as dc_field, replace
-from importlib import resources
 from typing import Callable
 
 import numpy as np
@@ -266,27 +263,12 @@ def from_dict(doc: dict) -> ProblemSpec:
         raise ProblemValidationError(str(exc)) from exc
 
 
-def problem_schema() -> dict:
-    text = resources.files("dualdeg.schemas").joinpath(
-        "problem.schema.json").read_text()
-    return json.loads(text)
-
-
 def load_problem(path) -> ProblemSpec:
     """Load and validate a problem config JSON file."""
-    import jsonschema
-
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ProblemValidationError(f"parse error: {exc}") from exc
-    validator = jsonschema.Draft202012Validator(problem_schema())
-    errors = sorted(validator.iter_errors(doc), key=lambda e: e.json_path)
-    if errors:
-        raise ProblemValidationError(
-            "; ".join(f"{e.json_path}: {e.message}" for e in errors))
-    return from_dict(doc)
+    try:
+        return from_dict(report_mod.load_valid(path, "problem.schema.json"))
+    except ValueError as exc:
+        raise ProblemValidationError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -353,44 +335,35 @@ class RunReport:
                 "verdict": self.verdict, "timings": dict(self.timings)}
 
 
-def _operator_plan(problem: ProblemSpec, vr) -> certify.Plan:
-    """Operator-family chain homotopies of a periodic kind.  Concludes with
-    their certificate dicts, each with the degree of the chain's Ktilde."""
-    chain = (("K", "Kgamma"), ("K4", "K3"), ("K3", "K5"))
+def _operator_plan(problem: ProblemSpec, U1, vr) -> certify.Plan:
+    """The operator suite of the problem's kind (``certify.KindRow``).  It
+    concludes with the certificates of its chain over ``vr`` and the residuals
+    of its residual operators at the grid fixed points over U1 of the first.
+    Kdir1's alpha reads the run's memo: a Kdir2 search's states cost no sweep."""
+    row = certify.KIND_TABLE[problem.kind]
     homotopies = tuple((operators.build(a, problem), operators.build(b, problem), vr)
-                       for a, b in chain)
+                       for a, b in row.chain)
 
     def conclude(certs, core, degree):
-        chain_deg = degree(operators.build("Ktilde", problem), vr)
-        return [dict(report_mod.certificate_dict(c), chain_degree=chain_deg.degree)
-                for c in certs]
+        deg = certs and degree(operators.build("Ktilde", problem), vr).degree
+        certs = [dict(report_mod.certificate_dict(c), chain_degree=deg) for c in certs]
+        names = row.residuals
+        fps = names and certify.find_fixed_points(operators.build(names[0], problem), U1)
+        residuals = [{"operator": name, "solution_sup_norm": fp.sup_norm(),
+                      "residual": operators.residual(operators.build(name, problem), fp)}
+                     for fp in fps for name in names]
+        return certs, residuals
 
     return certify.Plan("operators", homotopies, conclude)
-
-
-def _residuals(problem: ProblemSpec, U1) -> list[dict]:
-    """Solution residuals of the grid operators of a Dirichlet or delay
-    problem at the fixed points of the first.  They read no homotopy, common
-    core or finite degree, so ``run`` makes them after ``run_plans``, once the
-    run's finite side is freed.  Kdir1's alpha still reads the run's memo, so
-    a state the Kdir2 search integrated costs no sweep."""
-    names = ("K6", "K7", "K8") if problem.kind == "periodic_dde" else ("Kdir", "Kdir1")
-    out: list[dict] = []
-    for fp in certify.find_fixed_points(operators.build(names[0], problem), U1):
-        for name in names:
-            h = operators.build(name, problem)
-            out.append({"operator": name, "solution_sup_norm": fp.sup_norm(),
-                        "residual": operators.residual(h, fp)})
-    return out
 
 
 def run(problem: ProblemSpec, suite: str = "all", grid_m: int | None = None,
         etas: tuple | None = None, seed: int = certify.DEFAULT_SEED) -> RunReport:
     """Execute a verification suite on one problem, deterministically.
 
-    Every verdict's homotopies are certified together, each distinct one
-    once, and the common core is checked once (``certify.run_plans``); the
-    residuals of a Dirichlet or delay problem follow.
+    Each verdict and the operator suite are one plan each; their homotopies
+    are certified together, each distinct one once, and the common core is
+    checked once (``certify.run_plans``).
     """
     if seed < 0:
         raise ValueError(f"seed must be at least 0, got {seed}")
@@ -409,16 +382,11 @@ def run(problem: ProblemSpec, suite: str = "all", grid_m: int | None = None,
     plans = [certify.plan_duality(problem, pair, U1, U2, vr, eta)
              for pair, eta in instances]
     operator_suite = suite in ("all", "operators")
-    chain = operator_suite and problem.kind in operators.PERIODIC_KINDS
-    if chain:
-        plans.append(_operator_plan(problem, vr))
+    if operator_suite:
+        plans.append(_operator_plan(problem, U1, vr))
     timings: dict[str, float] = {}
     results = certify.run_plans(problem, plans, U1, U2, seed, timings)
-    certs, residuals = (results[-1] if chain else []), []
-    if operator_suite and not chain:
-        t = time.perf_counter()
-        residuals = _residuals(problem, U1)
-        timings["operators"] = time.perf_counter() - t
+    certs, residuals = results[-1] if operator_suite else ([], [])
 
     duality = [report_mod.duality_dict(problem.pid, rep)
                for rep in results[:len(instances)]]

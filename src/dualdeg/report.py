@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from importlib import resources
 
 import numpy as np
 
@@ -216,8 +217,26 @@ def report_svg(report: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Emission
+# Loading and emission
 # ---------------------------------------------------------------------------
+
+def load_valid(path, schema: str) -> dict:
+    """The JSON document at ``path``, valid against the package's ``schema``
+    file; a parse or schema error raises ValueError saying which."""
+    import jsonschema
+
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"parse error: {exc}") from exc
+    text = resources.files("dualdeg.schemas").joinpath(schema).read_text()
+    errors = sorted(jsonschema.Draft202012Validator(json.loads(text)).iter_errors(doc),
+                    key=lambda e: e.json_path)
+    if errors:
+        raise ValueError("; ".join(f"{e.json_path}: {e.message}" for e in errors))
+    return doc
+
 
 def emit(report: dict, fmt: str, outdir: str) -> str:
     """Write the report in the requested format; returns the output path."""

@@ -201,7 +201,7 @@ class TestEtaPeriodicSolve:
         vals = ((np.cos(w * g.nodes) + w * np.sin(w * g.nodes)) /
                 (1.0 + w * w))[:, None]
         vals[-1] = vals[0]
-        x = GridFunction(g, vals, periodic=True)
+        x = GridFunction(g, vals)
         y = flows.eta_periodic_solve(FORCED, 1.0, x)
         assert np.max(np.abs(y.values - x.values)) <= 5e-5
 

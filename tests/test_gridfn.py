@@ -24,12 +24,6 @@ class TestGrid:
 
 
 class TestGridFunction:
-    def test_periodic_closure_enforced(self):
-        g = Grid(0.0, 1.0, 4)
-        vals = np.linspace(0, 1, 5)[:, None]
-        with pytest.raises(ValueError, match="close up"):
-            GridFunction(g, vals, periodic=True)
-
     def test_nan_rejected(self):
         g = Grid(0.0, 1.0, 4)
         vals = np.zeros((5, 1))

@@ -1,7 +1,8 @@
 """No module of the package or of the tests imports a name it never uses, the
-package defines no private module-level name that it never reads, every name
-the README cites from the package exists, and only ``flows`` and
-``operators`` call a ``flows`` integrator.
+package defines no private module-level name that it never reads and no
+dataclass field that only its ``__post_init__`` reads, every name the README
+cites from the package exists, the README's kind table is ``KIND_TABLE``, and
+only ``flows`` and ``operators`` call a ``flows`` integrator.
 
 Stdlib ``ast`` scans, since no linter ships with the project.  An import
 line marked ``# noqa: F401`` is kept on purpose (``certify`` binds
@@ -135,6 +136,58 @@ def test_no_unread_private_names_in_package():
     assert unread_private_names(sources) == []
 
 
+def _field_reads(tree: ast.AST) -> set:
+    """Names read as an attribute, or through ``getattr`` by a constant name,
+    outside every ``__post_init__``."""
+    skip = {id(n) for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"
+            for n in ast.walk(f)}
+    reads = set()
+    for n in ast.walk(tree):
+        if id(n) in skip:
+            continue
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            reads.add(n.attr)
+        elif isinstance(n, ast.Call) and isinstance(n.func, ast.Name) \
+                and n.func.id == "getattr" and len(n.args) > 1 \
+                and isinstance(n.args[1], ast.Constant):
+            reads.add(n.args[1].value)
+    return reads
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in cls.decorator_list)
+
+
+def unread_dataclass_fields(sources: dict) -> list:
+    """(module, class, field) of each dataclass field that no module of
+    ``sources`` (module name -> source) reads outside a ``__post_init__``."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    reads = set().union(*(_field_reads(tree) for tree in trees.values()))
+    return [(mod, cls.name, node.target.id) for mod, tree in trees.items()
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+            for node in cls.body
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+            and node.target.id not in reads]
+
+
+def test_field_checker_flags_fields_read_only_on_construction():
+    sources = {"a": ("@dataclass(frozen=True)\n"
+                     "class A:\n    kept: int\n    checked: bool = False\n"
+                     "    named: int = 0\n"
+                     "    def __post_init__(self):\n        assert self.checked\n"
+                     "class Plain:\n    unread: int\n"),
+               "b": "def f(x):\n    return x.kept + getattr(x, 'named')\n"}
+    assert unread_dataclass_fields(sources) == [("a", "A", "checked")]
+
+
+def test_no_unread_dataclass_fields_in_package():
+    sources = {p.name: p.read_text() for p in PACKAGE}
+    assert unread_dataclass_fields(sources) == []
+
+
 def _resolves(obj, attrs: list) -> bool:
     for attr in attrs:
         if not hasattr(obj, attr):
@@ -172,6 +225,31 @@ def test_reference_checker_flags_stale_names():
 
 def test_readme_references_resolve():
     assert stale_references((ROOT / "README.md").read_text()) == []
+
+
+def _kind_table_cells(row) -> list:
+    """The README cells of a ``certify.KindRow``, after its kind."""
+    signs = "none" if row.signs is None else \
+        f"{row.signs} ({', '.join(f'{eta:g}'.replace('-', '−') for eta in row.etas)})"
+    suite = f"chain {', '.join(f'{a}~{b}' for a, b in row.chain)}" if row.chain \
+        else f"residuals of {', '.join(row.residuals)}"
+    return [row.finite, ", ".join(row.duality), signs, suite]
+
+
+def test_readme_kind_table_is_kind_table():
+    from dualdeg.certify import KIND_TABLE
+
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("| kind | finite handle | `duality` suite "
+                        "| `signs` suite (default η) | `operators` suite |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    assert [r[0] for r in rows] == [f"`{kind}`" for kind in KIND_TABLE]
+    for cells, row in zip(rows, KIND_TABLE.values()):
+        assert cells[1:] == _kind_table_cells(row), cells[0]
 
 
 INTEGRATORS = ("flow", "poincare", "mu_periodic", "mu_dirichlet", "shooting",

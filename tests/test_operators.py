@@ -22,7 +22,7 @@ def _p1_solution(m=256):
     w = 2 * np.pi
     vals = ((np.cos(w * g.nodes) + w * np.sin(w * g.nodes)) / (1 + w * w))[:, None]
     vals[-1] = vals[0]
-    return GridFunction(g, vals, periodic=True)
+    return GridFunction(g, vals)
 
 
 class TestBuildAndApply:

@@ -262,6 +262,17 @@ class TestRun:
         with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
             run(get_problem(pid), seed=-1)
 
+    def test_every_catalog_operator_is_reachable(self, monkeypatch):
+        # every operator of the catalog is built by some suite of some problem
+        built = set()
+        for fn in ("build", "build_finite"):
+            real = getattr(operators, fn)
+            monkeypatch.setattr(operators, fn, lambda name, *a, _real=real, **k:
+                                built.add(name) or _real(name, *a, **k))
+        for p in catalog():
+            run(p, "all", grid_m=64)
+        assert built == set(operators.GRID_OPERATORS) | set(operators.FINITE_OPERATORS)
+
     @pytest.mark.parametrize("pid", ["p1", "p2", "p3", "p4", "p5", "p6", "p7"])
     def test_no_state_is_integrated_twice(self, pid, monkeypatch):
         # outside the certificate passes, whose samples do not repeat, each
@@ -530,12 +541,18 @@ class TestCli:
         (["run", "{duffing_blow_up}"], "non-finite state while integrating"),
         (["degree", "{duffing_blow_up}", "--operator", "K2", "--domain", "[[-1.5,1.5]]"],
          "non-finite state while integrating"),
+        (["report", "{unparsable_report}", "--format", "csv"], "report-p1.json: parse error"),
+        (["report", "{report_without_pair}", "--format", "csv"],
+         "report-p1.json: $: 'format_version' is a required property"),
+        (["report", "{report_without_pair}", "--format", "svg"],
+         "$.duality[0]: 'pair' is a required property"),
     ], ids=["not-pairs", "empty-box", "nonfinite-box", "dimension", "K0",
             "unknown-operator", "eta-not-keta", "grid-1", "schema-invalid-file",
             "unparsable-file", "u2-box-rows-p3", "u2-box-rows-p6", "u2-box-rows-p4",
             "u2-box-empty-row", "tau-misaligned-file", "tau-misaligned-grid",
             "eta-singular-p1", "eta-zero-p7", "eta-collision-p7", "blow-up-run-cubic",
-            "blow-up-run-duffing", "blow-up-degree-duffing"])
+            "blow-up-run-duffing", "blow-up-degree-duffing", "report-unparsable",
+            "report-schema-invalid", "report-schema-invalid-svg"])
     def test_bad_input_one_line_error(self, args, message, tmp_path):
         box = lambda pid, rows: json.dumps(dict(get_problem(pid).to_dict(), u2_box=rows))
         # x' = x^3 and x' = x^3 - x: flows from parts of U2 blow up within T = 1
@@ -549,10 +566,17 @@ class TestCli:
                  "p6_m101": json.dumps(dict(get_problem("p6").to_dict(), m=101)),
                  "cubic_blow_up": poly([0, 0, 0, 1], [[-2, 2]]),
                  "duffing_blow_up": poly([0, -1, 0, 1], [[-1.5, 1.5]])}
+        # a directory of one bad report each, for `report`
+        reports = {"unparsable_report": '{"duality": ',
+                   "report_without_pair": '{"duality": [{"problem": "p1"}]}'}
         for name, text in files.items():
             (tmp_path / f"{name}.json").write_text(text)
-        args = [a.format(**{name: tmp_path / f"{name}.json" for name in files})
-                for a in args]
+        for name, text in reports.items():
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "report-p1.json").write_text(text)
+        paths = {name: tmp_path / f"{name}.json" for name in files}
+        paths.update({name: tmp_path / name for name in reports})
+        args = [a.format(**paths) for a in args]
         res = CliRunner().invoke(cli_main, args)
         assert res.exit_code == 1
         lines = res.output.splitlines()

@@ -165,7 +165,7 @@ class TestStackMatchesLoop:
         ("K", {}), ("K1", {}), ("K3", {}), ("K4", {}), ("K5", {}), ("Kgamma", {}),
         ("Keta", {"eta": 1.0}), ("Keta", {"eta": -1.0}), ("Khat3", {}),
         ("Ktilde", {}), ("Kdelay", {}), ("Kdelay1", {}),
-        ("K6", {}), ("K7", {}), ("K8", {}), ("Khat5", {})])
+        ("K6", {}), ("K7", {}), ("K8", {})])
     def test_handles(self, name, params):
         problem = P6 if name.startswith("Kdelay") or name in ("K6", "K7", "K8") else P3
         h = operators.build(name, problem, params)
@@ -700,7 +700,7 @@ class TestLockStepCertificates:
 P3_128 = replace(P3, m=128)
 # every periodic grid operator; each block of a p3 pass gives them one x
 PERIODIC_GRID = ("K", "K1", "K3", "K4", "K5", "Kgamma", ("Keta", 1.0), ("Keta", -1.0),
-                 "Khat3", "Khat5", "Ktilde")
+                 "Khat3", "Ktilde")
 
 
 class TestSharedGridQuantities:
