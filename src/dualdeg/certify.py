@@ -419,9 +419,9 @@ def _boundary_curves(pairs, samples: np.ndarray, unflat, lam_grids, ends) -> lis
     mu o pi, ``factors``) maps mu over pi of all samples first,
     ``degree._stack_rows(k)`` rows per call, so its flow runs once per pass; every
     other distinct handle maps each block of ``degree._stack_rows`` samples once, the
-    block's one x, whose memo they share.  An image is held from its first pair to its
-    last (Ktilde's comes from K1's, if K1 is among them).  Segment j, the rows from
-    ``ends[j - 1]`` to ``ends[j]``, has a curve of its own: each lambda of the grids'
+    block's one x, whose memo they share; in a run, Ktilde's K2 reads the alpha rows
+    K1's flow stored.  An image is kept from its first pair to its last.  Segment j, from
+    row ``ends[j - 1]`` to ``ends[j]``, has a curve of its own: each lambda of the grids'
     exact union is scored once per pair and block segment, on the entries that can
     hold its minimum (``_score_block``), and grid j's curve is the min of segments
     0..j."""
@@ -429,9 +429,6 @@ def _boundary_curves(pairs, samples: np.ndarray, unflat, lam_grids, ends) -> lis
     keys = [(_handle_key(hA), _handle_key(hB)) for hA, hB in pairs]
     handles = {_handle_key(h): h for pair in pairs for h in pair}
     last = {key: i for i, pair_keys in enumerate(keys) for key in pair_keys}
-    tracked = {key: (_handle_key(h.reduction.track), h.reduction)
-               for key, h in handles.items() if h.reduction is not None
-               and h.reduction.track is not None and _handle_key(h.reduction.track) in handles}
     lifted = {key: deg_mod._map_rows(lambda c, mu=h.factors[1]: mu(c).reshape(len(c), -1),
                                      h.factors[0](unflat(samples)))
               for key, h in handles.items() if h.factors is not None}
@@ -448,12 +445,8 @@ def _boundary_curves(pairs, samples: np.ndarray, unflat, lam_grids, ends) -> lis
         for i, pair_keys in enumerate(keys):
             for key in pair_keys:
                 if key not in images:
-                    # Ktilde's image i(pi(K1(x))) comes from K1's flow
-                    src = tracked[key][0] if key in tracked else key
-                    images[src] = lifted[src][lo:lo + rows] if src in lifted \
-                        else _flatten(handles[src].apply_fn(x))
-                    images.update({k: _flatten(red.i(red.pi(unflat(images[src]))))
-                                   for k, (s, red) in tracked.items() if s == src})
+                    images[key] = lifted[key][lo:lo + rows] if key in lifted \
+                        else _flatten(handles[key].apply_fn(x))
             a, b = (images[key] for key in pair_keys)
             # x - H_lam(x) = (x - b) + lam (b - a), componentwise
             np.subtract(xs, b, out=base)

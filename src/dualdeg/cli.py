@@ -64,7 +64,7 @@ def run(problem, suite, grid_m, etas, seed, outdir):
     try:
         rep = problems.run(spec, suite=suite, grid_m=grid_m,
                            etas=tuple(etas) or None, seed=seed)
-    except (problems.ProblemValidationError, flows.SingularEtaError,
+    except (problems.ProblemValidationError, problems.SuiteError, flows.SingularEtaError,
             flows.IntegrationError, deg_mod.CollisionError) as exc:
         raise click.ClickException(str(exc))
     doc = rep.to_dict()

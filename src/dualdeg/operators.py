@@ -1,7 +1,7 @@
 """Fixed-point operator catalog: the named operators and their reductions.
 
 Operators act either on discretized function space (grid functions over
-[0, T], or grid functions plus a derivative-at-0 track for the Dirichlet
+[0, T], or grid functions plus a derivative-at-0 coordinate for the Dirichlet
 problem) or on finite vectors (phase space, kernel coordinates, history
 space).  Handles are immutable after build and apply_fn is pure.  Every
 handle also maps a stack of inputs (leading axes) to the stack of outputs.
@@ -63,13 +63,11 @@ class C1Function:
 @dataclass(frozen=True)
 class Reduction:
     """Structure witness h = i o F o pi with pi o i = id on R^k: ``finite`` is
-    the handle of F, k its ``dim``, and ``track``, if any, the grid operator
-    whose image of x ends at F(pi(x)): pi(track(x)) = F(pi(x))."""
+    the handle of F and k its ``dim``."""
 
     finite: "OperatorHandle"
     pi: Callable
     i: Callable
-    track: "OperatorHandle | None" = None
 
     @property
     def k(self) -> int:
@@ -135,33 +133,32 @@ def _through_memo(problem, key, fn: Callable) -> Callable:
     return fn if memo is None else degree._held(fn, memo.setdefault(key, {}))
 
 
-def solution(problem, held: bool = True) -> Callable:
+def solution(problem) -> Callable:
     """alpha: a stack of finite representatives (..., k) -> the solutions they
     start on the problem's grid, one solution in either space.  Periodic kinds:
     the trajectory from x(0); Dirichlet: the C1Function from v = (x'(0), x(0));
-    delay: the track on [-tau, T] from the history on [-tau, 0], its nodes
+    delay: the solution on [-tau, T] from the history on [-tau, 0], its nodes
     flattened.  It makes the one integrator call of each kind, in a run through
-    its memo (``Solutions``) if ``held``: the lifted handles' samples never repeat."""
+    its memo (``Solutions``), which every map built on alpha reads."""
     f, grid = problem.field(), problem.grid()
-    n, track_grid = f.dim, grid
+    n, out_grid = f.dim, grid
     if problem.kind in PERIODIC_KINDS:
-        track = lambda c: flows.mu_periodic(f, c, m=grid.m).values
+        integrate = lambda c: flows.mu_periodic(f, c, m=grid.m).values
     elif problem.kind == "dirichlet_bvp":
-        track = lambda v: flows.mu_dirichlet(f, v[..., :n], v[..., n:], m=grid.m).values
+        integrate = lambda v: flows.mu_dirichlet(f, v[..., :n], v[..., n:], m=grid.m).values
     elif problem.kind == "periodic_dde":
         kernel = problem.kernel()
         hg = Grid(-kernel.tau, 0.0, kernel.shift_steps(grid))
-        track_grid = Grid(-kernel.tau, f.period, hg.m + grid.m)
-        track = lambda v: flows.dde_flow(
+        out_grid = Grid(-kernel.tau, f.period, hg.m + grid.m)
+        integrate = lambda v: flows.dde_flow(
             f, GridFunction(hg, v.reshape(v.shape[:-1] + (hg.m + 1, n))), f.period).values
     else:
         raise ValueError(f"unknown problem kind {problem.kind!r}")
-    if held:
-        track = _through_memo(problem, ("alpha", grid.m), track)
+    integrate = _through_memo(problem, ("alpha", grid.m), integrate)
 
     def alpha(v):
         v = np.asarray(v, dtype=float)
-        x = GridFunction(track_grid, track(v))
+        x = GridFunction(out_grid, integrate(v))
         return C1Function(x, v[..., :n]) if problem.kind == "dirichlet_bvp" else x
 
     return alpha
@@ -212,7 +209,7 @@ def _build_periodic(name: str, problem, params: dict) -> OperatorHandle:
         def apply_fn(x):
             return GridFunction(grid, x.values[..., -1:, :] + _vn(problem, x).values)
     elif name == "K1":
-        alpha = solution(problem, held=False)
+        alpha = solution(problem)
         return lifted_handle(name, problem, params, _endpoint, lambda c: alpha(c).values)
     elif name in ("K3", "Khat3", "K5"):
         apply_fn = _mean_centred(grid, T, lambda x: gridfn.nemytskii(f, x),
@@ -231,9 +228,8 @@ def _build_periodic(name: str, problem, params: dict) -> OperatorHandle:
         def apply_fn(x):
             return flows.eta_periodic_solve(f, eta, x)
     elif name == "Ktilde":
-        # conjugate i o K2 o pi of the Poincare map; K1's flow ends at K2(pi x)
-        red = Reduction(build_finite("K2", problem), _endpoint,
-                        lambda c: constant(grid, c), _build_periodic("K1", problem, {}))
+        # conjugate i o K2 o pi of the Poincare map
+        red = Reduction(build_finite("K2", problem), _endpoint, lambda c: constant(grid, c))
         return reduced_handle(name, GRID_SPACE, problem, params, red)
     else:
         raise ValueError(f"unknown periodic operator {name!r}")
@@ -308,7 +304,7 @@ def _build_delay(name: str, problem, params: dict) -> OperatorHandle:
             return GridFunction(grid, x.values[..., -1:, :]
                                 + gridfn.cumulative_integral(nr).values)
     elif name == "Kdelay1":
-        alpha = solution(problem, held=False)
+        alpha = solution(problem)
         return lifted_handle(name, problem, params, pi, lambda v: alpha(v).values[..., k:, :])
     elif name in ("K6", "K7", "K8"):
         apply_fn = _mean_centred(grid, T, lambda x: gridfn.nemytskii_delay(f, x, kernel),

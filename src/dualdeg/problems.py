@@ -29,6 +29,10 @@ class ProblemValidationError(ValueError):
     """Config document violates the problem schema or its invariants."""
 
 
+class SuiteError(ValueError):
+    """A suite with no verdict on the problem, or eta values no signs pair reads."""
+
+
 # ---------------------------------------------------------------------------
 # Builtin right-hand sides, rhs(t, X) on stacks X (..., n).  np.float_power
 # is libm pow, as a scalar x ** k is; the SIMD x ** k loop can differ in ulps.
@@ -363,25 +367,31 @@ def run(problem: ProblemSpec, suite: str = "all", grid_m: int | None = None,
 
     Each verdict and the operator suite are one plan each; their homotopies
     are certified together, each distinct one once, and the common core is
-    checked once (``certify.run_plans``).
+    checked once (``certify.run_plans``).  A suite with no verdict on the
+    problem, or eta values with no signs pair to read them, raise SuiteError.
     """
     if seed < 0:
         raise ValueError(f"seed must be at least 0, got {seed}")
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+    row = certify.KIND_TABLE[problem.kind]
+    signs = row.signs if suite in ("all", "signs") else None
+    if etas and signs is None:
+        raise SuiteError(f"eta values need a signs pair, and suite {suite!r} "
+                         f"runs none on {problem.pid}")
+    instances = [(pair, None) for pair in row.duality if suite in ("all", "duality")]
+    instances += [(signs, eta) for eta in etas or row.etas if signs]
+    operator_suite = suite in ("all", "operators")
+    if not (instances or operator_suite):
+        raise SuiteError(f"suite {suite!r} runs no verdict on {problem.pid}, "
+                         f"a {problem.kind} problem")
     # the run's own copy, whose finite maps integrate each distinct state once
     problem = operators.run_copy(problem, problem.m if grid_m is None else grid_m)
-
-    row = certify.KIND_TABLE[problem.kind]
-    instances = [(pair, None) for pair in row.duality if suite in ("all", "duality")]
-    if row.signs and suite in ("all", "signs"):
-        instances += [(row.signs, eta) for eta in etas or row.etas]
 
     U1, U2 = problem.default_U1(), problem.default_U2()
     vr = certify.default_pullback(U2)
     plans = [certify.plan_duality(problem, pair, U1, U2, vr, eta)
              for pair, eta in instances]
-    operator_suite = suite in ("all", "operators")
     if operator_suite:
         plans.append(_operator_plan(problem, U1, vr))
     timings: dict[str, float] = {}

@@ -218,30 +218,33 @@ class TestKtildeFromItsFiniteHandle:
     and the certificate image read the map that Ktilde applies."""
 
     @pytest.mark.parametrize("pid,m", [("p1", 64), ("p3", 32), ("p7", None)])
-    def test_track_endpoint_is_the_ktilde_image(self, pid, m):
-        # the image that _boundary_curves substitutes for Ktilde's own map
+    def test_track_endpoint_is_the_ktilde_image(self, pid, m, monkeypatch):
+        # on a run copy, K1's flow over a block stores the rows that Ktilde's
+        # K2 reads: Ktilde's own map then makes no sweep and gives the end of
+        # K1's track, i(pi(K1(x))), bit for bit
         p = problems.get_problem(pid)
-        p = replace(p, m=m) if m else p
-        ktilde = operators.build("Ktilde", p)
+        p = operators.run_copy(p, m or p.m)
+        k1, ktilde = operators.build("K1", p), operators.build("Ktilde", p)
         red = ktilde.reduction
         samples = certify._domain_boundary_samples(
             ktilde, certify.default_pullback(p.default_U2()), [16], certify.DEFAULT_SEED)[0]
         x = certify._unflattener(ktilde)(samples[:degree._stack_rows(samples.shape[1])])
-        assert red.track.name == "K1" and len(x.values) > 1
-        assert np.array_equal(ktilde.apply_fn(x).values,
-                              red.i(red.track.apply_fn(x).values[..., -1, :]).values)
+        end = red.i(red.pi(k1.apply_fn(x)))
+        sweeps, rk4 = [], flows._rk4
+        monkeypatch.setattr(flows, "_rk4", lambda *a, **k: sweeps.append(1) or rk4(*a, **k))
+        assert len(x.values) > 1 and np.array_equal(ktilde.apply_fn(x).values, end.values)
+        assert sweeps == []
 
     @staticmethod
-    def _mutant(ktilde, **changes):
-        """Ktilde with its finite handle replaced by 2x - P(x), named Khat2,
-        and its other witness fields as ``changes`` set them."""
+    def _mutant(ktilde):
+        """Ktilde with its finite handle replaced by 2x - P(x), named Khat2."""
         red = ktilde.reduction
         P = red.finite.apply_fn
         khat2 = operators.OperatorHandle("Khat2", operators.FINITE_SPACE,
                                          lambda v: 2.0 * v - P(v), ktilde.problem,
                                          dict(red.finite.params))
         return operators.reduced_handle("Ktilde", operators.GRID_SPACE, ktilde.problem, {},
-                                        replace(red, finite=khat2, **changes))
+                                        replace(red, finite=khat2))
 
     @pytest.mark.parametrize("pid", ["p1", "p2"])
     def test_finite_side_reads_a_mutated_finite_handle(self, pid):
@@ -261,13 +264,13 @@ class TestKtildeFromItsFiniteHandle:
 
     @pytest.mark.parametrize("pid", ["p1", "p2"])
     def test_names_dropped_mutant_fails_krasnoselskii(self, pid, monkeypatch):
-        # with no track named, the certificates map the mutant itself, and its
-        # left side deg(I - Ktilde) = -1 no longer equals deg(I - P) = +1
+        # the certificates map the mutant itself, and its left side
+        # deg(I - Ktilde) = -1 no longer equals deg(I - P) = +1
         build = operators.build
 
         def mutated(name, problem, params=None):
             h = build(name, problem, params)
-            return self._mutant(h, track=None) if name == "Ktilde" else h
+            return self._mutant(h) if name == "Ktilde" else h
 
         monkeypatch.setattr(operators, "build", mutated)
         rep = verify_duality(problems.get_problem(pid), "krasnoselskii")

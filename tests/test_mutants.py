@@ -36,21 +36,13 @@ def opposite_degree(name, problem, params=None):
     return replace(h, apply_fn=apply_fn)
 
 
-def wrong_track(name, problem, params=None):
-    """Ktilde whose witness names K, not K1, as the track of its image."""
-    h = BUILD(name, problem, params)
-    if name != "Ktilde":
-        return h
-    return replace(h, reduction=replace(h.reduction, track=BUILD("K", problem)))
-
-
 def k3_for_khat3(name, problem, params=None):
     """K3 put in wherever the chain asks for K-hat-3 (the eta < 0 chain)."""
     return BUILD("K3" if name == "Khat3" else name, problem, params)
 
 
 def names_dropped(name, problem, params=None):
-    """Ktilde built on the finite map 2x - P(x), with no track named."""
+    """Ktilde built on the finite map 2x - P(x)."""
     h = BUILD(name, problem, params)
     if name != "Ktilde":
         return h
@@ -60,7 +52,7 @@ def names_dropped(name, problem, params=None):
                                      lambda v: 2.0 * v - P(v), h.problem,
                                      dict(red.finite.params))
     return operators.reduced_handle("Ktilde", operators.GRID_SPACE, h.problem, {},
-                                    replace(red, finite=khat2, track=None))
+                                    replace(red, finite=khat2))
 
 
 def flipped_sign(*args, sign, **kwargs):
@@ -69,7 +61,6 @@ def flipped_sign(*args, sign, **kwargs):
 
 
 MUTANTS = {"opposite_degree": (operators, "build_finite", opposite_degree),
-           "wrong_track": (operators, "build", wrong_track),
            "k3_for_khat3": (operators, "build", k3_for_khat3),
            "names_dropped": (operators, "build", names_dropped),
            "flipped_sign": (certify, "_verdict", flipped_sign)}
@@ -89,9 +80,6 @@ TABLE = [
     ("opposite_degree", "p6", "delay", "survives"),
     ("opposite_degree", "p7", "krasnoselskii", "survives"),
     ("opposite_degree", "p7", "inverse_poincare", "killed"),
-    ("wrong_track", "p1", "krasnoselskii", "survives"),
-    ("wrong_track", "p2", "krasnoselskii", "survives"),
-    ("wrong_track", "p3", "krasnoselskii", "survives"),
     ("k3_for_khat3", "p1", "eta_sign[-1]", "survives"),
     ("k3_for_khat3", "p2", "eta_sign[-1]", "killed"),  # inadmissible certificate
     ("k3_for_khat3", "p3", "eta_sign[-1]", "survives"),  # n = 2 keeps the degree

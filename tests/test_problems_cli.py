@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -129,6 +130,23 @@ class TestRun:
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suite"):
             run(get_problem("p1"), suite="bogus")
+
+    @pytest.mark.parametrize("pid,suite,etas,message", [
+        ("p4", "signs", None, "suite 'signs' runs no verdict on p4, a dirichlet_bvp problem"),
+        ("p5", "signs", None, "suite 'signs' runs no verdict on p5"),
+        ("p6", "signs", None, "suite 'signs' runs no verdict on p6, a periodic_dde problem"),
+        ("p3", "duality", (2.0,), "eta values need a signs pair, and suite 'duality' runs none"),
+        ("p1", "operators", (1.0,), "suite 'operators' runs none on p1"),
+        ("p4", "all", (1.0,), "suite 'all' runs none on p4"),
+        ("p6", "signs", (1.0,), "eta values need a signs pair")],
+        ids=["signs-p4", "signs-p5", "signs-p6", "eta-duality-p3", "eta-operators-p1",
+             "eta-p4", "eta-signs-p6"])
+    def test_no_vacuous_suite_and_no_dropped_eta(self, pid, suite, etas, message, monkeypatch):
+        # a suite with no verdict on the kind would PASS vacuously, and eta
+        # values no signs pair reads would be dropped: both raise before any work
+        monkeypatch.setattr(operators, "run_copy", None)
+        with pytest.raises(problems.SuiteError, match=re.escape(message)):
+            run(get_problem(pid), suite=suite, etas=etas)
 
     @pytest.mark.parametrize("pid", ["p1", "p3"])
     def test_common_core_checked_once_per_run(self, pid, monkeypatch):
@@ -275,47 +293,37 @@ class TestRun:
 
     @pytest.mark.parametrize("pid", ["p1", "p2", "p3", "p4", "p5", "p6", "p7"])
     def test_no_state_is_integrated_twice(self, pid, monkeypatch):
-        # outside the certificate passes, whose samples do not repeat, each
-        # initial state goes into an RK4 sweep once per run.  A state is keyed
-        # by the problem whose alpha it starts, its field on its grid (for the
-        # delay, the history grid), and by its bytes; KhatP's backward field is
-        # a field of its own.
-        seen, repeats, passes = set(), [], []
+        # each initial state goes into an RK4 sweep once per run, in the
+        # certificate passes too: K1's flow and every finite map read one memo.
+        # A state is keyed by its bytes, its rhs (by code and what it closes
+        # over, so the fresh closures of one field are one key; KhatP's
+        # backward field is one of its own) and its grid; a delay state by
+        # its whole history, the input of the delay solve
+        seen, repeats, delay = set(), [], []
+        rk4, dde_flow = flows._rk4, flows.dde_flow
 
-        def recorded(integrate, problem_rows):
-            def wrapper(*a, **k):
-                if not passes:
-                    key, rows = problem_rows(*a, **k)
-                    for row in rows:
-                        if (key, row.tobytes()) in seen:
-                            repeats.append(row)
-                        seen.add((key, row.tobytes()))
-                return integrate(*a, **k)
-            return wrapper
+        def record(key, rows):
+            for row in rows:
+                if (key, row.tobytes()) in seen:
+                    repeats.append(row)
+                seen.add((key, row.tobytes()))
 
-        def initial(f, x0, grid):
-            return (f, grid), np.asarray(x0, dtype=float).reshape(-1, f.dim)
+        def rk4_once(rhs, y0, a, h, m, *rest):
+            if not delay:
+                cells = tuple(c.cell_contents for c in rhs.__closure__ or ())
+                record((rhs.__code__, cells, a, h, m), y0.reshape(-1, y0.shape[-1]))
+            return rk4(rhs, y0, a, h, m, *rest)
 
-        def shot(f, a, b, m=256):
-            a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-            return (f, m), np.concatenate([a, b], axis=-1).reshape(-1, 2 * f.dim)
-
-        def history(f, hist, horizon):
-            return (f, hist.grid, horizon), hist.values.reshape(-1, hist.values[0].size)
-
-        certify_all = certify.certify_homotopies
-
-        def certified(*a, **k):
-            passes.append(True)
+        def dde_once(f, history, horizon):
+            record((f, history.grid, horizon), history.values.reshape(-1, history.values[0].size))
+            delay.append(True)
             try:
-                return certify_all(*a, **k)
+                return dde_flow(f, history, horizon)
             finally:
-                passes.pop()
+                delay.pop()
 
-        monkeypatch.setattr(certify, "certify_homotopies", certified)
-        for name, problem_rows in (("flow", initial), ("mu_dirichlet", shot),
-                                   ("dde_flow", history)):
-            monkeypatch.setattr(flows, name, recorded(getattr(flows, name), problem_rows))
+        monkeypatch.setattr(flows, "_rk4", rk4_once)
+        monkeypatch.setattr(flows, "dde_flow", dde_once)
         assert run(get_problem(pid), "all", grid_m=64).verdict
         assert seen and not repeats
 
@@ -541,6 +549,12 @@ class TestCli:
         (["run", "{duffing_blow_up}"], "non-finite state while integrating"),
         (["degree", "{duffing_blow_up}", "--operator", "K2", "--domain", "[[-1.5,1.5]]"],
          "non-finite state while integrating"),
+        (["run", "p4", "--suite", "signs"], "suite 'signs' runs no verdict on p4"),
+        (["run", "p5", "--suite", "signs"], "suite 'signs' runs no verdict on p5"),
+        (["run", "p6", "--suite", "signs"], "suite 'signs' runs no verdict on p6"),
+        (["run", "p3", "--suite", "duality", "--eta", "2"],
+         "eta values need a signs pair, and suite 'duality' runs none on p3"),
+        (["run", "p4", "--eta", "1"], "eta values need a signs pair, and suite 'all' runs none"),
         (["report", "{unparsable_report}", "--format", "csv"], "report-p1.json: parse error"),
         (["report", "{report_without_pair}", "--format", "csv"],
          "report-p1.json: $: 'format_version' is a required property"),
@@ -551,7 +565,8 @@ class TestCli:
             "unparsable-file", "u2-box-rows-p3", "u2-box-rows-p6", "u2-box-rows-p4",
             "u2-box-empty-row", "tau-misaligned-file", "tau-misaligned-grid",
             "eta-singular-p1", "eta-zero-p7", "eta-collision-p7", "blow-up-run-cubic",
-            "blow-up-run-duffing", "blow-up-degree-duffing", "report-unparsable",
+            "blow-up-run-duffing", "blow-up-degree-duffing", "signs-p4", "signs-p5",
+            "signs-p6", "eta-duality-p3", "eta-p4", "report-unparsable",
             "report-schema-invalid", "report-schema-invalid-svg"])
     def test_bad_input_one_line_error(self, args, message, tmp_path):
         box = lambda pid, rows: json.dumps(dict(get_problem(pid).to_dict(), u2_box=rows))

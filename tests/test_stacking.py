@@ -614,7 +614,9 @@ class TestLockStepCertificates:
                 return h.apply_fn(x)
             return replace(h, apply_fn=apply_fn)
 
-        pairs = [(counted(a), counted(b)) for a, b in _pairs(P3, P3_RUN)]
+        # a run copy: Ktilde's K2 reads the rows K1's flow stored in its memo
+        pairs = [(counted(a), counted(b))
+                 for a, b in _pairs(operators.run_copy(P3, P3.m), P3_RUN)]
         vr = certify.default_pullback(P3.default_U2())
         certs = certify.certify_homotopies(pairs, vr)
         assert all(c.refinements == 2 for c in certs)
@@ -630,11 +632,23 @@ class TestLockStepCertificates:
         distinct = {(h.name, repr(h.params)) for pair in pairs for h in pair}
         assert len(distinct) == 10
         # K1's flow of x(T) runs once per pass over every sample, before the
-        # blocks, and also gives Ktilde's image: neither map runs per block
-        assert calls == {key: blocks for key in distinct - {("K1", "{}"), ("Ktilde", "{}")}}
+        # blocks: K1 alone is not mapped per block
+        assert calls == {key: blocks for key in distinct - {("K1", "{}")}}
         assert len(flow_calls) == 2
         assert all(n == 1 or size <= floats for n, size in sizes)
         assert all(size <= floats for size in flow_calls)
+
+    def test_ball_level_reads_the_rows_of_the_levels_before(self, monkeypatch):
+        # a ball's level-3 samples start with those of levels 0-2, whose
+        # endpoints K1's flow stored in the run memo: the level-3 pass
+        # integrates only the new ones (63 of its 130 samples' endpoints)
+        p = operators.run_copy(problems.get_problem("p1"), 64)
+        rows, rk4 = [], flows._rk4
+        monkeypatch.setattr(flows, "_rk4", lambda rhs, y0, *a, **k:
+                            rows.append(len(y0)) or rk4(rhs, y0, *a, **k))
+        cert = certify.certify_homotopy(operators.build("K", p), operators.build("K1", p),
+                                        p.default_U1())
+        assert cert.refinements == 3 and rows == [65, 63]
 
     def test_each_distinct_handle_once_per_block_per_pass(self, monkeypatch):
         self._handle_calls_per_block(monkeypatch, STACK_FLOATS)
