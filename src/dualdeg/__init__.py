@@ -9,13 +9,13 @@ carry the same degree.
 
 from .certify import (CommonCoreReport, DualityReport, FunctionBall,
                       HomotopyCertificate, certify_homotopies,
-                      certify_homotopy, check_common_core, find_fixed_points, verify_duality)
+                      check_common_core, find_fixed_points, verify_duality)
 from .degree import (DegreeResult, DomainSpec, box_domain,
                      brouwer_1d, brouwer_2d_winding, brouwer_nd_regular,
                      finite_rank_reduce, fixed_point_degree, fourier_block_signs,
                      pullback_domain)
 from .flows import VectorFieldSpec, dde_flow, flow, mu_dirichlet, mu_periodic, \
-    poincare, shooting
+    poincare
 from .gridfn import DelayKernel, Grid, GridFunction
 from .operators import C1Function, OperatorHandle, build, build_finite
 from .problems import ProblemSpec, RunReport, catalog, get_problem, \

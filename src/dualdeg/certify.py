@@ -31,6 +31,10 @@ from .operators import C1Function, OperatorHandle
 DEFAULT_SEED = 0x4B52
 FINITE_FP_TOL = 1e-8
 CORE_CLEARANCE_EPS = 1e-3
+# the schedule of ``certify_homotopies``, read at call time
+LAMBDA_STEPS = 9
+BOUNDARY_SAMPLES = 16
+MAX_DOUBLINGS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -459,36 +463,26 @@ def _boundary_curves(pairs, samples: np.ndarray, unflat, lam_grids, ends) -> lis
             for segs in curves]
 
 
-def certify_homotopies(pairs, domain, lambda_steps: int = 9,
-                       boundary_samples: int = 16, eps: float | None = None,
-                       seed: int = DEFAULT_SEED,
-                       max_doublings: int = 4) -> list[HomotopyCertificate]:
+def certify_homotopies(pairs, domain, seed: int = DEFAULT_SEED) -> list[HomotopyCertificate]:
     """Empirical admissibility of H_lam = lam*A + (1-lam)*B over the domain,
     for every pair (A, B) of handles of one problem and one space.
 
-    Level L has (lambda_steps - 1) 2^L + 1 lambdas and boundary_samples 2^L
-    samples.  A pair stops once its running minimum boundary residual
-    changes by < 20% after at least two doublings; it is admissible iff it
-    stopped and that minimum clears eps.  The pairs refine in lock step: a
-    pass builds one level's samples and applies each distinct handle of the
-    pairs still refining once per block of at most ``degree.STACK_FLOATS``
-    sample floats.  Levels up to 2, where no pair can stop yet, join the pass
-    of the level before when their samples hold its samples as their first
-    rows (``_shares_pass``: on a ball always, on a lattice at one resolution);
-    the pass builds and maps only its finest samples and scores each lambda
-    of the levels' grid union once per segment.  Each certificate equals the
-    one its pair gets alone.
+    Level L <= MAX_DOUBLINGS has (LAMBDA_STEPS - 1) 2^L + 1 lambdas and
+    BOUNDARY_SAMPLES 2^L samples.  A pair stops once its running minimum
+    boundary residual changes by < 20% after at least two doublings; it is
+    admissible iff it stopped and that minimum clears ``admissibility_eps``.
+    The pairs refine in lock step: a pass builds one level's samples and
+    applies each distinct handle of the pairs still refining once per block
+    of at most ``degree.STACK_FLOATS`` sample floats.  Levels up to 2, where
+    no pair can stop yet, join the pass of the level before when their
+    samples hold its samples as their first rows (``_shares_pass``: on a ball
+    always, on a lattice at one resolution); the pass builds and maps only its
+    finest samples and scores each lambda of the levels' grid union once per
+    segment.  Each certificate equals the one its pair gets alone.
     """
     pairs = [tuple(p) for p in pairs]
     if not pairs:
         raise ValueError("pairs is empty: nothing to certify")
-    if lambda_steps < 2:
-        raise ValueError(f"lambda_steps must be at least 2, got {lambda_steps}: "
-                         f"a single lambda checks only the endpoint B")
-    if boundary_samples < 1:
-        raise ValueError(f"boundary_samples must be at least 1, got {boundary_samples}")
-    if max_doublings < 0:
-        raise ValueError(f"max_doublings must be at least 0, got {max_doublings}")
     if seed < 0:
         raise ValueError(f"seed must be at least 0, got {seed}")
     handles = [h for pair in pairs for h in pair]
@@ -500,23 +494,22 @@ def certify_homotopies(pairs, domain, lambda_steps: int = 9,
     if any(h.problem != problem for h in handles):
         raise ValueError("pairs mix problems: certify each problem's pairs "
                          "in its own call")
-    if eps is None:
-        eps = admissibility_eps(problem) if problem is not None else 1e-4
+    eps = admissibility_eps(problem) if problem is not None else 1e-4
     unflat = _unflattener(handles[0])
-    lam_grids = [np.linspace(0.0, 1.0, (lambda_steps - 1) * 2 ** level + 1)
-                 for level in range(max_doublings + 1)]
-    counts = [boundary_samples * 2 ** level for level in range(max_doublings + 1)]
+    lam_grids = [np.linspace(0.0, 1.0, (LAMBDA_STEPS - 1) * 2 ** level + 1)
+                 for level in range(MAX_DOUBLINGS + 1)]
+    counts = [BOUNDARY_SAMPLES * 2 ** level for level in range(MAX_DOUBLINGS + 1)]
     history = [[] for _ in pairs]
     finest = [None] * len(pairs)  # (lambdas, curve) of the last level run
     stable = [False] * len(pairs)
 
     level = 0
-    while level <= max_doublings:
+    while level <= MAX_DOUBLINGS:
         live = [i for i, done in enumerate(stable) if not done]
         if not live:
             break
         span = [level]  # the levels this pass serves
-        while span[-1] < min(2, max_doublings) and \
+        while span[-1] < min(2, MAX_DOUBLINGS) and \
                 _shares_pass(domain, counts[span[-1]], counts[span[-1] + 1]):
             span.append(span[-1] + 1)
         samples, ends = _domain_boundary_samples(handles[0], domain,
@@ -540,15 +533,6 @@ def certify_homotopies(pairs, domain, lambda_steps: int = 9,
                                 admissible=ok and hist[-1] >= eps, stable=ok,
                                 residual_curve=tuple(curve))
             for (hA, hB), hist, (lams, curve), ok in zip(pairs, history, finest, stable)]
-
-
-def certify_homotopy(hA: OperatorHandle, hB: OperatorHandle, domain,
-                     lambda_steps: int = 9, boundary_samples: int = 16,
-                     eps: float | None = None, seed: int = DEFAULT_SEED,
-                     max_doublings: int = 4) -> HomotopyCertificate:
-    """The certificate of one pair: see ``certify_homotopies``."""
-    return certify_homotopies([(hA, hB)], domain, lambda_steps, boundary_samples,
-                              eps, seed, max_doublings)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -476,12 +476,6 @@ def brouwer_nd_regular(g: Callable, box, _search: _Finite | None = None) -> Degr
                         zeros=tuple(tuple(z) for z in zeros))
 
 
-def defect(F: Callable) -> Callable:
-    """The map v -> v - F(v), whose zeros are the fixed points of F."""
-    return lambda v: np.atleast_1d(v) - np.atleast_1d(
-        np.asarray(F(np.atleast_1d(v)), dtype=float))
-
-
 def fixed_point_degree(F: Callable, box) -> DegreeResult:
     """Brouwer degree of I - F over a box in R^k: endpoint signs for k = 1, in
     one stacked call of F, else Jacobian-sign sums.  A ``_Finite`` F (a run's)
@@ -497,14 +491,14 @@ def fixed_point_degree(F: Callable, box) -> DegreeResult:
 # Finite-rank reduction
 # ---------------------------------------------------------------------------
 
-def finite_rank_reduce(h, U_finite: DomainSpec, r: float | None = None) -> DegreeResult:
+def finite_rank_reduce(h, U_finite: DomainSpec) -> DegreeResult:
     """Degree of I - h over the pullback of U_finite, via the reduced map.
 
     ``h`` must carry a Reduction witness h = i o F o pi with pi o i = id;
     the Leray-Schauder degree of I - h over pi^{-1}(U) cap B(0, r) equals
     the Brouwer degree of I - F over U for any r beyond the image bound.
     """
-    return _reduced(fixed_point_degree(_witness(h).finite.apply_fn, U_finite), r)
+    return _reduced(fixed_point_degree(_witness(h).finite.apply_fn, U_finite), None)
 
 
 def _witness(h):

@@ -1,11 +1,11 @@
-"""Deterministic initial-value integrators: flows, Poincare maps, shooting, DDEs.
+"""Deterministic initial-value integrators: flows, Poincare maps, Dirichlet tracks, DDEs.
 
 All integrators are fixed-step classical RK4.  Determinism (bitwise
 reproducibility for identical inputs) matters more than adaptivity here:
 the degree computations downstream must see the same map on every call.
 Every integrator, the delay one too, is one sweep of ``_rk4``, the only RK4
-loop, over a whole stack of states or histories; the sweep alone rejects
-states that blow up (IntegrationError).
+loop, over a whole stack of states or histories; the sweep rejects states
+that blow up, and the eta solve an overflow (IntegrationError).
 """
 
 from __future__ import annotations
@@ -123,11 +123,6 @@ def mu_dirichlet(f: VectorFieldSpec, a, b, m: int = 256) -> GridFunction:
     return GridFunction(grid, vals[..., :n])
 
 
-def shooting(f: VectorFieldSpec, a, m: int = 256) -> np.ndarray:
-    """S(a) = x(1) for the solution with x(0) = 0, x'(0) = a."""
-    return mu_dirichlet(f, a, np.zeros(f.dim), m=m).values[..., -1, :].copy()
-
-
 def _hermite_eval(track: np.ndarray, pos: float) -> np.ndarray:
     """Cubic Hermite (Catmull-Rom slopes) on equally spaced samples.
 
@@ -205,13 +200,18 @@ def eta_periodic_solve(f: VectorFieldSpec, eta: float, x: GridFunction) -> GridF
     grid = x.grid
     if abs(grid.a) > 1e-12 or abs(grid.b - T) > 1e-12:
         raise ValueError(f"grid must span [0, {T}]")
-    if abs(np.expm1(eta * T)) < 1e-12:
-        raise SingularEtaError(f"eta={eta} makes exp(eta*T) - 1 negligible")
-    g = nemytskii(f, x).values + eta * x.values
+    g = nemytskii(f, x).values
     t = grid.nodes[:, None]
-    weighted = GridFunction(grid, np.exp(eta * t) * g)
-    cum = cumulative_integral(weighted).values
-    y0 = cum[..., -1:, :] / np.expm1(eta * T)
-    y = np.exp(-eta * t) * (y0 + cum)
+    try:
+        with np.errstate(over="raise"):  # e^{|eta| t} times g can overflow: name it
+            if abs(np.expm1(eta * T)) < 1e-12:
+                raise SingularEtaError(f"eta={eta} makes exp(eta*T) - 1 negligible")
+            g = g + eta * x.values
+            weighted = GridFunction(grid, np.exp(eta * t) * g)
+            cum = cumulative_integral(weighted).values
+            y0 = cum[..., -1:, :] / np.expm1(eta * T)
+            y = np.exp(-eta * t) * (y0 + cum)
+    except FloatingPointError as exc:
+        raise IntegrationError(f"eta={eta} overflows the eta-shifted periodic solve") from exc
     y[..., -1, :] = y[..., 0, :]  # periodic closure; equality holds to quadrature error
     return GridFunction(grid, y)

@@ -84,18 +84,9 @@ class GridFunction:
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        _check_same_grid(self, other)
-        return GridFunction(self.grid, self.values + other.values)
-
     def __sub__(self, other: "GridFunction") -> "GridFunction":
         _check_same_grid(self, other)
         return GridFunction(self.grid, self.values - other.values)
-
-    def __mul__(self, scalar: float) -> "GridFunction":
-        return GridFunction(self.grid, float(scalar) * self.values)
-
-    __rmul__ = __mul__
 
 
 def _check_same_grid(x: GridFunction, y: GridFunction):

@@ -30,7 +30,7 @@ class ProblemValidationError(ValueError):
 
 
 class SuiteError(ValueError):
-    """A suite with no verdict on the problem, or eta values no signs pair reads."""
+    """A suite with no verdict on the problem, or eta values not finite or unread."""
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +148,10 @@ class ProblemSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ProblemValidationError(f"unknown problem kind {self.kind!r}")
+        for name in ("period", "lipschitz", "u1_radius"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ProblemValidationError(f"{name} must be finite, got {value}")
         if self.kind == "periodic_dde":
             if self.tau is None:
                 raise ProblemValidationError("periodic_dde needs tau")
@@ -368,12 +372,14 @@ def run(problem: ProblemSpec, suite: str = "all", grid_m: int | None = None,
     Each verdict and the operator suite are one plan each; their homotopies
     are certified together, each distinct one once, and the common core is
     checked once (``certify.run_plans``).  A suite with no verdict on the
-    problem, or eta values with no signs pair to read them, raise SuiteError.
+    problem, or eta values not finite or no signs pair reads, raise SuiteError.
     """
     if seed < 0:
         raise ValueError(f"seed must be at least 0, got {seed}")
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+    if etas and not np.isfinite(etas).all():
+        raise SuiteError(f"eta values must be finite, got {list(etas)}")
     row = certify.KIND_TABLE[problem.kind]
     signs = row.signs if suite in ("all", "signs") else None
     if etas and signs is None:

@@ -71,12 +71,11 @@ def test_criterion_4_operator_chain_homotopies():
     p1 = problems.get_problem("p1")
     vr = certify.default_pullback(p1.default_U2())
     ok = True
-    for a, b in (("K", "Kgamma"), ("K4", "K3"), ("K3", "K5")):
-        cert = certify.certify_homotopy(operators.build(a, p1),
-                                        operators.build(b, p1), vr)
+    pairs = [(operators.build(a, p1), operators.build(b, p1))
+             for a, b in (("K", "Kgamma"), ("K4", "K3"), ("K3", "K5"))]
+    for cert in certify.certify_homotopies(pairs, vr):
         ok &= cert.admissible and cert.min_residual >= 1e-4
-    chain_deg = finite_rank_reduce(operators.build("Ktilde", p1),
-                                   p1.default_U2(), r=vr.r)
+    chain_deg = finite_rank_reduce(operators.build("Ktilde", p1), p1.default_U2())
     right = fixed_point_degree(operators.build_finite("K2", p1).apply_fn,
                                p1.default_U2())
     ok &= chain_deg.degree == right.degree == 1
@@ -106,10 +105,10 @@ def test_criterion_6_inverse_poincare():
 
 def test_criterion_7_dirichlet_duality():
     p4 = problems.get_problem("p4")
-    # shooting oracle S(a) = sinh(1) a
-    ok = abs(flows.shooting(p4.field(), [1.0], m=p4.m)[0] - np.sinh(1.0)) < 1e-6
-    ok &= brouwer_1d(lambda a: flows.shooting(p4.field(), [a], m=p4.m)[0],
-                     (-1.0, 1.0)).degree == 1
+    # shooting oracle S(a) = x(1) = sinh(1) a for x(0) = 0, x'(0) = a
+    S = lambda a: flows.mu_dirichlet(p4.field(), [a], [0.0], m=p4.m).values[-1, 0]
+    ok = abs(S(1.0) - np.sinh(1.0)) < 1e-6
+    ok &= brouwer_1d(S, (-1.0, 1.0)).degree == 1
     rep = certify.verify_duality(p4, "dirichlet_shooting")
     ok &= rep.equal and rep.left.degree == rep.right.degree == 1
     ok &= rep.params["block_sign_identity"]  # stable under h_fd halving

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dualdeg import certify, degree, flows, operators, problems, report
-from dualdeg.certify import (FunctionBall, admissibility_eps, certify_homotopy,
+from dualdeg.certify import (FunctionBall, admissibility_eps, certify_homotopies,
                              check_common_core, find_fixed_points, verify_duality)
 from dualdeg.degree import box_domain
 from dualdeg.gridfn import GridFunction, constant
@@ -118,14 +118,13 @@ def test_common_core_alone_equals_the_runs(pid):
 class TestCertifyHomotopy:
     def test_constant_homotopy_positive(self):
         h = operators.build("K", P1)
-        cert = certify_homotopy(h, h, P1.default_U1())
+        cert = certify_homotopies([(h, h)], P1.default_U1())[0]
         assert cert.min_residual > 0
         assert cert.admissible
 
     def test_k_vs_kgamma_admissible(self):
-        cert = certify_homotopy(operators.build("K", P1),
-                                operators.build("Kgamma", P1),
-                                P1.default_U1())
+        cert = certify_homotopies([(operators.build("K", P1), operators.build("Kgamma", P1))],
+                                  P1.default_U1())[0]
         assert cert.admissible and cert.stable
         assert cert.min_residual >= admissibility_eps(P1)
         assert len(cert.residual_curve) == len(cert.lambda_grid)
@@ -134,83 +133,60 @@ class TestCertifyHomotopy:
         # center the ball so one boundary sample lands exactly on x*
         r = 0.3
         center = p1_solution - constant(P1.grid(), r)
-        cert = certify_homotopy(operators.build("K", P1),
-                                operators.build("K1", P1),
-                                FunctionBall(r, center=center))
+        cert = certify_homotopies([(operators.build("K", P1), operators.build("K1", P1))],
+                                  FunctionBall(r, center=center))[0]
         assert cert.min_residual <= 5e-5
         assert not cert.admissible
 
-    def test_monotone_certification(self):
-        hA, hB = operators.build("K", P1), operators.build("Kgamma", P1)
-        coarse = certify_homotopy(hA, hB, P1.default_U1(), max_doublings=2)
-        fine = certify_homotopy(hA, hB, P1.default_U1(), max_doublings=4)
+    def test_monotone_certification(self, monkeypatch):
+        pair = (operators.build("K", P1), operators.build("Kgamma", P1))
+        monkeypatch.setattr(certify, "MAX_DOUBLINGS", 2)
+        coarse = certify_homotopies([pair], P1.default_U1())[0]
+        monkeypatch.setattr(certify, "MAX_DOUBLINGS", 4)
+        fine = certify_homotopies([pair], P1.default_U1())[0]
         assert coarse.admissible and fine.admissible
         assert fine.min_residual <= coarse.min_residual + 1e-12
 
     def test_space_mismatch(self):
         with pytest.raises(ValueError, match="spaces"):
-            certify_homotopy(operators.build("K", P1),
-                             operators.build_finite("K2", P1),
-                             P1.default_U1())
-
-    @pytest.mark.parametrize("steps", [1, 0])
-    def test_single_lambda_rejected(self, steps):
-        # one lambda checks only B: at lambda_steps=1 the grid stays [0.0]
-        with pytest.raises(ValueError, match="lambda_steps must be at least 2"):
-            certify_homotopy(operators.build("K", P1), operators.build("Kgamma", P1),
-                             P1.default_U1(), lambda_steps=steps)
-
-    def test_negative_doublings_rejected(self):
-        h = operators.build("K", P1)
-        with pytest.raises(ValueError, match="max_doublings must be at least 0"):
-            certify_homotopy(h, h, P1.default_U1(), max_doublings=-1)
-
-    @pytest.mark.parametrize("count,domain", [
-        (0, P1.default_U1()), (-3, certify.default_pullback(P1.default_U2()))],
-        ids=["ball-0", "pullback-minus-3"])
-    def test_no_boundary_samples_rejected(self, count, domain):
-        # with none, a ball keeps only its 2n constant samples and a pullback
-        # lattice its floor, so K ~ K1 was certified from a handful of points
-        with pytest.raises(ValueError, match=f"boundary_samples must be at least 1, "
-                                             f"got {count}"):
-            certify_homotopy(operators.build("K", P1), operators.build("K1", P1), domain,
-                             boundary_samples=count)
+            certify_homotopies([(operators.build("K", P1), operators.build_finite("K2", P1))],
+                               P1.default_U1())
 
     def test_negative_seed_rejected(self):
         h = operators.build("K", P1)
         with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
-            certify_homotopy(h, operators.build("K1", P1), P1.default_U1(), seed=-1)
+            certify_homotopies([(h, operators.build("K1", P1))], P1.default_U1(), seed=-1)
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError, match="pairs is empty"):
-            certify.certify_homotopies([], P1.default_U1())
+            certify_homotopies([], P1.default_U1())
 
     def test_mixed_problems_rejected(self):
         pairs = [(operators.build("K", P1), operators.build("K1", P1)),
                  (operators.build("K", P2), operators.build("K1", P2))]
         with pytest.raises(ValueError, match="pairs mix problems"):
-            certify.certify_homotopies(pairs, P1.default_U1())
+            certify_homotopies(pairs, P1.default_U1())
 
     def test_mixed_spaces_rejected(self):
         fin = operators.build_finite("K2", P1)
         pairs = [(operators.build("K", P1), operators.build("K1", P1)), (fin, fin)]
         with pytest.raises(ValueError, match="pairs mix spaces"):
-            certify.certify_homotopies(pairs, P1.default_U1())
+            certify_homotopies(pairs, P1.default_U1())
 
     def test_pullback_needs_grid_space(self):
         U = certify.default_pullback(P4.default_U2())
         with pytest.raises(ValueError, match="pullback boundary samples need "
                                              "grid-space operators"):
-            certify_homotopy(operators.build("Kdir", P4),
-                             operators.build("Kdir1", P4), U)
+            certify_homotopies([(operators.build("Kdir", P4),
+                                 operators.build("Kdir1", P4))], U)
 
     def test_pullback_dimension_must_match_reduction(self):
         # p6's box lives on 8 history nodes, its grid-level Ktilde on 65
         U = certify.default_pullback(P6.default_U2())
         with pytest.raises(ValueError, match="pullback box has dimension 8, but the "
                                              "Ktilde reduction of p6 has k = 65"):
-            certify_homotopy(operators.build("Kdelay", P6),
-                             operators.build("Kdelay1", P6), U)
+            certify_homotopies([(operators.build("Kdelay", P6),
+                                 operators.build("Kdelay1", P6))], U)
 
 
 class TestKtildeFromItsFiniteHandle:
@@ -317,9 +293,9 @@ class TestK1FromItsFactors:
         x = constant(p.grid(), [0.7])
         assert np.array_equal(mutant.apply_fn(x).values, k1.apply_fn(x).values + 0.25)
         # the pass maps the mutant's mu, as its blocks would map its apply_fn
-        cert, cert_mut = (certify_homotopy(k, h, vr) for h in (k1, mutant))
-        assert cert_mut == certify_homotopy(k, replace(mutant, factors=None), vr)
-        assert cert == certify_homotopy(k, replace(k1, factors=None), vr)
+        cert, cert_mut = (certify_homotopies([(k, h)], vr)[0] for h in (k1, mutant))
+        assert cert_mut == certify_homotopies([(k, replace(mutant, factors=None))], vr)[0]
+        assert cert == certify_homotopies([(k, replace(k1, factors=None))], vr)[0]
         assert cert_mut.min_residual != cert.min_residual
 
 

@@ -4,7 +4,7 @@ import pytest
 from dualdeg import operators, problems
 from dualdeg.degree import (CollisionError, DomainSpec, box_domain,
                             brouwer_1d, brouwer_2d_winding, brouwer_nd_regular,
-                            defect, fd_jacobian, finite_rank_reduce,
+                            fd_jacobian, finite_rank_reduce,
                             fixed_point_degree, fourier_block_signs, pullback_domain)
 
 
@@ -138,8 +138,7 @@ class TestFixedPointDegree1d:
         shapes = []
         res = fixed_point_degree(lambda v: shapes.append(np.shape(v)) or F(v), box)
         assert shapes == [(2, 1)]
-        g = defect(F)
-        assert res == brouwer_1d(lambda t: g(np.array([t]))[0], box.as_box()[0])
+        assert res == brouwer_1d(lambda t: t - F(np.array([t]))[0], box.as_box()[0])
         assert res.certified
 
 
@@ -157,8 +156,7 @@ class TestFiniteRankReduce:
 
     def test_linear_periodic_slope(self):
         p1 = problems.get_problem("p1")
-        res = finite_rank_reduce(operators.build("Ktilde", p1),
-                                 box_domain([(-1.0, 1.0)]), r=3.0)
+        res = finite_rank_reduce(operators.build("Ktilde", p1), box_domain([(-1.0, 1.0)]))
         assert res.degree == 1 and res.certified
         assert res.method == "finite_rank_reduction"
 

@@ -121,15 +121,16 @@ class TestDirichletSolves:
 
     def test_shooting_zero_field(self):
         f = SECOND_ZERO
-        np.testing.assert_allclose(flows.shooting(f, [1.7]), [1.7], atol=1e-14)
+        np.testing.assert_allclose(flows.mu_dirichlet(f, [1.7], [0.0]).values[..., -1, :],
+                                   [1.7], atol=1e-14)
 
     def test_shooting_sinh(self):
-        assert flows.shooting(SECOND_ID, [2.0])[0] == pytest.approx(
+        assert flows.mu_dirichlet(SECOND_ID, [2.0], [0.0]).values[-1, 0] == pytest.approx(
             2 * np.sinh(1.0), abs=1e-6)
 
     def test_shooting_sine_node(self):
         f = _field(lambda t, x: -np.pi ** 2 * x, kind=flows.SECOND_ORDER, lip=10.0)
-        assert abs(flows.shooting(f, [1.0])[0]) < 1e-5
+        assert abs(flows.mu_dirichlet(f, [1.0], [0.0]).values[-1, 0]) < 1e-5
 
     def test_kind_mismatch(self):
         with pytest.raises(ValueError, match="second_order"):
@@ -209,3 +210,19 @@ class TestEtaPeriodicSolve:
         x = constant(Grid(0.0, 1.0, 32), 0.0)
         with pytest.raises(SingularEtaError):
             flows.eta_periodic_solve(FORCED, 0.0, x)
+
+    @pytest.mark.parametrize("eta", [709.0, -709.0])
+    def test_largest_eta_is_finite(self, eta):
+        # exp(709) f is finite for |f| <= 1: the solve runs, and a GridFunction
+        # holds only finite values
+        x = constant(Grid(0.0, 1.0, 32), 0.0)
+        assert flows.eta_periodic_solve(FORCED, eta, x).grid == x.grid
+
+    @pytest.mark.parametrize("eta,x0", [(710.0, 0.0), (-710.0, 0.0), (800.0, 0.0),
+                                        (705.0, 1.0)])
+    def test_overflowing_eta(self, eta, x0):
+        # exp(|eta| T), or at eta = 705 exp(eta t) (f + eta x), overflows: a
+        # named error, not a numpy warning and a non-finite GridFunction
+        x = constant(Grid(0.0, 1.0, 32), x0)
+        with pytest.raises(IntegrationError, match="overflows the eta-shifted periodic solve"):
+            flows.eta_periodic_solve(FORCED, eta, x)

@@ -1,5 +1,6 @@
 """No module of the package or of the tests imports a name it never uses, the
-package defines no private module-level name that it never reads and no
+package defines no private module-level name that it never reads, no public
+function that it never reads (click commands and ``UNREAD_PUBLIC`` aside) and no
 dataclass field that only its ``__post_init__`` reads, every name the README
 cites from the package exists, the README's kind table is ``KIND_TABLE``, and
 only ``flows`` and ``operators`` call a ``flows`` integrator.
@@ -136,6 +137,48 @@ def test_no_unread_private_names_in_package():
     assert unread_private_names(sources) == []
 
 
+# public functions that no package code reads, each kept for its reason
+UNREAD_PUBLIC = {
+    "verify_duality": "the documented entry point for one duality instance",
+    "brouwer_2d_winding": "the reference of tests/test_degree.py::test_cross_engine_agreement, "
+                          "to be wired in as the k = 2 cross-check (ROADMAP item 7)",
+}
+
+
+def _is_click_command(node: ast.FunctionDef) -> bool:
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group") for d in node.decorator_list)
+
+
+def unread_public_functions(sources: dict) -> list:
+    """(module, line, name) of each public module-level function, click commands
+    aside, that no module of ``sources`` (module name -> source) reads outside
+    its own definition; an import is not a read."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    return [(mod, node.lineno, node.name) for mod, tree in trees.items()
+            for node in tree.body if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_") and not _is_click_command(node)
+            and reads[node.name] == _reads(node)[node.name]]
+
+
+def test_public_checker_flags_unread_functions():
+    sources = {"a": ("import click\n"
+                     "def used():\n    pass\n"
+                     "def unused():\n    return unused()\n"
+                     "def _private():\n    pass\n"
+                     "@click.group()\ndef main():\n    pass\n"
+                     "@main.command('list')\ndef listing():\n    pass\n"
+                     "class C:\n    def method(self):\n        pass\n"),
+               "b": "from a import unused\ndef caller():\n    return a.used()\n"}
+    assert unread_public_functions(sources) == [("a", 4, "unused"), ("b", 2, "caller")]
+
+
+def test_every_public_function_is_read_in_package():
+    sources = {p.name: p.read_text() for p in PACKAGE}
+    assert {name for _, _, name in unread_public_functions(sources)} == set(UNREAD_PUBLIC)
+
+
 def _field_reads(tree: ast.AST) -> set:
     """Names read as an attribute, or through ``getattr`` by a constant name,
     outside every ``__post_init__``."""
@@ -252,8 +295,8 @@ def test_readme_kind_table_is_kind_table():
         assert cells[1:] == _kind_table_cells(row), cells[0]
 
 
-INTEGRATORS = ("flow", "poincare", "mu_periodic", "mu_dirichlet", "shooting",
-               "dde_flow", "eta_periodic_solve")
+INTEGRATORS = ("flow", "poincare", "mu_periodic", "mu_dirichlet", "dde_flow",
+               "eta_periodic_solve")
 # the integrators' own module, and the one that holds each kind's solution map
 INTEGRATING_MODULES = ("flows.py", "operators.py")
 

@@ -33,8 +33,8 @@ class TestCatalog:
 
     def test_p4_shooting_is_sinh(self):
         p4 = get_problem("p4")
-        out = flows.shooting(p4.field(), [1.0], m=p4.m)
-        assert out[0] == pytest.approx(np.sinh(1.0), abs=1e-6)
+        out = flows.mu_dirichlet(p4.field(), [1.0], [0.0], m=p4.m).values[-1, 0]
+        assert out == pytest.approx(np.sinh(1.0), abs=1e-6)
 
     def test_p7_averaged_field_is_the_node_loop(self):
         # one rhs call over the node array gives, bit for bit, the per-node loop
@@ -555,6 +555,26 @@ class TestCli:
         (["run", "p3", "--suite", "duality", "--eta", "2"],
          "eta values need a signs pair, and suite 'duality' runs none on p3"),
         (["run", "p4", "--eta", "1"], "eta values need a signs pair, and suite 'all' runs none"),
+        (["run", "p1", "--suite", "signs", "--eta", "nan"],
+         "eta values must be finite, got [nan]"),
+        (["run", "p1", "--suite", "signs", "--eta", "1", "--eta", "inf"],
+         "eta values must be finite, got [1.0, inf]"),
+        (["run", "p3", "--suite", "signs", "--eta", "-inf"], "eta values must be finite"),
+        (["run", "p7", "--suite", "signs", "--eta", "nan"], "eta values must be finite"),
+        (["run", "p1", "--suite", "signs", "--eta", "800"],
+         "eta=800.0 overflows the eta-shifted periodic solve"),
+        (["run", "p1", "--suite", "signs", "--eta", "-800"],
+         "eta=-800.0 overflows the eta-shifted periodic solve"),
+        (["run", "p1", "--suite", "signs", "--eta", "705"],
+         "eta=705.0 overflows the eta-shifted periodic solve"),
+        (["run", "p3", "--suite", "signs", "--eta", "800"],
+         "eta=800.0 overflows the eta-shifted periodic solve"),
+        (["run", "{u1_radius_nan}", "--suite", "duality"], "u1_radius must be finite, got nan"),
+        (["run", "{u1_radius_inf}", "--suite", "duality"], "u1_radius must be finite, got inf"),
+        (["run", "{period_nan}", "--suite", "duality"], "period must be finite, got nan"),
+        (["run", "{period_inf}", "--suite", "duality"], "period must be finite, got inf"),
+        (["run", "{lipschitz_nan}", "--suite", "duality"], "lipschitz must be finite, got nan"),
+        (["run", "{lipschitz_inf}", "--suite", "duality"], "lipschitz must be finite, got inf"),
         (["report", "{unparsable_report}", "--format", "csv"], "report-p1.json: parse error"),
         (["report", "{report_without_pair}", "--format", "csv"],
          "report-p1.json: $: 'format_version' is a required property"),
@@ -566,7 +586,10 @@ class TestCli:
             "u2-box-empty-row", "tau-misaligned-file", "tau-misaligned-grid",
             "eta-singular-p1", "eta-zero-p7", "eta-collision-p7", "blow-up-run-cubic",
             "blow-up-run-duffing", "blow-up-degree-duffing", "signs-p4", "signs-p5",
-            "signs-p6", "eta-duality-p3", "eta-p4", "report-unparsable",
+            "signs-p6", "eta-duality-p3", "eta-p4", "eta-nan-p1", "eta-inf-p1",
+            "eta-minus-inf-p3", "eta-nan-p7", "eta-overflow-p1", "eta-minus-overflow-p1",
+            "eta-product-overflow-p1", "eta-overflow-p3", "u1-radius-nan", "u1-radius-inf",
+            "period-nan", "period-inf", "lipschitz-nan", "lipschitz-inf", "report-unparsable",
             "report-schema-invalid", "report-schema-invalid-svg"])
     def test_bad_input_one_line_error(self, args, message, tmp_path):
         box = lambda pid, rows: json.dumps(dict(get_problem(pid).to_dict(), u2_box=rows))
@@ -581,6 +604,11 @@ class TestCli:
                  "p6_m101": json.dumps(dict(get_problem("p6").to_dict(), m=101)),
                  "cubic_blow_up": poly([0, 0, 0, 1], [[-2, 2]]),
                  "duffing_blow_up": poly([0, -1, 0, 1], [[-1.5, 1.5]])}
+        # x' = x - x^3 over U2 = [-2, 2], one field not finite (json writes NaN, Infinity)
+        files.update({f"{key}_{name}": json.dumps(dict(
+            get_problem("p1").to_dict(), m=32, rhs={"poly": [0, 1, 0, -1]}, u2_box=[[-2, 2]],
+            **{key: value})) for key in ("u1_radius", "period", "lipschitz")
+            for name, value in (("nan", float("nan")), ("inf", float("inf")))})
         # a directory of one bad report each, for `report`
         reports = {"unparsable_report": '{"duality": ',
                    "report_without_pair": '{"duality": [{"problem": "p1"}]}'}

@@ -14,7 +14,7 @@ import pytest
 from dualdeg import certify, degree, flows, gridfn, operators, problems
 from dualdeg.certify import HomotopyCertificate
 from dualdeg.degree import STACK_FLOATS, _multistart_seeds, _newton_runs, box_domain, \
-    defect, fd_jacobian
+    fd_jacobian
 from dualdeg.flows import IntegrationError, VectorFieldSpec
 from dualdeg.gridfn import DelayKernel, Grid, GridFunction, constant
 
@@ -272,7 +272,7 @@ class TestLockStepNewton:
     @pytest.mark.parametrize("name,problem", [("K2", P3), ("Kdir2", P4), ("Kdelay2", P6)])
     def test_multistart_seeds(self, name, problem):
         fin = operators.build_finite(name, problem)
-        ok = self._check(defect(fin.apply_fn),
+        ok = self._check(lambda X: X - fin.apply_fn(X),
                          _multistart_seeds(problem.default_U2().as_box()))
         assert ok.any()
 
@@ -443,7 +443,8 @@ class TestRowMemo:
         box = box_domain([(-1.9, 1.9), (-1.9, 1.9)])
         b = box.as_box()
         tols = (1e-8, 1e-9)
-        plain = degree._newton_runs(defect(F), degree._multistart_seeds(b), tols)
+        g = lambda X: X - F(X)
+        plain = degree._newton_runs(g, degree._multistart_seeds(b), tols)
         for tol, (ref_X, ref_ok) in zip(tols, plain):
             X, ok = fin._open(b)[tol]
             assert np.array_equal(X, ref_X) and np.array_equal(ok, ref_ok)
@@ -455,7 +456,7 @@ class TestRowMemo:
         calls.clear()
         runs = degree._newton_runs(fin.g, starts, tols, warm=fin.warm)
         assert any(bad for _, bad in calls)
-        for (X, ok), (ref_X, ref_ok) in zip(runs, degree._newton_runs(defect(F), starts, tols)):
+        for (X, ok), (ref_X, ref_ok) in zip(runs, degree._newton_runs(g, starts, tols)):
             assert np.array_equal(X, ref_X) and np.array_equal(ok, ref_ok)
         assert runs[-1][1].any() and not runs[-1][1].all()
 
@@ -466,10 +467,9 @@ def _dense_minima(base, delta, lams):
     return np.array([np.max(np.abs(base + delta * lam), axis=-1).min() for lam in lams])
 
 
-def _certify_one(hA, hB, domain, max_doublings=4, lambda_steps=9, boundary_samples=16,
-                 seed=certify.DEFAULT_SEED):
-    """One pair alone: each level builds its own samples and applies both
-    endpoints to each block."""
+def _certify_one(hA, hB, domain, seed=certify.DEFAULT_SEED):
+    """One pair alone, on the certificate schedule of ``certify``: each level
+    builds its own samples and applies both endpoints to each block."""
     eps = certify.admissibility_eps(hA.problem) if hA.problem is not None else 1e-4
     unflat = certify._unflattener(hA)
 
@@ -485,11 +485,11 @@ def _certify_one(hA, hB, domain, max_doublings=4, lambda_steps=9, boundary_sampl
             curve = np.minimum(curve, _dense_minima(xs - b, b - a, lams))
         return float(np.min(curve)), lams, curve
 
-    n_lam, n_samp = lambda_steps, boundary_samples
+    n_lam, n_samp = certify.LAMBDA_STEPS, certify.BOUNDARY_SAMPLES
     best, lams, curve = level(n_lam, n_samp)
     history = [best]
     stable = False
-    for lv in range(1, max_doublings + 1):
+    for lv in range(1, certify.MAX_DOUBLINGS + 1):
         n_lam, n_samp = 2 * n_lam - 1, 2 * n_samp
         new, lams, curve = level(n_lam, n_samp)
         history.append(min(history[-1], new))
@@ -531,11 +531,11 @@ SQUARE = box_domain([[-1.0, 1.0], [-1.0, 1.0]])
 
 
 class TestLockStepCertificates:
-    def _check(self, pairs, domain, **kw):
-        certs = certify.certify_homotopies(pairs, domain, **kw)
+    def _check(self, pairs, domain):
+        certs = certify.certify_homotopies(pairs, domain)
         assert len(certs) == len(pairs)
         for (hA, hB), cert in zip(pairs, certs):
-            ref = _certify_one(hA, hB, domain, **kw)
+            ref = _certify_one(hA, hB, domain)
             for f in fields(HomotopyCertificate):
                 assert getattr(cert, f.name) == getattr(ref, f.name), (cert.pair, f.name)
         return certs
@@ -559,7 +559,7 @@ class TestLockStepCertificates:
     @pytest.mark.parametrize("problem,names", [(P6, ("Kdelay", "Kdelay1")), (P1, ("K", "K1"))],
                              ids=["p6", "p1"])
     def test_ball_pass_equals_one_curve_call_per_level(self, problem, names, max_doublings,
-                                                       boundary_samples):
+                                                       boundary_samples, monkeypatch):
         # a ball's levels 0-2 share one pass, scored per segment: each level's
         # curve, and so each certificate, equals one made of a _boundary_curves
         # call per level on that level's own samples, under the same stop rule
@@ -583,8 +583,9 @@ class TestLockStepCertificates:
             hist.append(min(hist + [float(np.min(curve))]))
             if lv >= 2 and hist[-2] > 0 and abs(hist[-1] - hist[-2]) < 0.2 * hist[-2]:
                 break
-        cert = certify.certify_homotopy(*pair, domain, boundary_samples=boundary_samples,
-                                        max_doublings=max_doublings)
+        monkeypatch.setattr(certify, "BOUNDARY_SAMPLES", boundary_samples)
+        monkeypatch.setattr(certify, "MAX_DOUBLINGS", max_doublings)
+        cert = certify.certify_homotopies([pair], domain)[0]
         assert cert.min_residual == hist[-1] and cert.refinements == len(hist) - 1
         assert cert.residual_curve == tuple(curve)
 
@@ -592,8 +593,10 @@ class TestLockStepCertificates:
         certs = self._check(_pairs(P1, (("K", "Kgamma"), ("K", "Kgamma"))), P1.default_U1())
         assert certs[0] == certs[1]
 
-    def test_unstable_pair_at_max_doublings_2(self):
-        certs = self._check([(DIP, ZERO), (HALF, ZERO)], SQUARE, max_doublings=2)
+    def test_unstable_pair_at_max_doublings_2(self, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(certify, "MAX_DOUBLINGS", 2)
+            certs = self._check([(DIP, ZERO), (HALF, ZERO)], SQUARE)
         assert [c.stable for c in certs] == [False, True]
         assert not certs[0].admissible
         # with room to refine, Dip runs on alone after Half stops at level 2
@@ -646,8 +649,8 @@ class TestLockStepCertificates:
         rows, rk4 = [], flows._rk4
         monkeypatch.setattr(flows, "_rk4", lambda rhs, y0, *a, **k:
                             rows.append(len(y0)) or rk4(rhs, y0, *a, **k))
-        cert = certify.certify_homotopy(operators.build("K", p), operators.build("K1", p),
-                                        p.default_U1())
+        pair = (operators.build("K", p), operators.build("K1", p))
+        cert = certify.certify_homotopies([pair], p.default_U1())[0]
         assert cert.refinements == 3 and rows == [65, 63]
 
     def test_each_distinct_handle_once_per_block_per_pass(self, monkeypatch):
@@ -690,10 +693,11 @@ class TestLockStepCertificates:
             assert all(np.array_equal(finest[:end], a) for end, a in zip(ends, samples))
 
     @pytest.mark.parametrize("lambda_steps", [7, 10])
-    def test_other_lambda_steps(self, lambda_steps):
+    def test_other_lambda_steps(self, lambda_steps, monkeypatch):
+        monkeypatch.setattr(certify, "LAMBDA_STEPS", lambda_steps)
         vr = certify.default_pullback(P3.default_U2())
-        self._check(_pairs(P3, P3_RUN[:3]), vr, lambda_steps=lambda_steps)
-        self._check(_pairs(P1, (("K", "K1"),)), P1.default_U1(), lambda_steps=lambda_steps)
+        self._check(_pairs(P3, P3_RUN[:3]), vr)
+        self._check(_pairs(P1, (("K", "K1"),)), P1.default_U1())
 
     def test_lambda_union_of_grids_not_nested(self):
         # 7, 10 and 13 points: no grid is nested in another
