@@ -12,8 +12,7 @@ from .certify import (CommonCoreReport, DualityReport, FunctionBall,
                       check_common_core, find_fixed_points, verify_duality)
 from .degree import (DegreeResult, DomainSpec, box_domain,
                      brouwer_1d, brouwer_2d_winding, brouwer_nd_regular,
-                     finite_rank_reduce, fixed_point_degree, fourier_block_signs,
-                     pullback_domain)
+                     fixed_point_degree, fourier_block_signs, pullback_domain)
 from .flows import VectorFieldSpec, dde_flow, flow, mu_dirichlet, mu_periodic, \
     poincare
 from .gridfn import DelayKernel, Grid, GridFunction

@@ -572,9 +572,9 @@ class Plan:
 
 
 class _FiniteSide:
-    """The finite side of one problem's run, each computation once.  Called as
-    ``degree(h, dom)`` it gives deg(I - F, U) over the box U (of a pullback),
-    F = h if h is finite, else the finite handle of h's reduction witness.
+    """The finite side of one problem's run, each computation once (and of
+    `dualdeg degree`).  Called as ``degree(h, dom)`` it gives deg(I - F, U)
+    over the box U (of a pullback), F = ``finite(h)``.
     ``map(F)`` is the run's ``degree._Finite`` of F: its Newton searches,
     margins and Jacobians, on the run memo of h's problem (a run copy).  A name
     and params fix a map in one run (Kdelay2's at any grid of the problem)."""
@@ -588,14 +588,19 @@ class _FiniteSide:
             self._maps[key] = deg_mod._Finite(h.apply_fn, FINITE_FP_TOL)
         return self._maps[key]
 
+    @staticmethod
+    def finite(h: OperatorHandle) -> OperatorHandle:
+        """F of ``degree(h, dom)``: h if h is finite, else the finite handle of
+        h's reduction witness, checked (``degree._witness``)."""
+        return h if h.space == operators.FINITE_SPACE else deg_mod._witness(h).finite
+
     def __call__(self, h: OperatorHandle, dom: DomainSpec) -> DegreeResult:
         U = dom.finite if dom.kind == "pullback" else dom
-        finite = h.space == operators.FINITE_SPACE
-        fin = h if finite else deg_mod._witness(h).finite
+        fin = self.finite(h)
         key = (_handle_key(fin), U.as_box().tobytes())
         if key not in self._degrees:
             self._degrees[key] = fixed_point_degree(self.map(fin), U)
-        return self._degrees[key] if finite else deg_mod._reduced(self._degrees[key], dom.r)
+        return self._degrees[key] if fin is h else deg_mod._reduced(self._degrees[key], dom.r)
 
 
 def run_plans(problem, plans, U1: FunctionBall, U2: DomainSpec,

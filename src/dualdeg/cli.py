@@ -92,9 +92,9 @@ def run(problem, suite, grid_m, etas, seed, outdir):
 @click.option("--operator", required=True, help="Operator name, e.g. K2 or Ktilde.")
 @click.option("--domain", "domain_spec", required=True,
               help='Box as JSON, e.g. "[[-1,1],[-1,1]]".')
-@click.option("--eta", default=None, type=float, help="Eta for Keta.")
-def degree(problem, operator, domain_spec, eta):
-    """Degree of I minus OPERATOR over a finite box domain."""
+def degree(problem, operator, domain_spec):
+    """Degree of I minus OPERATOR over a finite box domain, as a verdict reads it:
+    the run's finite side (``certify._FiniteSide``) on a run copy of PROBLEM."""
     spec = _resolve_problem(problem)
     try:
         box = json.loads(domain_spec)
@@ -108,29 +108,17 @@ def degree(problem, operator, domain_spec, eta):
         dom = deg_mod.box_domain(box)
     except ValueError as exc:
         raise click.ClickException(f"--domain: {exc}")
-    params = {}
-    if operator == "Keta":
-        if eta is None:
-            raise click.ClickException("Keta needs --eta")
-        params["eta"] = eta
-    elif eta is not None:
-        raise click.ClickException(f"--eta applies only to Keta, not {operator}")
+    side = certify._FiniteSide()
     try:
-        handle = operators.build(operator, spec, params)
+        handle = operators.build(operator, operators.run_copy(spec, spec.m))
+        dim = side.finite(handle).params["dim"]
     except ValueError as exc:
         raise click.ClickException(str(exc))
-    red = handle.reduction
-    if red is None and handle.space != operators.FINITE_SPACE:
-        raise click.ClickException(
-            f"operator {operator!r} acts on function space without a "
-            "finite-rank reduction; compute its degree through `run` instead")
-    dim = handle.params["dim"] if red is None else red.k
     if dom.dim != dim:
         raise click.ClickException(
             f"--domain has dimension {dom.dim}, {operator} needs {dim}")
     try:
-        res = deg_mod.fixed_point_degree(handle.apply_fn, dom) if red is None \
-            else deg_mod.finite_rank_reduce(handle, dom)
+        res = side(handle, dom)
     except flows.IntegrationError as exc:
         raise click.ClickException(str(exc))
     click.echo(f"degree={res.degree:+d} method={res.method} "

@@ -2,8 +2,8 @@
 
 Dimension 1 by endpoint signs, dimension 2 by winding number along the
 boundary, general small dimension by regular-value Jacobian-sign sums, plus
-the finite-rank reduction that turns identity-minus-(i o F o pi) operators
-on function space into finite Brouwer computations, and the Fourier
+the witness check of the finite-rank reduction h = i o F o pi, whose
+degree on function space is the Brouwer degree of I - F, and the Fourier
 block-sign analysis for eta-shifted solution operators of linear
 second-order periodic problems.
 
@@ -490,16 +490,6 @@ def fixed_point_degree(F: Callable, box) -> DegreeResult:
 # ---------------------------------------------------------------------------
 # Finite-rank reduction
 # ---------------------------------------------------------------------------
-
-def finite_rank_reduce(h, U_finite: DomainSpec) -> DegreeResult:
-    """Degree of I - h over the pullback of U_finite, via the reduced map.
-
-    ``h`` must carry a Reduction witness h = i o F o pi with pi o i = id;
-    the Leray-Schauder degree of I - h over pi^{-1}(U) cap B(0, r) equals
-    the Brouwer degree of I - F over U for any r beyond the image bound.
-    """
-    return _reduced(fixed_point_degree(_witness(h).finite.apply_fn, U_finite), None)
-
 
 def _witness(h):
     """The Reduction witness of ``h``, checked pi o i = id on a probe basis."""

@@ -75,14 +75,15 @@ def _p7_rhs(t, x):
     return _vec(x[..., 1], x[..., 0] + np.cos(t))
 
 
+# per builtin: its "dim" if it has one; "A" and "scalar_rhs" if nonlocal_1d can read it
 _BUILTINS: dict[str, dict] = {
     "p1": {"fkind": flows.NONDELAY, "rhs": _p1_rhs},
     "p2": {"fkind": flows.NONDELAY, "rhs": _p2_rhs},
-    "p3": {"fkind": flows.NONDELAY, "rhs": _p3_rhs},
+    "p3": {"fkind": flows.NONDELAY, "rhs": _p3_rhs, "dim": 2},
     "p4": {"fkind": flows.SECOND_ORDER, "rhs": _p4_rhs},
     "p5": {"fkind": flows.SECOND_ORDER, "rhs": _p5_rhs},
     "p6": {"fkind": flows.DELAY, "rhs": _p6_rhs},
-    "p7": {"fkind": flows.NONDELAY, "rhs": _p7_rhs,
+    "p7": {"fkind": flows.NONDELAY, "rhs": _p7_rhs, "dim": 2,
            "A": ((1.0,),), "scalar_rhs": lambda t, u: u + np.cos(t)},
 }
 
@@ -111,6 +112,9 @@ def _resolve_rhs(spec: "ProblemSpec") -> Callable:
         if entry["fkind"] != certify.KIND_TABLE[spec.kind].field_kind:
             raise ProblemValidationError(
                 f"rhs id {rhs['id']!r} incompatible with kind {spec.kind!r}")
+        if entry.get("dim", spec.dim) != spec.dim:
+            raise ProblemValidationError(
+                f"rhs id {rhs['id']!r} needs dim {entry['dim']}, got dim {spec.dim}")
         return entry["rhs"]
     if spec.dim != 1:
         raise ProblemValidationError("coefficient-table rhs requires dim 1")
@@ -162,6 +166,9 @@ class ProblemSpec:
         elif self.tau is not None:
             raise ProblemValidationError(
                 f"tau is only meaningful for periodic_dde, not {self.kind!r}")
+        if self.kind == "nonlocal_1d" and "A" not in _BUILTINS.get(self.rhs.get("id"), {}):
+            raise ProblemValidationError(
+                f"nonlocal_1d needs a builtin rhs with a linearization table, not {self.rhs}")
         if self.kind == "dirichlet_bvp" and abs(self.period - 1.0) > 1e-12:
             raise ProblemValidationError("dirichlet_bvp is posed on [0, 1]")
         if self.m < 2:
@@ -220,17 +227,11 @@ class ProblemSpec:
 
     # -- nonlocal_1d extras -----------------------------------------------
     def linearization(self) -> np.ndarray:
-        entry = _BUILTINS.get(self.rhs.get("id", ""), {})
-        if "A" not in entry:
-            raise ValueError(f"{self.pid}: no linearization table")
-        return np.asarray(entry["A"], dtype=float)
+        return np.asarray(_BUILTINS[self.rhs["id"]]["A"], dtype=float)
 
     def averaged_field(self) -> Callable[[float], float]:
         """u -> -T * mean_t g(t, u) for the scalar second-order rhs g."""
-        entry = _BUILTINS.get(self.rhs.get("id", ""), {})
-        g = entry.get("scalar_rhs")
-        if g is None:
-            raise ValueError(f"{self.pid}: no scalar second-order rhs")
+        g = _BUILTINS[self.rhs["id"]]["scalar_rhs"]
         nodes = self.grid().nodes
         w = np.ones_like(nodes)
         w[0] = w[-1] = 0.5

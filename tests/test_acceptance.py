@@ -9,8 +9,8 @@ import numpy as np
 
 from dualdeg import certify, flows, operators, problems, report
 from dualdeg.degree import (box_domain, brouwer_1d, brouwer_2d_winding,
-                            brouwer_nd_regular, fd_jacobian, finite_rank_reduce,
-                            fixed_point_degree, fourier_block_signs)
+                            brouwer_nd_regular, fd_jacobian, fixed_point_degree,
+                            fourier_block_signs)
 
 
 def _verdict(num: int, desc: str, ok: bool):
@@ -62,7 +62,7 @@ def test_criterion_3_multiple_solutions():
     g = lambda v: v - np.asarray(fin.apply_fn(v), dtype=float)
     local = [int(np.sign(np.linalg.det(fd_jacobian(g, fp)))) for fp in fps]
     ok &= local == [1, -1, 1] and sum(local) == 1
-    left = finite_rank_reduce(operators.build("Ktilde", p2), p2.default_U2())
+    left = certify._FiniteSide()(operators.build("Ktilde", p2), p2.default_U2())
     ok &= left.degree == 1 and left.certified
     _verdict(3, "P2 triple fixed points with local degrees +1,-1,+1, total +1", ok)
 
@@ -75,7 +75,7 @@ def test_criterion_4_operator_chain_homotopies():
              for a, b in (("K", "Kgamma"), ("K4", "K3"), ("K3", "K5"))]
     for cert in certify.certify_homotopies(pairs, vr):
         ok &= cert.admissible and cert.min_residual >= 1e-4
-    chain_deg = finite_rank_reduce(operators.build("Ktilde", p1), p1.default_U2())
+    chain_deg = certify._FiniteSide()(operators.build("Ktilde", p1), p1.default_U2())
     right = fixed_point_degree(operators.build_finite("K2", p1).apply_fn,
                                p1.default_U2())
     ok &= chain_deg.degree == right.degree == 1

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from dualdeg import operators, problems
+from dualdeg import certify, operators, problems
 from dualdeg.degree import (CollisionError, DomainSpec, box_domain,
                             brouwer_1d, brouwer_2d_winding, brouwer_nd_regular,
-                            fd_jacobian, finite_rank_reduce,
-                            fixed_point_degree, fourier_block_signs, pullback_domain)
+                            fd_jacobian, fixed_point_degree, fourier_block_signs,
+                            pullback_domain)
 
 
 def cubic(x):
@@ -151,12 +151,12 @@ class TestFiniteRankReduce:
         red = operators.Reduction(zero, base.reduction.pi, base.reduction.i)
         h = operators.OperatorHandle("Kzero", operators.GRID_SPACE,
                                      lambda x: x, p1, {}, red)
-        res = finite_rank_reduce(h, box_domain([(-1.0, 1.0)]))
+        res = certify._FiniteSide()(h, box_domain([(-1.0, 1.0)]))
         assert res.degree == 1 and res.certified
 
     def test_linear_periodic_slope(self):
         p1 = problems.get_problem("p1")
-        res = finite_rank_reduce(operators.build("Ktilde", p1), box_domain([(-1.0, 1.0)]))
+        res = certify._FiniteSide()(operators.build("Ktilde", p1), box_domain([(-1.0, 1.0)]))
         assert res.degree == 1 and res.certified
         assert res.method == "finite_rank_reduction"
 
@@ -168,13 +168,13 @@ class TestFiniteRankReduce:
         direct = brouwer_1d(
             lambda t: t - flows.poincare(p1.field(), [t], m=p1.m)[0],
             (-1.0, 1.0))
-        assert finite_rank_reduce(h, box_domain([(-1.0, 1.0)])).degree \
+        assert certify._FiniteSide()(h, box_domain([(-1.0, 1.0)])).degree \
             == direct.degree
 
     def test_missing_witness(self):
         p1 = problems.get_problem("p1")
         with pytest.raises(ValueError, match="reduction witness"):
-            finite_rank_reduce(operators.build("K", p1), box_domain([(-1.0, 1.0)]))
+            certify._FiniteSide()(operators.build("K", p1), box_domain([(-1.0, 1.0)]))
 
     def test_broken_witness(self):
         ident = operators.OperatorHandle("Fid", operators.FINITE_SPACE,
@@ -185,7 +185,7 @@ class TestFiniteRankReduce:
         h = operators.OperatorHandle("bad", operators.GRID_SPACE,
                                      lambda x: x, None, {}, red)
         with pytest.raises(ValueError, match="pi o i"):
-            finite_rank_reduce(h, box_domain([(-1.0, 1.0)]))
+            certify._FiniteSide()(h, box_domain([(-1.0, 1.0)]))
 
 
 class TestFourierBlockSigns:

@@ -507,6 +507,29 @@ class TestCli:
         assert res.exit_code != 0
         assert "finite-rank reduction" in res.output
 
+    @pytest.mark.parametrize("pid", [p.pid for p in catalog()])
+    def test_degree_prints_what_a_verdict_reads(self, pid):
+        # the kind's finite handle over U2 is each verdict's right side; Ktilde over
+        # U2 is krasnoselskii's left side, and over the slope block dirichlet_shooting's
+        # (p6's left side reads the coarse history grid's Ktilde, which `degree` does not)
+        p = get_problem(pid)
+        box = [list(row) for row in p.u2_box]
+        reads = []  # (operator, domain rows, the side a verdict reads)
+        for d in run(p, suite="duality").duality:
+            reads.append((certify.KIND_TABLE[p.kind].finite, box, d["right"]))
+            if d["pair"] == "krasnoselskii":
+                reads.append(("Ktilde", box, d["left"]))
+            elif d["pair"] == "dirichlet_shooting":
+                reads.append(("Ktilde", box[:p.dim], d["left"]))
+        for operator, rows, side in reads:
+            res = CliRunner().invoke(cli_main, ["degree", pid, "--operator", operator,
+                                                "--domain", json.dumps(rows)])
+            assert (res.exit_code, res.output) == (
+                0 if side["certified"] else 1,
+                f"degree={side['degree']:+d} method={side['method']} "
+                f"certified={side['certified']} "
+                f"min_boundary_norm={side['min_boundary_norm']:.3e}\n"), (operator, rows)
+
     def test_degree_bad_domain(self):
         res = CliRunner().invoke(
             cli_main, ["degree", "p1", "--operator", "K2",
@@ -527,8 +550,6 @@ class TestCli:
          "unknown operator name 'K0'"),
         (["degree", "p1", "--operator", "Kbogus", "--domain", "[[-1,1]]"],
          "unknown operator name 'Kbogus'"),
-        (["degree", "p1", "--operator", "K2", "--domain", "[[-1,1]]", "--eta", "1"],
-         "--eta applies only to Keta, not K2"),
         (["run", "p1", "--grid", "1"], "grid needs m >= 2, got m=1"),
         (["run", "{schema_invalid}"], "'kind' is a required property"),
         (["degree", "{unparsable}", "--operator", "K2", "--domain", "[[-1,1]]"],
@@ -575,13 +596,16 @@ class TestCli:
         (["run", "{period_inf}", "--suite", "duality"], "period must be finite, got inf"),
         (["run", "{lipschitz_nan}", "--suite", "duality"], "lipschitz must be finite, got nan"),
         (["run", "{lipschitz_inf}", "--suite", "duality"], "lipschitz must be finite, got inf"),
+        (["run", "{p3_dim_1}"], "rhs id 'p3' needs dim 2, got dim 1"),
+        (["run", "{p7_dim_3}"], "rhs id 'p7' needs dim 2, got dim 3"),
+        (["run", "{nonlocal_p1}"], "nonlocal_1d needs a builtin rhs with a linearization table"),
         (["report", "{unparsable_report}", "--format", "csv"], "report-p1.json: parse error"),
         (["report", "{report_without_pair}", "--format", "csv"],
          "report-p1.json: $: 'format_version' is a required property"),
         (["report", "{report_without_pair}", "--format", "svg"],
          "$.duality[0]: 'pair' is a required property"),
     ], ids=["not-pairs", "empty-box", "nonfinite-box", "dimension", "K0",
-            "unknown-operator", "eta-not-keta", "grid-1", "schema-invalid-file",
+            "unknown-operator", "grid-1", "schema-invalid-file",
             "unparsable-file", "u2-box-rows-p3", "u2-box-rows-p6", "u2-box-rows-p4",
             "u2-box-empty-row", "tau-misaligned-file", "tau-misaligned-grid",
             "eta-singular-p1", "eta-zero-p7", "eta-collision-p7", "blow-up-run-cubic",
@@ -589,7 +613,8 @@ class TestCli:
             "signs-p6", "eta-duality-p3", "eta-p4", "eta-nan-p1", "eta-inf-p1",
             "eta-minus-inf-p3", "eta-nan-p7", "eta-overflow-p1", "eta-minus-overflow-p1",
             "eta-product-overflow-p1", "eta-overflow-p3", "u1-radius-nan", "u1-radius-inf",
-            "period-nan", "period-inf", "lipschitz-nan", "lipschitz-inf", "report-unparsable",
+            "period-nan", "period-inf", "lipschitz-nan", "lipschitz-inf", "planar-rhs-dim-1",
+            "planar-rhs-dim-3", "nonlocal-without-table", "report-unparsable",
             "report-schema-invalid", "report-schema-invalid-svg"])
     def test_bad_input_one_line_error(self, args, message, tmp_path):
         box = lambda pid, rows: json.dumps(dict(get_problem(pid).to_dict(), u2_box=rows))
@@ -603,7 +628,14 @@ class TestCli:
                  "p4_empty_row": box("p4", [[1, -1], [-1, 1]]),
                  "p6_m101": json.dumps(dict(get_problem("p6").to_dict(), m=101)),
                  "cubic_blow_up": poly([0, 0, 0, 1], [[-2, 2]]),
-                 "duffing_blow_up": poly([0, -1, 0, 1], [[-1.5, 1.5]])}
+                 "duffing_blow_up": poly([0, -1, 0, 1], [[-1.5, 1.5]]),
+                 # planar builtin rhs at another dim, and a nonlocal rhs with no A table
+                 "p3_dim_1": json.dumps(dict(get_problem("p3").to_dict(), dim=1,
+                                             u2_box=[[-1, 1]])),
+                 "p7_dim_3": json.dumps(dict(get_problem("p7").to_dict(), dim=3,
+                                             u2_box=[[-1, 1]] * 3)),
+                 "nonlocal_p1": json.dumps(dict(get_problem("p1").to_dict(),
+                                                kind="nonlocal_1d"))}
         # x' = x - x^3 over U2 = [-2, 2], one field not finite (json writes NaN, Infinity)
         files.update({f"{key}_{name}": json.dumps(dict(
             get_problem("p1").to_dict(), m=32, rhs={"poly": [0, 1, 0, -1]}, u2_box=[[-2, 2]],
@@ -625,6 +657,30 @@ class TestCli:
         lines = res.output.splitlines()
         assert len(lines) == 1 and lines[0].startswith("Error: "), res.output
         assert message in lines[0]
+
+    def test_config_sweep_verdict_or_one_error_line(self, tmp_path):
+        # every builtin rhs and a coefficient table, on every kind at dim 1-3: each
+        # `run` reaches a verdict or prints one Error: line, never a traceback
+        rows_per_dim = {"periodic_ode": 1, "nonlocal_1d": 1, "dirichlet_bvp": 2,
+                        "periodic_dde": 8}
+        table = {"poly": [0.0, -1.0], "cos": [[1.0, 2 * np.pi]]}
+        bad = []
+        for rhs in [{"id": pid} for pid in sorted(problems._BUILTINS)] + [table]:
+            for kind, rows in rows_per_dim.items():
+                for dim in (1, 2, 3):
+                    cfg = tmp_path / "sweep.json"
+                    cfg.write_text(json.dumps(dict(
+                        id="sweep", kind=kind, dim=dim, period=1.0, rhs=rhs, lipschitz=1.0,
+                        m=16, u1_radius=2.0, u2_box=[[-1.0, 1.0]] * (rows * dim),
+                        **({"tau": 0.5} if kind == "periodic_dde" else {}))))
+                    res = CliRunner().invoke(cli_main, ["run", str(cfg), "--out", str(tmp_path)])
+                    lines = res.output.splitlines()
+                    if not (res.exit_code in (0, 1)
+                            and isinstance(res.exception, (SystemExit, type(None)))
+                            and (lines[-1:] and lines[-1].startswith("verdict: ")
+                                 or len(lines) == 1 and lines[0].startswith("Error: "))):
+                        bad.append((rhs, kind, dim, repr(res.exception), res.output))
+        assert not bad, bad
 
     def test_report_reemit(self, tmp_path, p1_report):
         report_mod.emit(p1_report, "json", str(tmp_path))
