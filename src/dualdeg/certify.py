@@ -417,10 +417,12 @@ def _score_block(curve, base, delta, lams, work) -> None:
                    out=curve[at])
 
 
-def _boundary_curves(pairs, samples: np.ndarray, unflat, lam_grids, ends) -> list:
+def _boundary_curves(pairs, samples: np.ndarray, unflat, lam_grids, ends,
+                     ahead: np.ndarray | None = None) -> list:
     """Per pair, per lambda grid j: the boundary minimum over the first ``ends[j]``
     samples of |x - H_lam(x)| at each lambda.  A lifted handle (K1 or Kdelay1 = lift o
-    mu o pi, ``factors``) maps mu over pi of all samples first,
+    mu o pi, ``factors``) maps mu over pi of all samples first, and over pi of the
+    samples ``ahead`` (of later passes) in the same calls (``degree._map_ahead``),
     ``degree._stack_rows(k)`` rows per call, so its flow runs once per pass; every
     other distinct handle maps each block of ``degree._stack_rows`` samples once, the
     block's one x, whose memo they share; in a run, Ktilde's K2 reads the alpha rows
@@ -433,9 +435,14 @@ def _boundary_curves(pairs, samples: np.ndarray, unflat, lam_grids, ends) -> lis
     keys = [(_handle_key(hA), _handle_key(hB)) for hA, hB in pairs]
     handles = {_handle_key(h): h for pair in pairs for h in pair}
     last = {key: i for i, pair_keys in enumerate(keys) for key in pair_keys}
-    lifted = {key: deg_mod._map_rows(lambda c, mu=h.factors[1]: mu(c).reshape(len(c), -1),
-                                     h.factors[0](unflat(samples)))
-              for key, h in handles.items() if h.factors is not None}
+
+    def lift(pi, mu):
+        g, own = lambda c: mu(c).reshape(len(c), -1), pi(unflat(samples))
+        if ahead is None:
+            return deg_mod._map_rows(g, own)
+        return deg_mod._map_ahead(g, own, pi(unflat(ahead)))[:len(own)].copy()  # own rows only
+
+    lifted = {key: lift(*h.factors) for key, h in handles.items() if h.factors is not None}
     curves = np.full((len(pairs), len(ends), len(lams)), np.inf)
     rows = min(deg_mod._stack_rows(samples.shape[1]), len(samples))
     scratch = np.empty((3, rows, samples.shape[1]))
@@ -478,7 +485,10 @@ def certify_homotopies(pairs, domain, seed: int = DEFAULT_SEED) -> list[Homotopy
     samples hold its samples as their first rows (``_shares_pass``: on a ball
     always, on a lattice at one resolution); the pass builds and maps only its
     finest samples and scores each lambda of the levels' grid union once per
-    segment.  Each certificate equals the one its pair gets alone.
+    segment.  A lifted handle's flow in the first pass also maps the lifts of
+    the later passes up to level 2 (on a pullback, level 0's lattice is not
+    that of levels 1-2), which then read them from the run memo.  Each
+    certificate equals the one its pair gets alone.
     """
     pairs = [tuple(p) for p in pairs]
     if not pairs:
@@ -503,19 +513,28 @@ def certify_homotopies(pairs, domain, seed: int = DEFAULT_SEED) -> list[Homotopy
     finest = [None] * len(pairs)  # (lambdas, curve) of the last level run
     stable = [False] * len(pairs)
 
-    level = 0
+    spans, level = [], 0  # the levels each pass serves
     while level <= MAX_DOUBLINGS:
+        spans.append([level])
+        while spans[-1][-1] < min(2, MAX_DOUBLINGS) and \
+                _shares_pass(domain, counts[spans[-1][-1]], counts[spans[-1][-1] + 1]):
+            spans[-1].append(spans[-1][-1] + 1)
+        level = spans[-1][-1] + 1
+    build = lambda span: _domain_boundary_samples(handles[0], domain,
+                                                  [counts[lv] for lv in span], seed)
+    # no pair stops before level 2, so the passes up to it all run: their samples
+    # are built first, and the first pass's lifted flows map their projections too
+    sets = [build(span) if span[-1] <= 2 else None for span in spans]
+    for p, span in enumerate(spans):
         live = [i for i, done in enumerate(stable) if not done]
         if not live:
             break
-        span = [level]  # the levels this pass serves
-        while span[-1] < min(2, MAX_DOUBLINGS) and \
-                _shares_pass(domain, counts[span[-1]], counts[span[-1] + 1]):
-            span.append(span[-1] + 1)
-        samples, ends = _domain_boundary_samples(handles[0], domain,
-                                                 [counts[lv] for lv in span], seed)
+        samples, ends = sets[p] or build(span)
+        sets[p] = None
+        later = [x for x, _ in filter(None, sets)] if p == 0 else []
         curves = _boundary_curves([pairs[i] for i in live], samples, unflat,
-                                  [lam_grids[lv] for lv in span], ends)
+                                  [lam_grids[lv] for lv in span], ends,
+                                  np.concatenate(later) if later else None)
         for i, pair_curves in zip(live, curves):
             hist = history[i]
             for lv, curve in zip(span, pair_curves):
@@ -524,7 +543,6 @@ def certify_homotopies(pairs, domain, seed: int = DEFAULT_SEED) -> list[Homotopy
                 finest[i] = (lam_grids[lv], curve)
                 if lv >= 2 and hist[-2] > 0 and abs(hist[-1] - hist[-2]) < 0.2 * hist[-2]:
                     stable[i] = True
-        level = span[-1] + 1
 
     return [HomotopyCertificate(pair=(hA.name, hB.name),
                                 lambda_grid=tuple(lams),
@@ -603,6 +621,18 @@ class _FiniteSide:
         return self._degrees[key] if fin is h else deg_mod._reduced(self._degrees[key], dom.r)
 
 
+def _queue_core_opening(problem, plans, U2: DomainSpec) -> None:
+    """Queue the rows the common core's search maps first (``degree._opening`` of
+    U2) on the alpha of its finite handle, whose inputs they are, if a lifted handle
+    of the plans' certificates reads that alpha, so its first flow maps them too;
+    else the core's own call would come first under that key."""
+    fin = operators.build_finite(KIND_TABLE[problem.kind].finite, problem)
+    key = operators.alpha_key(fin.problem)
+    if any(h.factors is not None and operators.alpha_key(h.problem) == key
+           for plan in plans for hA, hB, _ in plan.homotopies for h in (hA, hB)):
+        problem._solutions.queue(key, deg_mod._opening(U2.as_box())[0])
+
+
 def run_plans(problem, plans, U1: FunctionBall, U2: DomainSpec,
               seed: int = DEFAULT_SEED, timings: dict | None = None) -> list:
     """The conclusions of the plans of one problem, in order.
@@ -613,11 +643,15 @@ def run_plans(problem, plans, U1: FunctionBall, U2: DomainSpec,
     distinct finite degree, Newton search (per finite handle and box) and FD
     Jacobian (per finite handle and zero) once, kept for this call only
     (``_FiniteSide``).  ``timings``, if given, receives the seconds of each
-    stage and of each conclusion.
+    stage and of each conclusion.  ``problem`` is a run copy
+    (``operators.run_copy``): before certifying, the common core's opening rows
+    are queued on its memo (``_queue_core_opening``).
     """
     key = lambda hA, hB, dom: (id(dom), _handle_key(hA), _handle_key(hB))
     clock = time.perf_counter
     t0 = clock()
+    if any(p.needs_core for p in plans):
+        _queue_core_opening(problem, plans, U2)
     by_domain: dict = {}  # id(domain) -> (domain, {key: pair}), first seen first
     for plan in plans:
         for hA, hB, dom in plan.homotopies:

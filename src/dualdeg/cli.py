@@ -110,7 +110,10 @@ def degree(problem, operator, domain_spec):
         raise click.ClickException(f"--domain: {exc}")
     side = certify._FiniteSide()
     try:
-        handle = operators.build(operator, operators.run_copy(spec, spec.m))
+        # Keta is built only with an eta, which this command has no way to pass; it
+        # has no reduction witness, whatever its eta, and that is the error to give
+        params = {"eta": 1.0} if operator == "Keta" else None
+        handle = operators.build(operator, operators.run_copy(spec, spec.m), params)
         dim = side.finite(handle).params["dim"]
     except ValueError as exc:
         raise click.ClickException(str(exc))

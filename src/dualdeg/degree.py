@@ -174,20 +174,41 @@ def _map_rows(g: Callable, X: np.ndarray) -> np.ndarray:
                            for i in range(0, len(X), rows)])
 
 
-def _held(fn: Callable, rows: dict) -> Callable:
+def _map_ahead(g: Callable, X: np.ndarray, ahead: np.ndarray) -> np.ndarray:
+    """g over the rows of X, then of ``ahead``, in the same ``_map_rows`` calls; if
+    that raises IntegrationError, g over the rows of X alone."""
+    if len(ahead):
+        try:
+            return _map_rows(g, np.concatenate([X, ahead]))
+        except IntegrationError:
+            pass
+    return _map_rows(g, X)
+
+
+def _held(fn: Callable, rows: dict, queue: list | None = None) -> Callable:
     """fn through the row memo ``rows`` (a row's bytes -> its value, read-only): a
     call keys each row once, maps the new rows, each once, in ``_map_rows`` calls,
     and stores nothing if that raises; if every row is new, it returns their mapped
-    block.  Rows are independent: each value is that row's alone."""
+    block.  Rows are independent: each value is that row's alone.  The first call
+    with new rows empties ``queue`` (stacks of rows queued ahead) and maps the
+    queued rows the memo does not hold after its own, in the same calls; if that
+    raises IntegrationError, it maps its own rows alone (``_map_ahead``)."""
     def held(x):
         x = np.asarray(x, dtype=float)
         X = x.reshape(-1, x.shape[-1])
         keys = [row.tobytes() for row in X]
         new = {key: i for i, key in enumerate(keys) if key not in rows}
         if new:
-            out = _map_rows(fn, X[list(new.values())])
+            ahead = {}
+            if queue:
+                ahead = {key: row for row in np.concatenate(queue)
+                         if (key := row.tobytes()) not in rows and key not in new}
+                queue.clear()
+            out = _map_ahead(fn, X[list(new.values())],
+                             np.reshape(list(ahead.values()), (-1, X.shape[1])))
             out.flags.writeable = False
-            rows.update(zip(new, out))
+            rows.update(zip([*new, *ahead], out))  # the queued rows' keys too, if mapped
+            out = out[:len(new)]
         if not new or len(new) < len(X):
             out = np.stack([rows[key] for key in keys])
         return out.reshape(x.shape[:-1] + out.shape[1:])
@@ -366,6 +387,14 @@ def _margin_samples(box: np.ndarray) -> np.ndarray:
     return np.unique(S.view(np.uint64), axis=0).view(float)  # distinct bit patterns
 
 
+def _opening(box: np.ndarray) -> tuple:
+    """The rows a search of the box maps first, in one stacked call
+    (``_Finite._open``): its margin samples (``_margin_samples``), its multistart
+    seeds and their FD stencil; then how many margin samples lead, and the seeds."""
+    S, seeds = _margin_samples(box), _multistart_seeds(box)
+    return np.concatenate([S, seeds, _stencil(seeds)[0]]), len(S), seeds
+
+
 class _Finite:
     """The Newton searches of one finite map F while this object lives, for
     the zeros of g = v - F(v) (``g``; g is F itself if ``_fn_is_g``), and its
@@ -375,8 +404,8 @@ class _Finite:
     A box's margin values are one array per box (``edge``).  A box's search
     runs from its multistart seeds to ``loose`` and, for k >= 2, on to
     NEWTON_TOL (``_newton_runs``), each stage one stacked call of F
-    (``warm``): the margin samples, seeds and seed stencil, then each
-    line-search try's iterates and stencil."""
+    (``warm``): the box's opening rows (``_opening``), then each line-search
+    try's iterates and stencil."""
 
     def __init__(self, fn: Callable, loose: float, _fn_is_g: bool = False):
         self.fn, self.loose, self._fn_is_g = fn, loose, _fn_is_g
@@ -390,35 +419,28 @@ class _Finite:
         x = np.asarray(x, dtype=float)
         return self(x) if self._fn_is_g else x - self(x)
 
-    def warm(self, X: np.ndarray, box: np.ndarray | None = None):
-        """Map the rows of X ahead, with the margin samples of ``box`` if it
-        is given and new, in one stacked call; if it blows up, nothing is
-        stored and each row is mapped when it is asked for."""
+    def warm(self, X: np.ndarray) -> np.ndarray | None:
+        """F over the rows of X, mapped ahead in one stacked call; if it blows
+        up, nothing is stored, each row is mapped when it is asked for, and
+        this gives None."""
         try:
-            if box is None or box.tobytes() in self._edges:
-                self(X)
-            else:
-                self._with_edge(box, X)
+            return self(X)
         except IntegrationError:
-            pass
-
-    def _with_edge(self, box: np.ndarray, X: np.ndarray):
-        """Map the margin samples of the box and the rows of X in one stacked
-        call, and keep the margin's values."""
-        S = _margin_samples(box)
-        self._edges[box.tobytes()] = self(np.concatenate([S, X]))[:len(S)]
+            return None
 
     def edge(self, box: np.ndarray) -> np.ndarray:
         """F over the margin samples of the box (``_margin_samples``)."""
         if box.tobytes() not in self._edges:
-            self._with_edge(box, np.empty((0, len(box))))
+            self._edges[box.tobytes()] = self(_margin_samples(box))
         return self._edges[box.tobytes()]
 
     def _open(self, b: np.ndarray) -> dict:
         """The runs of box b per tolerance, made on its first use."""
         if b.tobytes() not in self._runs:
-            seeds = _multistart_seeds(b)
-            self.warm(np.concatenate([seeds, _stencil(seeds)[0]]), b)
+            X, margin, seeds = _opening(b)
+            Y = self.warm(X)
+            if Y is not None:
+                self._edges.setdefault(b.tobytes(), Y[:margin])
             tols = (self.loose, NEWTON_TOL) if len(b) >= 2 and NEWTON_TOL < self.loose \
                 else (self.loose,)
             self._runs[b.tobytes()] = dict(zip(tols, _newton_runs(

@@ -117,8 +117,17 @@ def residual(h: OperatorHandle, x) -> float:
 
 class Solutions(dict):
     """One run's memo (``run_copy``): per key, the row dict of a
-    ``degree._held`` map, so each distinct row under a key is mapped once.
-    alpha's key names the grid m of its problem; KhatP's is its own."""
+    ``degree._held`` map, so each distinct row under a key is mapped once, and
+    the rows queued to ride on that map's next call with new rows (``queue``).
+    alpha's key is ``alpha_key``; KhatP's is its own."""
+
+    def __init__(self):
+        super().__init__()
+        self.queues = {}
+
+    def queue(self, key, X: np.ndarray) -> None:
+        """Queue the rows of X on the map under ``key`` (``degree._held``)."""
+        self.queues.setdefault(key, []).append(X)
 
 
 def run_copy(problem, m: int):
@@ -130,7 +139,13 @@ def run_copy(problem, m: int):
 def _through_memo(problem, key, fn: Callable) -> Callable:
     """``fn`` through the run memo of the problem under ``key``, if it has one."""
     memo = getattr(problem, "_solutions", None)
-    return fn if memo is None else degree._held(fn, memo.setdefault(key, {}))
+    return fn if memo is None else degree._held(fn, memo.setdefault(key, {}),
+                                                memo.queues.setdefault(key, []))
+
+
+def alpha_key(problem) -> tuple:
+    """The run-memo key of the problem's alpha (``solution``), one per grid m."""
+    return ("alpha", problem.grid().m)
 
 
 def solution(problem) -> Callable:
@@ -154,7 +169,7 @@ def solution(problem) -> Callable:
             f, GridFunction(hg, v.reshape(v.shape[:-1] + (hg.m + 1, n))), f.period).values
     else:
         raise ValueError(f"unknown problem kind {problem.kind!r}")
-    integrate = _through_memo(problem, ("alpha", grid.m), integrate)
+    integrate = _through_memo(problem, alpha_key(problem), integrate)
 
     def alpha(v):
         v = np.asarray(v, dtype=float)

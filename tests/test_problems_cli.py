@@ -233,8 +233,8 @@ class TestRun:
 
     @pytest.mark.parametrize("pid,m,sweeps,jacobians", [
         pytest.param(pid, m, sweeps, jacobians, id=f"{pid}-{m}") for pid, m, sweeps, jacobians in
-        (("p1", 64, 4, 2), ("p2", 64, 3, 1), ("p3", 32, 7, 6), ("p3", 128, 7, 6),
-         ("p4", 64, 4, 4), ("p5", 64, 4, 4), ("p6", 64, 3, 3))])
+        (("p1", 64, 3, 2), ("p2", 64, 2, 1), ("p3", 32, 5, 6), ("p3", 128, 5, 6),
+         ("p4", 64, 4, 4), ("p5", 64, 4, 4), ("p6", 64, 3, 3), ("p7", 64, 6, 6))])
     def test_sweeps_per_run(self, pid, m, sweeps, jacobians, monkeypatch):
         # one Newton search per finite handle and box, one Jacobian per zero,
         # one flow for K1 and Ktilde per certificate pass (at m = 128 too, where
@@ -242,10 +242,34 @@ class TestRun:
         # one stacked call per stage: a box's margin, seeds and seed stencil,
         # then each line-search try with its stencil; the common-core lift, the
         # witness probe, Kshoot's endpoints and the Kdir1 residual read states
-        # the search already integrated (the run's alpha memo)
+        # the search already integrated (the run's alpha memo).  On the periodic
+        # kinds the first K1 flow also maps the lifts of every level up to 2 and
+        # the common core's opening rows, queued on its alpha
         counts = self._sweep_counts(monkeypatch)
         assert run(get_problem(pid), "all", grid_m=m).verdict
         assert counts == {"sweeps": sweeps, "jacobians": jacobians}
+
+    @pytest.mark.parametrize("pid,rows", [
+        ("p4", {("alpha", 256): 157}), ("p5", {("alpha", 256): 157}),
+        ("p6", {("alpha", 14): 3650, ("alpha", 128): 66})])
+    def test_core_opening_queued_only_on_a_lifted_alpha(self, pid, rows, monkeypatch):
+        # the core's opening rows ride on the first flow only where a lifted handle
+        # reads its finite handle's alpha: a Dirichlet run has no lifted handle, and
+        # the delay kind's Kdelay1 reads the full grid's alpha, not the history-node
+        # one of Kdelay2.  So these runs queue nothing, and every alpha memo ends
+        # with the rows it held before there was a queue
+        made, queued, init = [], [], operators.Solutions.__init__
+
+        def recorded(self):
+            init(self)
+            made.append(self)
+
+        monkeypatch.setattr(operators.Solutions, "__init__", recorded)
+        monkeypatch.setattr(operators.Solutions, "queue",
+                            lambda self, key, X: queued.append(key))
+        assert run(get_problem(pid), "all").verdict
+        [memo] = made
+        assert queued == [] and {key: len(held) for key, held in memo.items()} == rows
 
     @pytest.mark.parametrize("pid,pair,eta,sweeps", [
         ("p4", "dirichlet_shooting", None, 4), ("p6", "delay", None, 3),
@@ -550,6 +574,8 @@ class TestCli:
          "unknown operator name 'K0'"),
         (["degree", "p1", "--operator", "Kbogus", "--domain", "[[-1,1]]"],
          "unknown operator name 'Kbogus'"),
+        (["degree", "p1", "--operator", "Keta", "--domain", "[[-1,1]]"],
+         "operator 'Keta' carries no finite-rank reduction witness"),
         (["run", "p1", "--grid", "1"], "grid needs m >= 2, got m=1"),
         (["run", "{schema_invalid}"], "'kind' is a required property"),
         (["degree", "{unparsable}", "--operator", "K2", "--domain", "[[-1,1]]"],
@@ -605,7 +631,7 @@ class TestCli:
         (["report", "{report_without_pair}", "--format", "svg"],
          "$.duality[0]: 'pair' is a required property"),
     ], ids=["not-pairs", "empty-box", "nonfinite-box", "dimension", "K0",
-            "unknown-operator", "grid-1", "schema-invalid-file",
+            "unknown-operator", "keta-no-witness", "grid-1", "schema-invalid-file",
             "unparsable-file", "u2-box-rows-p3", "u2-box-rows-p6", "u2-box-rows-p4",
             "u2-box-empty-row", "tau-misaligned-file", "tau-misaligned-grid",
             "eta-singular-p1", "eta-zero-p7", "eta-collision-p7", "blow-up-run-cubic",

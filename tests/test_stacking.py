@@ -388,6 +388,38 @@ class TestRowMemo:
         assert np.array_equal(held(np.array([[0.9, 0.0]])), F(np.array([[0.9, 0.0]])))
         assert calls[-2:] == [(2, True), (1, False)] and len(memo) == 5
 
+    def test_queued_rows_ride_on_the_next_call_with_new_rows(self):
+        calls, F, memo, queue = [], _bounded([]), {}, []
+        held = degree._held(_bounded(calls), memo, queue)
+        X = np.array([[0.5, 1.0], [0.2, 0.3]])
+        held(X)
+        queue.append(np.array([[0.1, 0.1], [0.5, 1.0], [0.7, 0.0], [0.1, 0.1]]))
+        # a call of held rows maps nothing and leaves the queue
+        assert np.array_equal(held(X[:1]), F(X[:1])) and len(calls) == 1 and queue
+        # the next call with a new row maps it first, then each queued row the memo
+        # does not hold and the call does not carry, once, in one stacked call
+        Y = np.array([[0.7, 0.0], [0.2, 0.3]])
+        assert np.array_equal(held(Y), F(Y))
+        assert calls[1:] == [(2, False)] and queue == [] and len(memo) == 4
+        assert np.array_equal(held(np.array([[0.1, 0.1]])), F(np.array([[0.1, 0.1]])))
+        assert len(calls) == 2
+
+    def test_a_queued_row_that_blows_up_drops_the_queue(self):
+        calls, F, memo, queue = [], _bounded([]), {}, []
+        held = degree._held(_bounded(calls), memo, queue)
+        queue.append(np.array([[0.1, 0.1], [2.5, 0.0]]))
+        X = np.array([[0.5, 1.0], [0.2, 0.3]])
+        # the stacked call raises: the call redoes its own rows alone, returns and
+        # stores them, and the queue is dropped
+        assert np.array_equal(held(X), F(X))
+        assert calls == [(4, True), (2, False)] and queue == []
+        assert set(memo) == {x.tobytes() for x in X}
+        # each queued row is mapped only when asked for, and the bad one raises then
+        assert np.array_equal(held(np.array([[0.1, 0.1]])), F(np.array([[0.1, 0.1]])))
+        with pytest.raises(IntegrationError):
+            held(np.array([[2.5, 0.0]]))
+        assert calls[2:] == [(1, False), (1, True)] and len(memo) == 3
+
     def test_a_call_that_blows_up_stores_nothing(self):
         calls, held = [], {}
         fin = degree._Finite(degree._held(_bounded(calls), held), 1e-8)
@@ -406,7 +438,7 @@ class TestRowMemo:
         assert len(S) == len({s.tobytes() for s in S}) == \
             len(degree._boundary_samples(b, degree.MARGIN_PER_AXIS, 1))
         seeds = degree._multistart_seeds(b)
-        rows.warm(seeds, b)
+        rows.warm(np.concatenate([S, seeds]))
         assert calls == [(len(S) + len({x.tobytes() for x in seeds}), False)]
         assert np.array_equal(rows.edge(b), F(S))
         # the memo holds every row of that call: the 1-d degree reads the two
@@ -634,10 +666,11 @@ class TestLockStepCertificates:
                   for lo in range(0, len(x), rows)]
         distinct = {(h.name, repr(h.params)) for pair in pairs for h in pair}
         assert len(distinct) == 10
-        # K1's flow of x(T) runs once per pass over every sample, before the
-        # blocks: K1 alone is not mapped per block
+        # K1's flow of x(T) runs once, before the blocks of level 0's pass, over
+        # the samples of both passes: K1 alone is not mapped per block, and the
+        # pass of levels 1-2 reads its lifts from the run memo
         assert calls == {key: blocks for key in distinct - {("K1", "{}")}}
-        assert len(flow_calls) == 2
+        assert len(flow_calls) == 1
         assert all(n == 1 or size <= floats for n, size in sizes)
         assert all(size <= floats for size in flow_calls)
 
