@@ -763,8 +763,12 @@ def plan_duality(problem, pair: str, U1: FunctionBall, U2: DomainSpec,
             if right.zeros:
                 Z = np.repeat(np.asarray(right.zeros), 2, axis=0)
                 scale = np.tile([[1e-5], [5e-6]], (len(right.zeros), 1))
-                d_full = np.sign(np.linalg.det(
-                    fd_jacobian(degree.map(kdir2).g, Z, scale=scale)))
+                F = degree.map(kdir2)
+                # S reads alpha at (a, 0), a Kdir2 row: one stacked call maps both stencils
+                a = deg_mod._stencil(Z[:, :n], scale)[0]
+                F.warm(np.concatenate([deg_mod._stencil(Z, scale)[0],
+                                       np.concatenate([a, np.zeros_like(a)], axis=-1)]))
+                d_full = np.sign(np.linalg.det(fd_jacobian(F.g, Z, scale=scale)))
                 d_shoot = np.sign(np.linalg.det(fd_jacobian(shoot, Z[:, :n], scale=scale)))
                 block_ok = bool(np.all(d_full == d_shoot))
             return left, right, block_ok, {"block_sign_identity": block_ok}

@@ -11,7 +11,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from dualdeg import certify, degree, flows, gridfn, operators, problems
+from dualdeg import certify, degree, flows, gridfn, operators, problems, report
 from dualdeg.certify import HomotopyCertificate
 from dualdeg.degree import STACK_FLOATS, _multistart_seeds, _newton_runs, box_domain, \
     fd_jacobian
@@ -491,6 +491,76 @@ class TestRowMemo:
         for (X, ok), (ref_X, ref_ok) in zip(runs, degree._newton_runs(g, starts, tols)):
             assert np.array_equal(X, ref_X) and np.array_equal(ok, ref_ok)
         assert runs[-1][1].any() and not runs[-1][1].all()
+
+
+
+class TestDirichletBlockCheck:
+    """The dirichlet_shooting block check maps the FD stencils of both its
+    Jacobians, Kdir2's at the zeros and the shooting map's lifted as (a, 0),
+    in one stacked alpha call; each Jacobian then reads the run memo."""
+
+    @staticmethod
+    def _inside(monkeypatch) -> list:
+        """A list that is non-empty while a dirichlet_shooting conclusion runs."""
+        inside, plan = [], certify.plan_duality
+
+        def planned(*a, **k):
+            p = plan(*a, **k)
+
+            def conclude(*c):
+                inside.append(p.name)
+                try:
+                    return p.conclude(*c)
+                finally:
+                    inside.pop()
+
+            return replace(p, conclude=conclude) if p.name == "dirichlet_shooting" else p
+
+        monkeypatch.setattr(certify, "plan_duality", planned)
+        return inside
+
+    @staticmethod
+    def _bytes(pid: str) -> str:
+        doc = problems.run(problems.get_problem(pid), "all", grid_m=64).to_dict()
+        del doc["timings"]
+        return report.canonical_json(doc)
+
+    @pytest.mark.parametrize("pid", ["p4", "p5"])
+    def test_one_sweep_and_the_jacobians_of_two_calls(self, pid, monkeypatch):
+        inside, sweeps, jacobians = self._inside(monkeypatch), [], []
+        rk4, fd = flows._rk4, certify.fd_jacobian
+        monkeypatch.setattr(flows, "_rk4", lambda rhs, y0, *a: (
+            sweeps.append(len(y0)) if inside else None) or rk4(rhs, y0, *a))
+        monkeypatch.setattr(certify, "fd_jacobian", lambda g, x, scale: jacobians.append(
+            (x, scale, fd(g, x, scale=scale))) or jacobians[-1][2])
+        assert problems.run(problems.get_problem(pid), "all", grid_m=64).verdict
+        assert sweeps == [8]
+        (Z, scale, full), (A, scale_a, shooting) = jacobians
+        # each Jacobian alone, on a run copy of its own: a fresh row memo
+        fresh = lambda: operators.run_copy(problems.get_problem(pid), 64)
+        kdir2 = operators.build_finite("Kdir2", fresh()).apply_fn
+        ktilde = operators.build("Ktilde", fresh())
+        shoot = lambda a: ktilde.reduction.i(a).values.values[..., -1, :]
+        assert np.array_equal(full, fd_jacobian(lambda v: v - kdir2(v), Z, scale=scale))
+        assert np.array_equal(shooting, fd_jacobian(shoot, A, scale=scale_a))
+
+    @pytest.mark.parametrize("pid", ["p4", "p5"])
+    def test_a_union_that_blows_up_maps_each_stencil_alone(self, pid, monkeypatch):
+        # the stacked call stores nothing, and each Jacobian maps its own 4 rows
+        want = self._bytes(pid)
+        inside, raised, sweeps = self._inside(monkeypatch), [], []
+        mu, rk4 = flows.mu_dirichlet, flows._rk4
+
+        def mu_dirichlet(f, a, b, **k):
+            if inside and len(a) == 8:
+                raised.append(True)
+                raise IntegrationError("the union's stacked call blows up")
+            return mu(f, a, b, **k)
+
+        monkeypatch.setattr(flows, "mu_dirichlet", mu_dirichlet)
+        monkeypatch.setattr(flows, "_rk4", lambda *a: sweeps.append(1) or rk4(*a))
+        assert self._bytes(pid) == want
+        assert raised == [True] and len(sweeps) == 4
 
 
 def _dense_minima(base, delta, lams):
