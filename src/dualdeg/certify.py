@@ -581,12 +581,15 @@ class Plan:
     needs, and ``conclude(certificates, core, degree)``, which draws the
     verdict from their certificates, in the order of ``homotopies``, from the
     common core (None unless ``needs_core``) and from the run's shared finite
-    side ``degree``: ``degree(h, domain)`` = deg(I - h, domain) (``_FiniteSide``)."""
+    side ``degree``: ``degree(h, domain)`` = deg(I - h, domain) (``_FiniteSide``).
+    ``at_zero``, if given, is (h, rows): ``conclude`` reads the rows ``rows(Z)``
+    of the finite handle h at h's zeros Z."""
 
     name: str
     homotopies: tuple
     conclude: Callable
     needs_core: bool = False
+    at_zero: tuple | None = None
 
 
 class _FiniteSide:
@@ -594,16 +597,18 @@ class _FiniteSide:
     `dualdeg degree`).  Called as ``degree(h, dom)`` it gives deg(I - F, U)
     over the box U (of a pullback), F = ``finite(h)``.
     ``map(F)`` is the run's ``degree._Finite`` of F: its Newton searches,
-    margins and Jacobians, on the run memo of h's problem (a run copy).  A name
-    and params fix a map in one run (Kdelay2's at any grid of the problem)."""
+    margins and Jacobians, on the run memo of h's problem (a run copy), with
+    the rows ``at_zero`` names for F's key read at its zeros.  A name and
+    params fix a map in one run (Kdelay2's at any grid of the problem)."""
 
-    def __init__(self):
-        self._maps, self._degrees = {}, {}
+    def __init__(self, at_zero: dict | None = None):
+        self._maps, self._degrees, self._at_zero = {}, {}, at_zero or {}
 
     def map(self, h: OperatorHandle) -> deg_mod._Finite:
         key = _handle_key(h)
         if key not in self._maps:
-            self._maps[key] = deg_mod._Finite(h.apply_fn, FINITE_FP_TOL)
+            self._maps[key] = deg_mod._Finite(h.apply_fn, FINITE_FP_TOL,
+                                              at_zero=self._at_zero.get(key))
         return self._maps[key]
 
     @staticmethod
@@ -642,8 +647,9 @@ def run_plans(problem, plans, U1: FunctionBall, U2: DomainSpec,
     core over U1 and U2 is checked once, if any plan needs it, and each
     distinct finite degree, Newton search (per finite handle and box) and FD
     Jacobian (per finite handle and zero) once, kept for this call only
-    (``_FiniteSide``).  ``timings``, if given, receives the seconds of each
-    stage and of each conclusion.  ``problem`` is a run copy
+    (``_FiniteSide``); a search maps the rows a plan reads at its zeros
+    (``Plan.at_zero``) with its Newton tries.  ``timings``, if given, receives
+    the seconds of each stage and of each conclusion.  ``problem`` is a run copy
     (``operators.run_copy``): before certifying, the common core's opening rows
     are queued on its memo (``_queue_core_opening``).
     """
@@ -660,7 +666,7 @@ def run_plans(problem, plans, U1: FunctionBall, U2: DomainSpec,
     for dom, pairs in by_domain.values():
         certs.update(zip(pairs, certify_homotopies(list(pairs.values()), dom, seed=seed)))
     t1 = clock()
-    degree = _FiniteSide()
+    degree = _FiniteSide({_handle_key(p.at_zero[0]): p.at_zero[1] for p in plans if p.at_zero})
     core = check_common_core(problem, U1, U2, _finite=degree) \
         if any(p.needs_core for p in plans) else None
     t2 = clock()
@@ -677,7 +683,7 @@ def run_plans(problem, plans, U1: FunctionBall, U2: DomainSpec,
 
 
 def _verdict(pair: str, name: str, homotopies: tuple, sides: Callable, sign: int,
-             needs_core: bool) -> Plan:
+             needs_core: bool, at_zero: tuple | None = None) -> Plan:
     """The plan of a duality instance under the one verdict rule: equal iff
     left.degree = sign * right.degree, both sides are certified, the extra check
     holds, every chain certificate is admissible and, if the pair needs it, the
@@ -693,7 +699,7 @@ def _verdict(pair: str, name: str, homotopies: tuple, sides: Callable, sign: int
                              certificates=certs, sign_factor=sign,
                              common_core=core if needs_core else None, params=params)
 
-    return Plan(name, homotopies, conclude, needs_core)
+    return Plan(name, homotopies, conclude, needs_core, at_zero)
 
 
 def plan_duality(problem, pair: str, U1: FunctionBall, U2: DomainSpec,
@@ -753,6 +759,16 @@ def plan_duality(problem, pair: str, U1: FunctionBall, U2: DomainSpec,
         ktilde = operators.build("Ktilde", problem)
         kdir2 = operators.build_finite("Kdir2", problem)
         shoot = lambda a: ktilde.reduction.i(a).values.values[..., -1, :]  # S(a) = x(1)
+        steps = lambda Z: (np.repeat(Z, 2, axis=0), np.tile([[1e-5], [5e-6]], (len(Z), 1)))
+
+        def block_rows(Z):
+            """The Kdir2 rows the block check reads at the zeros Z: Kdir2's FD
+            stencil and the shooting map's, lifted as (a +- h, 0), since S reads
+            alpha at (a, 0), a Kdir2 row."""
+            Z, scale = steps(Z)
+            a = deg_mod._stencil(Z[:, :n], scale)[0]
+            return np.concatenate([deg_mod._stencil(Z, scale)[0],
+                                   np.concatenate([a, np.zeros_like(a)], axis=-1)])
 
         def sides(degree):
             # phi(U2) is the slope block of the kernel-coordinate box
@@ -761,19 +777,17 @@ def plan_duality(problem, pair: str, U1: FunctionBall, U2: DomainSpec,
             # block-Jacobian sign identity at each finite fixed point
             block_ok = True
             if right.zeros:
-                Z = np.repeat(np.asarray(right.zeros), 2, axis=0)
-                scale = np.tile([[1e-5], [5e-6]], (len(right.zeros), 1))
                 F = degree.map(kdir2)
-                # S reads alpha at (a, 0), a Kdir2 row: one stacked call maps both stencils
-                a = deg_mod._stencil(Z[:, :n], scale)[0]
-                F.warm(np.concatenate([deg_mod._stencil(Z, scale)[0],
-                                       np.concatenate([a, np.zeros_like(a)], axis=-1)]))
+                # held if Newton tries found the zeros, else both stencils in one call
+                F.warm(block_rows(np.asarray(right.zeros)))
+                Z, scale = steps(np.asarray(right.zeros))
                 d_full = np.sign(np.linalg.det(fd_jacobian(F.g, Z, scale=scale)))
                 d_shoot = np.sign(np.linalg.det(fd_jacobian(shoot, Z[:, :n], scale=scale)))
                 block_ok = bool(np.all(d_full == d_shoot))
             return left, right, block_ok, {"block_sign_identity": block_ok}
 
-        return _verdict(pair, name, (), sides, sign=1, needs_core=True)
+        return _verdict(pair, name, (), sides, sign=1, needs_core=True,
+                        at_zero=(kdir2, block_rows))
 
     if pair == "delay":
         if not isinstance(U1, FunctionBall):

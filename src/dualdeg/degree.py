@@ -278,9 +278,9 @@ def _newton_runs(g: Callable, X0: np.ndarray, tols, max_iter: int = 60,
     iterates and which converged, each row as a run from that start alone at
     that tolerance would end: rows are independent, so such a run is a prefix
     of this one, ending at the first iterate within its tolerance.  ``warm``,
-    if given, is handed each line-search try's iterates with their stencil
-    before g maps them: a ``_Finite`` passes its own ``warm`` with its ``g``,
-    so each try is one stacked call of its map."""
+    if given, is handed each line-search try's iterates, then their stencil,
+    before g maps them: a ``_Finite`` passes its ``_tries`` with its ``g``, so
+    each try is one stacked call of its map."""
     X = np.array(X0, dtype=float)
     G = _safe_rows(g, X)
     live = np.all(np.isfinite(G), axis=1)
@@ -405,10 +405,13 @@ class _Finite:
     runs from its multistart seeds to ``loose`` and, for k >= 2, on to
     NEWTON_TOL (``_newton_runs``), each stage one stacked call of F
     (``warm``): the box's opening rows (``_opening``), then each line-search
-    try's iterates and stencil."""
+    try's iterates and stencil, and the rows ``at_zero`` (a stack of points ->
+    the rows a caller reads at them, if given) gives for its iterates inside
+    the box, since any of them may be a zero (``_tries``)."""
 
-    def __init__(self, fn: Callable, loose: float, _fn_is_g: bool = False):
-        self.fn, self.loose, self._fn_is_g = fn, loose, _fn_is_g
+    def __init__(self, fn: Callable, loose: float, _fn_is_g: bool = False,
+                 at_zero: Callable | None = None):
+        self.fn, self.loose, self._fn_is_g, self.at_zero = fn, loose, _fn_is_g, at_zero
         self._edges, self._runs, self._jacobians = {}, {}, {}
 
     def __call__(self, x) -> np.ndarray:
@@ -419,14 +422,31 @@ class _Finite:
         x = np.asarray(x, dtype=float)
         return self(x) if self._fn_is_g else x - self(x)
 
-    def warm(self, X: np.ndarray) -> np.ndarray | None:
-        """F over the rows of X, mapped ahead in one stacked call; if it blows
-        up, nothing is stored, each row is mapped when it is asked for, and
-        this gives None."""
+    def warm(self, X: np.ndarray, ahead: np.ndarray | None = None) -> np.ndarray | None:
+        """F over the rows of X, mapped ahead in one stacked call, and over the
+        rows ``ahead``, if any, in the same call (if that blows up, over X alone:
+        ``_map_ahead``); if it blows up, nothing is stored, each row is mapped
+        when it is asked for, and this gives None."""
         try:
-            return self(X)
+            if ahead is None or not len(ahead):
+                return self(X)
+            return _map_ahead(self, X, ahead)[:len(X)]
         except IntegrationError:
             return None
+
+    def _tries(self, b: np.ndarray) -> Callable:
+        """The ``warm`` of box b's line-search tries: a try's rows, its iterates
+        and then their stencil, 2k rows each (``_newton_runs``), and ahead of
+        them the ``at_zero`` rows of its iterates inside b, where a zero is read."""
+        if self.at_zero is None:
+            return self.warm
+
+        def warm(X):
+            tried = X[:len(X) // (2 * len(b) + 1)]
+            inside = np.all((tried > b[:, 0]) & (tried < b[:, 1]), axis=1)
+            return self.warm(X, self.at_zero(tried[inside]))
+
+        return warm
 
     def edge(self, box: np.ndarray) -> np.ndarray:
         """F over the margin samples of the box (``_margin_samples``)."""
@@ -444,7 +464,7 @@ class _Finite:
             tols = (self.loose, NEWTON_TOL) if len(b) >= 2 and NEWTON_TOL < self.loose \
                 else (self.loose,)
             self._runs[b.tobytes()] = dict(zip(tols, _newton_runs(
-                self.g, seeds, tols, warm=self.warm)))
+                self.g, seeds, tols, warm=self._tries(b))))
         return self._runs[b.tobytes()]
 
     def margin(self, b: np.ndarray) -> float:

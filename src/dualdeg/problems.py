@@ -160,9 +160,13 @@ class ProblemSpec:
             if self.tau is None:
                 raise ProblemValidationError("periodic_dde needs tau")
             try:  # tau <= T, and a whole number of grid steps
-                self.kernel().shift_steps(self.grid())
+                steps = self.kernel().shift_steps(self.grid())
             except ValueError as exc:
                 raise ProblemValidationError(str(exc)) from exc
+            if steps < 2:  # the history grid on [-tau, 0] needs m >= 2
+                raise ProblemValidationError(
+                    f"tau={self.tau} spans {steps} grid step of h={self.grid().h}, "
+                    f"and the delay history needs at least 2")
         elif self.tau is not None:
             raise ProblemValidationError(
                 f"tau is only meaningful for periodic_dde, not {self.kind!r}")

@@ -5,6 +5,7 @@ or per sample gives; the references below are those loops.
 """
 
 import contextlib
+import json
 import weakref
 from dataclasses import fields, replace
 
@@ -492,16 +493,42 @@ class TestRowMemo:
             assert np.array_equal(X, ref_X) and np.array_equal(ok, ref_ok)
         assert runs[-1][1].any() and not runs[-1][1].all()
 
+    def test_at_zero_rows_ride_on_the_tries_inside_the_box(self):
+        # g = x - F(x) has its zeros at x0 = 1 -+ sqrt 2, x1 = 0: one inside the
+        # box, one beyond it, and tries toward it blow up.  Each try maps the
+        # at-zero rows of its iterates inside the box with its own rows; the
+        # search is the plain one, and the zero's rows are then held
+        calls, asked = [], []
+        box = box_domain([(-1.9, 1.9), (-1.9, 1.9)])
+        b = box.as_box()
+        rows = lambda Z: np.concatenate([Z + 1e-3, Z - 1e-3])
+        fin = degree._Finite(degree._held(_bounded(calls), {}), 1e-8,
+                             at_zero=lambda Z: asked.append(Z) or rows(Z))
+        plain = degree._Finite(degree._held(_bounded([]), {}), 1e-8)
+        for tol in (1e-8, 1e-9):
+            (X, ok), (ref_X, ref_ok) = fin._open(b)[tol], plain._open(b)[tol]
+            assert np.array_equal(X, ref_X) and np.array_equal(ok, ref_ok)
+        tried = np.concatenate(asked)
+        assert len(tried) and all(box.contains(x) for x in tried)
+        assert any(bad for _, bad in calls)
+        [zero] = fin.zeros(box, 1e-9)[0]
+        made = len(calls)
+        assert np.array_equal(fin(rows(zero[None])), _bounded([])(rows(zero[None])))
+        assert len(calls) == made
+
 
 
 class TestDirichletBlockCheck:
-    """The dirichlet_shooting block check maps the FD stencils of both its
-    Jacobians, Kdir2's at the zeros and the shooting map's lifted as (a, 0),
-    in one stacked alpha call; each Jacobian then reads the run memo."""
+    """The dirichlet_shooting block check reads the FD stencils of both its
+    Jacobians, Kdir2's at the zeros and the shooting map's lifted as (a, 0).
+    They ride as at-zero rows on the Newton try that finds a zero, in its one
+    stacked alpha call, so each Jacobian reads the run memo; a zero no try
+    produced gets them in one stacked call of the check."""
 
     @staticmethod
-    def _inside(monkeypatch) -> list:
-        """A list that is non-empty while a dirichlet_shooting conclusion runs."""
+    def _inside(monkeypatch, at_zero: bool = True) -> list:
+        """A list that is non-empty while a dirichlet_shooting conclusion runs;
+        with ``at_zero`` false, its plan names no at-zero rows."""
         inside, plan = [], certify.plan_duality
 
         def planned(*a, **k):
@@ -514,10 +541,34 @@ class TestDirichletBlockCheck:
                 finally:
                     inside.pop()
 
-            return replace(p, conclude=conclude) if p.name == "dirichlet_shooting" else p
+            if p.name != "dirichlet_shooting":
+                return p
+            return replace(p, conclude=conclude, at_zero=p.at_zero if at_zero else None)
 
         monkeypatch.setattr(certify, "plan_duality", planned)
         return inside
+
+    @staticmethod
+    def _stacked_try_blows_up(monkeypatch, raised: list) -> None:
+        """mu_dirichlet raises in each stacked call that carries rows ahead of its
+        own, which in a Dirichlet run only a Newton try with at-zero rows makes
+        (``degree._map_ahead``); the try's own rows then map as they would alone."""
+        map_ahead, mu, armed = degree._map_ahead, flows.mu_dirichlet, []
+
+        def armed_map_ahead(g, X, ahead):
+            if len(ahead):
+                armed.append(True)
+            return map_ahead(g, X, ahead)
+
+        def mu_dirichlet(f, a, b, **k):
+            if armed:
+                armed.clear()
+                raised.append("try")
+                raise IntegrationError("the try's stacked call blows up")
+            return mu(f, a, b, **k)
+
+        monkeypatch.setattr(degree, "_map_ahead", armed_map_ahead)
+        monkeypatch.setattr(flows, "mu_dirichlet", mu_dirichlet)
 
     @staticmethod
     def _bytes(pid: str) -> str:
@@ -527,14 +578,16 @@ class TestDirichletBlockCheck:
 
     @pytest.mark.parametrize("pid", ["p4", "p5"])
     def test_one_sweep_and_the_jacobians_of_two_calls(self, pid, monkeypatch):
+        # both stencils ride on the one sweep of the try that finds the zero:
+        # the conclusion makes no sweep of its own
         inside, sweeps, jacobians = self._inside(monkeypatch), [], []
         rk4, fd = flows._rk4, certify.fd_jacobian
         monkeypatch.setattr(flows, "_rk4", lambda rhs, y0, *a: (
-            sweeps.append(len(y0)) if inside else None) or rk4(rhs, y0, *a))
+            sweeps.append(bool(inside))) or rk4(rhs, y0, *a))
         monkeypatch.setattr(certify, "fd_jacobian", lambda g, x, scale: jacobians.append(
             (x, scale, fd(g, x, scale=scale))) or jacobians[-1][2])
         assert problems.run(problems.get_problem(pid), "all", grid_m=64).verdict
-        assert sweeps == [8]
+        assert sweeps == [False, False]
         (Z, scale, full), (A, scale_a, shooting) = jacobians
         # each Jacobian alone, on a run copy of its own: a fresh row memo
         fresh = lambda: operators.run_copy(problems.get_problem(pid), 64)
@@ -545,22 +598,53 @@ class TestDirichletBlockCheck:
         assert np.array_equal(shooting, fd_jacobian(shoot, A, scale=scale_a))
 
     @pytest.mark.parametrize("pid", ["p4", "p5"])
-    def test_a_union_that_blows_up_maps_each_stencil_alone(self, pid, monkeypatch):
-        # the stacked call stores nothing, and each Jacobian maps its own 4 rows
+    def test_a_try_that_blows_up_leaves_the_rows_to_the_check(self, pid, monkeypatch):
+        # the try's stacked call stores nothing and its own rows map alone; the
+        # conclusion then maps the union in one sweep: opening, try, union
         want = self._bytes(pid)
         inside, raised, sweeps = self._inside(monkeypatch), [], []
+        self._stacked_try_blows_up(monkeypatch, raised)
+        rk4 = flows._rk4
+        monkeypatch.setattr(flows, "_rk4", lambda *a: sweeps.append(bool(inside)) or rk4(*a))
+        assert self._bytes(pid) == want
+        assert raised == ["try"] and sweeps == [False, False, True]
+
+    @pytest.mark.parametrize("pid", ["p4", "p5"])
+    def test_a_union_that_blows_up_maps_each_stencil_alone(self, pid, monkeypatch):
+        # the try's stacked call blows up, so the conclusion maps the union; that
+        # blows up too and stores nothing, and each Jacobian maps its own 4 rows
+        want = self._bytes(pid)
+        inside, raised, sweeps = self._inside(monkeypatch), [], []
+        self._stacked_try_blows_up(monkeypatch, raised)
         mu, rk4 = flows.mu_dirichlet, flows._rk4
 
         def mu_dirichlet(f, a, b, **k):
             if inside and len(a) == 8:
-                raised.append(True)
+                raised.append("union")
                 raise IntegrationError("the union's stacked call blows up")
             return mu(f, a, b, **k)
 
         monkeypatch.setattr(flows, "mu_dirichlet", mu_dirichlet)
         monkeypatch.setattr(flows, "_rk4", lambda *a: sweeps.append(1) or rk4(*a))
         assert self._bytes(pid) == want
-        assert raised == [True] and len(sweeps) == 4
+        assert raised == ["try", "union"] and len(sweeps) == 4
+
+    @pytest.mark.parametrize("pid", ["p4", "p5"])
+    def test_a_seed_zero_gets_the_union_in_one_call(self, pid, monkeypatch):
+        # seeds in reverse order: the centre, a zero of these linear problems,
+        # converges with no try and is the recorded zero.  The conclusion maps
+        # its union in one sweep, and the report is that of the plan without
+        # at-zero rows
+        seeds = degree._multistart_seeds
+        monkeypatch.setattr(degree, "_multistart_seeds", lambda box: seeds(box)[::-1])
+        self._inside(monkeypatch, at_zero=False)
+        want = self._bytes(pid)
+        inside, sweeps = self._inside(monkeypatch), []
+        rk4 = flows._rk4
+        monkeypatch.setattr(flows, "_rk4", lambda *a: sweeps.append(bool(inside)) or rk4(*a))
+        got = self._bytes(pid)
+        assert got == want and json.loads(got)["duality"][0]["right"]["zeros"] == [[0, 0]]
+        assert sweeps.count(True) == 1
 
 
 def _dense_minima(base, delta, lams):
