@@ -159,6 +159,9 @@ class ProblemSpec:
         if self.kind == "periodic_dde":
             if self.tau is None:
                 raise ProblemValidationError("periodic_dde needs tau")
+            if self.history_nodes() < 3:  # 2 nodes span tau in one history step
+                raise ProblemValidationError(
+                    f"history_nodes must be at least 3, got {self.history_nodes()}")
             try:  # tau <= T, and a whole number of grid steps
                 steps = self.kernel().shift_steps(self.grid())
             except ValueError as exc:

@@ -23,21 +23,21 @@ from .degree import DegreeResult
 # Plain-data conversion
 # ---------------------------------------------------------------------------
 
+_LEAVES = frozenset((str, int, float, bool, type(None)))
+
+
 def _plain(obj):
-    """Recursively convert numpy containers/scalars to plain Python data."""
+    """Plain Python data of ``obj``, numpy containers and scalars and tuples
+    included; a list of floats is converted at once, not float by float."""
+    if type(obj) in _LEAVES:
+        return obj
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        if all(isinstance(v, float) for v in obj):  # np.float64 is a float
+            return np.asarray(obj, dtype=float).tolist()
         return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    return obj
+    return obj.item() if isinstance(obj, np.generic) else obj
 
 
 def degree_result_dict(res: DegreeResult) -> dict:
@@ -103,32 +103,34 @@ def fmt_float(x: float) -> str:
 
 
 def _ser(obj, indent: int) -> str:
-    pad = " " * indent
-    inner = " " * (indent + 2)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f"{inner}{json.dumps(str(k))}: {_ser(v, indent + 2)}"
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not len(obj):
-            return "[]"
-        items = [f"{inner}{_ser(v, indent + 2)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    """Canonical text of plain data (``_plain``); other types raise TypeError."""
+    t = type(obj)
+    if t is float:
+        return fmt_float(obj)
+    if t is str:
+        return json.dumps(obj)
+    if t is bool:
+        return "true" if obj else "false"
+    if t is int:
+        return str(obj)
     if obj is None:
         return "null"
-    if isinstance(obj, (np.bool_, bool)):
-        return "true" if obj else "false"
-    if isinstance(obj, (np.integer, int)):
-        return str(int(obj))
-    if isinstance(obj, (np.floating, float)):
-        return fmt_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, np.ndarray):
-        return _ser(obj.tolist(), indent)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    pad, inner = " " * indent, " " * (indent + 2)
+    sep = f",\n{inner}"
+    if t is dict:
+        if not obj:
+            return "{}"
+        items = [f"{json.dumps(str(k))}: {_ser(v, indent + 2)}" for k, v in obj.items()]
+        return "{\n" + inner + sep.join(items) + "\n" + pad + "}"
+    if t is list:
+        if not obj:
+            return "[]"
+        if all(type(v) is float for v in obj):
+            items = [format(v, ".17g") if math.isfinite(v) else "null" for v in obj]
+        else:
+            items = [_ser(v, indent + 2) for v in obj]
+        return "[\n" + inner + sep.join(items) + "\n" + pad + "]"
+    raise TypeError(f"cannot serialize {t.__name__}")
 
 
 def canonical_json(report: dict) -> str:

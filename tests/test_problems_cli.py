@@ -64,6 +64,14 @@ class TestProblemValidation:
             ProblemSpec("bad", "periodic_dde", 1, 1.0, {"id": "p6"}, 1.0, 128,
                         1.0, ((-1.0, 1.0),) * 8, tau=2.0, hist_nodes=8)
 
+    @pytest.mark.parametrize("nodes", [2, 1, 0])
+    def test_history_nodes_below_three(self, nodes):
+        # fewer than 3 nodes put tau in one history step, which no delay run can use
+        with pytest.raises(ProblemValidationError,
+                           match=f"history_nodes must be at least 3, got {nodes}"):
+            ProblemSpec("bad", "periodic_dde", 1, 1.0, {"id": "p6"}, 1.0, 128,
+                        1.0, ((-1.0, 1.0),) * max(nodes, 1), tau=0.5, hist_nodes=nodes)
+
     def test_tau_on_non_dde(self):
         with pytest.raises(ProblemValidationError, match="tau"):
             ProblemSpec("bad", "periodic_ode", 1, 1.0, {"id": "p1"}, 1.0, 256,
@@ -494,6 +502,130 @@ class TestFloatFormatting:
         assert report_mod.fmt_float(float("nan")) == "null"
 
 
+NAN, INF = float("nan"), float("inf")
+# every branch of the canonical writer: nested and empty containers, escaped
+# strings and keys, literals, ints, floats and float lists with non-finite items
+CANONICAL_DOC = {
+    "nested": {"list": [1, {"deep": [[]]}], "empty": {}},
+    "escapes": "quote \" slash \\ nl \n tab \t e\u0301 \u00e9 \x01",
+    "key \"q\"\n": [True, False, None],
+    "ints": [0, -7, 12345678901234567890],
+    "floats": [-0.0, 1.0, 1e-300, NAN, INF, -INF],
+    "scalars": {"neg_zero": -0.0, "one": 1.0, "tiny": 1e-300, "nan": NAN,
+                "inf": INF, "minus_inf": -INF, "third": 1 / 3},
+    "nan_inside": [0.5, NAN, 2.0],
+    "float_rows": [[0.1, 0.2], [0.30000000000000004]],
+    "mixed": [1, 2.5, "x", True, None]}
+# the writer's output for CANONICAL_DOC, byte for byte, as first recorded
+CANONICAL_TEXT = r"""{
+  "nested": {
+    "list": [
+      1,
+      {
+        "deep": [
+          []
+        ]
+      }
+    ],
+    "empty": {}
+  },
+  "escapes": "quote \" slash \\ nl \n tab \t e\u0301 \u00e9 \u0001",
+  "key \"q\"\n": [
+    true,
+    false,
+    null
+  ],
+  "ints": [
+    0,
+    -7,
+    12345678901234567890
+  ],
+  "floats": [
+    -0,
+    1,
+    1e-300,
+    null,
+    null,
+    null
+  ],
+  "scalars": {
+    "neg_zero": -0,
+    "one": 1,
+    "tiny": 1e-300,
+    "nan": null,
+    "inf": null,
+    "minus_inf": null,
+    "third": 0.33333333333333331
+  },
+  "nan_inside": [
+    0.5,
+    null,
+    2
+  ],
+  "float_rows": [
+    [
+      0.10000000000000001,
+      0.20000000000000001
+    ],
+    [
+      0.30000000000000004
+    ]
+  ],
+  "mixed": [
+    1,
+    2.5,
+    "x",
+    true,
+    null
+  ]
+}
+"""
+PLAIN_TYPES = (dict, list, str, int, float, bool, type(None))
+
+
+def _non_plain(obj, path="$"):
+    """Paths in ``obj`` that hold something other than plain JSON data."""
+    if type(obj) not in PLAIN_TYPES:
+        return [f"{path}: {type(obj).__name__}"]
+    if type(obj) is dict:
+        return [f"{path}: key {k!r}" for k in obj if type(k) is not str] + [
+            p for k, v in obj.items() for p in _non_plain(v, f"{path}.{k}")]
+    if type(obj) is list:
+        return [p for i, v in enumerate(obj) for p in _non_plain(v, f"{path}[{i}]")]
+    return []
+
+
+class TestCanonicalJson:
+    def test_every_branch_byte_for_byte(self):
+        assert report_mod.canonical_json(CANONICAL_DOC) == CANONICAL_TEXT
+
+    @pytest.mark.parametrize("value", [(1.0, 2.0), np.float64(1.5), np.int64(3),
+                                       np.bool_(True), np.array([1.0]), {1.0}, object()],
+                             ids=["tuple", "np.float64", "np.int64", "np.bool_",
+                                  "ndarray", "set", "object"])
+    def test_only_plain_data_is_written(self, value):
+        # the writer takes what ``_plain`` makes; other types are the caller's bug
+        with pytest.raises(TypeError, match="cannot serialize"):
+            report_mod.canonical_json({"x": [value]})
+
+    def test_plain_converts_numpy_once(self):
+        doc = report_mod._plain({"t": (np.float64(0.5), np.float64(NAN)), 2: np.int64(3),
+                                 "rows": (np.array([1.0, 2.0]), (np.float64(3.0),)),
+                                 "flags": np.array([True, False]), "b": np.bool_(True),
+                                 "grid": np.array([[0.25], [0.5]]), "mixed": [1.0, True, 2]})
+        assert _non_plain(doc) == []
+        assert report_mod.canonical_json(doc) == report_mod.canonical_json(
+            {"t": [0.5, NAN], "2": 3, "rows": [[1.0, 2.0], [3.0]], "flags": [True, False],
+             "b": True, "grid": [[0.25], [0.5]], "mixed": [1.0, True, 2]})
+        assert [type(v) for v in doc["mixed"]] == [float, bool, int]
+
+    @pytest.mark.parametrize("pid", ["p1", "p2", "p3", "p4", "p5", "p6", "p7"])
+    def test_run_report_is_plain_data(self, pid):
+        # no tuples, no numpy scalars: the writer's exact-type dispatch relies on it
+        doc = run(get_problem(pid), "all", grid_m=None if pid == "p6" else 64).to_dict()
+        assert _non_plain(doc) == []
+
+
 class TestCli:
     def test_list(self):
         res = CliRunner().invoke(cli_main, ["list"])
@@ -613,6 +745,8 @@ class TestCli:
         (["run", "{p6_m2}"], "tau=0.5 spans 1 grid step of h=0.5, and the delay history "
                              "needs at least 2"),
         (["run", "p6", "--grid", "2"], "tau=0.5 spans 1 grid step"),
+        (["run", "{p6_two_history_nodes}"],
+         "$.history_nodes: 2 is less than the minimum of 3"),
         (["run", "p1", "--suite", "signs", "--eta", "0"],
          "eta=0.0 makes exp(eta*T) - 1 negligible"),
         (["run", "p7", "--suite", "signs", "--eta", "0"],
@@ -660,7 +794,7 @@ class TestCli:
             "unknown-operator", "keta-no-witness", "grid-1", "schema-invalid-file",
             "unparsable-file", "u2-box-rows-p3", "u2-box-rows-p6", "u2-box-rows-p4",
             "u2-box-empty-row", "tau-misaligned-file", "tau-misaligned-grid",
-            "p6_m2", "tau-one-step-grid",
+            "p6_m2", "tau-one-step-grid", "history-nodes-2",
             "eta-singular-p1", "eta-zero-p7", "eta-collision-p7", "blow-up-run-cubic",
             "blow-up-run-duffing", "blow-up-degree-duffing", "signs-p4", "signs-p5",
             "signs-p6", "eta-duality-p3", "eta-p4", "eta-nan-p1", "eta-inf-p1",
@@ -681,6 +815,9 @@ class TestCli:
                  "p4_empty_row": box("p4", [[1, -1], [-1, 1]]),
                  "p6_m101": json.dumps(dict(get_problem("p6").to_dict(), m=101)),
                  "p6_m2": json.dumps(dict(get_problem("p6").to_dict(), m=2)),
+                 "p6_two_history_nodes": json.dumps(dict(get_problem("p6").to_dict(),
+                                                         history_nodes=2,
+                                                         u2_box=[[-1, 1]] * 2)),
                  "cubic_blow_up": poly([0, 0, 0, 1], [[-2, 2]]),
                  "duffing_blow_up": poly([0, -1, 0, 1], [[-1.5, 1.5]]),
                  # planar builtin rhs at another dim, and a nonlocal rhs with no A table
