@@ -417,32 +417,24 @@ def _score_block(curve, base, delta, lams, work) -> None:
                    out=curve[at])
 
 
-def _boundary_curves(pairs, samples: np.ndarray, unflat, lam_grids, ends,
-                     ahead: np.ndarray | None = None) -> list:
+def _boundary_curves(pairs, samples: np.ndarray, unflat, lam_grids, ends) -> list:
     """Per pair, per lambda grid j: the boundary minimum over the first ``ends[j]``
     samples of |x - H_lam(x)| at each lambda.  A lifted handle (K1 or Kdelay1 = lift o
-    mu o pi, ``factors``) maps mu over pi of all samples first, and over pi of the
-    samples ``ahead`` (of later passes) in the same calls (``degree._map_ahead``),
-    ``degree._stack_rows(k)`` rows per call, so its flow runs once per pass; every
-    other distinct handle maps each block of ``degree._stack_rows`` samples once, the
-    block's one x, whose memo they share; in a run, Ktilde's K2 reads the alpha rows
-    K1's flow stored.  An image is kept from its first pair to its last.  Segment j, from
-    row ``ends[j - 1]`` to ``ends[j]``, has a curve of its own: each lambda of the grids'
-    exact union is scored once per pair and block segment, on the entries that can
-    hold its minimum (``_score_block``), and grid j's curve is the min of segments
-    0..j."""
+    mu o pi, ``factors``) maps mu over pi of all samples first, ``degree._stack_rows(k)``
+    rows per call, so its flow runs once per pass; every other distinct handle maps
+    each block of ``degree._stack_rows`` samples once, the block's one x, whose memo
+    they share; in a run, Ktilde's K2 reads the alpha rows K1's flow stored.  An image
+    is kept from its first pair to its last.  Segment j, from row ``ends[j - 1]`` to
+    ``ends[j]``, has a curve of its own: each lambda of the grids' exact union is
+    scored once per pair and block segment, on the entries that can hold its minimum
+    (``_score_block``), and grid j's curve is the min of segments 0..j."""
     lams, where = np.unique(np.concatenate(lam_grids), return_inverse=True)
     keys = [(_handle_key(hA), _handle_key(hB)) for hA, hB in pairs]
     handles = {_handle_key(h): h for pair in pairs for h in pair}
     last = {key: i for i, pair_keys in enumerate(keys) for key in pair_keys}
-
-    def lift(pi, mu):
-        g, own = lambda c: mu(c).reshape(len(c), -1), pi(unflat(samples))
-        if ahead is None:
-            return deg_mod._map_rows(g, own)
-        return deg_mod._map_ahead(g, own, pi(unflat(ahead)))[:len(own)].copy()  # own rows only
-
-    lifted = {key: lift(*h.factors) for key, h in handles.items() if h.factors is not None}
+    lifted = {key: deg_mod._map_rows(lambda c: h.factors[1](c).reshape(len(c), -1),
+                                     h.factors[0](unflat(samples)))
+              for key, h in handles.items() if h.factors is not None}
     curves = np.full((len(pairs), len(ends), len(lams)), np.inf)
     rows = min(deg_mod._stack_rows(samples.shape[1]), len(samples))
     scratch = np.empty((3, rows, samples.shape[1]))
@@ -485,10 +477,11 @@ def certify_homotopies(pairs, domain, seed: int = DEFAULT_SEED) -> list[Homotopy
     samples hold its samples as their first rows (``_shares_pass``: on a ball
     always, on a lattice at one resolution); the pass builds and maps only its
     finest samples and scores each lambda of the levels' grid union once per
-    segment.  A lifted handle's flow in the first pass also maps the lifts of
-    the later passes up to level 2 (on a pullback, level 0's lattice is not
-    that of levels 1-2), which then read them from the run memo.  Each
-    certificate equals the one its pair gets alone.
+    segment.  In a run, pi of the later passes' samples up to level 2 (on a
+    pullback, level 0's lattice is not that of levels 1-2) is queued on each
+    lifted handle's alpha first (``operators.queue``): the first pass's flow
+    maps it, and the later passes read the memo.  Each certificate equals the
+    one its pair gets alone.
     """
     pairs = [tuple(p) for p in pairs]
     if not pairs:
@@ -523,18 +516,19 @@ def certify_homotopies(pairs, domain, seed: int = DEFAULT_SEED) -> list[Homotopy
     build = lambda span: _domain_boundary_samples(handles[0], domain,
                                                   [counts[lv] for lv in span], seed)
     # no pair stops before level 2, so the passes up to it all run: their samples
-    # are built first, and the first pass's lifted flows map their projections too
+    # are built first, and their projections queued for the first pass's lifted flows
     sets = [build(span) if span[-1] <= 2 else None for span in spans]
+    later = [x for x, _ in filter(None, sets[1:])]
+    for h in {_handle_key(h): h for h in handles if later and h.factors is not None}.values():
+        operators.queue(h.problem, h.factors[0](unflat(np.concatenate(later))))
     for p, span in enumerate(spans):
         live = [i for i, done in enumerate(stable) if not done]
         if not live:
             break
         samples, ends = sets[p] or build(span)
         sets[p] = None
-        later = [x for x, _ in filter(None, sets)] if p == 0 else []
         curves = _boundary_curves([pairs[i] for i in live], samples, unflat,
-                                  [lam_grids[lv] for lv in span], ends,
-                                  np.concatenate(later) if later else None)
+                                  [lam_grids[lv] for lv in span], ends)
         for i, pair_curves in zip(live, curves):
             hist = history[i]
             for lv, curve in zip(span, pair_curves):
@@ -583,7 +577,7 @@ class Plan:
     common core (None unless ``needs_core``) and from the run's shared finite
     side ``degree``: ``degree(h, domain)`` = deg(I - h, domain) (``_FiniteSide``).
     ``at_zero``, if given, is (h, rows): ``conclude`` reads the rows ``rows(Z)``
-    of the finite handle h at h's zeros Z."""
+    of the finite handle h, inputs of its problem's alpha, at h's zeros Z."""
 
     name: str
     homotopies: tuple
@@ -597,9 +591,10 @@ class _FiniteSide:
     `dualdeg degree`).  Called as ``degree(h, dom)`` it gives deg(I - F, U)
     over the box U (of a pullback), F = ``finite(h)``.
     ``map(F)`` is the run's ``degree._Finite`` of F: its Newton searches,
-    margins and Jacobians, on the run memo of h's problem (a run copy), with
-    the rows ``at_zero`` names for F's key read at its zeros.  A name and
-    params fix a map in one run (Kdelay2's at any grid of the problem)."""
+    margins and Jacobians, on the run memo of h's problem (a run copy); each
+    Newton try queues there the rows ``at_zero`` names for F's key at its
+    iterates inside the box.  A name and params fix a map in one run (Kdelay2's
+    at any grid of the problem)."""
 
     def __init__(self, at_zero: dict | None = None):
         self._maps, self._degrees, self._at_zero = {}, {}, at_zero or {}
@@ -607,8 +602,9 @@ class _FiniteSide:
     def map(self, h: OperatorHandle) -> deg_mod._Finite:
         key = _handle_key(h)
         if key not in self._maps:
-            self._maps[key] = deg_mod._Finite(h.apply_fn, FINITE_FP_TOL,
-                                              at_zero=self._at_zero.get(key))
+            rows = self._at_zero.get(key)
+            hook = None if rows is None else lambda Z: operators.queue(h.problem, rows(Z))
+            self._maps[key] = deg_mod._Finite(h.apply_fn, FINITE_FP_TOL, at_zero=hook)
         return self._maps[key]
 
     @staticmethod
@@ -635,7 +631,7 @@ def _queue_core_opening(problem, plans, U2: DomainSpec) -> None:
     key = operators.alpha_key(fin.problem)
     if any(h.factors is not None and operators.alpha_key(h.problem) == key
            for plan in plans for hA, hB, _ in plan.homotopies for h in (hA, hB)):
-        problem._solutions.queue(key, deg_mod._opening(U2.as_box())[0])
+        operators.queue(fin.problem, deg_mod._opening(U2.as_box())[0])
 
 
 def run_plans(problem, plans, U1: FunctionBall, U2: DomainSpec,

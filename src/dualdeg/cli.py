@@ -105,6 +105,8 @@ def degree(problem, operator, domain_spec):
         raise click.ClickException(
             f"--domain must be a list of [lo, hi] pairs, got {domain_spec}")
     try:
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for row in box for v in row):
+            raise ValueError(f"box bounds must be finite numbers, got {domain_spec}")
         dom = deg_mod.box_domain(box)
     except ValueError as exc:
         raise click.ClickException(f"--domain: {exc}")

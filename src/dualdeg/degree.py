@@ -113,8 +113,8 @@ def brouwer_1d(g: Callable[[float], float], interval) -> DegreeResult:
 def _sign_change(ga, gb) -> DegreeResult:
     """Degree over [a, b] of a map with endpoint values g(a), g(b)."""
     ga, gb = (float(np.asarray(v).reshape(())) for v in (ga, gb))
-    margin = min(abs(ga), abs(gb))
-    deg = int((np.sign(gb) - np.sign(ga)) // 2)
+    margin = float(np.minimum(abs(ga), abs(gb)))  # NaN if either is: no sign
+    deg = 0 if np.isnan(margin) else int((np.sign(gb) - np.sign(ga)) // 2)
     return DegreeResult(degree=deg, method="sign_1d", min_boundary_norm=margin,
                         refinement_levels=0, certified=margin >= DEFAULT_EPS)
 
@@ -126,7 +126,8 @@ def _sign_change(ga, gb) -> DegreeResult:
 def brouwer_2d_winding(g: Callable, box: DomainSpec) -> DegreeResult:
     """Degree of g over a 2-d box by the winding number along its boundary.
 
-    Sampling doubles until every per-segment angle increment is below pi/2.
+    Sampling doubles until every per-segment angle increment is below pi/2;
+    a boundary sample where g is 0 or not finite gives an uncertified 0 at once.
     """
     b = box.as_box()
     if b.shape[0] != 2:
@@ -141,12 +142,13 @@ def brouwer_2d_winding(g: Callable, box: DomainSpec) -> DegreeResult:
         pts = corners[seg] + (s - seg)[:, None] * (corners[seg + 1] - corners[seg])
         vals = _map_rows(g, pts)
         margin = float(np.min(np.max(np.abs(vals), axis=1)))
+        if not margin > 0:  # no angle step there: doubling cannot help
+            return DegreeResult(degree=0, method="winding_2d", min_boundary_norm=margin,
+                                refinement_levels=level, certified=False)
         z = vals[:, 0] + 1j * vals[:, 1]
-        ratios = np.roll(z, -1) / z
-        incs = np.angle(ratios)
+        incs = np.angle(np.roll(z, -1) / z)
         if np.max(np.abs(incs)) < np.pi / 2:
-            total = float(np.sum(incs))
-            winding = total / (2 * np.pi)
+            winding = float(np.sum(incs)) / (2 * np.pi)
             deg = int(round(winding))
             certified = (abs(winding - deg) < WINDING_ROUND_GUARD
                          and margin >= DEFAULT_EPS)
@@ -405,9 +407,9 @@ class _Finite:
     runs from its multistart seeds to ``loose`` and, for k >= 2, on to
     NEWTON_TOL (``_newton_runs``), each stage one stacked call of F
     (``warm``): the box's opening rows (``_opening``), then each line-search
-    try's iterates and stencil, and the rows ``at_zero`` (a stack of points ->
-    the rows a caller reads at them, if given) gives for its iterates inside
-    the box, since any of them may be a zero (``_tries``)."""
+    try's iterates and stencil.  Before that call, the hook ``at_zero``, if
+    given, is handed the try's iterates inside the box, since any of them may
+    be a zero (``_tries``): a run's queues the rows a plan reads there."""
 
     def __init__(self, fn: Callable, loose: float, _fn_is_g: bool = False,
                  at_zero: Callable | None = None):
@@ -422,29 +424,25 @@ class _Finite:
         x = np.asarray(x, dtype=float)
         return self(x) if self._fn_is_g else x - self(x)
 
-    def warm(self, X: np.ndarray, ahead: np.ndarray | None = None) -> np.ndarray | None:
-        """F over the rows of X, mapped ahead in one stacked call, and over the
-        rows ``ahead``, if any, in the same call (if that blows up, over X alone:
-        ``_map_ahead``); if it blows up, nothing is stored, each row is mapped
-        when it is asked for, and this gives None."""
+    def warm(self, X: np.ndarray) -> np.ndarray | None:
+        """F over the rows of X, mapped ahead in one stacked call; if that blows up,
+        nothing is stored, each row is mapped when asked for, and this gives None."""
         try:
-            if ahead is None or not len(ahead):
-                return self(X)
-            return _map_ahead(self, X, ahead)[:len(X)]
+            return self(X)
         except IntegrationError:
             return None
 
     def _tries(self, b: np.ndarray) -> Callable:
         """The ``warm`` of box b's line-search tries: a try's rows, its iterates
-        and then their stencil, 2k rows each (``_newton_runs``), and ahead of
-        them the ``at_zero`` rows of its iterates inside b, where a zero is read."""
+        and then their stencil, 2k rows each (``_newton_runs``), after the hook
+        ``at_zero`` is handed its iterates inside b, where a zero is read."""
         if self.at_zero is None:
             return self.warm
 
         def warm(X):
             tried = X[:len(X) // (2 * len(b) + 1)]
-            inside = np.all((tried > b[:, 0]) & (tried < b[:, 1]), axis=1)
-            return self.warm(X, self.at_zero(tried[inside]))
+            self.at_zero(tried[np.all((tried > b[:, 0]) & (tried < b[:, 1]), axis=1)])
+            return self.warm(X)
 
         return warm
 

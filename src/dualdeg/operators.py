@@ -118,16 +118,20 @@ def residual(h: OperatorHandle, x) -> float:
 class Solutions(dict):
     """One run's memo (``run_copy``): per key, the row dict of a
     ``degree._held`` map, so each distinct row under a key is mapped once, and
-    the rows queued to ride on that map's next call with new rows (``queue``).
-    alpha's key is ``alpha_key``; KhatP's is its own."""
+    the rows queued to ride on that map's next call with new rows (``queues``,
+    filled by ``queue``).  alpha's key is ``alpha_key``; KhatP's is its own."""
 
     def __init__(self):
         super().__init__()
         self.queues = {}
 
-    def queue(self, key, X: np.ndarray) -> None:
-        """Queue the rows of X on the map under ``key`` (``degree._held``)."""
-        self.queues.setdefault(key, []).append(X)
+
+def queue(problem, X: np.ndarray) -> None:
+    """Queue the rows of X, inputs of the problem's alpha, on alpha's next call
+    with new rows (``degree._held``), if the problem has a run memo."""
+    memo = getattr(problem, "_solutions", None)
+    if memo is not None and len(X):
+        memo.queues.setdefault(alpha_key(problem), []).append(X)
 
 
 def run_copy(problem, m: int):

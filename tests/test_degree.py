@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dualdeg import certify, operators, problems
+from dualdeg import certify, degree, operators, problems
 from dualdeg.degree import (CollisionError, DomainSpec, box_domain,
                             brouwer_1d, brouwer_2d_winding, brouwer_nd_regular,
                             fd_jacobian, fixed_point_degree, fourier_block_signs,
@@ -52,6 +52,12 @@ class TestBrouwer1d:
         res = brouwer_1d(lambda x: x + 5.0, (-1.0, 1.0))
         assert res.degree == 0 and res.certified
 
+    @pytest.mark.parametrize("at", [-1.0, 1.0])
+    def test_nan_endpoint_uncertified_zero(self, at):
+        # a NaN value has no sign: no degree can be read, and the margin is NaN
+        res = brouwer_1d(lambda x: np.nan if x == at else x, (-1.0, 1.0))
+        assert res.degree == 0 and not res.certified and np.isnan(res.min_boundary_norm)
+
 
 class TestBrouwer2dWinding:
     def test_identity_square(self):
@@ -72,6 +78,24 @@ class TestBrouwer2dWinding:
     def test_box_not_2d_rejected(self, k):
         with pytest.raises(ValueError, match=f"needs a 2-d box, got dimension {k}"):
             brouwer_2d_winding(lambda p: p, box_domain([(-1, 1)] * k))
+
+    @pytest.mark.parametrize("value", [0.0, np.nan], ids=["zero", "nan"])
+    def test_boundary_sample_without_angle_stops_at_once(self, value, monkeypatch):
+        # g = p - (1, 0) vanishes at the boundary sample (1, 0), or reads NaN
+        # there: no angle step is defined, so no doubling can help, and the first
+        # level gives an uncertified 0 (a cap of 3 bounds a run that doubles)
+        monkeypatch.setattr(degree, "MAX_WINDING_DOUBLINGS", 3)
+        calls = []
+
+        def g(p):
+            calls.append(len(p))
+            out = p - np.array([1.0, 0.0])
+            out[np.all(out == 0.0, axis=-1)] = value
+            return out
+
+        res = brouwer_2d_winding(g, box_domain([(-1, 1), (-1, 1)]))
+        assert calls == [64]
+        assert res.degree == 0 and not res.certified and not res.min_boundary_norm > 0
 
     def test_stability_under_refinement(self):
         g = lambda p: np.stack([p[..., 0] ** 2 - p[..., 1] ** 2,

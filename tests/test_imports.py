@@ -2,8 +2,10 @@
 package defines no private module-level name that it never reads, no public
 function that it never reads (click commands and ``UNREAD_PUBLIC`` aside) and no
 dataclass field that only its ``__post_init__`` reads, every name the README
-cites from the package exists, the README's kind table is ``KIND_TABLE``, and
-only ``flows`` and ``operators`` call a ``flows`` integrator.
+cites from the package exists, the README's kind table is ``KIND_TABLE``,
+only ``flows`` and ``operators`` call a ``flows`` integrator, and rows are
+mapped ahead of their need one way only: queued by ``operators.queue`` on a
+run memo, and mapped by ``degree._held``.
 
 Stdlib ``ast`` scans, since no linter ships with the project.  An import
 line marked ``# noqa: F401`` is kept on purpose (``certify`` binds
@@ -337,3 +339,48 @@ def test_integrator_checker_flags_flows_calls():
 def test_only_operators_integrates(path):
     # each kind's solution is integrated in operators (``operators.solution``)
     assert integrator_calls(path.read_text()) == []
+
+
+def ahead_carriers(sources: dict) -> dict:
+    """Per way of mapping rows ahead of their need, the (module, top-level
+    definition) of each call: ``_map_ahead`` calls, and appends to a run memo's
+    ``queues`` (``operators.Solutions``)."""
+    found = {"_map_ahead": [], "queues": []}
+    for mod, source in sources.items():
+        for top in ast.parse(source).body:
+            for node in ast.walk(top):
+                f = node.func if isinstance(node, ast.Call) else None
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name == "_map_ahead":
+                    found["_map_ahead"].append((mod, top.name))
+                elif name in ("append", "extend", "insert") and any(
+                        isinstance(n, ast.Attribute) and n.attr == "queues"
+                        for n in ast.walk(f.value)):
+                    found["queues"].append((mod, top.name))
+    return found
+
+
+def test_carrier_checker_flags_calls():
+    src = ("def _held(fn, queue):\n"
+           "    def held(x):\n"
+           "        queue.append(x)\n"
+           "        return _map_ahead(fn, x, x)\n"
+           "    return held\n"
+           "def lift(g):\n"
+           "    return degree._map_ahead(g, 1, 2)\n"
+           "def queue(p, X):\n"
+           "    p._solutions.queues.setdefault(1, []).append(X)\n"
+           "class Solutions:\n"
+           "    def put(self, X):\n"
+           "        self.queues[0].extend(X)\n")
+    assert ahead_carriers({"m": src}) == {
+        "_map_ahead": [("m", "_held"), ("m", "lift")],
+        "queues": [("m", "queue"), ("m", "Solutions")]}
+
+
+def test_one_carrier_maps_rows_ahead():
+    # a row mapped ahead of its need is queued on the run memo by one function,
+    # and one map applies the one failure rule when it maps the queue
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    assert ahead_carriers(sources) == {"_map_ahead": [("degree", "_held")],
+                                       "queues": [("operators", "queue")]}

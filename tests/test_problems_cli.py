@@ -280,15 +280,20 @@ class TestRun:
         # the core's opening rows ride on the first flow only where a lifted handle
         # reads its finite handle's alpha: a Dirichlet run has no lifted handle, and
         # the delay kind's Kdelay1 reads the full grid's alpha, not the history-node
-        # one of Kdelay2.  So these runs queue nothing, and every alpha memo ends
-        # with the rows it held before there was a queue; a Dirichlet memo also
-        # holds the block-check rows of every Newton iterate tried inside U2
-        made, queued = self._memos(monkeypatch), []
-        monkeypatch.setattr(operators.Solutions, "queue",
-                            lambda self, key, X: queued.append(key))
-        assert run(get_problem(pid), "all").verdict
+        # one of Kdelay2.  So these runs queue no opening row, and every alpha memo
+        # ends with the rows it held before there was a queue; a Dirichlet run
+        # queues, and its memo holds, the block-check rows of every Newton iterate
+        # tried inside U2, and a delay run queues nothing
+        made, queued, queue = self._memos(monkeypatch), [], operators.queue
+        monkeypatch.setattr(operators, "queue",
+                            lambda problem, X: queued.append(X) or queue(problem, X))
+        problem = get_problem(pid)
+        assert run(problem, "all").verdict
         [memo] = made
-        assert queued == [] and {key: len(held) for key, held in memo.items()} == rows
+        opening = {x.tobytes() for x in degree._opening(problem.default_U2().as_box())[0]}
+        assert bool(queued) == (problem.kind == "dirichlet_bvp")
+        assert not any(x.tobytes() in opening for X in queued for x in X)
+        assert {key: len(held) for key, held in memo.items()} == rows
 
     @pytest.mark.parametrize("pid,suite", [
         (p.pid, suite) for p in catalog() for suite in problems.SUITES
@@ -723,6 +728,11 @@ class TestCli:
          "box must have nonempty interior"),
         (["degree", "p1", "--operator", "K2", "--domain", "[[null,1]]"],
          "box bounds must be finite"),
+        # a bound that is no JSON number: an object, or a bool, which is no 1.0
+        (["degree", "p1", "--operator", "K2", "--domain", '[[{{"a":1}},1]]'],
+         "--domain: box bounds must be finite numbers"),
+        (["degree", "p1", "--operator", "K2", "--domain", "[[true,2]]"],
+         "--domain: box bounds must be finite numbers"),
         (["degree", "p1", "--operator", "K2", "--domain", "[[-1,1],[-1,1]]"],
          "--domain has dimension 2, K2 needs 1"),
         (["degree", "p1", "--operator", "K0", "--domain", "[[-1,1]]"],
@@ -790,9 +800,9 @@ class TestCli:
          "report-p1.json: $: 'format_version' is a required property"),
         (["report", "{report_without_pair}", "--format", "svg"],
          "$.duality[0]: 'pair' is a required property"),
-    ], ids=["not-pairs", "empty-box", "nonfinite-box", "dimension", "K0",
-            "unknown-operator", "keta-no-witness", "grid-1", "schema-invalid-file",
-            "unparsable-file", "u2-box-rows-p3", "u2-box-rows-p6", "u2-box-rows-p4",
+    ], ids=["not-pairs", "empty-box", "nonfinite-box", "object-bound", "bool-bound",
+            "dimension", "K0", "unknown-operator", "keta-no-witness", "grid-1",
+            "schema-invalid-file", "unparsable-file", "u2-box-rows-p3", "u2-box-rows-p6", "u2-box-rows-p4",
             "u2-box-empty-row", "tau-misaligned-file", "tau-misaligned-grid",
             "p6_m2", "tau-one-step-grid", "history-nodes-2",
             "eta-singular-p1", "eta-zero-p7", "eta-collision-p7", "blow-up-run-cubic",

@@ -495,15 +495,16 @@ class TestRowMemo:
 
     def test_at_zero_rows_ride_on_the_tries_inside_the_box(self):
         # g = x - F(x) has its zeros at x0 = 1 -+ sqrt 2, x1 = 0: one inside the
-        # box, one beyond it, and tries toward it blow up.  Each try maps the
-        # at-zero rows of its iterates inside the box with its own rows; the
-        # search is the plain one, and the zero's rows are then held
-        calls, asked = [], []
+        # box, one beyond it, and tries toward it blow up.  Before each try, the
+        # hook queues the at-zero rows of its iterates inside the box, which ride
+        # on the try's own call; the search is the plain one, and the zero's rows
+        # are then held
+        calls, asked, queue = [], [], []
         box = box_domain([(-1.9, 1.9), (-1.9, 1.9)])
         b = box.as_box()
         rows = lambda Z: np.concatenate([Z + 1e-3, Z - 1e-3])
-        fin = degree._Finite(degree._held(_bounded(calls), {}), 1e-8,
-                             at_zero=lambda Z: asked.append(Z) or rows(Z))
+        fin = degree._Finite(degree._held(_bounded(calls), {}, queue), 1e-8,
+                             at_zero=lambda Z: asked.append(Z) or queue.append(rows(Z)))
         plain = degree._Finite(degree._held(_bounded([]), {}), 1e-8)
         for tol in (1e-8, 1e-9):
             (X, ok), (ref_X, ref_ok) = fin._open(b)[tol], plain._open(b)[tol]
@@ -730,6 +731,21 @@ class TestLockStepCertificates:
         vr = certify.default_pullback(P3.default_U2())
         certs = self._check(_pairs(P3, P3_RUN), vr)
         assert all(c.admissible for c in certs)
+
+    def test_standalone_p3_maps_only_its_own_lifts(self, monkeypatch):
+        # with no run memo, no lift of a later pass is queued: the first pass's
+        # K1 flow maps the endpoints of its own samples only (308 states, where
+        # it mapped 776 with those of the later passes, which then integrated
+        # them again), and each certificate is that of its pair alone
+        p3 = replace(P3, m=128)
+        pairs, vr = _pairs(p3, P3_RUN[:2]), certify.default_pullback(p3.default_U2())
+        states, rk4 = [], flows._rk4
+        with monkeypatch.context() as patch:
+            patch.setattr(flows, "_rk4", lambda rhs, y0, *a, **k:
+                          states.append(len(y0)) or rk4(rhs, y0, *a, **k))
+            certs = certify.certify_homotopies(pairs, vr)
+        assert (sum(states), len(states), states[0]) == (1552, 9, 308)
+        assert certs == [_certify_one(hA, hB, vr) for hA, hB in pairs]
 
     def test_p1_ball_sample_counts_grow(self):
         names = (("K", "Kgamma"), ("K", "K1"), ("K4", "K3"), (("Keta", -1.0), "Khat3"))
