@@ -368,53 +368,52 @@ def _handle_key(h: OperatorHandle) -> tuple:
     return h.name, repr(sorted(h.params.items()))
 
 
-def _scores(base, delta, lams, work):
-    """Per step of as many lambdas as ``work`` holds: their slice and |base + lam delta|
-    (lambdas, entries), by one multiply, add and abs as scoring every entry makes."""
-    step = max(1, work.size // len(base))
-    for lo in range(0, len(lams), step):
-        lam = lams[lo:lo + step, None]
-        r = work.reshape(-1)[:len(lam) * len(base)].reshape(len(lam), len(base))
-        np.multiply(delta, lam, out=r)
-        np.add(base, r, out=r)
-        np.abs(r, out=r)
-        yield slice(lo, lo + step), r
+def _score_pairs(curves, base, delta, lams, work) -> int:
+    """Lower each pair's row of ``curves`` (pairs, lambdas) to the min over its block's
+    rows of the max over entries of |base + lam delta|, base and delta (pairs, rows, N),
+    bit for bit as scoring all would; ``work``: a flat scratch of as many floats.  On
+    lam in [0, 1] an entry is at most the larger of its ends |b|, |b + d| (as at lam =
+    1), rounding being monotone.  A row's max is at least that of its entries largest
+    at lam = 0 and 1, scored exactly; a pair's new curve at most its old one and the
+    exact max of its row with the smallest bound.  Rows whose lower bound exceeds that
+    at every lambda go, and so do entries below their row's lowest lower bound."""
+    P, R, N = base.shape
+    pair, pos = np.arange(P)[:, None], np.arange(R)
+    w = work[:base.size].reshape(base.shape)
+    top0 = np.abs(base, out=w).argmax(axis=2)
+    bound = w[pair, pos, top0]
+    top1 = np.abs(np.add(base, delta, out=w), out=w).argmax(axis=2)
+    bound = np.maximum(bound, w[pair, pos, top1])  # each row's largest entry bound
 
+    def scored(b, d):  # per step of as many lambdas as work holds: |b + lam d|
+        step = max(1, len(work) // b.size)
+        for lo in range(0, len(lams), step):
+            lam = lams[lo:lo + step, None]
+            r = work[:len(lam) * b.size].reshape(len(lam), b.size)
+            np.add(b.ravel(), np.multiply(d.ravel(), lam, out=r), out=r)
+            yield slice(lo, lo + step), np.abs(r, out=r)
 
-def _score_block(curve, base, delta, lams, work) -> None:
-    """Lower ``curve`` per lambda to the block's min over rows of max over entries of
-    |base + lam delta|, bit for bit as scoring all would; ``work``: a (rows, N) scratch.
-    Rounding is monotone, so on lam in [0, 1] an entry is at most the larger of its
-    ends |b|, |b + d| (rounded as at lam = 1): a convexity bound with no rounding
-    slack.  A row's max is at least that of its entries largest at lam = 0 and 1,
-    scored exactly; the new curve at most the old one and the exact max of the row
-    with the smallest bound.  Rows whose lower bound exceeds that at every lambda go,
-    and so do entries below their row's lowest lower bound: the rest hold every max
-    that can lower the curve.  A block with bounds not finite keeps every entry."""
-    pos = np.arange(len(base))
-    top0 = np.abs(base, out=work).argmax(axis=1)
-    bound = work[pos, top0]
-    top1 = np.abs(np.add(base, delta, out=work), out=work).argmax(axis=1)
-    bound = np.maximum(bound, work[pos, top1])  # each row's largest entry bound
-    kept, floor = pos, np.full(len(base), -np.inf)
-    if np.isfinite(bound).all():
-        best, high = bound.argmin(), curve.copy()
-        for at, r in _scores(base[best], delta[best], lams, work):
-            np.minimum(high[at], r.max(axis=1), out=high[at])
-        reach, floor = pos == best, np.full(len(base), np.inf)
-        two = np.stack([top0, top1])[:base.shape[1]]  # N = 1: one a row, to fit work
-        for at, r in _scores(base[pos, two].ravel(), delta[pos, two].ravel(), lams, work):
-            r = r.reshape(len(r), len(two), -1)
-            low = np.maximum(r[:, 0], r[:, -1], out=r[:, 0])  # (lambdas, rows)
-            reach |= ~(low > high[at, None]).all(axis=0)
-            np.minimum(floor, low.min(axis=0), out=floor)
-        kept, floor = np.flatnonzero(reach), floor[reach]
-    b, d = base[kept], delta[kept]
+    best, high = bound.argmin(axis=1), curves.copy()
+    for at, r in scored(base[pair[:, 0], best], delta[pair[:, 0], best]):
+        np.minimum(high[:, at], r.reshape(len(r), P, N).max(axis=2).T, out=high[:, at])
+    free = ~np.isfinite(bound).all(axis=1, keepdims=True)  # pairs that keep every entry
+    reach = (pos == best[:, None]) | free
+    floor = np.where(free, -np.inf, np.full((P, R), np.inf))
+    two = np.stack([top0, top1])[:N]  # N = 1: one a row, to fit work
+    for at, r in scored(base[pair, pos, two], delta[pair, pos, two]):
+        r = r.reshape(len(r), len(two), P, R)
+        low = np.maximum(r[:, 0], r[:, -1], out=r[:, 0])  # (lambdas, pairs, rows)
+        reach |= ~(low > high[:, at].T[:, :, None]).all(axis=0)
+        np.minimum(floor, low.min(axis=0), out=floor)
+    b, d, floor = base[reach], delta[reach], floor[reach]
     keep = ~(np.maximum(np.abs(b + d), np.abs(b)) < floor[:, None])
-    starts = np.concatenate(([0], np.cumsum(keep.sum(axis=1))[:-1]))
-    for at, r in _scores(b[keep], d[keep], lams, work):
-        np.minimum(curve[at], np.maximum.reduceat(r, starts, axis=1).min(axis=1),
-                   out=curve[at])
+    # each kept row's first entry, each pair's first kept row
+    starts, firsts = (np.cumsum(n) - n for n in (keep.sum(axis=1), reach.sum(axis=1)))
+    for at, r in scored(b[keep], d[keep]):
+        maxima = np.maximum.reduceat(r, starts, axis=1)  # (lambdas, rows kept)
+        np.minimum(curves[:, at], np.minimum.reduceat(maxima, firsts, axis=1).T,
+                   out=curves[:, at])
+    return P * N + two.size + int(keep.sum())
 
 
 def _boundary_curves(pairs, samples: np.ndarray, unflat, lam_grids, ends) -> list:
@@ -424,10 +423,10 @@ def _boundary_curves(pairs, samples: np.ndarray, unflat, lam_grids, ends) -> lis
     rows per call, so its flow runs once per pass; every other distinct handle maps
     each block of ``degree._stack_rows`` samples once, the block's one x, whose memo
     they share; in a run, Ktilde's K2 reads the alpha rows K1's flow stored.  An image
-    is kept from its first pair to its last.  Segment j, from row ``ends[j - 1]`` to
+    is kept from its first pair to its last.  Segment j, rows ``ends[j - 1]`` to
     ``ends[j]``, has a curve of its own: each lambda of the grids' exact union is
-    scored once per pair and block segment, on the entries that can hold its minimum
-    (``_score_block``), and grid j's curve is the min of segments 0..j."""
+    scored once per block segment and chunk of _stack_rows(rows * N) pairs
+    (``_score_pairs``), and grid j's curve is the min of segments 0..j."""
     lams, where = np.unique(np.concatenate(lam_grids), return_inverse=True)
     keys = [(_handle_key(hA), _handle_key(hB)) for hA, hB in pairs]
     handles = {_handle_key(h): h for pair in pairs for h in pair}
@@ -437,26 +436,29 @@ def _boundary_curves(pairs, samples: np.ndarray, unflat, lam_grids, ends) -> lis
               for key, h in handles.items() if h.factors is not None}
     curves = np.full((len(pairs), len(ends), len(lams)), np.inf)
     rows = min(deg_mod._stack_rows(samples.shape[1]), len(samples))
-    scratch = np.empty((3, rows, samples.shape[1]))
+    chunk = min(deg_mod._stack_rows(rows * samples.shape[1]), len(pairs))
+    scratch = np.empty((3, chunk * rows * samples.shape[1]))
     for lo in range(0, len(samples), rows):
         xs = samples[lo:lo + rows]
-        base, delta, work = scratch[:, :len(xs)]
         segments = [(j, slice(max(start - lo, 0), end - lo))
                     for j, (start, end) in enumerate(zip([0] + ends[:-1], ends))
                     if start < min(end, lo + len(xs)) and end > lo]
         x, images = unflat(xs), {}
-        for i, pair_keys in enumerate(keys):
-            for key in pair_keys:
-                if key not in images:
-                    images[key] = lifted[key][lo:lo + rows] if key in lifted \
-                        else _flatten(handles[key].apply_fn(x))
-            a, b = (images[key] for key in pair_keys)
-            # x - H_lam(x) = (x - b) + lam (b - a), componentwise
-            np.subtract(xs, b, out=base)
-            np.subtract(b, a, out=delta)
+        for c in range(0, len(pairs), chunk):
+            stop = min(c + chunk, len(pairs))
+            base, delta = scratch[:2, :(stop - c) * xs.size].reshape((2, stop - c) + xs.shape)
+            for p, i in enumerate(range(c, stop)):
+                for key in keys[i]:
+                    if key not in images:
+                        images[key] = lifted[key][lo:lo + rows] if key in lifted \
+                            else _flatten(handles[key].apply_fn(x))
+                a, b = (images[key] for key in keys[i])
+                # x - H_lam(x) = (x - b) + lam (b - a), componentwise
+                np.subtract(xs, b, out=base[p])
+                np.subtract(b, a, out=delta[p])
+                images = {key: im for key, im in images.items() if last[key] > i}
             for j, at in segments:
-                _score_block(curves[i, j], base[at], delta[at], lams, work[at])
-            images = {key: im for key, im in images.items() if last[key] > i}
+                _score_pairs(curves[c:stop, j], base[:, at], delta[:, at], lams, scratch[2])
     levels = np.split(where, np.cumsum([len(grid) for grid in lam_grids])[:-1])
     return [[curve[idx] for curve, idx in zip(np.minimum.accumulate(segs), levels)]
             for segs in curves]
@@ -594,17 +596,18 @@ class _FiniteSide:
     margins and Jacobians, on the run memo of h's problem (a run copy); each
     Newton try queues there the rows ``at_zero`` names for F's key at its
     iterates inside the box.  A name and params fix a map in one run (Kdelay2's
-    at any grid of the problem)."""
+    at any grid of the problem).  Its searches share one dict of box ``openings``."""
 
     def __init__(self, at_zero: dict | None = None):
-        self._maps, self._degrees, self._at_zero = {}, {}, at_zero or {}
+        self._maps, self._degrees, self.openings, self._at_zero = {}, {}, {}, at_zero or {}
 
     def map(self, h: OperatorHandle) -> deg_mod._Finite:
         key = _handle_key(h)
         if key not in self._maps:
             rows = self._at_zero.get(key)
             hook = None if rows is None else lambda Z: operators.queue(h.problem, rows(Z))
-            self._maps[key] = deg_mod._Finite(h.apply_fn, FINITE_FP_TOL, at_zero=hook)
+            self._maps[key] = deg_mod._Finite(h.apply_fn, FINITE_FP_TOL, at_zero=hook,
+                                              openings=self.openings)
         return self._maps[key]
 
     @staticmethod
@@ -622,7 +625,7 @@ class _FiniteSide:
         return self._degrees[key] if fin is h else deg_mod._reduced(self._degrees[key], dom.r)
 
 
-def _queue_core_opening(problem, plans, U2: DomainSpec) -> None:
+def _queue_core_opening(problem, plans, U2: DomainSpec, openings: dict) -> None:
     """Queue the rows the common core's search maps first (``degree._opening`` of
     U2) on the alpha of its finite handle, whose inputs they are, if a lifted handle
     of the plans' certificates reads that alpha, so its first flow maps them too;
@@ -631,7 +634,7 @@ def _queue_core_opening(problem, plans, U2: DomainSpec) -> None:
     key = operators.alpha_key(fin.problem)
     if any(h.factors is not None and operators.alpha_key(h.problem) == key
            for plan in plans for hA, hB, _ in plan.homotopies for h in (hA, hB)):
-        operators.queue(fin.problem, deg_mod._opening(U2.as_box())[0])
+        operators.queue(fin.problem, deg_mod._opening(U2.as_box(), openings)[0])
 
 
 def run_plans(problem, plans, U1: FunctionBall, U2: DomainSpec,
@@ -643,17 +646,18 @@ def run_plans(problem, plans, U1: FunctionBall, U2: DomainSpec,
     core over U1 and U2 is checked once, if any plan needs it, and each
     distinct finite degree, Newton search (per finite handle and box) and FD
     Jacobian (per finite handle and zero) once, kept for this call only
-    (``_FiniteSide``); a search maps the rows a plan reads at its zeros
-    (``Plan.at_zero``) with its Newton tries.  ``timings``, if given, receives
-    the seconds of each stage and of each conclusion.  ``problem`` is a run copy
-    (``operators.run_copy``): before certifying, the common core's opening rows
-    are queued on its memo (``_queue_core_opening``).
+    (``_FiniteSide``, made first, each box's opening too); a search maps the rows
+    a plan reads at its zeros (``Plan.at_zero``) with its Newton tries.  ``timings``,
+    if given, receives the seconds of each stage and of each conclusion.  ``problem``
+    is a run copy (``operators.run_copy``): before certifying, the common core's
+    opening rows are queued on its memo (``_queue_core_opening``).
     """
     key = lambda hA, hB, dom: (id(dom), _handle_key(hA), _handle_key(hB))
     clock = time.perf_counter
     t0 = clock()
+    degree = _FiniteSide({_handle_key(p.at_zero[0]): p.at_zero[1] for p in plans if p.at_zero})
     if any(p.needs_core for p in plans):
-        _queue_core_opening(problem, plans, U2)
+        _queue_core_opening(problem, plans, U2, degree.openings)
     by_domain: dict = {}  # id(domain) -> (domain, {key: pair}), first seen first
     for plan in plans:
         for hA, hB, dom in plan.homotopies:
@@ -662,7 +666,6 @@ def run_plans(problem, plans, U1: FunctionBall, U2: DomainSpec,
     for dom, pairs in by_domain.values():
         certs.update(zip(pairs, certify_homotopies(list(pairs.values()), dom, seed=seed)))
     t1 = clock()
-    degree = _FiniteSide({_handle_key(p.at_zero[0]): p.at_zero[1] for p in plans if p.at_zero})
     core = check_common_core(problem, U1, U2, _finite=degree) \
         if any(p.needs_core for p in plans) else None
     t2 = clock()
@@ -744,7 +747,7 @@ def plan_duality(problem, pair: str, U1: FunctionBall, U2: DomainSpec,
         def sides(degree):
             right = degree(fin, U2)
             # image domain P(U2): bounding box of P over the margin samples of
-            # U2 (``degree._margin_samples``), for k <= 2 its 17-point lattice
+            # U2 (``degree._opening``), for k <= 2 its 17-point lattice
             mapped = degree.map(fin).edge(U2.as_box())
             img = box_domain(np.stack([mapped.min(axis=0), mapped.max(axis=0)], axis=1))
             return degree(hatp, img), right, True, {"image_box": img.as_box().tolist()}

@@ -126,8 +126,9 @@ def _sign_change(ga, gb) -> DegreeResult:
 def brouwer_2d_winding(g: Callable, box: DomainSpec) -> DegreeResult:
     """Degree of g over a 2-d box by the winding number along its boundary.
 
-    Sampling doubles until every per-segment angle increment is below pi/2;
-    a boundary sample where g is 0 or not finite gives an uncertified 0 at once.
+    Sampling doubles until every per-segment angle increment is below pi/2; a boundary
+    sample where g is 0 or not finite, a margin below DEFAULT_EPS (no finer level's,
+    which holds these samples, is larger) or the cap gives an uncertified 0.
     """
     b = box.as_box()
     if b.shape[0] != 2:
@@ -142,22 +143,20 @@ def brouwer_2d_winding(g: Callable, box: DomainSpec) -> DegreeResult:
         pts = corners[seg] + (s - seg)[:, None] * (corners[seg + 1] - corners[seg])
         vals = _map_rows(g, pts)
         margin = float(np.min(np.max(np.abs(vals), axis=1)))
-        if not margin > 0:  # no angle step there: doubling cannot help
-            return DegreeResult(degree=0, method="winding_2d", min_boundary_norm=margin,
-                                refinement_levels=level, certified=False)
-        z = vals[:, 0] + 1j * vals[:, 1]
-        incs = np.angle(np.roll(z, -1) / z)
-        if np.max(np.abs(incs)) < np.pi / 2:
-            winding = float(np.sum(incs)) / (2 * np.pi)
-            deg = int(round(winding))
-            certified = (abs(winding - deg) < WINDING_ROUND_GUARD
-                         and margin >= DEFAULT_EPS)
-            return DegreeResult(degree=deg, method="winding_2d",
-                                min_boundary_norm=margin,
-                                refinement_levels=level, certified=certified)
+        if margin > 0:  # else no angle step there
+            z = vals[:, 0] + 1j * vals[:, 1]
+            incs = np.angle(np.roll(z, -1) / z)
+            if np.max(np.abs(incs)) < np.pi / 2:
+                winding = float(np.sum(incs)) / (2 * np.pi)
+                deg = int(round(winding))
+                certified = abs(winding - deg) < WINDING_ROUND_GUARD and margin >= DEFAULT_EPS
+                return DegreeResult(degree=deg, method="winding_2d", min_boundary_norm=margin,
+                                    refinement_levels=level, certified=certified)
+        if not margin >= DEFAULT_EPS:  # doubling cannot help
+            break
         n *= 2
-    return DegreeResult(degree=0, method="winding_2d", min_boundary_norm=0.0,
-                        refinement_levels=MAX_WINDING_DOUBLINGS, certified=False)
+    return DegreeResult(degree=0, method="winding_2d", min_boundary_norm=margin,
+                        refinement_levels=level, certified=False)
 
 
 # ---------------------------------------------------------------------------
@@ -379,22 +378,19 @@ def _multistart_seeds(box: np.ndarray) -> np.ndarray:
     return np.vstack([center[None, :], np.asarray(offs)])
 
 
-def _margin_samples(box: np.ndarray) -> np.ndarray:
-    """The boundary samples of a margin, levels 0 and 1, each distinct point
-    once: lattice levels share points (for k = 1, the two endpoints), random
-    ones are kept as drawn."""
-    S = np.concatenate([_boundary_samples(box, MARGIN_PER_AXIS, level) for level in (0, 1)])
-    if _lattice_per(box, MARGIN_PER_AXIS, 1) is None:
-        return S
-    return np.unique(S.view(np.uint64), axis=0).view(float)  # distinct bit patterns
-
-
-def _opening(box: np.ndarray) -> tuple:
-    """The rows a search of the box maps first, in one stacked call
-    (``_Finite._open``): its margin samples (``_margin_samples``), its multistart
-    seeds and their FD stencil; then how many margin samples lead, and the seeds."""
-    S, seeds = _margin_samples(box), _multistart_seeds(box)
-    return np.concatenate([S, seeds, _stencil(seeds)[0]]), len(S), seeds
+def _opening(box: np.ndarray, openings: dict) -> tuple:
+    """The rows a search of the box maps first, in one stacked call (``_Finite._open``):
+    its margin samples, the boundary samples of levels 0 and 1, each distinct point
+    once (lattice levels share points, for k = 1 the two endpoints; random ones are
+    kept as drawn), its multistart seeds and their FD stencil; then the margin samples,
+    its first rows, and the seeds.  Made once per box in ``openings``."""
+    if box.tobytes() not in openings:
+        S = np.concatenate([_boundary_samples(box, MARGIN_PER_AXIS, level) for level in (0, 1)])
+        if _lattice_per(box, MARGIN_PER_AXIS, 1) is not None:
+            S = np.unique(S.view(np.uint64), axis=0).view(float)  # distinct bit patterns
+        X = np.concatenate([S, seeds := _multistart_seeds(box), _stencil(seeds)[0]])
+        openings[box.tobytes()] = X, X[:len(S)], seeds
+    return openings[box.tobytes()]
 
 
 class _Finite:
@@ -406,14 +402,15 @@ class _Finite:
     A box's margin values are one array per box (``edge``).  A box's search
     runs from its multistart seeds to ``loose`` and, for k >= 2, on to
     NEWTON_TOL (``_newton_runs``), each stage one stacked call of F
-    (``warm``): the box's opening rows (``_opening``), then each line-search
-    try's iterates and stencil.  Before that call, the hook ``at_zero``, if
+    (``warm``): the box's opening rows (``_opening``, in ``openings``), then each
+    line-search try's iterates and stencil.  Before that call, the hook ``at_zero``, if
     given, is handed the try's iterates inside the box, since any of them may
     be a zero (``_tries``): a run's queues the rows a plan reads there."""
 
     def __init__(self, fn: Callable, loose: float, _fn_is_g: bool = False,
-                 at_zero: Callable | None = None):
+                 at_zero: Callable | None = None, openings: dict | None = None):
         self.fn, self.loose, self._fn_is_g, self.at_zero = fn, loose, _fn_is_g, at_zero
+        self.openings = {} if openings is None else openings
         self._edges, self._runs, self._jacobians = {}, {}, {}
 
     def __call__(self, x) -> np.ndarray:
@@ -447,18 +444,18 @@ class _Finite:
         return warm
 
     def edge(self, box: np.ndarray) -> np.ndarray:
-        """F over the margin samples of the box (``_margin_samples``)."""
+        """F over the margin samples of the box (``_opening``)."""
         if box.tobytes() not in self._edges:
-            self._edges[box.tobytes()] = self(_margin_samples(box))
+            self._edges[box.tobytes()] = self(_opening(box, self.openings)[1])
         return self._edges[box.tobytes()]
 
     def _open(self, b: np.ndarray) -> dict:
         """The runs of box b per tolerance, made on its first use."""
         if b.tobytes() not in self._runs:
-            X, margin, seeds = _opening(b)
+            X, S, seeds = _opening(b, self.openings)
             Y = self.warm(X)
             if Y is not None:
-                self._edges.setdefault(b.tobytes(), Y[:margin])
+                self._edges.setdefault(b.tobytes(), Y[:len(S)])
             tols = (self.loose, NEWTON_TOL) if len(b) >= 2 and NEWTON_TOL < self.loose \
                 else (self.loose,)
             self._runs[b.tobytes()] = dict(zip(tols, _newton_runs(
@@ -468,7 +465,7 @@ class _Finite:
     def margin(self, b: np.ndarray) -> float:
         """min |g| over the margin samples of box b."""
         self._open(b)
-        G = self.edge(b) if self._fn_is_g else _margin_samples(b) - self.edge(b)
+        G = self.edge(b) if self._fn_is_g else _opening(b, self.openings)[1] - self.edge(b)
         return float(np.min(np.max(np.abs(G), axis=-1)))
 
     def zeros(self, dom: DomainSpec, tol: float):

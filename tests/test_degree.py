@@ -97,6 +97,41 @@ class TestBrouwer2dWinding:
         assert calls == [64]
         assert res.degree == 0 and not res.certified and not res.min_boundary_norm > 0
 
+    @pytest.mark.parametrize("side", [1.0, -1.0], ids=["outside", "inside"])
+    def test_margin_below_eps_stops_doubling(self, side):
+        # a zero 1e-9 off the boundary, 1e-7 off the level-1 sample (1, 0.0625):
+        # the angle steps still fail there, and every finer level holds that
+        # sample, so its margin can only fall further below DEFAULT_EPS
+        calls = []
+
+        def g(p):
+            calls.append(len(p))
+            return p - np.array([1.0 + side * 1e-9, 0.0625 + 1e-7])
+
+        res = brouwer_2d_winding(g, box_domain([(-1, 1), (-1, 1)]))
+        assert calls == [64, 128]
+        assert res.degree == 0 and not res.certified and res.refinement_levels == 1
+        assert 0 < res.min_boundary_norm < degree.DEFAULT_EPS
+
+    @pytest.mark.parametrize("side", [1.0, -1.0], ids=["outside", "inside"])
+    def test_exhausted_cap_keeps_the_last_margin(self, side, monkeypatch):
+        # the zero sits near no sample of any level up to the cap: the margin stays
+        # above DEFAULT_EPS, the angle steps keep failing, and the cap's result
+        # reports the finest level's sampled margin
+        monkeypatch.setattr(degree, "MAX_WINDING_DOUBLINGS", 6)
+        calls, margins = [], []
+
+        def g(p):
+            calls.append(len(p))
+            out = p - np.array([1.0 + side * 1e-9, 0.06])
+            margins.append(np.min(np.max(np.abs(out), axis=1)))
+            return out
+
+        res = brouwer_2d_winding(g, box_domain([(-1, 1), (-1, 1)]))
+        assert calls == [64 * 2 ** level for level in range(7)]
+        assert res.degree == 0 and not res.certified and res.refinement_levels == 6
+        assert res.min_boundary_norm == margins[-1] > degree.DEFAULT_EPS
+
     def test_stability_under_refinement(self):
         g = lambda p: np.stack([p[..., 0] ** 2 - p[..., 1] ** 2,
                                 2 * p[..., 0] * p[..., 1]], axis=-1)

@@ -261,6 +261,21 @@ class TestRun:
         assert run(get_problem(pid), "all", grid_m=m).verdict
         assert counts == {"sweeps": sweeps, "jacobians": jacobians}
 
+    @pytest.mark.parametrize("pid,boxes", [("p1", 1), ("p2", 1), ("p3", 2)])
+    def test_one_opening_per_box_per_run(self, pid, boxes, monkeypatch):
+        # the core's queue, the searches of K2 and of Khat2 and their margins read
+        # one opening of U2; p3's inverse_poincare adds its image box
+        built, opening = [], degree._opening
+
+        def counted(b, openings):
+            if b.tobytes() not in openings:
+                built.append(b.tobytes())
+            return opening(b, openings)
+
+        monkeypatch.setattr(degree, "_opening", counted)
+        assert run(get_problem(pid), "all", grid_m=64).verdict
+        assert len(built) == len(set(built)) == boxes
+
     @staticmethod
     def _memos(monkeypatch) -> list:
         """The run memos (``operators.Solutions``) made from now on."""
@@ -290,7 +305,7 @@ class TestRun:
         problem = get_problem(pid)
         assert run(problem, "all").verdict
         [memo] = made
-        opening = {x.tobytes() for x in degree._opening(problem.default_U2().as_box())[0]}
+        opening = {x.tobytes() for x in degree._opening(problem.default_U2().as_box(), {})[0]}
         assert bool(queued) == (problem.kind == "dirichlet_bvp")
         assert not any(x.tobytes() in opening for X in queued for x in X)
         assert {key: len(held) for key, held in memo.items()} == rows

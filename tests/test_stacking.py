@@ -6,6 +6,7 @@ or per sample gives; the references below are those loops.
 
 import contextlib
 import json
+import tracemalloc
 import weakref
 from dataclasses import fields, replace
 
@@ -434,7 +435,7 @@ class TestRowMemo:
         calls, F = [], _bounded([])
         rows = degree._Finite(degree._held(_bounded(calls), {}), 1e-8)
         b = np.array(bounds)
-        S = degree._margin_samples(b)
+        S = degree._opening(b, {})[1]
         # lattice levels share points: each distinct one once, level 1 holds level 0
         assert len(S) == len({s.tobytes() for s in S}) == \
             len(degree._boundary_samples(b, degree.MARGIN_PER_AXIS, 1))
@@ -457,11 +458,11 @@ class TestRowMemo:
         b = np.array(bounds)
         assert degree._lattice_per(b, degree.MARGIN_PER_AXIS, 1) == 17
         rows = lambda X: sorted(x.tobytes() for x in X)
-        assert rows(degree._margin_samples(b)) == rows(degree._boundary_lattice(b, 17))
+        assert rows(degree._opening(b, {})[1]) == rows(degree._boundary_lattice(b, 17))
 
     def test_random_margin_kept_as_drawn(self):
         b = np.array([(-1.0, 1.0)] * 8)
-        S = degree._margin_samples(b)
+        S = degree._opening(b, {})[1]
         levels = [degree._boundary_samples(b, degree.MARGIN_PER_AXIS, level) for level in (0, 1)]
         assert np.array_equal(S, np.concatenate(levels))
         fin = degree._Finite(lambda X: 0.5 * X, 1e-8)
@@ -482,7 +483,7 @@ class TestRowMemo:
             X, ok = fin._open(b)[tol]
             assert np.array_equal(X, ref_X) and np.array_equal(ok, ref_ok)
             assert fin.zeros(box, tol)[1] == np.sum(~ref_ok)
-        S = degree._margin_samples(b)
+        S = degree._opening(b, {})[1]
         assert fin.margin(b) == np.min(np.max(np.abs(S - F(S)), axis=-1))
 
         starts = np.array([[1.99999, 0.5], [0.95, -1.0], [-1.5, 1.99999], [1.9, 0.2]])
@@ -1040,49 +1041,113 @@ def _random_block(rng, case, rows, cols):
     return base, delta
 
 
+CASES = ["random", "ties", "b == a", "half a == b"]
+
+
+def _overflow_block(rng, rows, cols):
+    """(base, delta) whose entries overflow at lam > 0: bounds not finite."""
+    return rng.uniform(0.9, 1.0, (2, rows, cols)) * 1.7e308
+
+
+def _score(curves, base, delta, lams):
+    """``certify._score_pairs`` on copies of the curves, with a work buffer of the
+    chunk's floats; the curves it lowered and the entries it scored per lambda."""
+    got = curves.copy()
+    scored = certify._score_pairs(got, base, delta, lams, np.empty(base.size))
+    return got, scored
+
+
 class TestPrunedScoring:
-    """``certify._score_block`` scores only what can hold a block's minimum;
-    the running curve it lowers is the dense loop's, bit for bit."""
+    """``certify._score_pairs`` scores only what can hold a block's minimum, for
+    a chunk of pairs at once; each pair's running curve it lowers is the dense
+    loop's, bit for bit."""
 
     @pytest.mark.parametrize("n_lam", [2, 7, 9, 33, 129])
-    @pytest.mark.parametrize("case", ["random", "ties", "b == a", "half a == b"])
+    @pytest.mark.parametrize("case", CASES)
     def test_equals_the_dense_loop(self, case, n_lam):
+        # chunks of 1, 3 and 9 pairs; past the first, a chunk mixes the cases (all
+        # four in 9 pairs) and ends with a pair whose bounds overflow
         rng = np.random.default_rng(n_lam)
         lams = np.linspace(0.0, 1.0, n_lam)
-        for rows, cols in [(1, 1), (1, 40), (30, 1), (25, 60), (127, 258)] * 4:
-            base, delta = _random_block(rng, case, rows, cols)
-            want = _dense_minima(base, delta, lams)
-            # a fresh curve, and one that crosses the block's minima
-            for curve in (np.full(n_lam, np.inf), want * rng.uniform(0.5, 1.5, n_lam)):
-                got = curve.copy()
-                certify._score_block(got, base, delta, lams, np.empty((rows, cols)))
-                assert np.array_equal(got, np.minimum(curve, want))
+        for P in (1, 3, 9):
+            for rows, cols in [(1, 1), (1, 40), (30, 1), (25, 60), (127, 258)]:
+                cases = [CASES[(CASES.index(case) + p) % 4] for p in range(P)]
+                blocks = [_random_block(rng, c, rows, cols) for c in cases]
+                if P > 1:
+                    blocks[-1] = _overflow_block(rng, rows, cols)
+                base, delta = (np.stack(part) for part in zip(*blocks))
+                with np.errstate(over="ignore"):
+                    want = np.stack([_dense_minima(b, d, lams) for b, d in blocks])
+                    # fresh curves, and ones that cross the blocks' minima
+                    for curves in (np.full((P, n_lam), np.inf),
+                                   want * rng.uniform(0.5, 1.5, (P, n_lam))):
+                        got = _score(curves, base, delta, lams)[0]
+                        assert np.array_equal(got, np.minimum(curves, want))
 
     def test_overflow_block_keeps_every_entry(self):
-        base, delta = np.random.default_rng(5).uniform(0.9, 1.0, (2, 6, 7)) * 1.7e308
+        base, delta = _overflow_block(np.random.default_rng(5), 6, 7)
         lams = np.linspace(0.0, 1.0, 9)
         with np.errstate(over="ignore"):
             want = _dense_minima(base, delta, lams)
-            got = np.full(9, np.inf)
-            certify._score_block(got, base, delta, lams, np.empty((6, 7)))
+            got, scored = _score(np.full((1, 9), np.inf), base[None], delta[None], lams)
         assert np.isfinite(want[0]) and np.isinf(want[1:]).all()
-        assert np.array_equal(got, want)
+        assert np.array_equal(got[0], want)
+        # past the best row's 7 entries and the 2 bound entries of each of 6 rows
+        assert scored - 7 - 2 * 6 == base.size
+
+    @staticmethod
+    def _counted(monkeypatch) -> list:
+        """The (pairs, rows, N) shape, lambdas and entries scored of each call."""
+        calls, score = [], certify._score_pairs
+
+        def counted(curves, base, delta, lams, work):
+            scored = score(curves, base, delta, lams, work)
+            calls.append((base.shape, len(lams), scored))
+            return scored
+
+        monkeypatch.setattr(certify, "_score_pairs", counted)
+        return calls
 
     def test_p3_run_pairs_score_few_entries(self, monkeypatch):
         # a return to dense scoring fails here, not only in the benchmark
-        blocks, scored = [0], [0]
-        score_block, scores = certify._score_block, certify._scores
-
-        def counted_blocks(curve, base, delta, lams, work):
-            blocks[0] += base.size * len(lams)
-            return score_block(curve, base, delta, lams, work)
-
-        def counted_scores(base, delta, lams, work):
-            scored[0] += len(base) * len(lams)
-            return scores(base, delta, lams, work)
-
-        monkeypatch.setattr(certify, "_score_block", counted_blocks)
-        monkeypatch.setattr(certify, "_scores", counted_scores)
+        calls = self._counted(monkeypatch)
         vr = certify.default_pullback(P3_128.default_U2())
         certify.certify_homotopies(_pairs(P3_128, P3_RUN), vr)
-        assert 0 < scored[0] < 0.1 * blocks[0]
+        blocks = sum(np.prod(shape) * n_lam for shape, n_lam, _ in calls)
+        assert 0 < sum(scored * n_lam for _, n_lam, scored in calls) < 0.1 * blocks
+
+    @pytest.mark.parametrize("pid,m,peak_mib", [("p3", 128, 5.98 + 0.2), ("p1", 64, 0.42 + 0.1)])
+    def test_certificates_peak_memory(self, pid, m, peak_mib):
+        # the tracemalloc peak of the standalone run pairs after a first call has
+        # filled the grid caches, with base, delta and the scored lambdas in the
+        # pass's scratch: 5.98 and 0.42 MiB, here bounded with a slack of 0.2 and
+        # 0.1 MiB.  Fresh (pairs, rows, N) arrays per chunk peaked at 6.48 and 0.66
+        problem = replace(problems.get_problem(pid), m=m)
+        pairs, vr = _pairs(problem, P3_RUN), certify.default_pullback(problem.default_U2())
+        certify.certify_homotopies(pairs, vr)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            certify.certify_homotopies(pairs, vr)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < peak_mib * 2 ** 20
+
+    @pytest.mark.parametrize("pid,m,want", [
+        ("p1", 64, [(9, 14, 65)]), ("p2", 64, [(9, 14, 65)]),
+        ("p3", 128, [(1, 54, 258), (1, 87, 258), (1, 127, 258)])])
+    def test_one_call_per_chunk_of_pairs(self, pid, m, want, monkeypatch):
+        # p1 and p2 at m = 64: one pass of one 14-sample block, whose 9 x 14 x 65
+        # floats fit the float budget, so all 9 pairs score in one call; p3 at
+        # m = 128: a 127-row block fills the budget, so each pair takes its own
+        calls = self._counted(monkeypatch)
+        passes, curves = [], certify._boundary_curves
+        monkeypatch.setattr(certify, "_boundary_curves",
+                            lambda *args: passes.append(1) or curves(*args))
+        assert problems.run(problems.get_problem(pid), "all", grid_m=m).verdict
+        assert sorted({shape for shape, _, _ in calls}) == want
+        assert len(calls) == (len(passes) if pid != "p3" else 63)
