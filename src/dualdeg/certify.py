@@ -4,16 +4,16 @@ homotopy admissibility certificates and the duality verdicts.
 Each verdict compares two degree computations: the function-space side,
 evaluated by certifying a homotopy chain down to a conjugate operator with
 a finite-rank reduction witness, and the finite side, evaluated directly
-by a Brouwer engine.  One rule decides all six pairs (``_verdict``); the
-README's "How a verdict is decided" tables their sides, signs and checks,
-and ``KIND_TABLE`` says which pairs each problem kind runs.  All boundary
-sampling uses a fixed seed so pipelines are deterministic.
+by a Brouwer engine.  ``PAIR_TABLE`` says how each pair is decided, read by
+``plan_duality`` under the one verdict rule, and ``KIND_TABLE`` which pairs each
+problem kind runs.  Boundary sampling uses a fixed seed: pipelines are deterministic.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dc_field, replace
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -179,12 +179,6 @@ def _member(x, i: int):
     return GridFunction(x.grid, x.values[i])
 
 
-def _finite_clearance(v: np.ndarray, dom: DomainSpec) -> float:
-    b = dom.as_box()
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    return float(np.min(np.minimum(v - b[:, 0], b[:, 1] - v)))
-
-
 def check_common_core(problem, U1: FunctionBall, U2: DomainSpec,
                       _finite: "_FiniteSide | None" = None) -> CommonCoreReport:
     """Verify that the two domains isolate the same solution set.
@@ -218,7 +212,7 @@ def check_common_core(problem, U1: FunctionBall, U2: DomainSpec,
     for i, v in enumerate(fps):
         traj = _member(trajs, i)
         c1 = U1.clearance(traj)
-        c2 = _finite_clearance(v, U2)
+        c2 = U2.clearance(v)
         clear1 = min(clear1, c1)
         clear2 = min(clear2, c2)
         pairs.append({"finite": tuple(np.atleast_1d(v)),
@@ -681,162 +675,180 @@ def run_plans(problem, plans, U1: FunctionBall, U2: DomainSpec,
     return out
 
 
-def _verdict(pair: str, name: str, homotopies: tuple, sides: Callable, sign: int,
-             needs_core: bool, at_zero: tuple | None = None) -> Plan:
-    """The plan of a duality instance under the one verdict rule: equal iff
-    left.degree = sign * right.degree, both sides are certified, the extra check
-    holds, every chain certificate is admissible and, if the pair needs it, the
-    common core holds.  ``sides(degree)`` gives (left, right, extra_ok, params)."""
+@dataclass(frozen=True)
+class PairRow:
+    """How a duality pair is decided; its names index ``SIDES``, ``SIGNS``, ``EXTRAS``."""
 
-    def conclude(certs, core, degree) -> DualityReport:
-        left, right, extra_ok, params = sides(degree)
-        equal = (left.degree == sign * right.degree and left.certified and right.certified
-                 and extra_ok and all(c.admissible for c in certs)
-                 and (not needs_core or core.verdict))
-        return DualityReport(pair, left, right, equal,
-                             route="homotopy_chain" if homotopies else "independent",
-                             certificates=certs, sign_factor=sign,
-                             common_core=core if needs_core else None, params=params)
+    left: str
+    right: str
+    sign: str
+    chain: tuple = ()  # links (A, B, the name of their domain)
+    core: bool = False  # whether the verdict reads the common core
+    extra: str | None = None
 
-    return Plan(name, homotopies, conclude, needs_core, at_zero)
+
+# by (pair, sign of eta) for eta_sign, whose chain, left side and sign change with it
+PAIR_TABLE = {
+    ("krasnoselskii", None): PairRow("reduced(Ktilde, pullback)", "finite(K2, U2)", "+1", (
+        ("K", "K1", "pullback"), ("K1", "Ktilde", "pullback")), True),
+    ("eta_sign", 1): PairRow("copy_of_right", "reduced(Ktilde, pullback)", "+1", (
+        ("Keta", "K3", "pullback"), ("K3", "K4", "pullback"), ("K4", "K", "pullback")), True),
+    ("eta_sign", -1): PairRow("khat2(K2, U2)", "reduced(Ktilde, pullback)", "(−1)^n", (
+        ("Keta", "Khat3", "pullback"), ("K3", "K4", "pullback"), ("K4", "K", "pullback")), True),
+    ("inverse_poincare", None): PairRow("finite(KhatP, image box)", "finite(K2, U2)", "(−1)^n"),
+    ("dirichlet_shooting", None): PairRow("reduced(Ktilde, slope block)", "finite(Kdir2, U2)",
+                                          "+1", (), True, "block_sign_identity"),
+    ("delay", None): PairRow("reduced(Ktilde of the history nodes, U2)", "finite(Kdelay2, U2)",
+                             "+1", (("Kdelay", "Kdelay1", "U1"),), True, "monodromy_det_sign"),
+    ("nonlocal_signs", None): PairRow("fourier(A, η)", "averaged_1d", "sgn η"),
+}
+
+# A side gives its degree, an extra check whether it holds, from the right side's result
+# (None on that side) and the instance s: problem, eta, ``op`` (its operators by name),
+# the run's finite side ``degree``, the report's ``params`` and the domains U1, U2, pullback.
+def _degree_of(name: str, domain: str) -> Callable:
+    """deg(I - h) over a named domain, h the operator ``name`` of the problem."""
+    return lambda s, right: s.degree(s.op(name), getattr(s, domain))
+
+
+def _image_box(s, right) -> DegreeResult:
+    """deg(I - KhatP) over the bounding box of P = K2 over U2's margin samples."""
+    mapped = s.degree.map(s.op("K2")).edge(s.U2.as_box())
+    img = box_domain(np.stack([mapped.min(axis=0), mapped.max(axis=0)], axis=1))
+    s.params["image_box"] = img.as_box().tolist()
+    return s.degree(s.op("KhatP"), img)
+
+
+def _khat2(s, right) -> DegreeResult:
+    """deg(I - Khat2, U2), Khat2(x0) = 2 x0 - P(x0), P the run's K2."""
+    P = s.degree.map(s.op("K2"))
+    return s.degree(OperatorHandle("Khat2", operators.FINITE_SPACE, lambda v: 2.0 * v - P(v),
+                                   s.problem), s.U2)
+
+
+def _fourier(s, right) -> DegreeResult:
+    """The overall Fourier block sign of I - K^eta for u'' = A u."""
+    rep = deg_mod.fourier_block_signs(s.problem.linearization(), s.eta, n_max=16)
+    return DegreeResult(degree=rep.overall_sign, method="fourier_blocks",
+                        min_boundary_norm=np.inf, refinement_levels=0,
+                        certified=all(sign == 1 for _, sign in rep.block_signs),
+                        params={"skipped": list(rep.skipped)})
+
+
+SIDES = {
+    "reduced(Ktilde, pullback)": _degree_of("Ktilde", "pullback"),
+    "reduced(Ktilde, slope block)": lambda s, right: s.degree(s.op("Ktilde"), box_domain(
+        s.U2.as_box()[:s.problem.field().dim])),
+    # the coarse history-node problem's; its finite handle is Kdelay2, as on the right
+    "reduced(Ktilde of the history nodes, U2)": lambda s, right: s.degree(
+        operators.build("Ktilde", s.problem.with_history_nodes()), s.U2),
+    "finite(K2, U2)": _degree_of("K2", "U2"),
+    "finite(Kdir2, U2)": _degree_of("Kdir2", "U2"),
+    "finite(Kdelay2, U2)": _degree_of("Kdelay2", "U2"),
+    "finite(KhatP, image box)": _image_box,
+    "khat2(K2, U2)": _khat2,
+    "copy_of_right": lambda s, right: replace(
+        right, params={"via": "chain Keta~K3~K4~K~reduction"}),
+    "fourier(A, η)": _fourier,
+    "averaged_1d": lambda s, right: brouwer_1d(s.problem.averaged_field(), s.U2.as_box()[0]),
+}
+SIGNS = {"+1": lambda n, eta: 1, "(−1)^n": lambda n, eta: (-1) ** n,  # n: field dimension
+         "sgn η": lambda n, eta: 1 if eta > 0 else -1}
+
+
+def _block_stencils(Z: np.ndarray) -> tuple:
+    """Kdir2's zeros Z, each twice, their FD steps, and the rows the block check
+    reads: Kdir2's stencil and the shooting map's, lifted as (a +- h, 0)."""
+    Z, scale = np.repeat(Z, 2, axis=0), np.tile([[1e-5], [5e-6]], (len(Z), 1))
+    a = deg_mod._stencil(Z[:, :Z.shape[1] // 2], scale)[0]
+    return Z, scale, np.concatenate([deg_mod._stencil(Z, scale)[0],
+                                     np.concatenate([a, np.zeros_like(a)], axis=-1)])
+
+
+def _block_sign_identity(s, right) -> bool:
+    """At each zero (a, b), sgn det of Kdir2's I - DF is that of the Jacobian of the
+    shooting map S(a) = x(1), which reads alpha at (a, 0)."""
+    ok = True
+    if right.zeros:
+        F = s.degree.map(s.op("Kdir2"))
+        Z, scale, rows = _block_stencils(np.asarray(right.zeros))
+        F.warm(rows)  # held if a Newton try found the zeros, else both in one call
+        i = s.op("Ktilde").reduction.i
+        shoot = lambda a: i(a).values.values[..., -1, :]
+        d_full = np.sign(np.linalg.det(fd_jacobian(F.g, Z, scale=scale)))
+        d_shoot = np.sign(np.linalg.det(fd_jacobian(shoot, Z[:, :Z.shape[1] // 2], scale=scale)))
+        ok = bool(np.all(d_full == d_shoot))
+    s.params["block_sign_identity"] = ok
+    return ok
+
+
+def _monodromy_det_sign(s, right) -> bool:
+    """Reported, not checked: sgn det(I - DP) at the first zero, 0 with none."""
+    F = s.degree.map(s.op("Kdelay2"))
+    s.params["monodromy_det_sign"] = int(np.sign(np.linalg.det(F.jacobian(
+        np.asarray(right.zeros[:1]))[0]))) if right.zeros else 0
+    return True
+
+
+# each with the maker of its plan's ``Plan.at_zero``, if it reads rows at the zeros
+EXTRAS = {"block_sign_identity": (_block_sign_identity, lambda op: (
+              op("Kdir2"), lambda Z: _block_stencils(Z)[2])),
+          "monodromy_det_sign": (_monodromy_det_sign, None)}
 
 
 def plan_duality(problem, pair: str, U1: FunctionBall, U2: DomainSpec,
                  vr: DomainSpec, eta: float | None = None) -> Plan:
-    """The plan of one named duality instance (see ``verify_duality``); its
-    chains run over ``vr``, the pullback of U2."""
-    name = pair if eta is None else f"{pair}[{float(eta)}]"
-    if eta is None and pair in ("eta_sign", "nonlocal_signs"):
-        raise ValueError(f"{pair} pair needs eta")
-    n = problem.field().dim
-    build = lambda *names: [operators.build(op, problem) for op in names]
+    """The plan of one named duality instance (see ``verify_duality``) from its
+    ``PAIR_TABLE`` row, under the one verdict rule: equal iff left.degree = sign *
+    right.degree, both sides are certified, the extra check holds, every chain
+    certificate is admissible and, if the row reads it, the common core holds.  ``vr``
+    is the pullback of U2.  A pair the problem's kind does not run (``KIND_TABLE``), an
+    eta not finite, missing on its signs pair or given to another, raise ValueError."""
+    kind = KIND_TABLE[problem.kind]
+    runs = kind.duality + ((kind.signs,) if kind.signs else ())
+    if eta is not None and not np.isfinite(eta):
+        raise ValueError(f"eta must be finite, got {eta}")
+    if pair not in runs:
+        raise ValueError(f"unknown duality pair {pair!r} on a {problem.kind} problem, "
+                         f"which runs {', '.join(runs)}")
+    if (eta is None) == (pair == kind.signs):
+        raise ValueError(f"{pair} pair needs eta" if eta is None else f"{pair} pair takes no eta")
+    row = PAIR_TABLE.get((pair, None)) or PAIR_TABLE[pair, 1 if eta > 0 else -1]
+    where = dict(U1=U1, U2=U2, pullback=vr)
+    if any(dom == "U1" for *_, dom in row.chain) and not isinstance(U1, FunctionBall):
+        raise ValueError(f"{pair} pair needs a sup-norm ball U1")
+    built = {}  # each operator, built once
+    op = lambda name: built[name] if name in built else built.setdefault(name, operators.build(
+        name, problem, {"eta": eta} if name == "Keta" else None))
+    homotopies = tuple((op(a), op(b), where[dom]) for a, b, dom in row.chain)
+    check, at_zero = EXTRAS[row.extra] if row.extra else (lambda s, right: True, None)
+    sign = SIGNS[row.sign](problem.field().dim, eta)
 
-    if pair == "krasnoselskii":
-        k_op, k1_op, ktilde = build("K", "K1", "Ktilde")
-        fin = operators.build_finite("K2", problem)
-        return _verdict(pair, name, ((k_op, k1_op, vr), (k1_op, ktilde, vr)),
-                        lambda degree: (degree(ktilde, vr), degree(fin, U2), True, {}),
-                        sign=1, needs_core=True)
+    def conclude(certs, core, degree) -> DualityReport:
+        s = SimpleNamespace(problem=problem, eta=eta, op=op, degree=degree, **where,
+                            params={} if eta is None else {"eta": eta})
+        right = SIDES[row.right](s, None)  # first: a left side may read it or its map
+        left, extra_ok = SIDES[row.left](s, right), check(s, right)
+        equal = (left.degree == sign * right.degree and left.certified and right.certified
+                 and extra_ok and all(c.admissible for c in certs)
+                 and (not row.core or core.verdict))
+        return DualityReport(pair, left, right, equal,
+                             route="homotopy_chain" if homotopies else "independent",
+                             certificates=certs, sign_factor=sign,
+                             common_core=core if row.core else None, params=s.params)
 
-    if pair == "eta_sign":
-        # right side: deg(I - K3) via the paper's chain K3 ~ K4 ~ K and reduction;
-        # the left side's chain starts at Keta ~ K3 (eta > 0) or Keta ~ Khat3
-        keta = operators.build("Keta", problem, {"eta": eta})
-        k3, k4, k_op, ktilde = build("K3", "K4", "K", "Ktilde")
-        first = k3 if eta > 0 else operators.build("Khat3", problem)
-        k2 = operators.build_finite("K2", problem)
-
-        def sides(degree):
-            right = degree(ktilde, vr)
-            if eta > 0:  # a copy of the right side, not a computation of its own
-                left = replace(right, params={"via": "chain Keta~K3~K4~K~reduction"})
-            else:  # the hat chain bottoms out at K2hat(x0) = 2 x0 - P(x0), P the run's K2
-                P = degree.map(k2)
-                khat2 = OperatorHandle("Khat2", operators.FINITE_SPACE,
-                                       lambda v: 2.0 * v - P(v), problem)
-                left = degree(khat2, U2)
-            return left, right, True, {"eta": eta}
-
-        return _verdict(pair, name, ((keta, first, vr), (k3, k4, vr), (k4, k_op, vr)),
-                        sides, sign=1 if eta > 0 else (-1) ** n, needs_core=True)
-
-    if pair == "inverse_poincare":
-        fin = operators.build_finite("K2", problem)
-        hatp = operators.build_finite("KhatP", problem)
-
-        def sides(degree):
-            right = degree(fin, U2)
-            # image domain P(U2): bounding box of P over the margin samples of
-            # U2 (``degree._opening``), for k <= 2 its 17-point lattice
-            mapped = degree.map(fin).edge(U2.as_box())
-            img = box_domain(np.stack([mapped.min(axis=0), mapped.max(axis=0)], axis=1))
-            return degree(hatp, img), right, True, {"image_box": img.as_box().tolist()}
-
-        return _verdict(pair, name, (), sides, sign=(-1) ** n, needs_core=False)
-
-    if pair == "dirichlet_shooting":
-        ktilde = operators.build("Ktilde", problem)
-        kdir2 = operators.build_finite("Kdir2", problem)
-        shoot = lambda a: ktilde.reduction.i(a).values.values[..., -1, :]  # S(a) = x(1)
-        steps = lambda Z: (np.repeat(Z, 2, axis=0), np.tile([[1e-5], [5e-6]], (len(Z), 1)))
-
-        def block_rows(Z):
-            """The Kdir2 rows the block check reads at the zeros Z: Kdir2's FD
-            stencil and the shooting map's, lifted as (a +- h, 0), since S reads
-            alpha at (a, 0), a Kdir2 row."""
-            Z, scale = steps(Z)
-            a = deg_mod._stencil(Z[:, :n], scale)[0]
-            return np.concatenate([deg_mod._stencil(Z, scale)[0],
-                                   np.concatenate([a, np.zeros_like(a)], axis=-1)])
-
-        def sides(degree):
-            # phi(U2) is the slope block of the kernel-coordinate box
-            left = degree(ktilde, box_domain(U2.as_box()[:n]))
-            right = degree(kdir2, U2)
-            # block-Jacobian sign identity at each finite fixed point
-            block_ok = True
-            if right.zeros:
-                F = degree.map(kdir2)
-                # held if Newton tries found the zeros, else both stencils in one call
-                F.warm(block_rows(np.asarray(right.zeros)))
-                Z, scale = steps(np.asarray(right.zeros))
-                d_full = np.sign(np.linalg.det(fd_jacobian(F.g, Z, scale=scale)))
-                d_shoot = np.sign(np.linalg.det(fd_jacobian(shoot, Z[:, :n], scale=scale)))
-                block_ok = bool(np.all(d_full == d_shoot))
-            return left, right, block_ok, {"block_sign_identity": block_ok}
-
-        return _verdict(pair, name, (), sides, sign=1, needs_core=True,
-                        at_zero=(kdir2, block_rows))
-
-    if pair == "delay":
-        if not isinstance(U1, FunctionBall):
-            raise ValueError("delay pair needs a sup-norm ball U1")
-        k_op, k1_op = build("Kdelay", "Kdelay1")
-        ktilde = operators.build("Ktilde", problem.with_history_nodes())
-        fin = operators.build_finite("Kdelay2", problem)
-
-        def sides(degree):
-            left = degree(ktilde, U2)  # ktilde's finite handle is Kdelay2: one computation
-            right = degree(fin, U2)
-            # sign oracle, not in the verdict: sgn det(I - DP) of the discrete
-            # monodromy at the first history-space fixed point, by finite differences
-            mono = 0
-            if right.zeros:
-                jac = degree.map(fin).jacobian(np.asarray(right.zeros[:1]))[0]
-                mono = int(np.sign(np.linalg.det(jac)))
-            return left, right, True, {"monodromy_det_sign": mono}
-
-        return _verdict(pair, name, ((k_op, k1_op, U1),), sides, sign=1, needs_core=True)
-
-    if pair == "nonlocal_signs":
-        def sides(degree):
-            # left: the Fourier overall sign of I - K^eta for u'' = A u
-            rep = deg_mod.fourier_block_signs(problem.linearization(), eta, n_max=16)
-            left = DegreeResult(degree=rep.overall_sign, method="fourier_blocks",
-                                min_boundary_norm=np.inf, refinement_levels=0,
-                                certified=all(s == 1 for _, s in rep.block_signs),
-                                params={"skipped": list(rep.skipped)})
-            # right: Brouwer degree of the averaged field phi(u) = -T * mean f(., u)
-            right = brouwer_1d(problem.averaged_field(), U2.as_box()[0])
-            return left, right, True, {"eta": eta}
-
-        # n = 1, the scalar u in u'' = u + cos t, not the field dimension 2
-        return _verdict(pair, name, (), sides, sign=1 if eta > 0 else -1,
-                        needs_core=False)
-
-    raise ValueError(f"unknown duality pair {pair!r}")
+    return Plan(pair if eta is None else f"{pair}[{float(eta)}]", homotopies, conclude,
+                row.core, at_zero and at_zero(op))
 
 
 def verify_duality(problem, pair: str, U1: FunctionBall | None = None,
                    U2: DomainSpec | None = None, eta: float | None = None,
                    seed: int = DEFAULT_SEED) -> DualityReport:
-    """Run one named duality instance and compare both degrees.  ``pair``
-    names a row of the README's "How a verdict is decided" table.  Like
+    """Run one named duality instance and compare both degrees.  ``pair`` names
+    rows of ``PAIR_TABLE``, the README's "How a verdict is decided" table.  Like
     ``problems.run``, it works on a run copy (``operators.run_copy``)."""
     problem = operators.run_copy(problem, problem.m)
-    if U2 is None:
-        U2 = problem.default_U2()
-    if U1 is None:
-        U1 = problem.default_U1()
+    U1 = problem.default_U1() if U1 is None else U1
+    U2 = problem.default_U2() if U2 is None else U2
     plan = plan_duality(problem, pair, U1, U2, default_pullback(U2), eta)
     return run_plans(problem, [plan], U1, U2, seed)[0]

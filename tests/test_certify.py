@@ -328,6 +328,45 @@ class TestVerifyDuality:
         with pytest.raises(ValueError, match="unknown duality pair"):
             verify_duality(P1, "bogus")
 
+    @staticmethod
+    def _builds(monkeypatch) -> list:
+        """The operator names built from now on."""
+        built = []
+        for fn in ("build", "build_finite"):
+            real = getattr(operators, fn)
+            monkeypatch.setattr(operators, fn, lambda name, *a, _real=real, **k:
+                                built.append(name) or _real(name, *a, **k))
+        return built
+
+    @pytest.mark.parametrize("pid,pair,eta,runs", [
+        ("p1", "nonlocal_signs", 0.5, "krasnoselskii, inverse_poincare, eta_sign"),
+        ("p4", "krasnoselskii", None, "dirichlet_shooting"),
+        ("p1", "delay", None, "krasnoselskii, inverse_poincare, eta_sign"),
+        ("p6", "inverse_poincare", None, "delay"),
+        ("p7", "eta_sign", 1.0, "krasnoselskii, inverse_poincare, nonlocal_signs")])
+    def test_pair_its_kind_does_not_run(self, pid, pair, eta, runs, monkeypatch):
+        # one named error, from the kind's row of KIND_TABLE, before any build
+        problem = replace(problems.get_problem(pid), m=32)
+        built = self._builds(monkeypatch)
+        with pytest.raises(ValueError, match=f"unknown duality pair '{pair}' on a "
+                                             f"{problem.kind} problem, which runs {runs}$"):
+            verify_duality(problem, pair, eta=eta)
+        assert built == []
+
+    @pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("pid,pair", [("p1", "eta_sign"), ("p7", "nonlocal_signs")])
+    def test_eta_not_finite(self, pid, pair, eta, monkeypatch):
+        # NaN fails eta > 0, so it would pick the eta < 0 row: it is rejected
+        # before the table is read or anything is built
+        built = self._builds(monkeypatch)
+        with pytest.raises(ValueError, match=f"eta must be finite, got {eta}"):
+            verify_duality(replace(problems.get_problem(pid), m=32), pair, eta=eta)
+        assert built == []
+
+    def test_eta_on_a_pair_that_reads_none(self):
+        with pytest.raises(ValueError, match="krasnoselskii pair takes no eta"):
+            verify_duality(P1, "krasnoselskii", eta=1.0)
+
     def test_nonlocal_signs_reads_the_given_U2(self):
         # the averaged field -2 pi u has no zero in [0.5, 0.9]
         p7 = replace(problems.get_problem("p7"), m=32)

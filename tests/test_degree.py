@@ -132,6 +132,24 @@ class TestBrouwer2dWinding:
         assert res.degree == 0 and not res.certified and res.refinement_levels == 6
         assert res.min_boundary_norm == margins[-1] > degree.DEFAULT_EPS
 
+    @pytest.mark.parametrize("side", [1.0, -1.0], ids=["outside", "inside"])
+    def test_default_cap_bounds_the_rows(self, side):
+        # the same zero at the default cap: every level's angle steps fail and its
+        # margin stays above DEFAULT_EPS, so the run ends uncertified at the cap,
+        # and g never gets more than 64 * 2**10 rows
+        calls = []
+
+        def g(p):
+            calls.append(len(p))
+            return p - np.array([1.0 + side * 1e-9, 0.06])
+
+        res = brouwer_2d_winding(g, box_domain([(-1, 1), (-1, 1)]))
+        cap = degree.MAX_WINDING_DOUBLINGS
+        assert cap <= 10 and max(calls) <= 64 * 2 ** 10
+        assert calls == [64 * 2 ** level for level in range(cap + 1)]
+        assert res.degree == 0 and not res.certified and res.refinement_levels == cap
+        assert res.min_boundary_norm > degree.DEFAULT_EPS
+
     def test_stability_under_refinement(self):
         g = lambda p: np.stack([p[..., 0] ** 2 - p[..., 1] ** 2,
                                 2 * p[..., 0] * p[..., 1]], axis=-1)

@@ -2,7 +2,8 @@
 package defines no private module-level name that it never reads, no public
 function that it never reads (click commands and ``UNREAD_PUBLIC`` aside) and no
 dataclass field that only its ``__post_init__`` reads, every name the README
-cites from the package exists, the README's kind table is ``KIND_TABLE``,
+cites from the package exists, the README's kind table is ``KIND_TABLE`` and
+its verdict table ``PAIR_TABLE``,
 only ``flows`` and ``operators`` call a ``flows`` integrator, and rows are
 mapped ahead of their need one way only: queued by ``operators.queue`` on a
 run memo, and mapped by ``degree._held``.
@@ -295,6 +296,31 @@ def test_readme_kind_table_is_kind_table():
     assert [r[0] for r in rows] == [f"`{kind}`" for kind in KIND_TABLE]
     for cells, row in zip(rows, KIND_TABLE.values()):
         assert cells[1:] == _kind_table_cells(row), cells[0]
+
+
+def _pair_table_cells(key, row) -> list:
+    """The README cells of a ``certify.PairRow`` under its key (pair, sign of eta)."""
+    pair, sign = key
+    links = ", ".join(f"{a} ~ {b}" for a, b, _ in row.chain)
+    domains = ", ".join(sorted({dom for *_, dom in row.chain}))
+    return [f"`{pair}`" + ("" if sign is None else f" (η {'>' if sign > 0 else '<'} 0)"),
+            f"`{row.left}`", f"`{row.right}`", f"`{row.sign}`",
+            f"{links} over {domains}" if row.chain else "none",
+            "yes" if row.core else "no", f"`{row.extra}`" if row.extra else "none"]
+
+
+def test_readme_verdict_table_is_pair_table():
+    from dualdeg.certify import PAIR_TABLE
+
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("| pair | left side | right side | sign | chain | core "
+                        "| extra check |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    assert rows == [_pair_table_cells(key, row) for key, row in PAIR_TABLE.items()]
 
 
 INTEGRATORS = ("flow", "poincare", "mu_periodic", "mu_dirichlet", "dde_flow",

@@ -17,7 +17,7 @@ import pytest
 from dualdeg import certify, flows, operators, problems
 
 M = 64
-BUILD, BUILD_FINITE, VERDICT = operators.build, operators.build_finite, certify._verdict
+BUILD, BUILD_FINITE = operators.build, operators.build_finite
 
 
 def opposite_degree(name, problem, params=None):
@@ -55,15 +55,15 @@ def names_dropped(name, problem, params=None):
                                     replace(red, finite=khat2))
 
 
-def flipped_sign(*args, sign, **kwargs):
-    """The verdict rule with the sign factor negated: left = -sign * right."""
-    return VERDICT(*args, sign=-sign, **kwargs)
+# the verdict rule with every sign rule of the pair table negated: left = -sign * right
+FLIPPED_SIGNS = {name: lambda n, eta, rule=rule: -rule(n, eta)
+                 for name, rule in certify.SIGNS.items()}
 
 
 MUTANTS = {"opposite_degree": (operators, "build_finite", opposite_degree),
            "k3_for_khat3": (operators, "build", k3_for_khat3),
            "names_dropped": (operators, "build", names_dropped),
-           "flipped_sign": (certify, "_verdict", flipped_sign)}
+           "flipped_sign": (certify, "SIGNS", FLIPPED_SIGNS)}
 
 TABLE = [
     ("opposite_degree", "p1", "krasnoselskii", "survives"),
