@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dc_field, replace
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -179,6 +178,12 @@ def _member(x, i: int):
     return GridFunction(x.grid, x.values[i])
 
 
+def _finite_clearance(v: np.ndarray, dom: DomainSpec) -> float:
+    b = dom.as_box()
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    return float(np.min(np.minimum(v - b[:, 0], b[:, 1] - v)))
+
+
 def check_common_core(problem, U1: FunctionBall, U2: DomainSpec,
                       _finite: "_FiniteSide | None" = None) -> CommonCoreReport:
     """Verify that the two domains isolate the same solution set.
@@ -212,7 +217,7 @@ def check_common_core(problem, U1: FunctionBall, U2: DomainSpec,
     for i, v in enumerate(fps):
         traj = _member(trajs, i)
         c1 = U1.clearance(traj)
-        c2 = U2.clearance(v)
+        c2 = _finite_clearance(v, U2)
         clear1 = min(clear1, c1)
         clear2 = min(clear2, c2)
         pairs.append({"finite": tuple(np.atleast_1d(v)),
@@ -689,71 +694,67 @@ class PairRow:
 
 # by (pair, sign of eta) for eta_sign, whose chain, left side and sign change with it
 PAIR_TABLE = {
-    ("krasnoselskii", None): PairRow("reduced(Ktilde, pullback)", "finite(K2, U2)", "+1", (
+    ("krasnoselskii", None): PairRow("reduced_Ktilde_pullback", "finite_K2_U2", "one", (
         ("K", "K1", "pullback"), ("K1", "Ktilde", "pullback")), True),
-    ("eta_sign", 1): PairRow("copy_of_right", "reduced(Ktilde, pullback)", "+1", (
+    ("eta_sign", 1): PairRow("copy_of_right", "reduced_Ktilde_pullback", "one", (
         ("Keta", "K3", "pullback"), ("K3", "K4", "pullback"), ("K4", "K", "pullback")), True),
-    ("eta_sign", -1): PairRow("khat2(K2, U2)", "reduced(Ktilde, pullback)", "(−1)^n", (
+    ("eta_sign", -1): PairRow("khat2_K2_U2", "reduced_Ktilde_pullback", "neg1_pow_n", (
         ("Keta", "Khat3", "pullback"), ("K3", "K4", "pullback"), ("K4", "K", "pullback")), True),
-    ("inverse_poincare", None): PairRow("finite(KhatP, image box)", "finite(K2, U2)", "(−1)^n"),
-    ("dirichlet_shooting", None): PairRow("reduced(Ktilde, slope block)", "finite(Kdir2, U2)",
-                                          "+1", (), True, "block_sign_identity"),
-    ("delay", None): PairRow("reduced(Ktilde of the history nodes, U2)", "finite(Kdelay2, U2)",
-                             "+1", (("Kdelay", "Kdelay1", "U1"),), True, "monodromy_det_sign"),
-    ("nonlocal_signs", None): PairRow("fourier(A, η)", "averaged_1d", "sgn η"),
+    ("inverse_poincare", None): PairRow("finite_KhatP_image_box", "finite_K2_U2", "neg1_pow_n"),
+    ("dirichlet_shooting", None): PairRow("reduced_Ktilde_slope_block", "finite_Kdir2_U2", "one",
+                                          (), True, "block_sign_identity"),
+    ("delay", None): PairRow("reduced_Ktilde_history_U2", "finite_Kdelay2_U2", "one",
+                             (("Kdelay", "Kdelay1", "U1"),), True, "monodromy_det_sign"),
+    ("nonlocal_signs", None): PairRow("fourier_A_eta", "averaged_1d", "sgn_eta"),
 }
 
-# A side gives its degree, an extra check whether it holds, from the right side's result
-# (None on that side) and the instance s: problem, eta, ``op`` (its operators by name),
-# the run's finite side ``degree``, the report's ``params`` and the domains U1, U2, pullback.
-def _degree_of(name: str, domain: str) -> Callable:
-    """deg(I - h) over a named domain, h the operator ``name`` of the problem."""
-    return lambda s, right: s.degree(s.op(name), getattr(s, domain))
 
-
-def _image_box(s, right) -> DegreeResult:
+def _image_box(degree, op, U2, params, **_) -> DegreeResult:
     """deg(I - KhatP) over the bounding box of P = K2 over U2's margin samples."""
-    mapped = s.degree.map(s.op("K2")).edge(s.U2.as_box())
+    mapped = degree.map(op("K2")).edge(U2.as_box())
     img = box_domain(np.stack([mapped.min(axis=0), mapped.max(axis=0)], axis=1))
-    s.params["image_box"] = img.as_box().tolist()
-    return s.degree(s.op("KhatP"), img)
+    params["image_box"] = img.as_box().tolist()
+    return degree(op("KhatP"), img)
 
 
-def _khat2(s, right) -> DegreeResult:
+def _khat2(degree, op, problem, U2, **_) -> DegreeResult:
     """deg(I - Khat2, U2), Khat2(x0) = 2 x0 - P(x0), P the run's K2."""
-    P = s.degree.map(s.op("K2"))
-    return s.degree(OperatorHandle("Khat2", operators.FINITE_SPACE, lambda v: 2.0 * v - P(v),
-                                   s.problem), s.U2)
+    P = degree.map(op("K2"))
+    return degree(OperatorHandle("Khat2", operators.FINITE_SPACE, lambda v: 2.0 * v - P(v),
+                                 problem), U2)
 
 
-def _fourier(s, right) -> DegreeResult:
+def _fourier(problem, eta, **_) -> DegreeResult:
     """The overall Fourier block sign of I - K^eta for u'' = A u."""
-    rep = deg_mod.fourier_block_signs(s.problem.linearization(), s.eta, n_max=16)
+    rep = deg_mod.fourier_block_signs(problem.linearization(), eta, n_max=16)
     return DegreeResult(degree=rep.overall_sign, method="fourier_blocks",
                         min_boundary_norm=np.inf, refinement_levels=0,
                         certified=all(sign == 1 for _, sign in rep.block_signs),
                         params={"skipped": list(rep.skipped)})
 
 
+# A side or an extra check takes by name what it reads of: the run's finite side ``degree``,
+# the plan's operators ``op(name)``, the problem, eta, U2, the pullback, the report's
+# ``params`` and ``right``, the right side's result (None on that side).
 SIDES = {
-    "reduced(Ktilde, pullback)": _degree_of("Ktilde", "pullback"),
-    "reduced(Ktilde, slope block)": lambda s, right: s.degree(s.op("Ktilde"), box_domain(
-        s.U2.as_box()[:s.problem.field().dim])),
+    "reduced_Ktilde_pullback": lambda degree, op, pullback, **_: degree(op("Ktilde"), pullback),
+    "reduced_Ktilde_slope_block": lambda degree, op, problem, U2, **_: degree(
+        op("Ktilde"), box_domain(U2.as_box()[:problem.field().dim])),
     # the coarse history-node problem's; its finite handle is Kdelay2, as on the right
-    "reduced(Ktilde of the history nodes, U2)": lambda s, right: s.degree(
-        operators.build("Ktilde", s.problem.with_history_nodes()), s.U2),
-    "finite(K2, U2)": _degree_of("K2", "U2"),
-    "finite(Kdir2, U2)": _degree_of("Kdir2", "U2"),
-    "finite(Kdelay2, U2)": _degree_of("Kdelay2", "U2"),
-    "finite(KhatP, image box)": _image_box,
-    "khat2(K2, U2)": _khat2,
-    "copy_of_right": lambda s, right: replace(
-        right, params={"via": "chain Keta~K3~K4~K~reduction"}),
-    "fourier(A, η)": _fourier,
-    "averaged_1d": lambda s, right: brouwer_1d(s.problem.averaged_field(), s.U2.as_box()[0]),
+    "reduced_Ktilde_history_U2": lambda degree, problem, U2, **_: degree(
+        operators.build("Ktilde", problem.with_history_nodes()), U2),
+    "finite_K2_U2": lambda degree, op, U2, **_: degree(op("K2"), U2),
+    "finite_Kdir2_U2": lambda degree, op, U2, **_: degree(op("Kdir2"), U2),
+    "finite_Kdelay2_U2": lambda degree, op, U2, **_: degree(op("Kdelay2"), U2),
+    "finite_KhatP_image_box": _image_box,
+    "khat2_K2_U2": _khat2,
+    "copy_of_right": lambda right, **_: replace(right,
+                                                params={"via": "chain Keta~K3~K4~K~reduction"}),
+    "fourier_A_eta": _fourier,
+    "averaged_1d": lambda problem, U2, **_: brouwer_1d(problem.averaged_field(), U2.as_box()[0]),
 }
-SIGNS = {"+1": lambda n, eta: 1, "(−1)^n": lambda n, eta: (-1) ** n,  # n: field dimension
-         "sgn η": lambda n, eta: 1 if eta > 0 else -1}
+SIGNS = {"one": lambda n, eta: 1, "neg1_pow_n": lambda n, eta: (-1) ** n,  # n: field dimension
+         "sgn_eta": lambda n, eta: 1 if eta > 0 else -1}
 
 
 def _block_stencils(Z: np.ndarray) -> tuple:
@@ -765,35 +766,32 @@ def _block_stencils(Z: np.ndarray) -> tuple:
                                      np.concatenate([a, np.zeros_like(a)], axis=-1)])
 
 
-def _block_sign_identity(s, right) -> bool:
+def _block_sign_identity(degree, op, params, right, **_) -> bool:
     """At each zero (a, b), sgn det of Kdir2's I - DF is that of the Jacobian of the
     shooting map S(a) = x(1), which reads alpha at (a, 0)."""
     ok = True
     if right.zeros:
-        F = s.degree.map(s.op("Kdir2"))
+        F = degree.map(op("Kdir2"))
         Z, scale, rows = _block_stencils(np.asarray(right.zeros))
         F.warm(rows)  # held if a Newton try found the zeros, else both in one call
-        i = s.op("Ktilde").reduction.i
+        i = op("Ktilde").reduction.i
         shoot = lambda a: i(a).values.values[..., -1, :]
         d_full = np.sign(np.linalg.det(fd_jacobian(F.g, Z, scale=scale)))
         d_shoot = np.sign(np.linalg.det(fd_jacobian(shoot, Z[:, :Z.shape[1] // 2], scale=scale)))
         ok = bool(np.all(d_full == d_shoot))
-    s.params["block_sign_identity"] = ok
+    params["block_sign_identity"] = ok
     return ok
 
 
-def _monodromy_det_sign(s, right) -> bool:
+def _monodromy_det_sign(degree, op, params, right, **_) -> bool:
     """Reported, not checked: sgn det(I - DP) at the first zero, 0 with none."""
-    F = s.degree.map(s.op("Kdelay2"))
-    s.params["monodromy_det_sign"] = int(np.sign(np.linalg.det(F.jacobian(
+    F = degree.map(op("Kdelay2"))
+    params["monodromy_det_sign"] = int(np.sign(np.linalg.det(F.jacobian(
         np.asarray(right.zeros[:1]))[0]))) if right.zeros else 0
     return True
 
 
-# each with the maker of its plan's ``Plan.at_zero``, if it reads rows at the zeros
-EXTRAS = {"block_sign_identity": (_block_sign_identity, lambda op: (
-              op("Kdir2"), lambda Z: _block_stencils(Z)[2])),
-          "monodromy_det_sign": (_monodromy_det_sign, None)}
+EXTRAS = {"block_sign_identity": _block_sign_identity, "monodromy_det_sign": _monodromy_det_sign}
 
 
 def plan_duality(problem, pair: str, U1: FunctionBall, U2: DomainSpec,
@@ -814,31 +812,34 @@ def plan_duality(problem, pair: str, U1: FunctionBall, U2: DomainSpec,
     if (eta is None) == (pair == kind.signs):
         raise ValueError(f"{pair} pair needs eta" if eta is None else f"{pair} pair takes no eta")
     row = PAIR_TABLE.get((pair, None)) or PAIR_TABLE[pair, 1 if eta > 0 else -1]
-    where = dict(U1=U1, U2=U2, pullback=vr)
     if any(dom == "U1" for *_, dom in row.chain) and not isinstance(U1, FunctionBall):
         raise ValueError(f"{pair} pair needs a sup-norm ball U1")
     built = {}  # each operator, built once
     op = lambda name: built[name] if name in built else built.setdefault(name, operators.build(
         name, problem, {"eta": eta} if name == "Keta" else None))
+    where = dict(U1=U1, pullback=vr)
     homotopies = tuple((op(a), op(b), where[dom]) for a, b, dom in row.chain)
-    check, at_zero = EXTRAS[row.extra] if row.extra else (lambda s, right: True, None)
     sign = SIGNS[row.sign](problem.field().dim, eta)
+    # the Kdir2 rows the block check reads at its zeros, mapped with its Newton tries
+    at_zero = (op("Kdir2"), lambda Z: _block_stencils(Z)[2]) \
+        if row.extra == "block_sign_identity" else None
 
     def conclude(certs, core, degree) -> DualityReport:
-        s = SimpleNamespace(problem=problem, eta=eta, op=op, degree=degree, **where,
-                            params={} if eta is None else {"eta": eta})
-        right = SIDES[row.right](s, None)  # first: a left side may read it or its map
-        left, extra_ok = SIDES[row.left](s, right), check(s, right)
+        reads = dict(degree=degree, op=op, problem=problem, eta=eta, U2=U2, pullback=vr,
+                     params={} if eta is None else {"eta": eta})
+        right = SIDES[row.right](**reads, right=None)  # first: a left side may read it
+        left = SIDES[row.left](**reads, right=right)
+        extra_ok = EXTRAS[row.extra](**reads, right=right) if row.extra else True
         equal = (left.degree == sign * right.degree and left.certified and right.certified
                  and extra_ok and all(c.admissible for c in certs)
                  and (not row.core or core.verdict))
         return DualityReport(pair, left, right, equal,
                              route="homotopy_chain" if homotopies else "independent",
                              certificates=certs, sign_factor=sign,
-                             common_core=core if row.core else None, params=s.params)
+                             common_core=core if row.core else None, params=reads["params"])
 
     return Plan(pair if eta is None else f"{pair}[{float(eta)}]", homotopies, conclude,
-                row.core, at_zero and at_zero(op))
+                row.core, at_zero)
 
 
 def verify_duality(problem, pair: str, U1: FunctionBall | None = None,
@@ -848,7 +849,9 @@ def verify_duality(problem, pair: str, U1: FunctionBall | None = None,
     rows of ``PAIR_TABLE``, the README's "How a verdict is decided" table.  Like
     ``problems.run``, it works on a run copy (``operators.run_copy``)."""
     problem = operators.run_copy(problem, problem.m)
-    U1 = problem.default_U1() if U1 is None else U1
-    U2 = problem.default_U2() if U2 is None else U2
+    if U2 is None:
+        U2 = problem.default_U2()
+    if U1 is None:
+        U1 = problem.default_U1()
     plan = plan_duality(problem, pair, U1, U2, default_pullback(U2), eta)
     return run_plans(problem, [plan], U1, U2, seed)[0]

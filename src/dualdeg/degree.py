@@ -27,7 +27,7 @@ NEWTON_TOL = 1e-9
 JACOBIAN_DET_FLOOR = 1e-8
 COLLISION_TOL = 1e-9
 WINDING_ROUND_GUARD = 0.01
-MAX_WINDING_DOUBLINGS = 1
+MAX_WINDING_DOUBLINGS = 4
 STACK_FLOATS = 2 ** 15  # input floats per stacked call: bounds the memory one call holds
 MARGIN_PER_AXIS = 9  # level-0 boundary lattice points per axis of a margin
 
@@ -81,11 +81,6 @@ class DomainSpec:
         b = self.as_box()
         v = np.atleast_1d(np.asarray(v, dtype=float))
         return bool(np.all(v > b[:, 0]) and np.all(v < b[:, 1]))
-
-    def clearance(self, v) -> float:
-        """Distance of v to the box's boundary in the sup norm, negative outside."""
-        b, v = self.as_box(), np.atleast_1d(np.asarray(v, dtype=float))
-        return float(np.min(np.minimum(v - b[:, 0], b[:, 1] - v)))
 
 
 def box_domain(bounds) -> DomainSpec:

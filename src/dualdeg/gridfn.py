@@ -85,11 +85,15 @@ class GridFunction:
         return float(np.max(np.abs(self.values)))
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
-        if self.grid != other.grid:
-            raise ValueError("grid functions live on different grids")
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        _check_same_grid(self, other)
         return GridFunction(self.grid, self.values - other.values)
+
+
+def _check_same_grid(x: GridFunction, y: GridFunction):
+    if x.grid != y.grid:
+        raise ValueError("grid functions live on different grids")
+    if x.dim != y.dim:
+        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
 
 
 def constant(grid: Grid, c) -> GridFunction:

@@ -72,10 +72,12 @@ def common_core_dict(core: CommonCoreReport | None) -> dict | None:
 def duality_dict(problem_id: str, rep: DualityReport) -> dict:
     certs = [certificate_dict(c) for c in rep.certificates]
     cert_mins = [c["min_residual"] for c in certs if c["min_residual"] is not None]
-    # without certificates, the smaller finite margin of the two sides
-    margins = [m for m in (rep.left.min_boundary_norm, rep.right.min_boundary_norm)
-               if math.isfinite(m)]
-    min_residual = min(cert_mins or margins, default=None)
+    if cert_mins:
+        min_residual = min(cert_mins)
+    else:
+        margins = [rep.left.min_boundary_norm, rep.right.min_boundary_norm]
+        finite = [m for m in margins if math.isfinite(m)]
+        min_residual = min(finite) if finite else None
     d = {"problem": problem_id, "pair": rep.name,
          "left": degree_result_dict(rep.left),
          "right": degree_result_dict(rep.right),
@@ -161,11 +163,13 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 
 
 def _all_certificates(report: dict) -> list[tuple[str, dict]]:
-    """(label, certificate) of each verdict's chain, then of the operator suite's."""
-    owned = [(inst["pair"], c) for inst in report.get("duality", [])
-             for c in inst.get("certificates", [])]
-    owned += [("chain", c) for c in report.get("certificates", [])]
-    return [(f"{owner}: {c['pair'][0]}~{c['pair'][1]}", c) for owner, c in owned]
+    out = []
+    for inst in report.get("duality", []):
+        for c in inst.get("certificates", []):
+            out.append((f"{inst['pair']}: {c['pair'][0]}~{c['pair'][1]}", c))
+    for c in report.get("certificates", []):
+        out.append((f"chain: {c['pair'][0]}~{c['pair'][1]}", c))
+    return out
 
 
 def report_svg(report: dict) -> str:
@@ -183,8 +187,11 @@ def report_svg(report: dict) -> str:
              'stroke="black"/>',
              f'<text x="{x0 + pw // 2}" y="{y0 + ph + 30}">lambda</text>',
              f'<text x="8" y="{y0 + ph // 2}">res</text>']
-    ymax = max([0.0] + [max(c["residual_curve"]) for _, c in certs
-                        if c.get("residual_curve")]) or 1.0
+    ymax = 0.0
+    for _, c in certs:
+        if c.get("residual_curve"):
+            ymax = max(ymax, max(c["residual_curve"]))
+    ymax = ymax or 1.0
     for idx, (label, c) in enumerate(certs):
         color = _COLORS[idx % len(_COLORS)]
         lams = c.get("lambda_grid", [])
@@ -236,10 +243,18 @@ def load_valid(path, schema: str) -> dict:
 def emit(report: dict, fmt: str, outdir: str) -> str:
     """Write the report in the requested format; returns the output path."""
     os.makedirs(outdir, exist_ok=True)
-    writers = {"json": canonical_json, "csv": report_csv, "svg": report_svg}
-    if fmt not in writers:
+    name = f"report-{report.get('problem', 'run')}"
+    if fmt == "json":
+        path = os.path.join(outdir, name + ".json")
+        text = canonical_json(report)
+    elif fmt == "csv":
+        path = os.path.join(outdir, name + ".csv")
+        text = report_csv(report)
+    elif fmt == "svg":
+        path = os.path.join(outdir, name + ".svg")
+        text = report_svg(report)
+    else:
         raise ValueError(f"unknown format {fmt!r}; choose json, csv or svg")
-    path = os.path.join(outdir, f"report-{report.get('problem', 'run')}.{fmt}")
     with open(path, "w", newline="\n") as fh:
-        fh.write(writers[fmt](report))
+        fh.write(text)
     return path

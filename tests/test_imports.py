@@ -298,19 +298,32 @@ def test_readme_kind_table_is_kind_table():
         assert cells[1:] == _kind_table_cells(row), cells[0]
 
 
+# the README's cell for each name of ``certify.SIDES`` and ``certify.SIGNS``
+PAIR_CELLS = {
+    "reduced_Ktilde_pullback": "reduced(Ktilde, pullback)",
+    "reduced_Ktilde_slope_block": "reduced(Ktilde, slope block)",
+    "reduced_Ktilde_history_U2": "reduced(Ktilde of the history nodes, U2)",
+    "finite_K2_U2": "finite(K2, U2)", "finite_Kdir2_U2": "finite(Kdir2, U2)",
+    "finite_Kdelay2_U2": "finite(Kdelay2, U2)", "finite_KhatP_image_box": "finite(KhatP, image box)",
+    "khat2_K2_U2": "khat2(K2, U2)", "copy_of_right": "copy_of_right",
+    "fourier_A_eta": "fourier(A, η)", "averaged_1d": "averaged_1d",
+    "one": "+1", "neg1_pow_n": "(−1)^n", "sgn_eta": "sgn η",
+}
+
+
 def _pair_table_cells(key, row) -> list:
     """The README cells of a ``certify.PairRow`` under its key (pair, sign of eta)."""
     pair, sign = key
     links = ", ".join(f"{a} ~ {b}" for a, b, _ in row.chain)
     domains = ", ".join(sorted({dom for *_, dom in row.chain}))
     return [f"`{pair}`" + ("" if sign is None else f" (η {'>' if sign > 0 else '<'} 0)"),
-            f"`{row.left}`", f"`{row.right}`", f"`{row.sign}`",
+            *(f"`{PAIR_CELLS[name]}`" for name in (row.left, row.right, row.sign)),
             f"{links} over {domains}" if row.chain else "none",
             "yes" if row.core else "no", f"`{row.extra}`" if row.extra else "none"]
 
 
 def test_readme_verdict_table_is_pair_table():
-    from dualdeg.certify import PAIR_TABLE
+    from dualdeg.certify import PAIR_TABLE, SIDES, SIGNS
 
     lines = (ROOT / "README.md").read_text().splitlines()
     start = lines.index("| pair | left side | right side | sign | chain | core "
@@ -321,6 +334,7 @@ def test_readme_verdict_table_is_pair_table():
             break
         rows.append([cell.strip() for cell in line.strip("|").split("|")])
     assert rows == [_pair_table_cells(key, row) for key, row in PAIR_TABLE.items()]
+    assert set(PAIR_CELLS) == set(SIDES) | set(SIGNS)
 
 
 INTEGRATORS = ("flow", "poincare", "mu_periodic", "mu_dirichlet", "dde_flow",
