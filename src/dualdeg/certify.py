@@ -308,13 +308,18 @@ def _pullback_boundary_samples(problem, dom: DomainSpec, count: int, seed: int):
     # finite-boundary lattice, so the boundary minimum is stable
     bumps = _random_directions(problem, 8, seed, vanish_at_end=True)[0]
 
-    samples = []
+    # each lifted point, then its four bumps where it has room inside the ball
     lifted = lift(deg_mod._boundary_lattice(b, per))
-    for base, norm in zip(lifted, sup(lifted)):
-        samples.append(base)
-        room = r - norm
-        if room > 0:
-            samples += [base + 0.5 * room * w for w in bumps[:4]]
+    room = r - sup(lifted)
+    has_room = room > 0
+    bumped = np.empty((len(lifted), 5) + lifted.shape[1:])
+    bumped[:, 0] = lifted
+    np.multiply((0.5 * room)[:, None, None, None], bumps[:4], out=bumped[:, 1:])
+    bumped[:, 1:] += lifted[:, None]
+    rows = bumped.reshape((-1,) + lifted.shape[1:])
+    if not has_room.all():  # copied only then: a copy costs what the loop did
+        rows = rows[((np.arange(5) == 0) | has_room[:, None]).ravel()]
+    samples = [rows]
     # shell part: scale a bump until the sup norm hits r, every pair at once
     bases = lift(deg_mod._lattice_seeds(b, 2))
     bases = bases[sup(bases) < r]
@@ -328,8 +333,8 @@ def _pullback_boundary_samples(problem, dom: DomainSpec, count: int, seed: int):
         inside = sup(base + mid[:, None, None] * w) < r
         lo = np.where(inside, mid, lo)
         hi = np.where(inside, hi, mid)
-    samples += list(base + hi[:, None, None] * w)
-    return np.stack(samples)
+    samples.append(base + hi[:, None, None] * w)
+    return np.concatenate(samples)
 
 
 def _domain_boundary_samples(hA: OperatorHandle, dom, counts, seed: int):

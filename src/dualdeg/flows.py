@@ -194,23 +194,24 @@ def eta_periodic_solve(f: VectorFieldSpec, eta: float, x: GridFunction) -> GridF
     Variation of constants with exact exponential integrating factors and
     trapezoid quadrature on the grid.
     """
-    from .gridfn import cumulative_integral, nemytskii
+    from .gridfn import _spread, cumulative_integral, nemytskii
 
     T = f.period
     grid = x.grid
     if abs(grid.a) > 1e-12 or abs(grid.b - T) > 1e-12:
         raise ValueError(f"grid must span [0, {T}]")
     g = nemytskii(f, x).values
-    t = grid.nodes[:, None]
+    t = np.repeat(grid.nodes[:, None], x.dim, axis=1)  # (m+1, n): whole-block products
     try:
         with np.errstate(over="raise"):  # e^{|eta| t} times g can overflow: name it
             if abs(np.expm1(eta * T)) < 1e-12:
                 raise SingularEtaError(f"eta={eta} makes exp(eta*T) - 1 negligible")
             g = g + eta * x.values
-            weighted = GridFunction(grid, np.exp(eta * t) * g)
-            cum = cumulative_integral(weighted).values
+            g *= np.exp(eta * t)
+            cum = cumulative_integral(GridFunction(grid, g)).values
             y0 = cum[..., -1:, :] / np.expm1(eta * T)
-            y = np.exp(-eta * t) * (y0 + cum)
+            y = _spread(y0, cum)
+            y *= np.exp(-eta * t)
     except FloatingPointError as exc:
         raise IntegrationError(f"eta={eta} overflows the eta-shifted periodic solve") from exc
     y[..., -1, :] = y[..., 0, :]  # periodic closure; equality holds to quadrature error

@@ -5,6 +5,13 @@ sampled at the nodes of a uniform grid.  Quadrature is composite trapezoid
 throughout so that cumulative integrals, plain integrals and averages are
 mutually consistent at the discrete level.  A grid function may stack
 functions: values (..., m+1, n), quadrature along axis -2.
+
+The arithmetic runs in long inner loops over whole (m+1, n) blocks, not n
+floats at a time, and gives the bits of numpy's broadcast forms: a
+per-function term (..., 1, n) is repeated on the nodes into the result
+before the node values are added to it (``_spread``), and for n >= 2 a node
+sum is cumsum's last row, which adds the nodes in the order ``np.sum`` does
+along a non-contiguous node axis.
 """
 
 from __future__ import annotations
@@ -138,9 +145,10 @@ def cumulative_integral(x: GridFunction) -> GridFunction:
     """V(x)(t) = integral of x from the grid start to t, cumulative trapezoid."""
     def compute():
         h = x.grid.h
-        v = np.zeros_like(x.values)
+        v = np.empty_like(x.values)
+        v[..., 0, :] = 0.0
         increments = 0.5 * h * (x.values[..., :-1, :] + x.values[..., 1:, :])
-        v[..., 1:, :] = np.cumsum(increments, axis=-2)
+        np.cumsum(increments, axis=-2, out=v[..., 1:, :])
         return GridFunction(x.grid, v)
 
     return _memoized(x, "V", compute)
@@ -155,7 +163,10 @@ def integral(x: GridFunction) -> np.ndarray:
     """Plain trapezoid integral over the whole grid interval."""
     h = x.grid.h
     v = x.values
-    return h * (np.sum(v, axis=-2) - 0.5 * (v[..., 0, :] + v[..., -1, :]))
+    # for n >= 2 np.sum adds the nodes in order, as cumsum does in less time;
+    # for n = 1 the node axis is all it reduces over, and it sums pairwise
+    total = np.sum(v, axis=-2) if x.dim == 1 else np.cumsum(v, axis=-2)[..., -1, :]
+    return h * (total - 0.5 * (v[..., 0, :] + v[..., -1, :]))
 
 
 def average(x: GridFunction) -> np.ndarray:
@@ -167,10 +178,18 @@ def average(x: GridFunction) -> np.ndarray:
     return _memoized(x, "average", compute)
 
 
+def _spread(c: np.ndarray, values: np.ndarray, op=np.add) -> np.ndarray:
+    """``op(values, c)`` for a per-function term c (..., 1, n) and node values
+    (..., m+1, n) of the same stack, bit for bit: c repeated on the nodes is
+    the result, and op writes into it."""
+    out = np.repeat(c, values.shape[-2], axis=-2)
+    return op(values, out, out=out)
+
+
 def centred(x: GridFunction) -> GridFunction:
     """The mean-free part x - average(x)."""
-    return _memoized(x, "centred",
-                     lambda: GridFunction(x.grid, x.values - average(x)[..., None, :]))
+    return _memoized(x, "centred", lambda: GridFunction(
+        x.grid, _spread(average(x)[..., None, :], x.values, np.subtract)))
 
 
 def _rhs_call(rhs, t, x: np.ndarray, *delayed) -> np.ndarray:

@@ -210,8 +210,8 @@ def _mean_centred(grid: Grid, T: float, superpose: Callable, sign: float,
     def apply_fn(x):
         nx = superpose(x)
         v = gridfn.cumulative_integral(gridfn.centred(nx) if centred else nx)
-        vals = (gridfn.average(x)[..., None, :] + sign * T * gridfn.average(nx)[..., None, :]
-                - gridfn.average(v)[..., None, :]) + v.values
+        head = gridfn.average(x) + sign * T * gridfn.average(nx) - gridfn.average(v)
+        vals = gridfn._spread(head[..., None, :], v.values)
         if periodic_out:
             vals[..., -1, :] = vals[..., 0, :]
         return GridFunction(grid, vals)
@@ -226,7 +226,8 @@ def _build_periodic(name: str, problem, params: dict) -> OperatorHandle:
 
     if name == "K":
         def apply_fn(x):
-            return GridFunction(grid, x.values[..., -1:, :] + _vn(problem, x).values)
+            return GridFunction(grid, gridfn._spread(x.values[..., -1:, :],
+                                                     _vn(problem, x).values))
     elif name == "K1":
         alpha = solution(problem)
         return lifted_handle(name, problem, params, _endpoint, lambda c: alpha(c).values)
@@ -238,7 +239,7 @@ def _build_periodic(name: str, problem, params: dict) -> OperatorHandle:
         def apply_fn(x):
             vn = _vn(problem, x)
             head = gridfn.average(x) + vn.values[..., -1, :] - gridfn.average(vn)
-            return GridFunction(grid, head[..., None, :] + vn.values)
+            return GridFunction(grid, gridfn._spread(head[..., None, :], vn.values))
     elif name == "Keta":
         if "eta" not in params:
             raise ValueError("Keta requires an 'eta' parameter")
@@ -320,8 +321,8 @@ def _build_delay(name: str, problem, params: dict) -> OperatorHandle:
     if name == "Kdelay":
         def apply_fn(x):
             nr = gridfn.nemytskii_delay(f, x, kernel)
-            return GridFunction(grid, x.values[..., -1:, :]
-                                + gridfn.cumulative_integral(nr).values)
+            return GridFunction(grid, gridfn._spread(
+                x.values[..., -1:, :], gridfn.cumulative_integral(nr).values))
     elif name == "Kdelay1":
         alpha = solution(problem)
         return lifted_handle(name, problem, params, pi, lambda v: alpha(v).values[..., k:, :])

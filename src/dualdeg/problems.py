@@ -193,15 +193,20 @@ class ProblemSpec:
                     f"u2_box row {list(row)} is not a finite [lo, hi] with lo < hi")
         object.__setattr__(self, "u2_box", box)
         object.__setattr__(self, "rhs", dict(self.rhs))
-        # fail fast on unknown / mismatched rhs; one function for every field()
-        object.__setattr__(self, "_rhs_fn", _resolve_rhs(self))
+        # fail fast on unknown / mismatched rhs; one field spec for every field()
+        rhs = _resolve_rhs(self)
+        try:
+            fs = flows.VectorFieldSpec(
+                dim=self.dim, period=self.period,
+                kind=certify.KIND_TABLE[self.kind].field_kind,
+                rhs=rhs, lipschitz=self.lipschitz, tau=self.tau)
+        except ValueError as exc:  # a period or Lipschitz bound out of range
+            raise ProblemValidationError(str(exc)) from exc
+        object.__setattr__(self, "_field", fs)
 
     # -- duck-typed interface consumed by operators / certify ------------
     def field(self) -> flows.VectorFieldSpec:
-        return flows.VectorFieldSpec(
-            dim=self.dim, period=self.period,
-            kind=certify.KIND_TABLE[self.kind].field_kind,
-            rhs=self._rhs_fn, lipschitz=self.lipschitz, tau=self.tau)
+        return self._field
 
     def grid(self) -> Grid:
         if self.kind == "dirichlet_bvp":

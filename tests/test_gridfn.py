@@ -94,6 +94,41 @@ class TestAverage:
         assert gridfn.average(x)[0] == pytest.approx(0.5, abs=1e-15)
 
 
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a, b) \
+        and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestNodeSumOrder:
+    """``integral`` gives the bits of numpy's own node sum, ``np.sum`` along
+    axis -2, whichever way it takes that sum; a numpy whose summation order
+    changes fails here before any report digest moves."""
+
+    @pytest.mark.parametrize("view", [False, True], ids=["contiguous", "view"])
+    @pytest.mark.parametrize("lead", [(), (5,), (3, 4)], ids=["one", "stack", "stack2"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("m", [8, 64, 127, 300])
+    def test_equals_np_sum(self, m, n, lead, view):
+        rng = np.random.default_rng([m, n, len(lead), view])
+        shape = lead + (m + 1, 2 * n if view else n)
+        # magnitudes over 16 decades, so any change of order moves the sum
+        w = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+        w[rng.random(shape) < 0.1] = -0.0
+        w[rng.random(shape) < 0.1] = 0.0
+        v = w[..., :n] if view else w
+        grid = Grid(0.0, 2.0, m)
+        ref = grid.h * (np.sum(v, axis=-2) - 0.5 * (v[..., 0, :] + v[..., -1, :]))
+        assert _same_bits(gridfn.integral(GridFunction(grid, v)), ref)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_signed_zero_functions(self, n):
+        grid = Grid(0.0, 1.0, 16)
+        for z in (0.0, -0.0):
+            v = np.full((2, 17, n), z)
+            ref = grid.h * (np.sum(v, axis=-2) - 0.5 * (v[..., 0, :] + v[..., -1, :]))
+            assert _same_bits(gridfn.integral(GridFunction(grid, v)), ref)
+
+
 class TestNemytskii:
     def test_identity_field(self):
         g = Grid(0.0, 1.0, 8)

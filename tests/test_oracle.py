@@ -1,11 +1,12 @@
-"""Byte identity of the benchmark's scalar-coarse calls.
+"""Byte identity of every benchmark call.
 
-Replays every call of the ``scalar-coarse`` workload (p1 and p2 at m = 64)
-for each seed of ``perfbench/workloads.SEED_POOL``, the way
-``perfbench/harness.run_call`` makes it, and checks the SHA-256 of each
-canonical report against the digest recorded in ``perfbench/oracle.json``.
-So a change that moves a byte of the workload's reports fails here, before
-any benchmark run.  The benchmark's files are only read.
+Replays every call of each workload in ``perfbench/workloads.WORKLOADS``
+(scalar-coarse, periodic-planar and bvp-delay) for each seed of
+``SEED_POOL``, the way ``perfbench/harness.run_call`` makes it, and checks the
+SHA-256 of each canonical report against the digest recorded in
+``perfbench/oracle.json``.  So a change that moves a byte of any workload's
+reports fails here, before any benchmark run.  The benchmark's files are only
+read.
 """
 
 import hashlib
@@ -31,16 +32,31 @@ def _workloads():
 
 
 WORKLOADS = _workloads()
-SCALAR_COARSE = WORKLOADS.WORKLOADS["scalar-coarse"]
 ORACLE = json.loads((PERFBENCH / "oracle.json").read_text())
+SCALAR_COARSE = WORKLOADS.WORKLOADS["scalar-coarse"]
+# the calls of every other workload, by workload name and problem id
+OTHER_CALLS = [(name, pid) for name, wl in WORKLOADS.WORKLOADS.items()
+               if name != "scalar-coarse" for pid in wl.problems]
+
+
+def _digest_matches(workload: str, pid: str, seed: int) -> bool:
+    wl = WORKLOADS.WORKLOADS[workload]
+    spec = problems.get_problem(pid)
+    doc = problems.run(spec, "all", grid_m=wl.grid_m, seed=seed).to_dict()
+    del doc["timings"]
+    text = report.canonical_json(doc)
+    key = WORKLOADS.oracle_key(pid, wl.grid_m or spec.m, seed)
+    return hashlib.sha256(text.encode()).hexdigest() == ORACLE[key]["sha256"]
 
 
 @pytest.mark.parametrize("seed", WORKLOADS.SEED_POOL)
 @pytest.mark.parametrize("pid", SCALAR_COARSE.problems)
 def test_scalar_coarse_digest(pid, seed):
-    spec = problems.get_problem(pid)
-    doc = problems.run(spec, "all", grid_m=SCALAR_COARSE.grid_m, seed=seed).to_dict()
-    del doc["timings"]
-    text = report.canonical_json(doc)
-    key = WORKLOADS.oracle_key(pid, SCALAR_COARSE.grid_m, seed)
-    assert hashlib.sha256(text.encode()).hexdigest() == ORACLE[key]["sha256"]
+    assert _digest_matches("scalar-coarse", pid, seed)
+
+
+@pytest.mark.parametrize("seed", WORKLOADS.SEED_POOL)
+@pytest.mark.parametrize("workload,pid", OTHER_CALLS,
+                         ids=[f"{name}-{pid}" for name, pid in OTHER_CALLS])
+def test_workload_digest(workload, pid, seed):
+    assert _digest_matches(workload, pid, seed)

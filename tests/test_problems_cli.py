@@ -77,6 +77,19 @@ class TestProblemValidation:
             ProblemSpec("bad", "periodic_ode", 1, 1.0, {"id": "p1"}, 1.0, 256,
                         1.0, ((-1.0, 1.0),), tau=0.5)
 
+    @pytest.mark.parametrize("period,lipschitz,message", [
+        (-1.0, 1.0, "period must be positive, got -1.0"),
+        (1.0, -1.0, "lipschitz bound must be finite and >= 0, got -1.0")])
+    def test_field_out_of_range(self, period, lipschitz, message):
+        # the field spec is built with the problem, so its checks run there
+        with pytest.raises(ProblemValidationError, match=message):
+            ProblemSpec("bad", "periodic_ode", 1, period, {"id": "p1"}, lipschitz, 256,
+                        1.0, ((-1.0, 1.0),))
+
+    def test_one_field_spec_per_problem(self):
+        spec = get_problem("p3")
+        assert spec.field() is spec.field()
+
     def test_unknown_rhs_id(self):
         with pytest.raises(ProblemValidationError, match="unknown rhs id"):
             ProblemSpec("bad", "periodic_ode", 1, 1.0, {"id": "nope"}, 1.0,

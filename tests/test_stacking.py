@@ -9,6 +9,7 @@ import json
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,6 +41,11 @@ def _smooth_stack(grid: Grid, count: int, n: int, seed: int = 3) -> np.ndarray:
     t = grid.nodes[None, :, None]
     a, b, c = (rng.standard_normal((count, 1, n)) for _ in range(3))
     return a * np.cos(2 * np.pi * t) + b * np.sin(4 * np.pi * t) + 0.3 * c
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a, b) \
+        and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 class TestRhsShapeGuards:
@@ -194,6 +200,25 @@ class TestStackMatchesLoop:
         assert np.array_equal(fd_jacobian(g, X, scale=scale),
                               np.stack([fd_jacobian(g, x, scale=float(c))
                                         for x, c in zip(X, scale[:, 0])]))
+
+    @pytest.mark.parametrize("scale", [1.0, 0.3, 0.1], ids=["all", "most", "few"])
+    def test_pullback_bumps(self, scale):
+        # each lifted lattice point, then its four bumps where it has room
+        # inside the ball: all 92 points, 64 of them or 10
+        dom = certify.default_pullback(degree.box_domain(((-1.0, 2.5), (-0.5, 1.0))))
+        dom = replace(dom, r=dom.r * scale)
+        b, per = certify._face_lattice(dom, 32)
+        lifted = operators.build("Ktilde", P3).reduction.i(
+            degree._boundary_lattice(b, per)).values
+        bumps = certify._random_directions(P3, 8, 7, vanish_at_end=True)[0]
+        loop = []
+        for base in lifted:
+            loop.append(base)
+            room = dom.r - np.max(np.abs(base))
+            if room > 0:
+                loop += [base + 0.5 * room * w for w in bumps[:4]]
+        got = certify._pullback_boundary_samples(P3, dom, 32, 7)
+        assert _same_bits(got[:len(loop)], np.stack(loop))
 
     def test_random_directions(self):
         def loop(problem, count, seed, vanish_at_end):
@@ -984,6 +1009,148 @@ class TestSharedGridQuantities:
         assert ref() is not None
         del x
         assert ref() is None
+
+
+class TestBroadcastForms:
+    """Each grid operation that spreads a per-function term on the nodes, or
+    sums over the nodes, gives the bits of its numpy broadcast form, signed
+    zeros included, for n = 1 and 2, on one function and on a stack."""
+
+    GRID = Grid(0.0, 1.0, 32)
+    KERNEL = DelayKernel(0.25, 1.0)
+
+    @staticmethod
+    def _rhs(t, x):
+        return 0.5 * x[..., ::-1] * x - np.cos(2 * np.pi * np.asarray(t))[..., None] * x
+
+    @staticmethod
+    def _delay_rhs(t, x, xd):
+        return -x + 0.5 * xd * xd[..., ::-1]
+
+    def _problem(self, kind, n, linear=False):
+        delay = kind == "periodic_dde"
+        rhs = self._delay_rhs if delay else self._rhs
+        if linear:  # finite wherever x is, so only the grid arithmetic overflows
+            rhs = (lambda t, x, xd: xd) if delay else (lambda t, x: x)
+        f = VectorFieldSpec(dim=n, period=1.0, kind=flows.DELAY if delay else flows.NONDELAY,
+                            rhs=rhs, lipschitz=1.0, tau=self.KERNEL.tau if delay else None)
+        return SimpleNamespace(kind=kind, field=lambda: f, grid=lambda: self.GRID,
+                               kernel=lambda: self.KERNEL)
+
+    def _stack(self, n, stacked):
+        """Smooth functions with some entries ±0.0, a zero and a -0.0 function."""
+        vals = _smooth_stack(self.GRID, 3, n)
+        vals[0, ::5, 0], vals[1, 3::7, -1] = 0.0, -0.0
+        vals = np.concatenate([vals, np.zeros((1, 33, n)), np.full((1, 33, n), -0.0)])
+        return vals if stacked else vals[1]
+
+    def _avg(self, v):
+        g = self.GRID
+        return g.h * (np.sum(v, axis=-2) - 0.5 * (v[..., 0, :] + v[..., -1, :])) / g.length
+
+    def _cum(self, v):
+        out = np.zeros_like(v)
+        out[..., 1:, :] = np.cumsum(0.5 * self.GRID.h * (v[..., :-1, :] + v[..., 1:, :]), axis=-2)
+        return out
+
+    def _superposed(self, kind, x):
+        t = self.GRID.nodes
+        if kind != "periodic_dde":
+            return self._rhs(t, x)
+        idx = np.arange(33) - self.KERNEL.shift_steps(self.GRID)
+        idx[idx < 0] += 32
+        return self._delay_rhs(t, x, x[..., idx, :])
+
+    def _mean_centred(self, kind, x, sign, centred, periodic_out):
+        nx = self._superposed(kind, x)
+        v = self._cum(nx - self._avg(nx)[..., None, :] if centred else nx)
+        vals = (self._avg(x)[..., None, :] + sign * 1.0 * self._avg(nx)[..., None, :]
+                - self._avg(v)[..., None, :]) + v
+        if periodic_out:
+            vals[..., -1, :] = vals[..., 0, :]
+        return vals
+
+    def _k4(self, kind, x):
+        vn = self._cum(self._superposed(kind, x))
+        return (self._avg(x) + vn[..., -1, :] - self._avg(vn))[..., None, :] + vn
+
+    def _keta(self, eta, x):
+        t = self.GRID.nodes[:, None]
+        g = self._rhs(self.GRID.nodes, x) + eta * x
+        cum = self._cum(np.exp(eta * t) * g)
+        y = np.exp(-eta * t) * (cum[..., -1:, :] / np.expm1(eta) + cum)
+        y[..., -1, :] = y[..., 0, :]
+        return y
+
+    FORMS = {
+        "K": ("periodic_ode", lambda self, x: x[..., -1:, :] + self._cum(
+            self._superposed("periodic_ode", x))),
+        "K3": ("periodic_ode", lambda self, x: self._mean_centred(
+            "periodic_ode", x, 1.0, True, False)),
+        "Khat3": ("periodic_ode", lambda self, x: self._mean_centred(
+            "periodic_ode", x, -1.0, True, False)),
+        "K5": ("periodic_ode", lambda self, x: self._mean_centred(
+            "periodic_ode", x, 1.0, True, True)),
+        "K4": ("periodic_ode", lambda self, x: self._k4("periodic_ode", x)),
+        "Kgamma": ("periodic_ode", lambda self, x: self._k4("periodic_ode", x)),
+        "Keta+": ("periodic_ode", lambda self, x: self._keta(1.5, x)),
+        "Keta-": ("periodic_ode", lambda self, x: self._keta(-1.5, x)),
+        "Kdelay": ("periodic_dde", lambda self, x: x[..., -1:, :] + self._cum(
+            self._superposed("periodic_dde", x))),
+        "K6": ("periodic_dde", lambda self, x: self._mean_centred(
+            "periodic_dde", x, 1.0, False, False)),
+        "K7": ("periodic_dde", lambda self, x: self._mean_centred(
+            "periodic_dde", x, 1.0, True, False)),
+        "K8": ("periodic_dde", lambda self, x: self._mean_centred(
+            "periodic_dde", x, 1.0, True, True)),
+    }
+
+    @staticmethod
+    def _build(name, problem):
+        if name.startswith("Keta"):
+            return operators.build("Keta", problem, {"eta": 1.5 if name[-1] == "+" else -1.5})
+        return operators.build(name, problem)
+
+    @pytest.mark.parametrize("stacked", [True, False], ids=["stack", "one"])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("name", list(FORMS))
+    def test_operator(self, name, n, stacked):
+        kind, form = self.FORMS[name]
+        x = self._stack(n, stacked)
+        got = self._build(name, self._problem(kind, n)).apply_fn(GridFunction(self.GRID, x))
+        assert _same_bits(got.values, form(self, x))
+
+    @pytest.mark.parametrize("stacked", [True, False], ids=["stack", "one"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_centred(self, n, stacked):
+        x = self._stack(n, stacked)
+        got = gridfn.centred(GridFunction(self.GRID, x)).values
+        assert _same_bits(got, x - self._avg(x)[..., None, :])
+        # x - mean, not -(mean - x): the zero function stays +0.0
+        if stacked:
+            assert not np.signbit(got[-2]).any() and np.signbit(got[-1]).all()
+
+    # Keta- stays finite here: its g = (1 + eta) x is -x/2
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("name", [name for name in FORMS if name != "Keta-"])
+    def test_overflow_named(self, name, n):
+        # an input whose node sums, integrals or per-function terms overflow is
+        # refused by name: a non-finite GridFunction, or the eta solve's
+        # IntegrationError
+        kind = self.FORMS[name][0]
+        x = GridFunction(self.GRID, np.full((2, 33, n), 1e308))
+        h = self._build(name, self._problem(kind, n, linear=True))
+        err = (IntegrationError, "overflows") if name.startswith("Keta") \
+            else (ValueError, "finite")
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(err[0], match=err[1]):
+            h.apply_fn(x)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_centred_overflow_named(self, n):
+        x = GridFunction(self.GRID, np.full((2, 33, n), 1e308))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match=r"must be finite \(no NaN/Inf\)"):
+            gridfn.centred(x)
 
 
 class TestBlockSizeInvariance:
