@@ -87,24 +87,15 @@ def _unflattener(h: OperatorHandle):
 # Fixed points
 # ---------------------------------------------------------------------------
 
-def _grid_residual(h: OperatorHandle, unflat, v: np.ndarray) -> np.ndarray:
-    """v - h(v), v flattened; module-level, so no search closure refers to itself."""
-    try:
-        return v - _flatten(h.apply_fn(unflat(v)))
-    except (flows.IntegrationError, ValueError):
-        if v.ndim > 1:  # a failed stack: only its failing rows read inf
-            return np.stack([_grid_residual(h, unflat, row) for row in v])
-        return np.full_like(v, np.inf)
-
-
 def find_fixed_points(h: OperatorHandle, domain) -> list:
     """Fixed points of the operator inside the domain.
 
     Finite handles: multistart Newton on x - h(x), a fresh ``degree._Finite``
     search on a fresh row memo (``degree._held``).
     Grid-space handles: damped Picard from 0, then Newton on the flattened
-    discrete residual.  Returns clustered points; an empty list when nothing
-    converges.
+    discrete residual, read as the finite search reads its map
+    (``degree._safe_rows``): a row that blows up reads inf.  Returns clustered
+    points; an empty list when nothing converges.
     """
     if h.space == operators.FINITE_SPACE:
         F = deg_mod._Finite(deg_mod._held(h.apply_fn, {}), FINITE_FP_TOL)
@@ -112,13 +103,13 @@ def find_fixed_points(h: OperatorHandle, domain) -> list:
         return F.zeros(dom, FINITE_FP_TOL)[0]
 
     unflat = _unflattener(h)
-    res = lambda v: _grid_residual(h, unflat, v)
+    res = lambda v: v - _flatten(h.apply_fn(unflat(v)))
     n = h.problem.field().dim
     v = np.zeros((h.problem.grid().m + 1) * n
                  + (n if h.space == operators.C1_SPACE else 0))
     # damped Picard to get into the Newton basin
     for _ in range(200):
-        r = res(v)
+        r = deg_mod._safe_rows(res, v[None])[0]
         if np.max(np.abs(r)) < 1e-3:
             break
         v = v - 0.5 * r

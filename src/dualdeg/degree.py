@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .flows import IntegrationError
+from .gridfn import IntegrationError
 
 DEFAULT_EPS = 1e-6
 NEWTON_TOL = 1e-9
@@ -563,8 +563,9 @@ def fourier_block_signs(A, eta: float, n_max: int = 16) -> FourierBlockSigns:
 
     The zero mode contributes sgn det(I - A/eta); mode k contributes the
     determinant sign of the doubled block (eta*I - A) / (eta - k^2), which
-    is positive whenever the block is nonsingular.  Modes whose denominator
-    eta - k^2 vanishes are skipped and reported.
+    is positive: the block is singular exactly when eta*I - A is, and the
+    zero-mode test refuses that.  Modes whose denominator eta - k^2 vanishes
+    are skipped and reported.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     n = A.shape[0]
@@ -578,17 +579,7 @@ def fourier_block_signs(A, eta: float, n_max: int = 16) -> FourierBlockSigns:
         raise CollisionError("I - A/eta is singular")
     overall = 1 if det0 > 0 else -1
 
-    num_det = float(np.linalg.det(eta * np.eye(n) - A))
-    signs = []
-    skipped = []
-    for k in range(1, n_max + 1):
-        denom = eta - k * k
-        if abs(denom) < COLLISION_TOL:
-            skipped.append(k)
-            continue
-        d = num_det / denom ** n
-        if abs(d) < COLLISION_TOL:
-            raise CollisionError(f"block {k} is singular (eta*I - A degenerate)")
-        signs.append((k, 1))  # doubled block determinant is d^2 > 0
-    return FourierBlockSigns(block_signs=tuple(signs), overall_sign=overall,
-                             skipped=tuple(skipped))
+    skipped = tuple(k for k in range(1, n_max + 1) if abs(eta - k * k) < COLLISION_TOL)
+    # a doubled block's determinant is a square, > 0
+    signs = tuple((k, 1) for k in range(1, n_max + 1) if k not in skipped)
+    return FourierBlockSigns(block_signs=signs, overall_sign=overall, skipped=skipped)

@@ -15,17 +15,13 @@ from typing import Callable
 
 import numpy as np
 
-from .gridfn import Grid, GridFunction, _rhs_call
+from .gridfn import Grid, GridFunction, IntegrationError, _rhs_call
 
 NONDELAY = "nondelay"
 DELAY = "delay"
 SECOND_ORDER = "second_order"
 
 _KINDS = (NONDELAY, DELAY, SECOND_ORDER)
-
-
-class IntegrationError(RuntimeError):
-    """Raised when the right-hand side blows up mid-integration."""
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ floats at a time, and gives the bits of numpy's broadcast forms: a
 per-function term (..., 1, n) is repeated on the nodes into the result
 before the node values are added to it (``_spread``), and for n >= 2 a node
 sum is cumsum's last row, which adds the nodes in the order ``np.sum`` does
-along a non-contiguous node axis.
+along a non-contiguous node axis.  Values that are not finite are refused
+with ``IntegrationError``, the one error for a blow-up, which ``flows``
+raises too.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ import numpy as np
 
 if TYPE_CHECKING:
     from .flows import VectorFieldSpec
+
+
+class IntegrationError(ValueError):
+    """A blow-up: a grid function, a field value or an integrated state is not finite."""
 
 
 @dataclass(frozen=True)
@@ -59,7 +65,7 @@ def _as_values(values, m: int) -> np.ndarray:
     if v.ndim < 2 or v.shape[-2] != m + 1:
         raise ValueError(f"values must have shape (..., {m + 1}, n), got {v.shape}")
     if not np.all(np.isfinite(v)):
-        raise ValueError("grid function values must be finite (no NaN/Inf)")
+        raise IntegrationError("grid function values must be finite (no NaN/Inf)")
     return v
 
 
@@ -210,7 +216,7 @@ def _superpose(f: "VectorFieldSpec", x: GridFunction, *delayed) -> GridFunction:
     bad = ~np.isfinite(out)
     if bad.any():
         j = np.argwhere(bad)[0][-2]
-        raise ValueError(f"rhs returned non-finite value at t={nodes[j]}")
+        raise IntegrationError(f"rhs returned non-finite value at t={nodes[j]}")
     return GridFunction(x.grid, out)
 
 

@@ -84,6 +84,19 @@ class OperatorHandle:
     reduction: Reduction | None = None
     factors: tuple | None = None  # (pi, mu) of a ``lifted_handle``
 
+    def __post_init__(self):
+        # a grid handle applies under the errstate of ``flows._rk4``'s loop, so an
+        # overflow inside it reaches the finiteness check of the grid function it
+        # returns (``IntegrationError``), not a numpy warning
+        if self.space != FINITE_SPACE:
+            fn = self.apply_fn
+
+            def apply_fn(x):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    return fn(x)
+
+            object.__setattr__(self, "apply_fn", apply_fn)
+
 
 def lifted_handle(name: str, problem, params: dict, pi: Callable,
                   mu: Callable) -> OperatorHandle:
@@ -271,7 +284,7 @@ def _build_dirichlet(name: str, problem, params: dict) -> OperatorHandle:
     f = problem.field()
     grid = problem.grid()
     n = f.dim
-    t = grid.nodes[:, None]
+    t = np.repeat(grid.nodes[:, None], n, axis=1)  # (m+1, n): whole-block products
     alpha = solution(problem)
 
     if name == "Kdir":
@@ -280,7 +293,8 @@ def _build_dirichlet(name: str, problem, params: dict) -> OperatorHandle:
             a, b = r[..., :n], r[..., n:]
             vvn = gridfn.double_cumulative_integral(
                 gridfn.nemytskii(f, x.values))
-            vals = t * a[..., None, :] + b[..., None, :] + vvn.values
+            vals = gridfn._spread(b[..., None, :], gridfn._spread(a[..., None, :], t, np.multiply))
+            vals += vvn.values
             return C1Function(GridFunction(grid, vals), a)
     elif name == "Kdir1":
         def apply_fn(x: C1Function):

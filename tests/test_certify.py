@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from dualdeg import certify, degree, flows, operators, problems, report
 from dualdeg.certify import (FunctionBall, admissibility_eps, certify_homotopies,
                              check_common_core, find_fixed_points, verify_duality)
 from dualdeg.degree import box_domain
-from dualdeg.gridfn import GridFunction, constant
+from dualdeg.gridfn import Grid, GridFunction, constant
 from dualdeg.problems import ProblemSpec
 
 P1 = problems.get_problem("p1")
@@ -76,6 +77,25 @@ class TestFindFixedPoints:
         fps = find_fixed_points(h, box_domain([(-1.0, 1.0)] * 5))
         np.testing.assert_allclose(sorted(fp[0] for fp in fps), [-0.5, 0.5])
         np.testing.assert_allclose([fp[1:] for fp in fps], 0.0, atol=1e-12)
+
+    @staticmethod
+    def _grid_problem(rhs):
+        f = flows.VectorFieldSpec(dim=1, period=1.0, kind=flows.NONDELAY, rhs=rhs,
+                                  lipschitz=1.0)
+        return SimpleNamespace(kind="periodic_ode", field=lambda: f,
+                               grid=lambda: Grid(0.0, 1.0, 8))
+
+    def test_grid_blow_up_reads_no_fixed_point(self):
+        # K(0) = 1e306 t, and K of half of that overflows: the residual row reads
+        # inf (IntegrationError, no numpy warning) and the Picard start gives up
+        h = operators.build("K", self._grid_problem(lambda t, x: 1e306 * (x + 1.0) ** 3))
+        assert find_fixed_points(h, FunctionBall(1.0)) == []
+
+    def test_grid_error_not_a_blow_up_propagates(self):
+        # a field of the wrong shape is the caller's error, not a residual of inf
+        h = operators.build("K", self._grid_problem(lambda t, x: x[..., 0]))
+        with pytest.raises(ValueError, match=r"rhs returned shape \(1, 9\), expected \(1, 9, 1\)"):
+            find_fixed_points(h, FunctionBall(1.0))
 
     def test_no_convergence_empty(self):
         # no fixed point inside this off-center finite box

@@ -292,6 +292,14 @@ class TestFourierBlockSigns:
         res = fourier_block_signs([[0.5]], 4.0, n_max=8)
         assert res.skipped == (2,)
 
+    @pytest.mark.parametrize("eta", [1 + 5e-8, 1 + 2e-9])
+    def test_blocks_near_the_zero_mode_collision(self, eta):
+        # det(I - A/eta) clears the zero-mode test, so eta*I - A is nonsingular and
+        # so is every block: its determinant (eta - 1) / (eta - k^2) is small, not 0
+        res = fourier_block_signs([[1.0]], eta)
+        assert res.overall_sign == 1 and res.skipped == ()
+        assert res.block_signs == tuple((k, 1) for k in range(1, 17))
+
     def test_eta_zero_collision(self):
         with pytest.raises(CollisionError):
             fourier_block_signs([[1.0]], 0.0)

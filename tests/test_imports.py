@@ -4,9 +4,10 @@ function that it never reads (click commands and ``UNREAD_PUBLIC`` aside) and no
 dataclass field that only its ``__post_init__`` reads, every name the README
 cites from the package exists, the README's kind table is ``KIND_TABLE`` and
 its verdict table ``PAIR_TABLE``,
-only ``flows`` and ``operators`` call a ``flows`` integrator, and rows are
+only ``flows`` and ``operators`` call a ``flows`` integrator, rows are
 mapped ahead of their need one way only: queued by ``operators.queue`` on a
-run memo, and mapped by ``degree._held``.
+run memo, and mapped by ``degree._held``, and no computing module catches a
+blow-up more broadly than by ``IntegrationError``.
 
 Stdlib ``ast`` scans, since no linter ships with the project.  An import
 line marked ``# noqa: F401`` is kept on purpose (``certify`` binds
@@ -424,3 +425,40 @@ def test_one_carrier_maps_rows_ahead():
     sources = {p.stem: p.read_text() for p in PACKAGE}
     assert ahead_carriers(sources) == {"_map_ahead": [("degree", "_held")],
                                        "queues": [("operators", "queue")]}
+
+
+# a blow-up is caught as IntegrationError (with LinAlgError or FloatingPointError
+# where a solve or an errstate raises them), so no other ValueError reads as one
+COMPUTING_MODULES = ("gridfn.py", "flows.py", "operators.py", "degree.py", "certify.py")
+BROAD = ("ValueError", "Exception", "BaseException")
+
+
+def broad_excepts(source: str) -> list:
+    """(line, name) of each ``except`` clause in the source that is bare or
+    names one of ``BROAD``, alone, in a tuple or as a module attribute."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        if node.type is None:
+            out.append((node.lineno, "bare"))
+            continue
+        caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        out += [(node.lineno, name) for t in caught
+                if (name := getattr(t, "id", getattr(t, "attr", None))) in BROAD]
+    return out
+
+
+def test_except_checker_flags_broad_clauses():
+    src = ("try:\n    f()\nexcept (flows.IntegrationError, ValueError):\n    pass\n"
+           "try:\n    f()\nexcept:\n    pass\n"
+           "try:\n    f()\nexcept builtins.Exception as exc:\n    raise exc\n"
+           "try:\n    f()\nexcept (np.linalg.LinAlgError, IntegrationError):\n    pass\n"
+           "try:\n    f()\nexcept FloatingPointError:\n    g(ValueError)\n")
+    assert broad_excepts(src) == [(3, "ValueError"), (7, "bare"), (11, "Exception")]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name in COMPUTING_MODULES],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_blow_ups_caught_by_name(path):
+    assert broad_excepts(path.read_text()) == []

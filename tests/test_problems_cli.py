@@ -794,6 +794,8 @@ class TestCli:
         (["run", "{duffing_blow_up}"], "non-finite state while integrating"),
         (["degree", "{duffing_blow_up}", "--operator", "K2", "--domain", "[[-1.5,1.5]]"],
          "non-finite state while integrating"),
+        (["run", "{duffing_overflow}", "--suite", "operators"],
+         "grid function values must be finite (no NaN/Inf)"),
         (["run", "p4", "--suite", "signs"], "suite 'signs' runs no verdict on p4"),
         (["run", "p5", "--suite", "signs"], "suite 'signs' runs no verdict on p5"),
         (["run", "p6", "--suite", "signs"], "suite 'signs' runs no verdict on p6"),
@@ -834,7 +836,8 @@ class TestCli:
             "u2-box-empty-row", "tau-misaligned-file", "tau-misaligned-grid",
             "p6_m2", "tau-one-step-grid", "history-nodes-2",
             "eta-singular-p1", "eta-zero-p7", "eta-collision-p7", "blow-up-run-cubic",
-            "blow-up-run-duffing", "blow-up-degree-duffing", "signs-p4", "signs-p5",
+            "blow-up-run-duffing", "blow-up-degree-duffing", "overflow-operators-duffing",
+            "signs-p4", "signs-p5",
             "signs-p6", "eta-duality-p3", "eta-p4", "eta-nan-p1", "eta-inf-p1",
             "eta-minus-inf-p3", "eta-nan-p7", "eta-overflow-p1", "eta-minus-overflow-p1",
             "eta-product-overflow-p1", "eta-overflow-p3", "u1-radius-nan", "u1-radius-inf",
@@ -858,6 +861,10 @@ class TestCli:
                                                          u2_box=[[-1, 1]] * 2)),
                  "cubic_blow_up": poly([0, 0, 0, 1], [[-2, 2]]),
                  "duffing_blow_up": poly([0, -1, 0, 1], [[-1.5, 1.5]]),
+                 # x' = 1e306 x^3 - x: the grid operators overflow on U1's boundary samples
+                 "duffing_overflow": json.dumps(dict(get_problem("p1").to_dict(), m=32,
+                                                     rhs={"poly": [0, -1, 0, 1e306]},
+                                                     u2_box=[[-1, 1]])),
                  # planar builtin rhs at another dim, and a nonlocal rhs with no A table
                  "p3_dim_1": json.dumps(dict(get_problem("p3").to_dict(), dim=1,
                                              u2_box=[[-1, 1]])),

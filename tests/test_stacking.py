@@ -1032,7 +1032,8 @@ class TestBroadcastForms:
         rhs = self._delay_rhs if delay else self._rhs
         if linear:  # finite wherever x is, so only the grid arithmetic overflows
             rhs = (lambda t, x, xd: xd) if delay else (lambda t, x: x)
-        f = VectorFieldSpec(dim=n, period=1.0, kind=flows.DELAY if delay else flows.NONDELAY,
+        fkind = {"periodic_dde": flows.DELAY, "dirichlet_bvp": flows.SECOND_ORDER}
+        f = VectorFieldSpec(dim=n, period=1.0, kind=fkind.get(kind, flows.NONDELAY),
                             rhs=rhs, lipschitz=1.0, tau=self.KERNEL.tau if delay else None)
         return SimpleNamespace(kind=kind, field=lambda: f, grid=lambda: self.GRID,
                                kernel=lambda: self.KERNEL)
@@ -1122,6 +1123,20 @@ class TestBroadcastForms:
 
     @pytest.mark.parametrize("stacked", [True, False], ids=["stack", "one"])
     @pytest.mark.parametrize("n", [1, 2])
+    def test_kdir(self, n, stacked):
+        # Kdir(x) = t a + b + VV(N x), (a, b) = (x(1) + x'(0), 2 x(0)), x'(0) = a
+        x = self._stack(n, stacked)
+        d0 = x[..., 1, :] - x[..., 0, :]
+        got = operators.build("Kdir", self._problem("dirichlet_bvp", n)).apply_fn(
+            operators.C1Function(GridFunction(self.GRID, x), d0))
+        a, b = x[..., -1, :] + d0, 2.0 * x[..., 0, :]
+        vvn = self._cum(self._cum(self._superposed("dirichlet_bvp", x)))
+        t = self.GRID.nodes[:, None]
+        assert _same_bits(got.values.values, t * a[..., None, :] + b[..., None, :] + vvn)
+        assert _same_bits(got.deriv0, a)
+
+    @pytest.mark.parametrize("stacked", [True, False], ids=["stack", "one"])
+    @pytest.mark.parametrize("n", [1, 2])
     def test_centred(self, n, stacked):
         x = self._stack(n, stacked)
         got = gridfn.centred(GridFunction(self.GRID, x)).values
@@ -1132,24 +1147,25 @@ class TestBroadcastForms:
 
     # Keta- stays finite here: its g = (1 + eta) x is -x/2
     @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize("name", [name for name in FORMS if name != "Keta-"])
+    @pytest.mark.parametrize("name", [name for name in FORMS if name != "Keta-"] + ["Kdir"])
     def test_overflow_named(self, name, n):
         # an input whose node sums, integrals or per-function terms overflow is
-        # refused by name: a non-finite GridFunction, or the eta solve's
-        # IntegrationError
-        kind = self.FORMS[name][0]
+        # refused by IntegrationError, with no numpy warning (an error under
+        # pytest's filter): a non-finite grid function, or the eta solve's overflow
+        kind = self.FORMS[name][0] if name in self.FORMS else "dirichlet_bvp"
         x = GridFunction(self.GRID, np.full((2, 33, n), 1e308))
+        if name == "Kdir":
+            x = operators.C1Function(x, np.zeros((2, n)))
         h = self._build(name, self._problem(kind, n, linear=True))
-        err = (IntegrationError, "overflows") if name.startswith("Keta") \
-            else (ValueError, "finite")
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(err[0], match=err[1]):
+        with pytest.raises(IntegrationError,
+                           match="overflows" if name.startswith("Keta") else "finite"):
             h.apply_fn(x)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_centred_overflow_named(self, n):
         x = GridFunction(self.GRID, np.full((2, 33, n), 1e308))
         with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ValueError, match=r"must be finite \(no NaN/Inf\)"):
+                pytest.raises(IntegrationError, match=r"must be finite \(no NaN/Inf\)"):
             gridfn.centred(x)
 
 
