@@ -84,18 +84,16 @@ class OperatorHandle:
     reduction: Reduction | None = None
     factors: tuple | None = None  # (pi, mu) of a ``lifted_handle``
 
-    def __post_init__(self):
-        # a grid handle applies under the errstate of ``flows._rk4``'s loop, so an
-        # overflow inside it reaches the finiteness check of the grid function it
-        # returns (``IntegrationError``), not a numpy warning
-        if self.space != FINITE_SPACE:
-            fn = self.apply_fn
 
-            def apply_fn(x):
-                with np.errstate(over="ignore", invalid="ignore"):
-                    return fn(x)
+def _quiet(fn: Callable) -> Callable:
+    """fn under the errstate of ``flows._rk4``'s loop: every grid handle is built
+    with it, so an overflow inside one reaches the finiteness check of the grid
+    function it returns (``IntegrationError``), not a numpy warning."""
+    def apply_fn(x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(x)
 
-            object.__setattr__(self, "apply_fn", apply_fn)
+    return apply_fn
 
 
 def lifted_handle(name: str, problem, params: dict, pi: Callable,
@@ -110,7 +108,7 @@ def lifted_handle(name: str, problem, params: dict, pi: Callable,
     def apply_fn(x):
         return GridFunction(grid, mu(pi(x)))
 
-    return OperatorHandle(name, GRID_SPACE, apply_fn, problem, dict(params),
+    return OperatorHandle(name, GRID_SPACE, _quiet(apply_fn), problem, dict(params),
                           factors=(pi, mu))
 
 
@@ -120,7 +118,7 @@ def reduced_handle(name: str, space: str, problem, params: dict,
     def apply_fn(x):
         return red.i(red.finite.apply_fn(red.pi(x)))
 
-    return OperatorHandle(name, space, apply_fn, problem, params, reduction=red)
+    return OperatorHandle(name, space, _quiet(apply_fn), problem, params, reduction=red)
 
 
 def residual(h: OperatorHandle, x) -> float:
@@ -267,7 +265,7 @@ def _build_periodic(name: str, problem, params: dict) -> OperatorHandle:
     else:
         raise ValueError(f"unknown periodic operator {name!r}")
 
-    return OperatorHandle(name, GRID_SPACE, apply_fn, problem, dict(params))
+    return OperatorHandle(name, GRID_SPACE, _quiet(apply_fn), problem, dict(params))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +282,7 @@ def _build_dirichlet(name: str, problem, params: dict) -> OperatorHandle:
     f = problem.field()
     grid = problem.grid()
     n = f.dim
-    t = np.repeat(grid.nodes[:, None], n, axis=1)  # (m+1, n): whole-block products
+    t = grid.nodes[:, None]
     alpha = solution(problem)
 
     if name == "Kdir":
@@ -293,8 +291,7 @@ def _build_dirichlet(name: str, problem, params: dict) -> OperatorHandle:
             a, b = r[..., :n], r[..., n:]
             vvn = gridfn.double_cumulative_integral(
                 gridfn.nemytskii(f, x.values))
-            vals = gridfn._spread(b[..., None, :], gridfn._spread(a[..., None, :], t, np.multiply))
-            vals += vvn.values
+            vals = t * a[..., None, :] + b[..., None, :] + vvn.values
             return C1Function(GridFunction(grid, vals), a)
     elif name == "Kdir1":
         def apply_fn(x: C1Function):
@@ -313,7 +310,7 @@ def _build_dirichlet(name: str, problem, params: dict) -> OperatorHandle:
     else:
         raise ValueError(f"unknown dirichlet operator {name!r}")
 
-    return OperatorHandle(name, C1_SPACE, apply_fn, problem, dict(params))
+    return OperatorHandle(name, C1_SPACE, _quiet(apply_fn), problem, dict(params))
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +356,7 @@ def _build_delay(name: str, problem, params: dict) -> OperatorHandle:
     else:
         raise ValueError(f"unknown delay operator {name!r}")
 
-    return OperatorHandle(name, GRID_SPACE, apply_fn, problem, dict(params))
+    return OperatorHandle(name, GRID_SPACE, _quiet(apply_fn), problem, dict(params))
 
 
 def _delay_poincare(problem, params: dict | None = None) -> OperatorHandle:

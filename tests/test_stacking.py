@@ -1123,20 +1123,6 @@ class TestBroadcastForms:
 
     @pytest.mark.parametrize("stacked", [True, False], ids=["stack", "one"])
     @pytest.mark.parametrize("n", [1, 2])
-    def test_kdir(self, n, stacked):
-        # Kdir(x) = t a + b + VV(N x), (a, b) = (x(1) + x'(0), 2 x(0)), x'(0) = a
-        x = self._stack(n, stacked)
-        d0 = x[..., 1, :] - x[..., 0, :]
-        got = operators.build("Kdir", self._problem("dirichlet_bvp", n)).apply_fn(
-            operators.C1Function(GridFunction(self.GRID, x), d0))
-        a, b = x[..., -1, :] + d0, 2.0 * x[..., 0, :]
-        vvn = self._cum(self._cum(self._superposed("dirichlet_bvp", x)))
-        t = self.GRID.nodes[:, None]
-        assert _same_bits(got.values.values, t * a[..., None, :] + b[..., None, :] + vvn)
-        assert _same_bits(got.deriv0, a)
-
-    @pytest.mark.parametrize("stacked", [True, False], ids=["stack", "one"])
-    @pytest.mark.parametrize("n", [1, 2])
     def test_centred(self, n, stacked):
         x = self._stack(n, stacked)
         got = gridfn.centred(GridFunction(self.GRID, x)).values
