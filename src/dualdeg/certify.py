@@ -317,15 +317,42 @@ def _pullback_boundary_samples(problem, dom: DomainSpec, count: int, seed: int):
     shell = bumps[4:6]
     base = np.repeat(bases, len(shell), axis=0)
     w = np.tile(shell, (len(bases), 1, 1))
+    samples.append(base + _shell_scales(base, w, r)[:, None, None] * w)
+    return np.concatenate(samples)
+
+
+def _shell_scales(base: np.ndarray, w: np.ndarray, r: float) -> np.ndarray:
+    """Per pair of stacks (pairs, m+1, n), the hi end of 60 halvings of
+    [0, r + sup|base| + 1] that keep sup|base + s w| < r at lo and not at hi.
+    The first 8 halve every pair at once.  Then b + s w rounds monotonically
+    in s, so an entry below r at both ends stays below r between them and
+    never decides: each pair halves on its other entries alone (one or two
+    on the builtin problems), in Python floats, and stops where the midpoint
+    no longer moves an end."""
+    sup = lambda v: np.max(np.abs(v), axis=(-2, -1))
     lo = np.zeros(len(base))
     hi = r + sup(base) + 1.0
-    for _ in range(60):
+    for _ in range(8):
         mid = 0.5 * (lo + hi)
         inside = sup(base + mid[:, None, None] * w) < r
         lo = np.where(inside, mid, lo)
         hi = np.where(inside, hi, mid)
-    samples.append(base + hi[:, None, None] * w)
-    return np.concatenate(samples)
+    # tested as < r, the comparison the halvings use: with a first >= in the
+    # process, perfbench's scalar-coarse read +0.5 MiB of peak RSS
+    decides = ~(np.maximum(np.abs(base + lo[:, None, None] * w),
+                           np.abs(base + hi[:, None, None] * w)) < r)
+    for i, (a, c) in enumerate(zip(lo.tolist(), hi.tolist())):
+        entries = list(zip(base[i][decides[i]].tolist(), w[i][decides[i]].tolist()))
+        for _ in range(60 - 8):
+            mid = 0.5 * (a + c)
+            if mid == a or mid == c:
+                break
+            if all(abs(b + mid * v) < r for b, v in entries):
+                a = mid
+            else:
+                c = mid
+        hi[i] = c
+    return hi
 
 
 def _domain_boundary_samples(hA: OperatorHandle, dom, counts, seed: int):
@@ -791,13 +818,15 @@ EXTRAS = {"block_sign_identity": _block_sign_identity, "monodromy_det_sign": _mo
 
 
 def plan_duality(problem, pair: str, U1: FunctionBall, U2: DomainSpec,
-                 vr: DomainSpec, eta: float | None = None) -> Plan:
+                 vr: DomainSpec, eta: float | None = None, handles: dict | None = None) -> Plan:
     """The plan of one named duality instance (see ``verify_duality``) from its
     ``PAIR_TABLE`` row, under the one verdict rule: equal iff left.degree = sign *
     right.degree, both sides are certified, the extra check holds, every chain
     certificate is admissible and, if the row reads it, the common core holds.  ``vr``
-    is the pullback of U2.  A pair the problem's kind does not run (``KIND_TABLE``), an
-    eta not finite, missing on its signs pair or given to another, raise ValueError."""
+    is the pullback of U2.  Its operators are built through ``handles``, the dict of
+    ``operators.build_once`` that the plans of one run share (a fresh one if None).
+    A pair the problem's kind does not run (``KIND_TABLE``), an eta not finite,
+    missing on its signs pair or given to another, raise ValueError."""
     kind = KIND_TABLE[problem.kind]
     runs = kind.duality + ((kind.signs,) if kind.signs else ())
     if eta is not None and not np.isfinite(eta):
@@ -810,9 +839,9 @@ def plan_duality(problem, pair: str, U1: FunctionBall, U2: DomainSpec,
     row = PAIR_TABLE.get((pair, None)) or PAIR_TABLE[pair, 1 if eta > 0 else -1]
     if any(dom == "U1" for *_, dom in row.chain) and not isinstance(U1, FunctionBall):
         raise ValueError(f"{pair} pair needs a sup-norm ball U1")
-    built = {}  # each operator, built once
-    op = lambda name: built[name] if name in built else built.setdefault(name, operators.build(
-        name, problem, {"eta": eta} if name == "Keta" else None))
+    handles = {} if handles is None else handles
+    op = lambda name: operators.build_once(handles, name, problem,
+                                           {"eta": eta} if name == "Keta" else None)
     where = dict(U1=U1, pullback=vr)
     homotopies = tuple((op(a), op(b), where[dom]) for a, b, dom in row.chain)
     sign = SIGNS[row.sign](problem.field().dim, eta)

@@ -5,12 +5,16 @@ reproducibility for identical inputs) matters more than adaptivity here:
 the degree computations downstream must see the same map on every call.
 Every integrator, the delay one too, is one sweep of ``_rk4``, the only RK4
 loop, over a whole stack of states or histories; the sweep rejects states
-that blow up, and the eta solve an overflow (IntegrationError).
+that blow up, and the eta solve an overflow (IntegrationError).  ``_rk4``
+calls the rhs it is handed as it is: each integrator's adapter checks the
+user's field (``gridfn._rhs_call``) once per evaluation, and the delay one
+reads the Hermite midpoints of the given history from one pass per sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -55,19 +59,21 @@ def _rk4(rhs, y0: np.ndarray, a: float, h: float, m: int,
          track: np.ndarray | None = None) -> np.ndarray:
     """Track (..., m+1, n) of m RK4 steps of y' = rhs(t, y) from the stack
     y0 (..., n) at t = a, written step by step into ``track`` if given, so
-    that rhs may read the steps already taken.  A state that overflows or
-    is not finite raises IntegrationError once the sweep is done."""
+    that rhs may read the steps already taken.  rhs returns a float array of
+    y's shape; its caller checks that.  A state that overflows or is not
+    finite raises IntegrationError once the sweep is done."""
     if track is None:
         track = np.empty(y0.shape[:-1] + (m + 1, y0.shape[-1]))
     track[..., 0, :] = y = y0
+    half, sixth = 0.5 * h, h / 6.0
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(m):
             t = a + j * h
-            k1 = _rhs_call(rhs, t, y)
-            k2 = _rhs_call(rhs, t + 0.5 * h, y + 0.5 * h * k1)
-            k3 = _rhs_call(rhs, t + 0.5 * h, y + 0.5 * h * k2)
-            k4 = _rhs_call(rhs, t + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k1 = rhs(t, y)
+            k2 = rhs(t + half, y + half * k1)
+            k3 = rhs(t + half, y + half * k2)
+            k4 = rhs(t + h, y + h * k3)
+            y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             track[..., j + 1, :] = y
     if not np.all(np.isfinite(track)):
         raise IntegrationError(f"non-finite state while integrating over "
@@ -82,7 +88,7 @@ def flow(f: VectorFieldSpec, x0, grid: Grid) -> GridFunction:
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     if x.shape[-1:] != (f.dim,):
         raise ValueError(f"x0 must have shape (..., {f.dim}), got {x.shape}")
-    return GridFunction(grid, _rk4(f.rhs, x, grid.a, grid.h, grid.m))
+    return GridFunction(grid, _rk4(partial(_rhs_call, f.rhs), x, grid.a, grid.h, grid.m))
 
 
 def poincare(f: VectorFieldSpec, x0, m: int = 256) -> np.ndarray:
@@ -96,12 +102,11 @@ def mu_periodic(f: VectorFieldSpec, x0, m: int = 256) -> GridFunction:
 
 
 def _second_order_system(f: VectorFieldSpec):
+    """y = (x, x') -> (x', f(t, x)), checking f once per call."""
     n = f.dim
 
     def rhs(t, y):
-        dy = np.empty_like(y)
-        dy[..., :n], dy[..., n:] = y[..., n:], _rhs_call(f.rhs, t, y[..., :n])
-        return dy
+        return np.concatenate((y[..., n:], _rhs_call(f.rhs, t, y[..., :n])), axis=-1)
 
     return rhs
 
@@ -119,6 +124,11 @@ def mu_dirichlet(f: VectorFieldSpec, a, b, m: int = 256) -> GridFunction:
     return GridFunction(grid, vals[..., :n])
 
 
+def _hermite_weights(s: float) -> tuple:
+    """The cubic Hermite basis h00, h10, h01, h11 at s."""
+    return (1 + 2 * s) * (1 - s) ** 2, s * (1 - s) ** 2, s * s * (3 - 2 * s), s * s * (s - 1)
+
+
 def _hermite_eval(track: np.ndarray, pos: float) -> np.ndarray:
     """Cubic Hermite (Catmull-Rom slopes) on equally spaced samples.
 
@@ -127,16 +137,34 @@ def _hermite_eval(track: np.ndarray, pos: float) -> np.ndarray:
     n = track.shape[-2]
     j = int(np.floor(pos))
     j = min(max(j, 0), n - 2)
-    s = pos - j
     y = lambda i: track[..., i, :]
     y0, y1 = y(j), y(j + 1)
     d0 = (y(j + 1) - y(j - 1)) / 2.0 if j >= 1 else y(1) - y(0)
     d1 = (y(j + 2) - y(j)) / 2.0 if j + 2 < n else y(-1) - y(-2)
-    h00 = (1 + 2 * s) * (1 - s) ** 2
-    h10 = s * (1 - s) ** 2
-    h01 = s * s * (3 - 2 * s)
-    h11 = s * s * (s - 1)
+    h00, h10, h01, h11 = _hermite_weights(pos - j)
     return h00 * y0 + h10 * d0 + h01 * y1 + h11 * d1
+
+
+def _hermite_midpoints(track: np.ndarray) -> np.ndarray:
+    """``_hermite_eval(track, j + 0.5)`` for every j < L - 1 of the (..., L, n)
+    ``track``, as row j of an (L-1, ..., n) array: the same slopes, weights and
+    operand order, so the same bits.  Each term goes through one of two
+    buffers in place, since a temporary per term costs page faults on a large
+    stack, and each row is contiguous for the rhs that reads it."""
+    y = np.moveaxis(track, -2, 0)  # y[j]: sample j
+    h00, h10, h01, h11 = _hermite_weights(0.5)
+    mid, d = np.empty(y[1:].shape), np.empty(y[1:].shape)
+    np.subtract(y[1], y[0], out=d[0])  # d0: one-sided at the left end
+    np.subtract(y[2:], y[:-2], out=d[1:])
+    d[1:] /= 2.0
+    np.multiply(h00, y[:-1], out=mid)
+    mid += np.multiply(h10, d, out=d)
+    mid += np.multiply(h01, y[1:], out=d)
+    np.subtract(y[2:], y[:-2], out=d[:-1])  # d1: one-sided at the right end
+    d[:-1] /= 2.0
+    np.subtract(y[-1], y[-2], out=d[-1])
+    mid += np.multiply(h11, d, out=d)
+    return mid
 
 
 def dde_flow(f: VectorFieldSpec, history: GridFunction, horizon: float) -> GridFunction:
@@ -145,8 +173,9 @@ def dde_flow(f: VectorFieldSpec, history: GridFunction, horizon: float) -> GridF
     ``history`` (maybe stacked) lives on [-tau, 0]; the returned track lives
     on [-tau, horizon] with the same step, and ``_rk4`` fills it in place.
     Delayed values at whole steps are exact node lookups in it; at an RK4
-    half-step they are one cubic Hermite read of the already-computed track,
-    shared by the two stages there.
+    half-step they are cubic Hermite reads: of the given history from its
+    midpoints, all computed once per sweep, then of the already-computed
+    track, one read shared by the two stages there.
     """
     if f.kind != DELAY:
         raise ValueError(f"dde_flow needs a delay field, got {f.kind!r}")
@@ -162,19 +191,21 @@ def dde_flow(f: VectorFieldSpec, history: GridFunction, horizon: float) -> GridF
 
     track = np.empty(history.values.shape[:-2] + (k + n_steps + 1, f.dim))
     track[..., : k + 1, :] = history.values
-    half = [None, None]  # (t, x(t - tau)) at the half step in progress
+    given = _hermite_midpoints(history.values)  # x(t - tau) at the half steps j < k
+    half = [None, None]  # (t, x(t - tau)) at the half step in progress past those
 
     def rhs(t, x):
         q = round(2.0 * t / h)  # t - tau, in half steps from the track's start
         if q % 2 == 0:
-            return f.rhs(t, x, track[..., q // 2, :])
+            return _rhs_call(f.rhs, t, x, track[..., q // 2, :])
+        j = q // 2  # the step in progress, from the state at index k + j
+        if j < k:  # t - tau = j + 1/2 lies in the given history
+            return _rhs_call(f.rhs, t, x, given[j])
         if half[0] != t:  # stages 2 and 3 share one read
-            j = q // 2  # the step in progress, from the state at index k + j
             # The track has a derivative kink at t = 0 (index k): the stencil
             # must not straddle it, and only the computed prefix may feed it.
-            half[:] = t, (_hermite_eval(track[..., : k + 1, :], j + 0.5) if j + 0.5 < k
-                          else _hermite_eval(track[..., k: k + j + 1, :], j + 0.5 - k))
-        return f.rhs(t, x, half[1])
+            half[:] = t, _hermite_eval(track[..., k: k + j + 1, :], j + 0.5 - k)
+        return _rhs_call(f.rhs, t, x, half[1])
 
     _rk4(rhs, track[..., k, :], 0.0, h, n_steps, track[..., k:, :])
     return GridFunction(Grid(-tau, horizon, k + n_steps), track)

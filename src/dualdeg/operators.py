@@ -394,6 +394,13 @@ def build(name: str, problem, params: dict | None = None) -> OperatorHandle:
     raise ValueError(f"unknown problem kind {problem.kind!r}")
 
 
+def build_once(handles: dict, name: str, problem, params: dict | None = None) -> OperatorHandle:
+    """``build(name, problem, params)``, held in ``handles`` by name and params:
+    one run's plans share one such dict, so each of its handles is built once."""
+    key = name, repr(sorted((params or {}).items()))
+    return handles[key] if key in handles else handles.setdefault(key, build(name, problem, params))
+
+
 def build_finite(name: str, problem, params: dict | None = None) -> OperatorHandle:
     """Finite-vector operators: Poincare maps and kernel-coordinate maps.
 

@@ -356,22 +356,23 @@ class RunReport:
                 "verdict": self.verdict, "timings": dict(self.timings)}
 
 
-def _operator_plan(problem: ProblemSpec, U1, vr) -> certify.Plan:
+def _operator_plan(problem: ProblemSpec, U1, vr, handles: dict) -> certify.Plan:
     """The operator suite of the problem's kind (``certify.KindRow``).  It
     concludes with the certificates of its chain over ``vr`` and the residuals
     of its residual operators at the grid fixed points over U1 of the first.
-    Kdir1's alpha reads the run's memo: a Kdir2 search's states cost no sweep."""
+    Kdir1's alpha reads the run's memo: a Kdir2 search's states cost no sweep.
+    Its operators are built through the run's ``handles`` (``operators.build_once``)."""
     row = certify.KIND_TABLE[problem.kind]
-    homotopies = tuple((operators.build(a, problem), operators.build(b, problem), vr)
-                       for a, b in row.chain)
+    op = lambda name: operators.build_once(handles, name, problem)
+    homotopies = tuple((op(a), op(b), vr) for a, b in row.chain)
 
     def conclude(certs, core, degree):
-        deg = certs and degree(operators.build("Ktilde", problem), vr).degree
+        deg = certs and degree(op("Ktilde"), vr).degree
         certs = [dict(report_mod.certificate_dict(c), chain_degree=deg) for c in certs]
         names = row.residuals
-        fps = names and certify.find_fixed_points(operators.build(names[0], problem), U1)
+        fps = names and certify.find_fixed_points(op(names[0]), U1)
         residuals = [{"operator": name, "solution_sup_norm": fp.sup_norm(),
-                      "residual": operators.residual(operators.build(name, problem), fp)}
+                      "residual": operators.residual(op(name), fp)}
                      for fp in fps for name in names]
         return certs, residuals
 
@@ -409,10 +410,11 @@ def run(problem: ProblemSpec, suite: str = "all", grid_m: int | None = None,
 
     U1, U2 = problem.default_U1(), problem.default_U2()
     vr = certify.default_pullback(U2)
-    plans = [certify.plan_duality(problem, pair, U1, U2, vr, eta)
+    handles = {}  # each of the run's operators, built once for all its plans
+    plans = [certify.plan_duality(problem, pair, U1, U2, vr, eta, handles)
              for pair, eta in instances]
     if operator_suite:
-        plans.append(_operator_plan(problem, U1, vr))
+        plans.append(_operator_plan(problem, U1, vr, handles))
     timings: dict[str, float] = {}
     results = certify.run_plans(problem, plans, U1, U2, seed, timings)
     certs, residuals = results[-1] if operator_suite else ([], [])

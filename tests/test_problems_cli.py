@@ -1,3 +1,4 @@
+import functools
 import gc
 import json
 import os
@@ -274,6 +275,42 @@ class TestRun:
         assert run(get_problem(pid), "all", grid_m=m).verdict
         assert counts == {"sweeps": sweeps, "jacobians": jacobians}
 
+    @pytest.mark.parametrize("pid,m,evals", [
+        pytest.param(pid, m, evals, id=f"{pid}-{m}") for pid, m, evals in
+        (("p1", 64, 769), ("p2", 64, 513), ("p3", 32, 642), ("p3", 128, 2567),
+         ("p4", 64, 515), ("p5", 64, 515), ("p4", 256, 2051), ("p5", 256, 2051),
+         ("p6", 64, 384), ("p7", 64, 1540))])
+    def test_rhs_evaluations_per_run(self, pid, m, evals, monkeypatch):
+        # every call of the problem's field rhs in one run, each on a whole
+        # stack: the RK4 stages of the sweeps above, the Nemytskii images and
+        # KhatP's backward field.  A stage does the same work however it checks
+        calls, rhs = [], problems._BUILTINS[pid]["rhs"]
+        monkeypatch.setitem(problems._BUILTINS[pid], "rhs",
+                            lambda *a: calls.append(1) or rhs(*a))
+        assert run(get_problem(pid), "all", grid_m=m).verdict
+        assert len(calls) == evals
+
+    @pytest.mark.parametrize("pid,builds,distinct", [
+        ("p1", 15, 12), ("p3", 16, 12), ("p4", 6, 4), ("p6", 9, 7), ("p7", 13, 9)])
+    def test_handles_built_once_per_run(self, pid, builds, distinct, monkeypatch):
+        # the duality plans and the operator suite share the run's handles, so each
+        # (name, params) they read is built once; the common core, its opening
+        # queue and the pullback samples still build K2 (or Kdir2, Kdelay2) and
+        # Ktilde themselves
+        made, depth = [], []
+        for fn in ("build", "build_finite"):
+            def counted(name, problem, params=None, _real=getattr(operators, fn)):
+                if not depth:
+                    made.append((name, repr(sorted((params or {}).items())), problem.m))
+                depth.append(1)
+                try:
+                    return _real(name, problem, params)
+                finally:
+                    depth.pop()
+            monkeypatch.setattr(operators, fn, counted)
+        assert run(get_problem(pid), "all", grid_m=64).verdict
+        assert (len(made), len(set(made))) == (builds, distinct)
+
     @pytest.mark.parametrize("pid,boxes", [("p1", 1), ("p2", 1), ("p3", 2)])
     def test_one_opening_per_box_per_run(self, pid, boxes, monkeypatch):
         # the core's queue, the searches of K2 and of Khat2 and their margins read
@@ -385,8 +422,9 @@ class TestRun:
         # certificate passes too: K1's flow and every finite map read one memo.
         # A state is keyed by its bytes, its rhs (by code and what it closes
         # over, so the fresh closures of one field are one key; KhatP's
-        # backward field is one of its own) and its grid; a delay state by
-        # its whole history, the input of the delay solve
+        # backward field is one of its own; a flow's checked rhs, a partial,
+        # by the field rhs it checks) and its grid; a delay state by its
+        # whole history, the input of the delay solve
         seen, repeats, delay = set(), [], []
         rk4, dde_flow = flows._rk4, flows.dde_flow
 
@@ -398,6 +436,9 @@ class TestRun:
 
         def rk4_once(rhs, y0, a, h, m, *rest):
             if not delay:
+                if isinstance(rhs, functools.partial):
+                    assert rhs.func is flows._rhs_call
+                    [rhs] = rhs.args
                 cells = tuple(c.cell_contents for c in rhs.__closure__ or ())
                 record((rhs.__code__, cells, a, h, m), y0.reshape(-1, y0.shape[-1]))
             return rk4(rhs, y0, a, h, m, *rest)

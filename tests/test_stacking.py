@@ -19,7 +19,7 @@ from dualdeg.certify import HomotopyCertificate
 from dualdeg.degree import STACK_FLOATS, _multistart_seeds, _newton_runs, box_domain, \
     fd_jacobian
 from dualdeg.flows import IntegrationError, VectorFieldSpec
-from dualdeg.gridfn import DelayKernel, Grid, GridFunction, constant
+from dualdeg.gridfn import DelayKernel, Grid, GridFunction, _rhs_call, constant
 
 P3 = replace(problems.get_problem("p3"), m=32)
 P4 = replace(problems.get_problem("p4"), m=16)
@@ -64,6 +64,10 @@ class TestRhsShapeGuards:
         with pytest.raises(ValueError, match=r"shape \(2, 2\), expected \(3, 2\)"):
             flows.flow(_field(SCALAR_ONLY, dim=2), np.ones((3, 2)), Grid(0.0, 1.0, 8))
 
+    def test_poincare(self):
+        with pytest.raises(ValueError, match=r"shape \(2, 2\), expected \(3, 2\)"):
+            flows.poincare(_field(SCALAR_ONLY, dim=2), np.ones((3, 2)), m=8)
+
     def test_mu_dirichlet(self):
         f = _field(lambda t, x: np.array([x[0]]), kind=flows.SECOND_ORDER)
         with pytest.raises(ValueError, match=r"shape \(1, 1\), expected \(3, 1\)"):
@@ -75,6 +79,23 @@ class TestRhsShapeGuards:
         with pytest.raises(ValueError, match=r"shape \(1, 1\), expected \(3, 1\)"):
             flows.dde_flow(f, hist, 1.0)
 
+    @pytest.mark.parametrize("kind", [flows.NONDELAY, flows.SECOND_ORDER, flows.DELAY])
+    def test_one_check_per_evaluation(self, kind, monkeypatch):
+        # each integrator checks the user's field where it calls it, once per
+        # evaluation: m RK4 steps are 4m calls of the field and 4m checks
+        checks, evals, check = [], [], flows._rhs_call
+        monkeypatch.setattr(flows, "_rhs_call", lambda *a: checks.append(1) or check(*a))
+        rhs = lambda t, x, *y: evals.append(1) or -x
+        f = _field(rhs, dim=2, kind=kind, tau=0.5 if kind == flows.DELAY else None)
+        x0 = np.ones((3, 2))
+        if kind == flows.NONDELAY:
+            flows.flow(f, x0, Grid(0.0, 1.0, 8))
+        elif kind == flows.SECOND_ORDER:
+            flows.mu_dirichlet(f, x0, x0, m=8)
+        else:
+            flows.dde_flow(f, GridFunction(Grid(-0.5, 0.0, 4), np.ones((3, 5, 2))), 1.0)
+        assert len(checks) == len(evals) == 4 * 8
+
     def test_nonfinite_names_first_bad_node_of_a_stack(self):
         g = Grid(0.0, 1.0, 8)
         f = _field(lambda t, x: np.where(np.expand_dims(t > 0.5, -1), x / 0.0, x))
@@ -83,6 +104,106 @@ class TestRhsShapeGuards:
             with np.errstate(divide="ignore", invalid="ignore"):
                 gridfn.nemytskii(f, x)
 
+
+# Reference loops: _rk4 with every stage's result checked, a second-order stage
+# that checks its field again and builds its derivative by setitems, and a delay
+# solve that reads each history midpoint by one _hermite_eval call per step.  The
+# integrators, each checking the user's field once per call, give their bits.
+def _loop_rk4(rhs, y0, a, h, m, track=None):
+    if track is None:
+        track = np.empty(y0.shape[:-1] + (m + 1, y0.shape[-1]))
+    track[..., 0, :] = y = y0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(m):
+            t = a + j * h
+            k1 = _rhs_call(rhs, t, y)
+            k2 = _rhs_call(rhs, t + 0.5 * h, y + 0.5 * h * k1)
+            k3 = _rhs_call(rhs, t + 0.5 * h, y + 0.5 * h * k2)
+            k4 = _rhs_call(rhs, t + h, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            track[..., j + 1, :] = y
+    return track
+
+
+def _loop_second_order(f, a, b, m):
+    n = f.dim
+
+    def rhs(t, y):
+        dy = np.empty_like(y)
+        dy[..., :n], dy[..., n:] = y[..., n:], _rhs_call(f.rhs, t, y[..., :n])
+        return dy
+
+    return _loop_rk4(rhs, np.concatenate([b, a], axis=-1), 0.0, 1.0 / m, m)[..., :n]
+
+
+def _loop_dde(f, history, horizon):
+    h, k = history.grid.h, history.grid.m
+    n_steps = round(horizon / h)
+    track = np.empty(history.values.shape[:-2] + (k + n_steps + 1, f.dim))
+    track[..., : k + 1, :] = history.values
+    half = [None, None]
+
+    def rhs(t, x):
+        q = round(2.0 * t / h)
+        if q % 2 == 0:
+            return f.rhs(t, x, track[..., q // 2, :])
+        if half[0] != t:
+            j = q // 2
+            half[:] = t, (flows._hermite_eval(track[..., : k + 1, :], j + 0.5) if j + 0.5 < k
+                          else flows._hermite_eval(track[..., k: k + j + 1, :], j + 0.5 - k))
+        return f.rhs(t, x, half[1])
+
+    _loop_rk4(rhs, track[..., k, :], 0.0, h, n_steps, track[..., k:, :])
+    return track
+
+
+def _signed_stack(shape, seed):
+    """Random entries with exact +0.0 and -0.0 among them."""
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, shape)
+    x.ravel()[::5] = 0.0
+    x.ravel()[2::5] = -0.0
+    return x
+
+
+class TestStagesMatchTheCheckedLoop:
+    def test_flow(self):
+        f = _field(lambda t, x: np.sin(x) * np.cos(2 * np.pi * t) - 0.5 * x * x * x, dim=3)
+        x0 = _signed_stack((4, 5, 3), 0)
+        grid = Grid(0.0, 1.0, 13)  # h / 6 is not h * (1 / 6) here
+        assert _same_bits(flows.flow(f, x0, grid).values,
+                          _loop_rk4(f.rhs, x0, grid.a, grid.h, grid.m))
+
+    def test_mu_dirichlet(self):
+        f = _field(lambda t, x: np.sin(t) * x - x * x * x, dim=2, kind=flows.SECOND_ORDER)
+        a, b = _signed_stack((6, 2), 1), _signed_stack((6, 2), 2)
+        assert _same_bits(flows.mu_dirichlet(f, a, b, m=13).values,
+                          _loop_second_order(f, a, b, 13))
+
+    @pytest.mark.parametrize("k", [2, 7, 64])
+    def test_dde_flow(self, k):
+        f = _field(lambda t, x, y: -x + 0.5 * y * y - np.sin(y) * np.cos(2 * np.pi * t),
+                   dim=2, kind=flows.DELAY, tau=0.5)
+        hist = GridFunction(Grid(-0.5, 0.0, k), _signed_stack((3, k + 1, 2), k))
+        assert _same_bits(flows.dde_flow(f, hist, 1.0).values, _loop_dde(f, hist, 1.0))
+
+    @pytest.mark.parametrize("shape", [(66, 65, 1), (3361, 8, 1), (5, 65, 2), (9, 3)])
+    def test_history_midpoints(self, shape):
+        Y = _signed_stack(shape, shape[0])
+        mid = flows._hermite_midpoints(Y)
+        assert len(mid) == shape[-2] - 1
+        for j in range(shape[-2] - 1):
+            assert _same_bits(mid[j], flows._hermite_eval(Y, j + 0.5))
+
+
+def _halvings(base, w, r):
+    """The shell scales by 60 halvings of every pair at once."""
+    sup = lambda v: np.max(np.abs(v), axis=(-2, -1))
+    lo, hi = np.zeros(len(base)), r + sup(base) + 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        inside = sup(base + mid[:, None, None] * w) < r
+        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+    return hi
 
 def _assert_same_solution(got, want):
     """Equal type, grid and values, bit for bit (and x'(0) for a C1Function);
@@ -219,6 +340,24 @@ class TestStackMatchesLoop:
                 loop += [base + 0.5 * room * w for w in bumps[:4]]
         got = certify._pullback_boundary_samples(P3, dom, 32, 7)
         assert _same_bits(got[:len(loop)], np.stack(loop))
+
+    @pytest.mark.parametrize("pid,m", [("p1", 64), ("p2", 64), ("p3", 128), ("p7", 64)])
+    @pytest.mark.parametrize("seed", [certify.DEFAULT_SEED, 1, 7, 123456])
+    def test_pullback_shell(self, pid, m, seed, monkeypatch):
+        # the shell points equal those of 60 halvings of every pair at once
+        problem = replace(problems.get_problem(pid), m=m)
+        dom = certify.default_pullback(problem.default_U2())
+        got = certify._pullback_boundary_samples(problem, dom, 16, seed)
+        monkeypatch.setattr(certify, "_shell_scales", _halvings)
+        assert _same_bits(got, certify._pullback_boundary_samples(problem, dom, 16, seed))
+
+    def test_shell_scales_past_60_halvings(self):
+        # a bump 1e12 times the gap to r puts the scale near 1e-12, below what 60
+        # halvings resolve: the 60th halving still moves an end, and hi is its
+        rng = np.random.default_rng(5)
+        base = rng.uniform(-0.9, 0.9, (6, 9, 2))
+        w = rng.standard_normal((6, 9, 2)) * np.repeat([1.0, 1e3, 1e12], 2)[:, None, None]
+        assert _same_bits(certify._shell_scales(base, w, 1.0), _halvings(base, w, 1.0))
 
     def test_random_directions(self):
         def loop(problem, count, seed, vanish_at_end):
