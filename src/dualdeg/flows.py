@@ -8,7 +8,8 @@ loop, over a whole stack of states or histories; the sweep rejects states
 that blow up, and the eta solve an overflow (IntegrationError).  ``_rk4``
 calls the rhs it is handed as it is: each integrator's adapter checks the
 user's field (``gridfn._rhs_call``) once per evaluation, and the delay one
-reads the Hermite midpoints of the given history from one pass per sweep.
+reads every half-step delay from rows of one Hermite function,
+``_hermite_midpoints``, over the given history and the computed track.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .gridfn import Grid, GridFunction, IntegrationError, _rhs_call
+from .gridfn import (Grid, GridFunction, IntegrationError, _rhs_call, _spread,
+                     cumulative_integral, nemytskii)
 
 NONDELAY = "nondelay"
 DELAY = "delay"
@@ -124,35 +126,16 @@ def mu_dirichlet(f: VectorFieldSpec, a, b, m: int = 256) -> GridFunction:
     return GridFunction(grid, vals[..., :n])
 
 
-def _hermite_weights(s: float) -> tuple:
-    """The cubic Hermite basis h00, h10, h01, h11 at s."""
-    return (1 + 2 * s) * (1 - s) ** 2, s * (1 - s) ** 2, s * s * (3 - 2 * s), s * s * (s - 1)
-
-
-def _hermite_eval(track: np.ndarray, pos: float) -> np.ndarray:
-    """Cubic Hermite (Catmull-Rom slopes) on equally spaced samples.
-
-    ``pos`` is a fractional index into axis -2 of the (..., L, n) ``track``.
-    """
-    n = track.shape[-2]
-    j = int(np.floor(pos))
-    j = min(max(j, 0), n - 2)
-    y = lambda i: track[..., i, :]
-    y0, y1 = y(j), y(j + 1)
-    d0 = (y(j + 1) - y(j - 1)) / 2.0 if j >= 1 else y(1) - y(0)
-    d1 = (y(j + 2) - y(j)) / 2.0 if j + 2 < n else y(-1) - y(-2)
-    h00, h10, h01, h11 = _hermite_weights(pos - j)
-    return h00 * y0 + h10 * d0 + h01 * y1 + h11 * d1
-
-
 def _hermite_midpoints(track: np.ndarray) -> np.ndarray:
-    """``_hermite_eval(track, j + 0.5)`` for every j < L - 1 of the (..., L, n)
-    ``track``, as row j of an (L-1, ..., n) array: the same slopes, weights and
-    operand order, so the same bits.  Each term goes through one of two
-    buffers in place, since a temporary per term costs page faults on a large
-    stack, and each row is contiguous for the rhs that reads it."""
+    """Cubic Hermite reads of the (..., L, n) ``track`` at every midpoint
+    j + 1/2, j < L - 1, as row j of an (L-1, ..., n) array: Catmull-Rom slopes
+    (y[j+1] - y[j-1]) / 2.0, one-sided at either end, and the sum
+    h00 y[j] + h10 d0 + h01 y[j+1] + h11 d1 in that order.  Each term goes
+    through one of two buffers in place, since a temporary per term costs
+    page faults on a large stack, and each row is contiguous for the rhs
+    that reads it."""
     y = np.moveaxis(track, -2, 0)  # y[j]: sample j
-    h00, h10, h01, h11 = _hermite_weights(0.5)
+    h00, h10, h01, h11 = 0.5, 0.125, 0.5, -0.125  # the cubic Hermite basis at 1/2
     mid, d = np.empty(y[1:].shape), np.empty(y[1:].shape)
     np.subtract(y[1], y[0], out=d[0])  # d0: one-sided at the left end
     np.subtract(y[2:], y[:-2], out=d[1:])
@@ -173,9 +156,9 @@ def dde_flow(f: VectorFieldSpec, history: GridFunction, horizon: float) -> GridF
     ``history`` (maybe stacked) lives on [-tau, 0]; the returned track lives
     on [-tau, horizon] with the same step, and ``_rk4`` fills it in place.
     Delayed values at whole steps are exact node lookups in it; at an RK4
-    half-step they are cubic Hermite reads: of the given history from its
-    midpoints, all computed once per sweep, then of the already-computed
-    track, one read shared by the two stages there.
+    half-step they are rows of ``_hermite_midpoints``: of the given history,
+    then of windows of the computed track, each batch computed once the
+    steps pass the rows in hand.
     """
     if f.kind != DELAY:
         raise ValueError(f"dde_flow needs a delay field, got {f.kind!r}")
@@ -184,28 +167,30 @@ def dde_flow(f: VectorFieldSpec, history: GridFunction, horizon: float) -> GridF
     if abs(hg.b) > 1e-12 or abs(hg.a + tau) > 1e-12:
         raise ValueError(f"history grid [{hg.a}, {hg.b}] must span [-{tau}, 0]")
     h = hg.h
-    k = hg.m  # steps per delay interval
+    k = hg.m  # steps per delay interval, at least 2 (Grid)
     n_steps = round(horizon / h)
     if abs(n_steps * h - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError(f"horizon {horizon} is not a multiple of the history step {h}")
 
     track = np.empty(history.values.shape[:-2] + (k + n_steps + 1, f.dim))
     track[..., : k + 1, :] = history.values
-    given = _hermite_midpoints(history.values)  # x(t - tau) at the half steps j < k
-    half = [None, None]  # (t, x(t - tau)) at the half step in progress past those
+    # mid[i - first] is x(t - tau) at track index i + 1/2, for first <= i < end
+    first, end, mid = 0, k, _hermite_midpoints(history.values)
 
     def rhs(t, x):
+        nonlocal first, end, mid
         q = round(2.0 * t / h)  # t - tau, in half steps from the track's start
         if q % 2 == 0:
             return _rhs_call(f.rhs, t, x, track[..., q // 2, :])
         j = q // 2  # the step in progress, from the state at index k + j
-        if j < k:  # t - tau = j + 1/2 lies in the given history
-            return _rhs_call(f.rhs, t, x, given[j])
-        if half[0] != t:  # stages 2 and 3 share one read
-            # The track has a derivative kink at t = 0 (index k): the stencil
-            # must not straddle it, and only the computed prefix may feed it.
-            half[:] = t, _hermite_eval(track[..., k: k + j + 1, :], j + 0.5 - k)
-        return _rhs_call(f.rhs, t, x, half[1])
+        if j >= end:
+            # The track has a derivative kink at t = 0 (index k), so no window
+            # starts before it.  The window ends at the state in progress; its
+            # last row has a one-sided right slope and is not read, nor is its
+            # first when the window starts at j - 1 > k.
+            first, end = max(k, j - 1), k + j - 1
+            mid = _hermite_midpoints(track[..., first: k + j + 1, :])
+        return _rhs_call(f.rhs, t, x, mid[j - first])
 
     _rk4(rhs, track[..., k, :], 0.0, h, n_steps, track[..., k:, :])
     return GridFunction(Grid(-tau, horizon, k + n_steps), track)
@@ -221,8 +206,6 @@ def eta_periodic_solve(f: VectorFieldSpec, eta: float, x: GridFunction) -> GridF
     Variation of constants with exact exponential integrating factors and
     trapezoid quadrature on the grid.
     """
-    from .gridfn import _spread, cumulative_integral, nemytskii
-
     T = f.period
     grid = x.grid
     if abs(grid.a) > 1e-12 or abs(grid.b - T) > 1e-12:

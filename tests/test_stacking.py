@@ -107,7 +107,7 @@ class TestRhsShapeGuards:
 
 # Reference loops: _rk4 with every stage's result checked, a second-order stage
 # that checks its field again and builds its derivative by setitems, and a delay
-# solve that reads each history midpoint by one _hermite_eval call per step.  The
+# solve that reads each half-step delay by one _hermite_point call per step.  The
 # integrators, each checking the user's field once per call, give their bits.
 def _loop_rk4(rhs, y0, a, h, m, track=None):
     if track is None:
@@ -136,6 +136,20 @@ def _loop_second_order(f, a, b, m):
     return _loop_rk4(rhs, np.concatenate([b, a], axis=-1), 0.0, 1.0 / m, m)[..., :n]
 
 
+def _hermite_point(track, pos):
+    """Cubic Hermite (Catmull-Rom slopes) at the fractional index ``pos`` into
+    axis -2 of the (..., L, n) ``track``, one point at a time."""
+    n = track.shape[-2]
+    j = min(max(int(np.floor(pos)), 0), n - 2)
+    y = lambda i: track[..., i, :]
+    d0 = (y(j + 1) - y(j - 1)) / 2.0 if j >= 1 else y(1) - y(0)
+    d1 = (y(j + 2) - y(j)) / 2.0 if j + 2 < n else y(-1) - y(-2)
+    s = pos - j
+    h00, h10 = (1 + 2 * s) * (1 - s) ** 2, s * (1 - s) ** 2
+    h01, h11 = s * s * (3 - 2 * s), s * s * (s - 1)
+    return h00 * y(j) + h10 * d0 + h01 * y(j + 1) + h11 * d1
+
+
 def _loop_dde(f, history, horizon):
     h, k = history.grid.h, history.grid.m
     n_steps = round(horizon / h)
@@ -149,8 +163,8 @@ def _loop_dde(f, history, horizon):
             return f.rhs(t, x, track[..., q // 2, :])
         if half[0] != t:
             j = q // 2
-            half[:] = t, (flows._hermite_eval(track[..., : k + 1, :], j + 0.5) if j + 0.5 < k
-                          else flows._hermite_eval(track[..., k: k + j + 1, :], j + 0.5 - k))
+            half[:] = t, (_hermite_point(track[..., : k + 1, :], j + 0.5) if j + 0.5 < k
+                          else _hermite_point(track[..., k: k + j + 1, :], j + 0.5 - k))
         return f.rhs(t, x, half[1])
 
     _loop_rk4(rhs, track[..., k, :], 0.0, h, n_steps, track[..., k:, :])
@@ -184,7 +198,9 @@ class TestStagesMatchTheCheckedLoop:
         f = _field(lambda t, x, y: -x + 0.5 * y * y - np.sin(y) * np.cos(2 * np.pi * t),
                    dim=2, kind=flows.DELAY, tau=0.5)
         hist = GridFunction(Grid(-0.5, 0.0, k), _signed_stack((3, k + 1, 2), k))
-        assert _same_bits(flows.dde_flow(f, hist, 1.0).values, _loop_dde(f, hist, 1.0))
+        for horizon in (1.0, 2.0):  # two and four delay intervals
+            assert _same_bits(flows.dde_flow(f, hist, horizon).values,
+                              _loop_dde(f, hist, horizon))
 
     @pytest.mark.parametrize("shape", [(66, 65, 1), (3361, 8, 1), (5, 65, 2), (9, 3)])
     def test_history_midpoints(self, shape):
@@ -192,7 +208,7 @@ class TestStagesMatchTheCheckedLoop:
         mid = flows._hermite_midpoints(Y)
         assert len(mid) == shape[-2] - 1
         for j in range(shape[-2] - 1):
-            assert _same_bits(mid[j], flows._hermite_eval(Y, j + 0.5))
+            assert _same_bits(mid[j], _hermite_point(Y, j + 0.5))
 
 
 def _halvings(base, w, r):
