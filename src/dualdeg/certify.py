@@ -11,6 +11,7 @@ problem kind runs.  Boundary sampling uses a fixed seed: pipelines are determini
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable
@@ -273,14 +274,14 @@ def _face_lattice(dom: DomainSpec, count: int):
     return b, (min(per, 24) if dom.kind == "pullback" else per)
 
 
-def _shares_pass(dom, count: int, more: int) -> bool:
-    """Whether the boundary samples for ``count`` are the first rows of those for
-    ``more``, told by the domain kind and resolution: on a ball always; on a
-    lattice when the lattice points per face agree (1 on an interval)."""
+def _resolution(dom, count: int) -> int | None:
+    """The key of the boundary samples for ``count``: None on a ball, whose samples
+    for a count are the first rows of those for a larger one; on a lattice the
+    lattice points per face (1 on an interval), equal keys giving equal samples."""
     if isinstance(dom, FunctionBall):
-        return True
-    (b, per), (_, more_per) = _face_lattice(dom, count), _face_lattice(dom, more)
-    return per ** (b.shape[0] - 1) == more_per ** (b.shape[0] - 1)
+        return None
+    b, per = _face_lattice(dom, count)
+    return per ** (b.shape[0] - 1)
 
 
 def _pullback_boundary_samples(problem, dom: DomainSpec, count: int, seed: int):
@@ -359,7 +360,7 @@ def _domain_boundary_samples(hA: OperatorHandle, dom, counts, seed: int):
     """Boundary samples of the domain for the last of ``counts``, flattened (S, N) in
     the space of ``hA``, and per count the rows that its own samples are a prefix
     of.  A ball's are the constants e_0, -e_0, e_1, -e_1, ..., then the directions by
-    draw index; the counts of a lattice's pass share a resolution (``_shares_pass``)."""
+    draw index; the counts of a lattice's pass share a resolution (``_resolution``)."""
     problem = hA.problem
     if isinstance(dom, FunctionBall):
         n = problem.field().dim
@@ -438,18 +439,18 @@ def _score_pairs(curves, base, delta, lams, work) -> int:
     return P * N + two.size + int(keep.sum())
 
 
-def _boundary_curves(pairs, samples: np.ndarray, unflat, lam_grids, ends) -> list:
-    """Per pair, per lambda grid j: the boundary minimum over the first ``ends[j]``
-    samples of |x - H_lam(x)| at each lambda.  A lifted handle (K1 or Kdelay1 = lift o
+def _boundary_curves(pairs, samples: np.ndarray, unflat, lams: np.ndarray, ends) -> list:
+    """Per pair, per level j of a pass of J: the boundary minimum over the first
+    ``ends[j]`` samples of |x - H_lam(x)| at each lambda of level j's grid, ``lams``
+    (the finest) at stride 2^(J - 1 - j).  A lifted handle (K1 or Kdelay1 = lift o
     mu o pi, ``factors``) maps mu over pi of all samples first, ``degree._stack_rows(k)``
     rows per call, so its flow runs once per pass; every other distinct handle maps
     each block of ``degree._stack_rows`` samples once, the block's one x, whose memo
     they share; in a run, Ktilde's K2 reads the alpha rows K1's flow stored.  An image
     is kept from its first pair to its last.  Segment j, rows ``ends[j - 1]`` to
-    ``ends[j]``, has a curve of its own: each lambda of the grids' exact union is
-    scored once per block segment and chunk of _stack_rows(rows * N) pairs
-    (``_score_pairs``), and grid j's curve is the min of segments 0..j."""
-    lams, where = np.unique(np.concatenate(lam_grids), return_inverse=True)
+    ``ends[j]``, has a curve of its own: each lambda is scored once per block segment
+    and chunk of _stack_rows(rows * N) pairs (``_score_pairs``), and level j's curve
+    is the min of segments 0..j."""
     keys = [(_handle_key(hA), _handle_key(hB)) for hA, hB in pairs]
     handles = {_handle_key(h): h for pair in pairs for h in pair}
     last = {key: i for i, pair_keys in enumerate(keys) for key in pair_keys}
@@ -481,9 +482,8 @@ def _boundary_curves(pairs, samples: np.ndarray, unflat, lam_grids, ends) -> lis
                 images = {key: im for key, im in images.items() if last[key] > i}
             for j, at in segments:
                 _score_pairs(curves[c:stop, j], base[:, at], delta[:, at], lams, scratch[2])
-    levels = np.split(where, np.cumsum([len(grid) for grid in lam_grids])[:-1])
-    return [[curve[idx] for curve, idx in zip(np.minimum.accumulate(segs), levels)]
-            for segs in curves]
+    return [[curve[::2 ** (len(ends) - 1 - j)]
+             for j, curve in enumerate(np.minimum.accumulate(segs))] for segs in curves]
 
 
 def certify_homotopies(pairs, domain, seed: int = DEFAULT_SEED) -> list[HomotopyCertificate]:
@@ -496,16 +496,15 @@ def certify_homotopies(pairs, domain, seed: int = DEFAULT_SEED) -> list[Homotopy
     admissible iff it stopped and that minimum clears ``admissibility_eps``.
     The pairs refine in lock step: a pass builds one level's samples and
     applies each distinct handle of the pairs still refining once per block
-    of at most ``degree.STACK_FLOATS`` sample floats.  Levels up to 2, where
-    no pair can stop yet, join the pass of the level before when their
-    samples hold its samples as their first rows (``_shares_pass``: on a ball
-    always, on a lattice at one resolution); the pass builds and maps only its
-    finest samples and scores each lambda of the levels' grid union once per
-    segment.  In a run, pi of the later passes' samples up to level 2 (on a
-    pullback, level 0's lattice is not that of levels 1-2) is queued on each
-    lifted handle's alpha first (``operators.queue``): the first pass's flow
-    maps it, and the later passes read the memo.  Each certificate equals the
-    one its pair gets alone.
+    of at most ``degree.STACK_FLOATS`` sample floats.  Consecutive levels up
+    to 2, where no pair can stop yet, share a pass when their ``_resolution``
+    is equal (on a ball always), and each later level is a pass of its own;
+    the pass builds and maps only its finest samples and scores its finest
+    lambda grid, a coarser level's at a stride, once per segment.  In a run,
+    pi of the later passes' samples up to level 2 (on a pullback, level 0's
+    lattice is not that of levels 1-2) is queued on each lifted handle's alpha
+    first (``operators.queue``): the first pass's flow maps it, and the later
+    passes read the memo.  Each certificate equals the one its pair gets alone.
     """
     pairs = [tuple(p) for p in pairs]
     if not pairs:
@@ -530,13 +529,10 @@ def certify_homotopies(pairs, domain, seed: int = DEFAULT_SEED) -> list[Homotopy
     finest = [None] * len(pairs)  # (lambdas, curve) of the last level run
     stable = [False] * len(pairs)
 
-    spans, level = [], 0  # the levels each pass serves
-    while level <= MAX_DOUBLINGS:
-        spans.append([level])
-        while spans[-1][-1] < min(2, MAX_DOUBLINGS) and \
-                _shares_pass(domain, counts[spans[-1][-1]], counts[spans[-1][-1] + 1]):
-            spans[-1].append(spans[-1][-1] + 1)
-        level = spans[-1][-1] + 1
+    # the levels each pass serves: runs of levels up to 2 of one resolution, then one each
+    spans = [list(span) for _, span in itertools.groupby(
+        range(min(2, MAX_DOUBLINGS) + 1), lambda lv: _resolution(domain, counts[lv]))]
+    spans += [[lv] for lv in range(3, MAX_DOUBLINGS + 1)]
     build = lambda span: _domain_boundary_samples(handles[0], domain,
                                                   [counts[lv] for lv in span], seed)
     # no pair stops before level 2, so the passes up to it all run: their samples
@@ -552,7 +548,7 @@ def certify_homotopies(pairs, domain, seed: int = DEFAULT_SEED) -> list[Homotopy
         samples, ends = sets[p] or build(span)
         sets[p] = None
         curves = _boundary_curves([pairs[i] for i in live], samples, unflat,
-                                  [lam_grids[lv] for lv in span], ends)
+                                  lam_grids[span[-1]], ends)
         for i, pair_curves in zip(live, curves):
             hist = history[i]
             for lv, curve in zip(span, pair_curves):

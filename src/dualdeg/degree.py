@@ -126,22 +126,18 @@ def _sign_change(ga, gb) -> DegreeResult:
 def brouwer_2d_winding(g: Callable, box: DomainSpec) -> DegreeResult:
     """Degree of g over a 2-d box by the winding number along its boundary.
 
-    Sampling doubles until every per-segment angle increment is below pi/2; a boundary
-    sample where g is 0 or not finite, a margin below DEFAULT_EPS (no finer level's,
-    which holds these samples, is larger) or the cap gives an uncertified 0.
+    Level L walks the rows of ``_boundary_lattice(b, 16 2^L + 1)`` (at L = 0 a margin's,
+    ``_opening``) by angle about the centre, doubling until every angle step is below
+    pi/2; a sample where g is 0 or not finite, a margin below DEFAULT_EPS (no finer
+    level's, which holds these samples, is larger) or the cap gives an uncertified 0.
     """
     b = box.as_box()
     if b.shape[0] != 2:
         raise ValueError(f"brouwer_2d_winding needs a 2-d box, got dimension {b.shape[0]}")
-    (x0, x1), (y0, y1) = b
-    corners = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1], [x0, y0]])
-
-    n = 64
     for level in range(MAX_WINDING_DOUBLINGS + 1):
-        s = np.arange(n) / n * 4.0
-        seg = np.minimum(s.astype(int), 3)
-        pts = corners[seg] + (s - seg)[:, None] * (corners[seg + 1] - corners[seg])
-        vals = _map_rows(g, pts)
+        pts = _boundary_lattice(b, 16 * 2 ** level + 1)
+        dx, dy = (pts - b.mean(axis=1)).T
+        vals = _map_rows(g, pts[np.argsort(np.arctan2(dy, dx))])
         margin = float(np.min(np.max(np.abs(vals), axis=1)))
         if margin > 0:  # else no angle step there
             z = vals[:, 0] + 1j * vals[:, 1]
@@ -154,7 +150,6 @@ def brouwer_2d_winding(g: Callable, box: DomainSpec) -> DegreeResult:
                                     refinement_levels=level, certified=certified)
         if not margin >= DEFAULT_EPS:  # doubling cannot help
             break
-        n *= 2
     return DegreeResult(degree=0, method="winding_2d", min_boundary_norm=margin,
                         refinement_levels=level, certified=False)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dualdeg import certify, degree, operators, problems
+from dualdeg import certify, degree, flows, operators, problems
 from dualdeg.degree import (CollisionError, DomainSpec, box_domain,
                             brouwer_1d, brouwer_2d_winding, brouwer_nd_regular,
                             fd_jacobian, fixed_point_degree, fourier_block_signs,
@@ -63,6 +63,19 @@ class TestBrouwer2dWinding:
     def test_identity_square(self):
         res = brouwer_2d_winding(lambda p: p, box_domain([(-1, 1), (-1, 1)]))
         assert res.degree == 1 and res.certified
+        # an off-centre, non-dyadic, elongated box, g = p - c and its reflection in x:
+        # each reads what the perimeter walk from the corner (x0, y0) read.  With c on
+        # a level-0 row (y = 231.25) the walk certifies +-1 at once; 0.27 wide and
+        # 4,700 tall, it cannot resolve c = (0.2, 100) and stops uncertified at the
+        # cap, while g scaled to the box certifies it at once
+        box, width = box_domain([(0.1, 0.37), (-3e3, 1.7e3)]), np.array([0.27, 4.7e3])
+        cap = degree.MAX_WINDING_DOUBLINGS
+        for c, scale, want in (((0.2, 231.25), 1.0, (True, 0)), ((0.2, 100.0), 1.0, (False, cap)),
+                               ((0.2, 100.0), width, (True, 0))):
+            for reflect in (1.0, -1.0):
+                res = brouwer_2d_winding(lambda p: (p - c) / scale * [reflect, 1.0], box)
+                degree_read = int(reflect) if want[0] else 0
+                assert (res.degree, res.certified, res.refinement_levels) == (degree_read, *want)
 
     def test_z_squared(self):
         g = lambda p: np.stack([p[..., 0] ** 2 - p[..., 1] ** 2,
@@ -149,6 +162,26 @@ class TestBrouwer2dWinding:
         assert calls == [64 * 2 ** level for level in range(cap + 1)]
         assert res.degree == 0 and not res.certified and res.refinement_levels == cap
         assert res.min_boundary_norm > degree.DEFAULT_EPS
+
+    @pytest.mark.parametrize("pid,m,want", [("p3", 32, 1), ("p3", 128, 1), ("p7", 64, -1)])
+    def test_image_box_walk_reads_the_margin_rows(self, pid, m, want, monkeypatch):
+        # a run's finite side reads deg(I - K2, U2), then deg(I - KhatP) over the image
+        # box: the winding of KhatP's map walks that box's margin rows at level 0,
+        # bit for bit, which the run memo holds, so it makes no sweep and reads the
+        # Jacobian-sign degree, certified
+        problem = operators.run_copy(problems.get_problem(pid), m)
+        op = lambda name: operators.build(name, problem)
+        side, U2, params = certify._FiniteSide(), problem.default_U2(), {}
+        side(op("K2"), U2)
+        res = certify._image_box(side, op, U2, params)
+        b, F = np.array(params["image_box"]), side.map(op("KhatP"))
+        rows, sweeps, rk4 = [], [], flows._rk4
+        monkeypatch.setattr(flows, "_rk4", lambda *a, **k: sweeps.append(1) or rk4(*a, **k))
+        wind = brouwer_2d_winding(lambda X: rows.append(X) or F.g(X), box_domain(b))
+        bits = lambda X: sorted(row.tobytes() for row in X)
+        assert sweeps == [] and bits(rows[0]) == bits(degree._opening(b, side.openings)[1])
+        assert len(rows) == 1 and len(rows[0]) == 64
+        assert res.degree == wind.degree == want and res.certified and wind.certified
 
     def test_stability_under_refinement(self):
         g = lambda p: np.stack([p[..., 0] ** 2 - p[..., 1] ** 2,

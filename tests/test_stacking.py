@@ -954,12 +954,12 @@ class TestLockStepCertificates:
         for n, lams in zip(counts, grids):
             samples = certify._domain_boundary_samples(pair[0], domain, [n],
                                                        certify.DEFAULT_SEED)[0]
-            curves += certify._boundary_curves([pair], samples, unflat, [lams],
+            curves += certify._boundary_curves([pair], samples, unflat, lams,
                                                [len(samples)])[0]
         span = min(2, max_doublings) + 1
         samples, ends = certify._domain_boundary_samples(pair[0], domain, counts[:span],
                                                          certify.DEFAULT_SEED)
-        shared = certify._boundary_curves([pair], samples, unflat, grids[:span], ends)[0]
+        shared = certify._boundary_curves([pair], samples, unflat, grids[span - 1], ends)[0]
         assert all(np.array_equal(a, b) for a, b in zip(shared, curves[:span]))
         hist = []
         for lv, curve in enumerate(curves):
@@ -1056,19 +1056,20 @@ class TestLockStepCertificates:
         ids=["pullback-1d", "pullback-2d", "box", "ball", "ball-default-seed", "ball-p6",
              "ball-p6-default-seed", "ball-centred", "ball-centred-default-seed"])
     def test_equal_resolution_equal_samples(self, problem, domain, seed):
-        # a lattice level shares the pass of the level before iff their
-        # resolutions agree, and then their samples are equal; a ball level
-        # always does, and its samples are the first rows of the next level's
-        # and, as the pass's ends say, of the finest level's
+        # on a lattice, levels of equal resolution have equal samples, and
+        # unequal ones unequal; a ball's resolution is None, and each level's
+        # samples are the first rows of the next level's and, as the pass's ends
+        # say, of the finest level's
         h = ZERO if problem is None else operators.build(
             "Kdelay" if problem.kind == "periodic_dde" else "K", problem)
         counts = [16 * 2 ** lv for lv in range(5)]
         samples = [certify._domain_boundary_samples(h, domain, [n], seed)[0] for n in counts]
         ball = isinstance(domain, certify.FunctionBall)
         for lv, (a, b) in enumerate(zip(samples, samples[1:])):
-            same = certify._shares_pass(domain, counts[lv], counts[lv + 1])
+            key = certify._resolution(domain, counts[lv])
+            same = key == certify._resolution(domain, counts[lv + 1])
             if ball:
-                assert same and len(a) < len(b) and np.array_equal(a, b[:len(a)])
+                assert key is None and same and len(a) < len(b) and np.array_equal(a, b[:len(a)])
             else:
                 assert same == (a.shape == b.shape and np.array_equal(a, b))
         if ball:
@@ -1083,20 +1084,13 @@ class TestLockStepCertificates:
         self._check(_pairs(P3, P3_RUN[:3]), vr)
         self._check(_pairs(P1, (("K", "K1"),)), P1.default_U1())
 
-    def test_lambda_union_of_grids_not_nested(self):
-        # 7, 10 and 13 points: no grid is nested in another
-        grids = [np.linspace(0.0, 1.0, n) for n in (7, 10, 13)]
-        pairs = _pairs(P1, (("K", "Kgamma"), ("K", "K1"), ("K1", "Kgamma")))
-        samples = certify._domain_boundary_samples(pairs[0][0], P1.default_U1(), [32],
-                                                   certify.DEFAULT_SEED)[0]
-        unflat = certify._unflattener(pairs[0][0])
-        together = certify._boundary_curves(pairs, samples, unflat, grids,
-                                            [len(samples)] * len(grids))
-        for j, lams in enumerate(grids):
-            alone = certify._boundary_curves(pairs, samples, unflat, [lams], [len(samples)])
-            for curves, ref in zip(together, alone):
-                assert len(curves[j]) == len(lams)
-                assert np.array_equal(curves[j], ref[0])
+    def test_lambda_grids_nest(self):
+        # a pass scores its finest lambda grid, and a coarser level reads it at a
+        # stride: level L's grid is level L + d's at stride 2^d, bit for bit
+        for steps in range(2, 40):
+            grids = [np.linspace(0.0, 1.0, (steps - 1) * 2 ** lv + 1) for lv in range(6)]
+            for lv, d in ((lv, d) for lv in range(6) for d in range(1, 4) if lv + d < 6):
+                assert np.array_equal(grids[lv + d][::2 ** d], grids[lv])
 
 
 P3_128 = replace(P3, m=128)
